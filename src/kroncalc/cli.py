@@ -6,10 +6,11 @@ with branch report), expand (hook determinant / Jacobi-Trudi / coproduct
 printing), verify (exhaustive sweep suites).
 
 Exit codes: 0 success, 1 verification failure or backend disagreement,
-2 input error, 3 method hypotheses not met.  Partitions use the text
-syntax "6,2,1^6"; colored words use space-separated letters with a
-trailing apostrophe for bars ("2' 1 4' 4").  The character-cache path
-defaults to the KRONCALC_CHAR_CACHE environment variable when set.
+2 input error, 3 method hypotheses not met, 4 internal error (a failed
+consistency check).  Partitions use the text syntax "6,2,1^6"; colored
+words use space-separated letters with a trailing apostrophe for bars
+("2' 1 4' 4").  The character-cache path defaults to the
+KRONCALC_CHAR_CACHE environment variable when set.
 """
 
 from __future__ import annotations
@@ -415,7 +416,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=14,
         help="only memoize character values for partitions of at most this size",
     )
-    kron.add_argument("--jobs", type=int, default=1)
     kron.set_defaults(func=cmd_kron)
 
     enum = sub.add_parser("enumerate", help="enumerate tableaux or trace insertion")
@@ -430,7 +430,6 @@ def build_parser() -> argparse.ArgumentParser:
     ros.add_argument("hook", metavar="HOOK")
     ros.add_argument("nu", metavar="NU")
     ros.add_argument("--output", choices=["text", "json"], default="text")
-    ros.add_argument("--explain", action="store_true")
     ros.set_defaults(func=cmd_rosas)
 
     exp = sub.add_parser("expand", help="print structural expansions")
@@ -462,6 +461,10 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (ArithmeticError, RuntimeError, AssertionError) as exc:
+        # a failed consistency check inside an engine, not a user error
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 def entry() -> None:

@@ -20,6 +20,12 @@ moved to the front, bars erased - is Yamanouchi in the suffix sense: the
 content of every suffix is a partition.  The number of distinct mixed
 insertion tableaux of such words with content lam, exactly d bars, shape
 nu, and an unbarred southwest corner equals g(lam, (n-d, 1^d), nu).
+
+The enumeration searches insertion states rather than words.  Insertion is
+deterministic and admissibility of the next letter depends only on the
+counts of barred and unbarred letters still to be placed, which the
+tableau built so far determines; so words that reach the same tableau have
+the same completions, and each tableau state is expanded once.
 """
 
 from __future__ import annotations
@@ -233,41 +239,35 @@ def schensted_insert(
     return tuple(tuple(r) for r in out)
 
 
-def _mixed_insert_encoded(rows: list[list[int]], k: int, log: Optional[list] = None) -> None:
-    """Insert encoded letter k; mutates rows, recording undo steps in log."""
+def _mixed_insert_encoded(rows: list[list[int]], k: int) -> None:
+    """Insert encoded letter k; mutates rows."""
     if k & 1:
-        _column_insert(rows, k, 0, log)
+        _column_insert(rows, k, 0)
     else:
-        _row_insert(rows, k, 0, log)
+        _row_insert(rows, k, 0)
 
 
-def _row_insert(rows: list[list[int]], k: int, i: int, log) -> None:
+def _row_insert(rows: list[list[int]], k: int, i: int) -> None:
     while True:
         if i == len(rows):
             rows.append([k])
-            if log is not None:
-                log.append(("new",))
             return
         row = rows[i]
         for j, y in enumerate(row):
             if y > k:
                 row[j] = k
-                if log is not None:
-                    log.append(("set", i, j, y))
                 if y & 1:
-                    _column_insert(rows, y, j + 1, log)
+                    _column_insert(rows, y, j + 1)
                     return
                 k = y
                 break
         else:
             row.append(k)
-            if log is not None:
-                log.append(("app", i))
             return
         i += 1
 
 
-def _column_insert(rows: list[list[int]], k: int, j: int, log) -> None:
+def _column_insert(rows: list[list[int]], k: int, j: int) -> None:
     while True:
         i = 0
         bumped = -1
@@ -275,8 +275,6 @@ def _column_insert(rows: list[list[int]], k: int, j: int, log) -> None:
             if rows[i][j] > k:
                 bumped = rows[i][j]
                 rows[i][j] = k
-                if log is not None:
-                    log.append(("set", i, j, bumped))
                 break
             i += 1
         if bumped < 0:
@@ -284,32 +282,24 @@ def _column_insert(rows: list[list[int]], k: int, j: int, log) -> None:
                 if j != 0:
                     raise RuntimeError("insertion produced a ragged shape")
                 rows.append([k])
-                if log is not None:
-                    log.append(("new",))
             else:
                 if len(rows[i]) != j:
                     raise RuntimeError("insertion produced a ragged shape")
                 rows[i].append(k)
-                if log is not None:
-                    log.append(("app", i))
             return
         if bumped & 1:
             k = bumped
             j += 1
         else:
-            _row_insert(rows, bumped, i + 1, log)
+            _row_insert(rows, bumped, i + 1)
             return
 
 
-def _undo(rows: list[list[int]], log: list) -> None:
-    for record in reversed(log):
-        tag = record[0]
-        if tag == "set":
-            rows[record[1]][record[2]] = record[3]
-        elif tag == "app":
-            rows[record[1]].pop()
-        else:
-            rows.pop()
+def _inserted(state: tuple[tuple[int, ...], ...], k: int) -> tuple[tuple[int, ...], ...]:
+    """The frozen tableau state with encoded letter k mixed-inserted."""
+    rows = [list(r) for r in state]
+    _mixed_insert_encoded(rows, k)
+    return tuple(map(tuple, rows))
 
 
 def mixed_insert(tab: ColoredTableau, letter: ColoredLetter) -> ColoredTableau:
@@ -370,6 +360,14 @@ def _search(lam: Partition, d: int, target: Optional[Partition]):
     remaining unbarred content must be a partition.  Every intermediate
     insertion shape is contained in the final one, so a target shape prunes
     the search tree early.
+
+    The search runs over insertion states, not words.  Mixed insertion is
+    deterministic, and the admissibility test reads only the remaining
+    barred and unbarred counts rb, ru (the unbarred content cu is fixed by
+    the bar content vector).  The tableau holds exactly the letters
+    inserted so far, so for a fixed bar content vector it determines rb and
+    ru.  Two prefixes that reach the same tableau therefore have the same
+    completions, and each tableau state is expanded once.
     """
     n = lam.size
     m = len(lam)
@@ -384,44 +382,41 @@ def _search(lam: Partition, d: int, target: Optional[Partition]):
             continue
         rb = list(cb)
         ru = list(cu)
-        rows: list[list[int]] = []
+        seen: set = set()
 
-        def dfs(remaining: int):
+        def dfs(state: tuple, remaining: int):
+            if state in seen:
+                return
+            seen.add(state)
             if remaining == 0:
-                if rows and not rows[-1][0] & 1:
-                    shape = tuple(len(r) for r in rows)
+                if state and not state[-1][0] & 1:
+                    shape = tuple(len(r) for r in state)
                     if tgt is None or shape == tgt:
-                        found.setdefault(shape, set()).add(
-                            tuple(tuple(r) for r in rows)
-                        )
+                        found.setdefault(shape, set()).add(state)
                 return
             for v in range(m):
                 if rb[v]:
                     below = (rb[v + 1] + cu[v + 1]) if v + 1 < m else 0
                     if rb[v] - 1 + cu[v] >= below:
                         rb[v] -= 1
-                        log: list = []
-                        _mixed_insert_encoded(rows, 2 * v + 1, log)
-                        if _fits(rows, tgt):
-                            dfs(remaining - 1)
-                        _undo(rows, log)
+                        nxt = _inserted(state, 2 * v + 1)
+                        if _fits(nxt, tgt):
+                            dfs(nxt, remaining - 1)
                         rb[v] += 1
                 if ru[v]:
                     below = ru[v + 1] if v + 1 < m else 0
                     if ru[v] - 1 >= below:
                         ru[v] -= 1
-                        log = []
-                        _mixed_insert_encoded(rows, 2 * v + 2, log)
-                        if _fits(rows, tgt):
-                            dfs(remaining - 1)
-                        _undo(rows, log)
+                        nxt = _inserted(state, 2 * v + 2)
+                        if _fits(nxt, tgt):
+                            dfs(nxt, remaining - 1)
                         ru[v] += 1
 
-        dfs(n)
+        dfs((), n)
     return found
 
 
-def _fits(rows: list[list[int]], tgt: Optional[tuple[int, ...]]) -> bool:
+def _fits(rows: Sequence[Sequence[int]], tgt: Optional[tuple[int, ...]]) -> bool:
     if tgt is None:
         return True
     if len(rows) > len(tgt):

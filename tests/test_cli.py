@@ -193,3 +193,17 @@ def test_cache_file_round_trip(tmp_path, capsys):
         "--cache-file", str(cache),
     )
     assert code == 0 and "= 2" in out
+
+
+def test_internal_error_exits_4_without_traceback(capsys, monkeypatch):
+    from kroncalc import colored
+
+    def broken(lam, d, target):
+        raise RuntimeError("insertion produced a ragged shape")
+
+    monkeypatch.setattr(colored, "_search", broken)
+    colored.enumerate_blasiak.cache_clear()  # a cached answer would skip _search
+    code, out, err = run(capsys, "kron", "5,2,1", "4,1^4", "4,2,1,1", "--method", "blasiak")
+    assert code == 4
+    assert out == ""
+    assert err == "internal error: RuntimeError: insertion produced a ragged shape\n"

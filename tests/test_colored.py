@@ -1,3 +1,5 @@
+import hashlib
+import random
 from itertools import combinations, permutations
 
 import pytest
@@ -161,12 +163,54 @@ def test_violating_tableau_never_produced():
                 assert bad not in enumerate_blasiak(lam, d, nu)
 
 
+def test_finalize_rejects_bad_tableaux():
+    from kroncalc.colored import _finalize
+
+    # encoded letters: 2v - 1 is v barred, 2v is v unbarred
+    with pytest.raises(AssertionError, match="globally monotone"):
+        _finalize(Partition((2,)), 1, [((2,), (1,))])
+    with pytest.raises(AssertionError, match="wrong content"):
+        _finalize(Partition((2,)), 0, [((2,),)])
+    with pytest.raises(AssertionError, match="barred corner"):
+        _finalize(Partition((2, 1)), 1, [((2, 2), (3,))])
+
+
 def test_enumeration_is_deterministic():
     a = enumerate_blasiak((5, 2, 1), 4, (4, 2, 1, 1))
     b = enumerate_blasiak(Partition((5, 2, 1)), 4, Partition((4, 2, 1, 1)))
     assert a == b
     by_shape = blasiak_by_shape((5, 2, 1), 4)
     assert by_shape[Partition((4, 2, 1, 1))] == a
+    # the target-pruned search agrees with the all-shapes search
+    for n in range(1, 8):
+        for lam in partitions_list(n):
+            for d in range(n):
+                by_shape = blasiak_by_shape(lam, d)
+                for nu in partitions_list(n):
+                    assert enumerate_blasiak(lam, d, nu) == by_shape.get(nu, ()), (
+                        lam, d, nu
+                    )
+
+
+# sha256 over every (lam, d, shape) with n <= 9 and the reading-word keys of
+# its tableaux in canonical order, computed with the word-by-word search
+# that preceded the search over insertion states
+HOOK_RULE_DIGEST_N9 = "551ed16bfe0d298adee7f1fe674e908723ef42d82e6180c793a94e3c590c4ee1"
+
+
+def test_hook_rule_golden_digest():
+    h = hashlib.sha256()
+    total = 0
+    for n in range(1, 10):
+        for lam in partitions_list(n):
+            for d in range(n):
+                for shape, tabs in blasiak_by_shape(lam, d).items():
+                    h.update(repr((tuple(lam), d, tuple(shape))).encode())
+                    for tab in tabs:
+                        h.update(repr(tuple(x.key for x in tab.reading_word())).encode())
+                        total += 1
+    assert total == 8121
+    assert h.hexdigest() == HOOK_RULE_DIGEST_N9
 
 
 def _brute_force(content_vals, d, shape):
@@ -209,6 +253,20 @@ def test_blasiak_matches_oracle_small():
                     assert len(by_shape.get(nu, ())) == kronecker_coefficient(
                         lam, hook, nu
                     ), (lam, d, nu)
+
+
+def test_blasiak_matches_oracle_sampled_past_exhaustive_range():
+    # the exhaustive sweeps stop at n = 8; a seeded sample reaches n = 10, 11
+    rng = random.Random(2024)
+    for _ in range(20):
+        n = rng.choice((10, 11))
+        parts = partitions_list(n)
+        lam, nu = rng.choice(parts), rng.choice(parts)
+        d = rng.randrange(n)
+        hook = Partition((n - d,) + (1,) * d)
+        assert count_blasiak(lam, d, nu) == kronecker_coefficient(lam, hook, nu), (
+            lam, d, nu
+        )
 
 
 def test_insertion_always_valid():
