@@ -38,7 +38,6 @@ from .tableau import (
     strip_chain_count,
 )
 from .symfun import (
-    CycleType,
     SchurVector,
     SignedHookProduct,
     centralizer_order,
@@ -51,8 +50,6 @@ from .symfun import (
     jacobi_trudi_to_schur,
     kronecker_coefficient,
     kronecker_product,
-    load_character_cache,
-    save_character_cache,
     schur,
     schur_product,
 )

@@ -5,12 +5,11 @@ hook-rule tableaux, insertion traces), rosas (two-row x hook closed form
 with branch report), expand (hook determinant / Jacobi-Trudi / coproduct
 printing), verify (exhaustive sweep suites).
 
-Exit codes: 0 success, 1 verification failure or backend disagreement,
+Exit codes: 0 success, 1 verification failure or method disagreement,
 2 input error, 3 method hypotheses not met, 4 internal error (a failed
 consistency check).  Partitions use the text syntax "6,2,1^6"; colored
 words use space-separated letters with a trailing apostrophe for bars
-("2' 1 4' 4").  The character-cache path defaults to the
-KRONCALC_CHAR_CACHE environment variable when set.
+("2' 1 4' 4").
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 import time
 
@@ -180,9 +178,6 @@ def cmd_kron(args) -> int:
         raise InputError(
             f"sizes differ: |lambda|={lam.size} |mu|={mu.size} |nu|={nu.size}"
         )
-    symfun.set_character_cache_limit(args.char_cache_limit)
-    if args.cache_file and os.path.exists(args.cache_file):
-        symfun.load_character_cache(args.cache_file)
     applicable = _applicable_methods(lam, mu, nu)
     if args.method == "all":
         methods = [m for m, why in applicable.items() if why is None]
@@ -202,8 +197,6 @@ def cmd_kron(args) -> int:
         values[method] = value
         explains[method] = lines
         payloads[method] = payload
-    if args.cache_file:
-        symfun.save_character_cache(args.cache_file)
     distinct = sorted(set(values.values()))
     query = f"{format_partition(lam)} ; {format_partition(mu)} ; {format_partition(nu)}"
     if len(distinct) > 1:
@@ -372,8 +365,6 @@ def cmd_verify(args) -> int:
         raise InputError(
             f"unknown suite {args.suite!r}; choose from {', '.join(sorted(verify.SUITES))} or all"
         )
-    if args.cache_file and os.path.exists(args.cache_file):
-        symfun.load_character_cache(args.cache_file)
     failed = False
     reports = []
     for name in names:
@@ -381,13 +372,14 @@ def cmd_verify(args) -> int:
         reports.append(verify.report(name, args.n, checks, failures))
         failed = failed or bool(failures)
     print("\n\n".join(reports))
-    if args.cache_file:
-        symfun.save_character_cache(args.cache_file)
     return 1 if failed else 0
 
 
 # ---------------------------------------------------------------------------
 # parser
+
+
+CACHE_FILE_HELP = "accepted and ignored; characters are memoized per process"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -396,7 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact Kronecker coefficients by independent methods.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    default_cache = os.environ.get("KRONCALC_CHAR_CACHE")
 
     kron = sub.add_parser("kron", help="compute one Kronecker coefficient")
     kron.add_argument("lam", metavar="LAMBDA")
@@ -409,13 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     kron.add_argument("--output", choices=["text", "json", "csv"], default="text")
     kron.add_argument("--explain", action="store_true")
-    kron.add_argument("--cache-file", default=default_cache)
-    kron.add_argument(
-        "--char-cache-limit",
-        type=int,
-        default=14,
-        help="only memoize character values for partitions of at most this size",
-    )
+    kron.add_argument("--cache-file", help=CACHE_FILE_HELP)
     kron.set_defaults(func=cmd_kron)
 
     enum = sub.add_parser("enumerate", help="enumerate tableaux or trace insertion")
@@ -441,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("suite")
     ver.add_argument("--n", type=int, default=None)
     ver.add_argument("--jobs", type=int, default=1)
-    ver.add_argument("--cache-file", default=default_cache)
+    ver.add_argument("--cache-file", help=CACHE_FILE_HELP)
     ver.set_defaults(func=cmd_verify)
 
     return parser

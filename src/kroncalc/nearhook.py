@@ -57,21 +57,6 @@ class TermCertificate:
         }
 
 
-def _g_hook(theta, hook: Partition, other, backend: str) -> int:
-    """g(theta, hook, other) by the configured backend."""
-    if backend == "oracle":
-        return kronecker_coefficient(theta, hook, other)
-    if backend == "rosas":
-        theta = Partition(theta)
-        if len(theta) > 2:
-            raise ValueError(f"closed form needs a two-row first index, got {theta!r}")
-        n = theta.size
-        a = hook[0]
-        c = len(hook) - 2
-        return rosas_kronecker(n, theta.part(2), a, c, other)
-    raise ValueError(f"unknown g backend {backend!r}")
-
-
 def near_hook_expansion(
     lam, nu, a: int, b: int, c: int
 ) -> tuple[list[TermCertificate], int]:
@@ -135,7 +120,7 @@ def _check_two_row_params(d, e, a, b, c, nu) -> tuple[Partition, int]:
     return nu, n
 
 
-def triple1(d, e, a, b, c, nu, g_backend: str = "rosas") -> int:
+def triple1(d, e, a, b, c, nu) -> int:
     """Positive interval-gated sum over (eta, j, r), of size n - b + 1 terms."""
     nu, n = _check_two_row_params(d, e, a, b, c, nu)
     big_n = n - b + 1
@@ -148,13 +133,11 @@ def triple1(d, e, a, b, c, nu, g_backend: str = "rosas") -> int:
             for r in range(big_n // 2 + 1):
                 if not max(big_n - r + j, r + b - 1 - j) <= d <= n - r - j:
                     continue
-                total += coeff * _g_hook(
-                    Partition((big_n - r, r)), hook_partition(a, c + 1), eta, g_backend
-                )
+                total += coeff * rosas_kronecker(big_n, r, a, c, eta)
     return total
 
 
-def triple2(d, e, a, b, c, nu, g_backend: str = "rosas") -> int:
+def triple2(d, e, a, b, c, nu) -> int:
     """Negative interval-gated sum over (delta, i, r), of size n - a terms."""
     nu, n = _check_two_row_params(d, e, a, b, c, nu)
     big_m = n - a
@@ -167,12 +150,7 @@ def triple2(d, e, a, b, c, nu, g_backend: str = "rosas") -> int:
             for r in range(big_m // 2 + 1):
                 if not max(a - i + r, i + big_m - r) <= d <= n - i - r:
                     continue
-                total += coeff * _g_hook(
-                    Partition((big_m - r, r)),
-                    hook_partition(b - 1, c + 1),
-                    delta,
-                    g_backend,
-                )
+                total += coeff * rosas_kronecker(big_m, r, b - 1, c, delta)
     return total
 
 
@@ -244,18 +222,14 @@ def _sorted_tuples(index_set) -> list:
     return sorted(index_set, key=lambda t: (t[2], t[0], t[1]))
 
 
-def triple3(
-    d, e, a, b, c, nu, g_backend: str = "rosas"
-) -> tuple[int, list[TermCertificate]]:
+def triple3(d, e, a, b, c, nu) -> tuple[int, list[TermCertificate]]:
     """triple1 restricted to its positive support; certificates all positive."""
     nu, n = _check_two_row_params(d, e, a, b, c, nu)
     big_n = n - b + 1
     certs = []
     for eta, j, r in _sorted_tuples(j_plus(d, nu, a, b, c)):
         coeff = lr_coefficient(nu, eta, Partition((b - 1 - j, j)))
-        g = _g_hook(
-            Partition((big_n - r, r)), hook_partition(a, c + 1), eta, g_backend
-        )
+        g = rosas_kronecker(big_n, r, a, c, eta)
         cert = TermCertificate(1, (eta, j, r), coeff, g)
         if cert.contribution <= 0:
             raise ArithmeticError(f"non-positive reduced term at {(eta, j, r)}")
@@ -263,18 +237,14 @@ def triple3(
     return sum(t.contribution for t in certs), certs
 
 
-def triple4(
-    d, e, a, b, c, nu, g_backend: str = "rosas"
-) -> tuple[int, list[TermCertificate]]:
+def triple4(d, e, a, b, c, nu) -> tuple[int, list[TermCertificate]]:
     """triple2 restricted to its positive support; certificates all positive."""
     nu, n = _check_two_row_params(d, e, a, b, c, nu)
     big_m = n - a
     certs = []
     for delta, i, r in _sorted_tuples(j_minus(d, nu, a, b, c)):
         coeff = lr_coefficient(nu, Partition((a - i, i)), delta)
-        g = _g_hook(
-            Partition((big_m - r, r)), hook_partition(b - 1, c + 1), delta, g_backend
-        )
+        g = rosas_kronecker(big_m, r, b - 1, c, delta)
         cert = TermCertificate(1, (delta, i, r), coeff, g)
         if cert.contribution <= 0:
             raise ArithmeticError(f"non-positive reduced term at {(delta, i, r)}")
@@ -282,10 +252,10 @@ def triple4(
     return sum(t.contribution for t in certs), certs
 
 
-def g_two_row_near_hook(d, e, a, b, c, nu, g_backend: str = "rosas") -> int:
+def g_two_row_near_hook(d, e, a, b, c, nu) -> int:
     """g((d,e), (a,b,1^c), nu) as triple3 - triple4."""
-    plus, _ = triple3(d, e, a, b, c, nu, g_backend)
-    minus, _ = triple4(d, e, a, b, c, nu, g_backend)
+    plus, _ = triple3(d, e, a, b, c, nu)
+    minus, _ = triple4(d, e, a, b, c, nu)
     return plus - minus
 
 

@@ -1,7 +1,7 @@
 """Schur-basis symmetric function engine.
 
-Everything is exact: vectors carry integer or Fraction coefficients,
-symmetric group characters come from border-strip recursion, and the
+Everything is exact: vectors carry integer coefficients, symmetric
+group characters come from memoized border-strip recursion, and the
 Kronecker coefficient is the class-sum character formula
 
     g(lam, mu, nu) = sum over cycle types rho of
@@ -15,25 +15,21 @@ expansion; the public algebra is Schur-basis only.
 
 from __future__ import annotations
 
-import json
-from fractions import Fraction
 from functools import cache
 from math import factorial
-from typing import NamedTuple, Union
+from typing import NamedTuple
 
 from .partition import Partition, partitions_list
 from .tableau import lr_coefficient, schur_expand_product
 
-Coeff = Union[int, Fraction]
-
 
 class SchurVector:
-    """Finite formal linear combination of Schur functions, exact coefficients."""
+    """Finite formal linear combination of Schur functions, integer coefficients."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=()):
-        data: dict[Partition, Coeff] = {}
+        data: dict[Partition, int] = {}
         items = terms.items() if isinstance(terms, dict) else terms
         for lam, coeff in items:
             if coeff:
@@ -44,7 +40,7 @@ class SchurVector:
     def items(self):
         return self.terms.items()
 
-    def __getitem__(self, lam) -> Coeff:
+    def __getitem__(self, lam) -> int:
         return self.terms.get(Partition(lam), 0)
 
     def __len__(self) -> int:
@@ -68,7 +64,7 @@ class SchurVector:
             out[lam] = out.get(lam, 0) - c
         return SchurVector(out)
 
-    def scale(self, factor: Coeff) -> "SchurVector":
+    def scale(self, factor: int) -> "SchurVector":
         return SchurVector({lam: factor * c for lam, c in self.terms.items()})
 
     def homogeneous_degree(self) -> int:
@@ -98,7 +94,7 @@ def schur(lam) -> SchurVector:
 
 def schur_product(f: SchurVector, g: SchurVector) -> SchurVector:
     """Bilinear extension of s_mu * s_nu = sum_lam c^lam_{mu nu} s_lam."""
-    out: dict[Partition, Coeff] = {}
+    out: dict[Partition, int] = {}
     for mu, a in f.items():
         for nu, b in g.items():
             ab = a * b
@@ -121,7 +117,7 @@ def coproduct(lam) -> list[tuple[Partition, Partition, int]]:
     return out
 
 
-def hall_inner(f: SchurVector, g: SchurVector) -> Coeff:
+def hall_inner(f: SchurVector, g: SchurVector) -> int:
     """Hall inner product; the Schur basis is orthonormal."""
     if len(f.terms) > len(g.terms):
         f, g = g, f
@@ -221,18 +217,6 @@ def jacobi_trudi_to_schur(lam) -> SchurVector:
 # symmetric group characters
 
 
-class CycleType(NamedTuple):
-    """A cycle type with its centralizer order z = prod i^{m_i} m_i!."""
-
-    partition: Partition
-    z: int
-
-    @classmethod
-    def of(cls, mu) -> "CycleType":
-        mu = Partition(mu)
-        return cls(mu, centralizer_order(mu))
-
-
 def centralizer_order(mu) -> int:
     """z_mu = prod_i i^{m_i} m_i! over the multiplicities of mu."""
     mu = Partition(mu)
@@ -245,16 +229,6 @@ def centralizer_order(mu) -> int:
     return z
 
 
-_char_cache: dict[tuple[Partition, Partition], int] = {}
-_char_cache_limit = 14
-
-
-def set_character_cache_limit(n: int) -> None:
-    """Only cache character values for partitions of size <= n."""
-    global _char_cache_limit
-    _char_cache_limit = n
-
-
 def character(lam, mu) -> int:
     """chi^lam evaluated on cycle type mu, by border-strip removal."""
     lam, mu = Partition(lam), Partition(mu)
@@ -263,13 +237,10 @@ def character(lam, mu) -> int:
     return _char(lam, mu)
 
 
+@cache
 def _char(lam: Partition, mu: Partition) -> int:
     if not mu:
         return 1
-    key = (lam, mu)
-    hit = _char_cache.get(key)
-    if hit is not None:
-        return hit
     k = mu[0]
     rest = Partition(mu[1:])
     # Beta numbers lam_i + (L - i) encode the shape; removing a border strip
@@ -289,9 +260,14 @@ def _char(lam: Partition, mu: Partition) -> int:
         )
         term = _char(newlam, rest)
         total += -term if crossed % 2 else term
-    if lam.size <= _char_cache_limit:
-        _char_cache[key] = total
     return total
+
+
+@cache
+def _class_sizes(n: int) -> tuple[tuple[Partition, int], ...]:
+    """(rho, n!/z_rho) for every cycle type rho of n."""
+    nfact = factorial(n)
+    return tuple((rho, nfact // centralizer_order(rho)) for rho in partitions_list(n))
 
 
 @cache
@@ -301,11 +277,10 @@ def kronecker_coefficient(lam, mu, nu) -> int:
     n = lam.size
     if mu.size != n or nu.size != n:
         raise ValueError("all three partitions must have the same size")
-    nfact = factorial(n)
     total = 0
-    for rho in partitions_list(n):
-        class_size = nfact // centralizer_order(rho)
+    for rho, class_size in _class_sizes(n):
         total += class_size * _char(lam, rho) * _char(mu, rho) * _char(nu, rho)
+    nfact = factorial(n)
     value, remainder = divmod(total, nfact)
     if remainder or value < 0:
         raise ArithmeticError(f"character sum is not a Kronecker coefficient: {total}/{nfact}")
@@ -319,7 +294,7 @@ def kronecker_product(f: SchurVector, g: SchurVector) -> SchurVector:
     n = f.homogeneous_degree()
     if g.homogeneous_degree() != n:
         raise ValueError("internal product requires equal homogeneous degrees")
-    out: dict[Partition, Coeff] = {}
+    out: dict[Partition, int] = {}
     for lam, a in f.items():
         for mu, b in g.items():
             ab = a * b
@@ -328,29 +303,3 @@ def kronecker_product(f: SchurVector, g: SchurVector) -> SchurVector:
                 if coeff:
                     out[nu] = out.get(nu, 0) + ab * coeff
     return SchurVector(out)
-
-
-# ---------------------------------------------------------------------------
-# character cache persistence (documented JSON schema)
-
-
-def save_character_cache(path: str) -> int:
-    """Write cached character values as {"n": max_size, "entries": [[lam, mu, value], ...]}."""
-    entries = sorted(
-        [list(lam), list(mu), value] for (lam, mu), value in _char_cache.items()
-    )
-    n = max((sum(e[0]) for e in entries), default=0)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump({"n": n, "entries": entries}, handle)
-    return len(entries)
-
-
-def load_character_cache(path: str) -> int:
-    """Merge a saved character table into the in-process cache."""
-    with open(path, encoding="utf-8") as handle:
-        data = json.load(handle)
-    count = 0
-    for lam, mu, value in data["entries"]:
-        _char_cache[(Partition(lam), Partition(mu))] = int(value)
-        count += 1
-    return count

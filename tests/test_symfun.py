@@ -1,7 +1,8 @@
-import os
-
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
+from kroncalc.colored import count_blasiak
 from kroncalc.partition import Partition, partitions_list
 from kroncalc.symfun import (
     SchurVector,
@@ -15,8 +16,6 @@ from kroncalc.symfun import (
     jacobi_trudi_to_schur,
     kronecker_coefficient,
     kronecker_product,
-    load_character_cache,
-    save_character_cache,
     schur,
     schur_product,
 )
@@ -163,13 +162,6 @@ def test_character_orthogonality():
             assert total == nfact
 
 
-def test_cycle_type():
-    from kroncalc.symfun import CycleType
-
-    ct = CycleType.of((2, 2, 1))
-    assert ct.partition == Partition((2, 2, 1)) and ct.z == 8
-
-
 def test_centralizer_order():
     assert centralizer_order((1, 1, 1)) == 6
     assert centralizer_order((3,)) == 3
@@ -211,10 +203,44 @@ def test_kronecker_product_examples():
         kronecker_product(schur((2,)), schur((3,)))
 
 
-def test_character_cache_round_trip(tmp_path):
-    character((3, 2, 1), (2, 2, 1, 1))
-    path = os.fspath(tmp_path / "chars.json")
-    written = save_character_cache(path)
-    assert written > 0
-    loaded = load_character_cache(path)
-    assert loaded == written
+# oracle values at n = 16, 17, 18, past the exhaustive sweeps; the same
+# triples and values are in perfbench/queries.json
+ORACLE_PAST_14 = [
+    ((10, 4, 1, 1), (6, 6, 4), (8, 5, 3), 58),
+    ((4, 4, 3, 3, 3), (5, 3, 3) + (1,) * 6, (8, 4) + (1,) * 5, 163),
+    ((13, 5), (10, 4, 2, 2), (8, 8, 2), 2),
+]
+
+
+@pytest.mark.parametrize("lam, mu, nu, expected", ORACLE_PAST_14)
+def test_kronecker_oracle_values_past_n14(lam, mu, nu, expected):
+    assert kronecker_coefficient(lam, mu, nu) == expected
+
+
+def test_kronecker_symmetry_and_conjugation_n16():
+    from itertools import permutations
+
+    lam, mu, nu, expected = ORACLE_PAST_14[0]
+    for triple in permutations((lam, mu, nu)):
+        assert kronecker_coefficient(*triple) == expected
+    lam_t, mu_t = Partition(lam).transpose(), Partition(mu).transpose()
+    assert kronecker_coefficient(lam_t, mu_t, nu) == expected
+
+
+@st.composite
+def hook_triples(draw):
+    n = draw(st.integers(11, 13))
+    parts = partitions_list(n)
+    lam = draw(st.sampled_from(parts))
+    nu = draw(st.sampled_from(parts))
+    d = draw(st.integers(0, n - 1))
+    return lam, d, nu
+
+
+@seed(20261017)
+@settings(max_examples=12, deadline=None, database=None)
+@given(hook_triples())
+def test_blasiak_matches_oracle_property(triple):
+    lam, d, nu = triple
+    hook = Partition((lam.size - d,) + (1,) * d)
+    assert count_blasiak(lam, d, nu) == kronecker_coefficient(lam, hook, nu)
