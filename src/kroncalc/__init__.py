@@ -34,7 +34,6 @@ from .tableau import (
     lr_tableaux,
     lr_two_row,
     lr_via_strip_difference,
-    reading_word,
     strip_chain_count,
 )
 from .symfun import (

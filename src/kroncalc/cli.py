@@ -360,6 +360,10 @@ def cmd_expand(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.n is not None and args.n < 0:
+        raise InputError(f"--n must be >= 0, got {args.n}")
+    if args.jobs < 1:
+        raise InputError(f"--jobs must be >= 1, got {args.jobs}")
     names = sorted(verify.SUITES) if args.suite == "all" else [args.suite]
     if args.suite != "all" and args.suite not in verify.SUITES:
         raise InputError(

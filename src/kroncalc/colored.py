@@ -58,10 +58,6 @@ class ColoredLetter:
         return f"{self.value}'" if self.barred else str(self.value)
 
 
-def _enc(letter: ColoredLetter) -> int:
-    return letter.key
-
-
 def _dec(k: int) -> ColoredLetter:
     return ColoredLetter((k + 1) // 2, bool(k & 1))
 

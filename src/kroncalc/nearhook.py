@@ -10,6 +10,13 @@ filtering out the vanishing terms via strip-chain counts and the two-row x
 hook closed form gives positively-supported index sets J+ / J- and the
 reduced sums triple3 - triple4.
 
+The sums and index sets come in positive and negative sides, and both
+sides are one sum with parameters (S, p, arm): sigma runs over the
+partitions of S, the LR factor is c^nu_{sigma,(p-k,k)}, the two-row gate
+is c^{(d,e)}_{(S-r,r),(p-k,k)}, and the Kronecker factor is
+g((S-r, r), (arm, 1^(c+1)), sigma).  The positive side is
+(n-b+1, b-1, a), the negative side (n-a, a, b-1).
+
 When b = 2 and nu = (a+2, 2^(s-1), 1^(c+2-2s)), the negative side is a
 singleton (d inside an explicit interval) or empty (d outside), so the
 coefficient becomes a count of hook-rule tableaux - minus one in the
@@ -26,7 +33,7 @@ from .colored import ColoredTableau, enumerate_blasiak
 from .partition import Partition, hook_partition, is_double_hook, partitions_list
 from .rosas import rosas_kronecker, xi
 from .symfun import kronecker_coefficient
-from .tableau import lr_coefficient, strip_chain_count
+from .tableau import lr_coefficient, lr_two_row, lr_via_strip_difference
 
 
 @dataclass(frozen=True)
@@ -106,7 +113,7 @@ def near_hook_expansion(
     return certs, sum(t.contribution for t in certs)
 
 
-def _check_two_row_params(d, e, a, b, c, nu) -> tuple[Partition, int]:
+def _check_two_row_params(d, e, a, b, c, nu) -> Partition:
     if not (d >= e >= 0):
         raise ValueError("two-row index needs d >= e >= 0")
     if not (a >= b >= 2 and c >= 1):
@@ -117,104 +124,57 @@ def _check_two_row_params(d, e, a, b, c, nu) -> tuple[Partition, int]:
     nu = Partition(nu)
     if nu.size != n:
         raise ValueError(f"nu must be a partition of {n}")
-    return nu, n
+    return nu
 
 
-def triple1(d, e, a, b, c, nu) -> int:
-    """Positive interval-gated sum over (eta, j, r), of size n - b + 1 terms."""
-    nu, n = _check_two_row_params(d, e, a, b, c, nu)
-    big_n = n - b + 1
+def _positive(a: int, b: int, c: int) -> tuple[int, int, int]:
+    """(S, p, arm) of the positive side."""
+    return a + c + 1, b - 1, a
+
+
+def _negative(a: int, b: int, c: int) -> tuple[int, int, int]:
+    """(S, p, arm) of the negative side."""
+    return b + c, a, b - 1
+
+
+def _interval_sum(side, d, e, a, b, c, nu) -> int:
+    nu = _check_two_row_params(d, e, a, b, c, nu)
+    size, p, arm = side(a, b, c)
     total = 0
-    for eta in partitions_list(big_n):
-        for j in range((b - 1) // 2 + 1):
-            coeff = lr_coefficient(nu, eta, Partition((b - 1 - j, j)))
+    for sigma in partitions_list(size):
+        for k in range(p // 2 + 1):
+            coeff = lr_coefficient(nu, sigma, Partition((p - k, k)))
             if not coeff:
                 continue
-            for r in range(big_n // 2 + 1):
-                if not max(big_n - r + j, r + b - 1 - j) <= d <= n - r - j:
-                    continue
-                total += coeff * rosas_kronecker(big_n, r, a, c, eta)
-    return total
-
-
-def triple2(d, e, a, b, c, nu) -> int:
-    """Negative interval-gated sum over (delta, i, r), of size n - a terms."""
-    nu, n = _check_two_row_params(d, e, a, b, c, nu)
-    big_m = n - a
-    total = 0
-    for delta in partitions_list(big_m):
-        for i in range(a // 2 + 1):
-            coeff = lr_coefficient(nu, Partition((a - i, i)), delta)
-            if not coeff:
-                continue
-            for r in range(big_m // 2 + 1):
-                if not max(a - i + r, i + big_m - r) <= d <= n - i - r:
-                    continue
-                total += coeff * rosas_kronecker(big_m, r, b - 1, c, delta)
+            for r in range(size // 2 + 1):
+                if lr_two_row(size - r, r, p - k, k, d, e):
+                    total += coeff * rosas_kronecker(size, r, arm, c, sigma)
     return total
 
 
 @cache
-def index_set_plus(nu, a: int, b: int, c: int) -> frozenset:
-    """Tuples (eta, j, r) whose triple1 summand is strictly positive."""
+def _support(nu, size: int, p: int, arm: int, c: int) -> frozenset:
     nu = Partition(nu)
-    n = a + b + c
-    big_n = n - b + 1
     out = set()
-    for eta in partitions_list(big_n):
-        if not is_double_hook(eta, big_n):
+    for sigma in partitions_list(size):
+        if not is_double_hook(sigma, size):
             continue
-        for j in range((b - 1) // 2 + 1):
-            if strip_chain_count(nu, eta, j, b - 1 - j) <= strip_chain_count(
-                nu, eta, j - 1, b - j
-            ):
+        for k in range(p // 2 + 1):
+            if lr_via_strip_difference(nu, sigma, p + 1, k) <= 0:
                 continue
-            for r in range(big_n // 2 + 1):
-                if xi(eta, a, r, c) > 0:
-                    out.add((eta, j, r))
+            for r in range(size // 2 + 1):
+                if xi(sigma, arm, r, c) > 0:
+                    out.add((sigma, k, r))
     return frozenset(out)
 
 
-@cache
-def index_set_minus(nu, a: int, b: int, c: int) -> frozenset:
-    """Tuples (delta, i, r) whose triple2 summand is strictly positive."""
-    nu = Partition(nu)
-    n = a + b + c
-    big_m = n - a
-    out = set()
-    for delta in partitions_list(big_m):
-        if not is_double_hook(delta, big_m):
-            continue
-        for i in range(a // 2 + 1):
-            if strip_chain_count(nu, delta, i, a - i) <= strip_chain_count(
-                nu, delta, i - 1, a - i + 1
-            ):
-                continue
-            for r in range(big_m // 2 + 1):
-                if xi(delta, b - 1, r, c) > 0:
-                    out.add((delta, i, r))
-    return frozenset(out)
-
-
-def j_plus(d: int, nu, a: int, b: int, c: int) -> frozenset:
-    """index_set_plus filtered by the two-row interval condition at d."""
-    n = a + b + c
-    big_n = n - b + 1
+def _gated(side, d: int, nu, a: int, b: int, c: int) -> frozenset:
+    size, p, arm = side(a, b, c)
+    e = size + p - d
     return frozenset(
-        (eta, j, r)
-        for eta, j, r in index_set_plus(Partition(nu), a, b, c)
-        if max(big_n - r + j, r + b - 1 - j) <= d <= big_n + b - 1 - r - j
-    )
-
-
-def j_minus(d: int, nu, a: int, b: int, c: int) -> frozenset:
-    """index_set_minus filtered by the two-row interval condition at d."""
-    n = a + b + c
-    big_m = n - a
-    return frozenset(
-        (delta, i, r)
-        for delta, i, r in index_set_minus(Partition(nu), a, b, c)
-        if max(a - i + r, i + big_m - r) <= d <= a + big_m - i - r
+        (sigma, k, r)
+        for sigma, k, r in _support(nu, size, p, arm, c)
+        if lr_two_row(size - r, r, p - k, k, d, e)
     )
 
 
@@ -222,34 +182,58 @@ def _sorted_tuples(index_set) -> list:
     return sorted(index_set, key=lambda t: (t[2], t[0], t[1]))
 
 
-def triple3(d, e, a, b, c, nu) -> tuple[int, list[TermCertificate]]:
-    """triple1 restricted to its positive support; certificates all positive."""
-    nu, n = _check_two_row_params(d, e, a, b, c, nu)
-    big_n = n - b + 1
+def _certified_sum(side, d, e, a, b, c, nu) -> tuple[int, list[TermCertificate]]:
+    nu = _check_two_row_params(d, e, a, b, c, nu)
+    size, p, arm = side(a, b, c)
     certs = []
-    for eta, j, r in _sorted_tuples(j_plus(d, nu, a, b, c)):
-        coeff = lr_coefficient(nu, eta, Partition((b - 1 - j, j)))
-        g = rosas_kronecker(big_n, r, a, c, eta)
-        cert = TermCertificate(1, (eta, j, r), coeff, g)
+    for sigma, k, r in _sorted_tuples(_gated(side, d, nu, a, b, c)):
+        coeff = lr_coefficient(nu, sigma, Partition((p - k, k)))
+        g = rosas_kronecker(size, r, arm, c, sigma)
+        cert = TermCertificate(1, (sigma, k, r), coeff, g)
         if cert.contribution <= 0:
-            raise ArithmeticError(f"non-positive reduced term at {(eta, j, r)}")
+            raise ArithmeticError(f"non-positive reduced term at {(sigma, k, r)}")
         certs.append(cert)
     return sum(t.contribution for t in certs), certs
+
+
+def triple1(d, e, a, b, c, nu) -> int:
+    """Positive interval-gated sum over (eta, j, r), of size n - b + 1 terms."""
+    return _interval_sum(_positive, d, e, a, b, c, nu)
+
+
+def triple2(d, e, a, b, c, nu) -> int:
+    """Negative interval-gated sum over (delta, i, r), of size n - a terms."""
+    return _interval_sum(_negative, d, e, a, b, c, nu)
+
+
+def index_set_plus(nu, a: int, b: int, c: int) -> frozenset:
+    """Tuples (eta, j, r) whose triple1 summand is strictly positive."""
+    return _support(nu, *_positive(a, b, c), c)
+
+
+def index_set_minus(nu, a: int, b: int, c: int) -> frozenset:
+    """Tuples (delta, i, r) whose triple2 summand is strictly positive."""
+    return _support(nu, *_negative(a, b, c), c)
+
+
+def j_plus(d: int, nu, a: int, b: int, c: int) -> frozenset:
+    """index_set_plus filtered by the two-row interval condition at d."""
+    return _gated(_positive, d, Partition(nu), a, b, c)
+
+
+def j_minus(d: int, nu, a: int, b: int, c: int) -> frozenset:
+    """index_set_minus filtered by the two-row interval condition at d."""
+    return _gated(_negative, d, Partition(nu), a, b, c)
+
+
+def triple3(d, e, a, b, c, nu) -> tuple[int, list[TermCertificate]]:
+    """triple1 restricted to its positive support; certificates all positive."""
+    return _certified_sum(_positive, d, e, a, b, c, nu)
 
 
 def triple4(d, e, a, b, c, nu) -> tuple[int, list[TermCertificate]]:
     """triple2 restricted to its positive support; certificates all positive."""
-    nu, n = _check_two_row_params(d, e, a, b, c, nu)
-    big_m = n - a
-    certs = []
-    for delta, i, r in _sorted_tuples(j_minus(d, nu, a, b, c)):
-        coeff = lr_coefficient(nu, Partition((a - i, i)), delta)
-        g = rosas_kronecker(big_m, r, b - 1, c, delta)
-        cert = TermCertificate(1, (delta, i, r), coeff, g)
-        if cert.contribution <= 0:
-            raise ArithmeticError(f"non-positive reduced term at {(delta, i, r)}")
-        certs.append(cert)
-    return sum(t.contribution for t in certs), certs
+    return _certified_sum(_negative, d, e, a, b, c, nu)
 
 
 def g_two_row_near_hook(d, e, a, b, c, nu) -> int:
@@ -285,7 +269,8 @@ def _witness_hypotheses(a: int, c: int, d: int, e: int, s: int) -> bool:
 
 
 def _in_interval(a: int, c: int, d: int, s: int) -> bool:
-    return max(a + s, c + 2 - s) <= d <= a + c + 2 - s
+    """The two-row gate of the negative-side term (delta*, 0, s)."""
+    return lr_two_row(c + 2 - s, s, a, 0, d, a + c + 2 - d) == 1
 
 
 def singleton_case_check(

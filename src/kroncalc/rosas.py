@@ -71,34 +71,16 @@ def psi(c: int, r: int, t: int, n: int) -> int:
     return pairs(n - r, r) - pairs(n - r + 1, r - 1)
 
 
-def _split(eta: Partition) -> int:
-    """Which parameter regime eta falls in: 0 one row, 1 small gap, 2 wide gap."""
-    if len(eta) == 1:
-        return 0
-    return 1 if eta[0] - eta[1] <= tail_ones(eta) else 2
+def _phi_arguments(eta: Partition, a: int, r: int, c: int) -> tuple:
+    """phi's arguments for a double hook eta with eta_2 >= 2.
 
-
-def _n3(eta: Partition) -> int:
-    return (0, eta.part(2), tail_twos(eta) + 2)[_split(eta)]
-
-
-def _n4(eta: Partition) -> int:
-    regime = _split(eta)
-    if regime == 2:
-        return tail_twos(eta) + tail_ones(eta) + 2
-    return eta[0]
-
-
-def _d1(eta: Partition) -> int:
-    return (0, tail_ones(eta), eta[0] - eta.part(2))[_split(eta)]
-
-
-def _d2(eta: Partition) -> int:
-    return (0, tail_twos(eta), eta.part(2) - 2)[_split(eta)]
-
-
-def _e_arg(eta: Partition, a: int, c: int) -> int:
-    return a - 1 if _split(eta) == 2 else c + 1
+    Two regimes, split by whether the gap eta_1 - eta_2 is at most the
+    number of 1's in tail(eta).
+    """
+    ones, twos = tail_ones(eta), tail_twos(eta)
+    if eta[0] - eta[1] <= ones:
+        return (eta[1], eta[0], ones, twos, c + 1, r)
+    return (twos + 2, twos + ones + 2, eta[0] - eta[1], eta[1] - 2, a - 1, r)
 
 
 @dataclass(frozen=True)
@@ -136,7 +118,7 @@ def xi_report(eta, a: int, r: int, c: int) -> XiCaseReport:
         t = len(eta) - 1
         return XiCaseReport("hook", psi(c, r, t, n), (c, r, t, n))
     if is_double_hook(eta, n) and len(eta) >= 2 and eta[1] >= 2:
-        args = (_n3(eta), _n4(eta), _d1(eta), _d2(eta), _e_arg(eta, a, c), r)
+        args = _phi_arguments(eta, a, r, c)
         return XiCaseReport("double-hook", phi(*args), args)
     return XiCaseReport("zero", 0, ())
 
@@ -146,8 +128,8 @@ def xi(eta, a: int, r: int, c: int) -> int:
     return xi_report(eta, a, r, c).value
 
 
-def rosas_kronecker(n: int, r: int, a: int, c: int, nu) -> int:
-    """g((n-r, r), (a, 1^{c+1}), nu) for nu a partition of n."""
+def rosas_report(n: int, r: int, a: int, c: int, nu) -> XiCaseReport:
+    """Branch report of g((n-r, r), (a, 1^{c+1}), nu); validates arguments."""
     nu = Partition(nu)
     if nu.size != n:
         raise ValueError(f"|nu| must be {n}, got {nu.size}")
@@ -160,10 +142,9 @@ def rosas_kronecker(n: int, r: int, a: int, c: int, nu) -> int:
     report = xi_report(nu, a, r, c)
     if report.value < 0:
         raise ArithmeticError(f"negative branch value for nu={nu!r}: {report}")
-    return report.value
+    return report
 
 
-def rosas_report(n: int, r: int, a: int, c: int, nu) -> XiCaseReport:
-    """Same evaluation, returning the branch report (validates arguments)."""
-    rosas_kronecker(n, r, a, c, nu)
-    return xi_report(Partition(nu), a, r, c)
+def rosas_kronecker(n: int, r: int, a: int, c: int, nu) -> int:
+    """g((n-r, r), (a, 1^{c+1}), nu) for nu a partition of n."""
+    return rosas_report(n, r, a, c, nu).value

@@ -82,10 +82,6 @@ class SkewSSYT:
         return "\\begin{ytableau} " + " \\\\ ".join(body) + " \\end{ytableau}"
 
 
-def reading_word(t: SkewSSYT) -> tuple[int, ...]:
-    return t.reading_word()
-
-
 def is_yamanouchi(word: Sequence[int]) -> bool:
     """Every prefix has at least as many i's as (i+1)'s, for all i >= 1."""
     counts: dict[int, int] = {}

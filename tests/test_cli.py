@@ -190,3 +190,15 @@ def test_internal_error_exits_4_without_traceback(capsys, monkeypatch):
     assert code == 4
     assert out == ""
     assert err == "internal error: RuntimeError: insertion produced a ragged shape\n"
+
+
+def test_verify_rejects_negative_limit_and_jobs_below_one(capsys):
+    for argv in (
+        ("verify", "lr", "--n", "-3"),
+        ("verify", "lr", "--jobs", "0"),
+        ("verify", "lr", "--jobs", "-2"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1

@@ -1,9 +1,14 @@
+import hashlib
+
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from kroncalc.colored import ColoredTableau
 from kroncalc.nearhook import (
     delta_star,
     g_two_row_near_hook,
+    index_set_minus,
     index_set_plus,
     j_minus,
     j_plus,
@@ -292,3 +297,64 @@ def test_mainresults_match_oracle_small():
                         assert null_case_check(a, 2, c, d, e, s)
                         value, ws = witnesses_null_case(a, c, d, e, s)
                     assert value == oracle == len(ws.surviving)
+
+
+# sha256 over the index sets, the four triple sums and every reduced-sum
+# certificate for all near-hook parameters with n = 5..9, c >= 1 and every
+# nu; computed before the two sides of each sum shared one implementation
+TRIPLE_SUMS_DIGEST_N9 = "31c0ad9860160de072a17414859f64e0087d06ab7e940a0c4b6a36ab942df852"
+
+
+def test_triple_sums_golden_digest():
+    h = hashlib.sha256()
+    total = 0
+    for n in range(5, 10):
+        for b in range(2, n - 2):
+            for a in range(b, n - b):
+                c = n - a - b
+                for nu in partitions_list(n):
+                    h.update(repr((a, b, c, tuple(nu))).encode())
+                    h.update(repr(tuples(index_set_plus(nu, a, b, c))).encode())
+                    h.update(repr(tuples(index_set_minus(nu, a, b, c))).encode())
+                    for d in range((n + 1) // 2, n + 1):
+                        e = n - d
+                        h.update(repr((
+                            triple1(d, e, a, b, c, nu),
+                            triple2(d, e, a, b, c, nu),
+                        )).encode())
+                        for reduced in (triple3, triple4):
+                            value, certs = reduced(d, e, a, b, c, nu)
+                            h.update(repr(value).encode())
+                            for cert in certs:
+                                h.update(repr(cert.to_json()).encode())
+                                total += 1
+    assert total == 8022
+    assert h.hexdigest() == TRIPLE_SUMS_DIGEST_N9
+
+
+def _overlap(p, q) -> int:
+    """Number of cells in the intersection of the diagrams of p and q."""
+    return sum(min(x, y) for x, y in zip(p, q))
+
+
+@st.composite
+def two_row_near_hook_triples(draw):
+    n = draw(st.integers(10, 12))
+    b = draw(st.integers(2, (n - 1) // 2))
+    a = draw(st.integers(b, n - b - 1))
+    d = draw(st.integers((n + 1) // 2, n))
+    near_hook = Partition((a, b) + (1,) * (n - a - b))
+    # by Dvir's bound g vanishes when nu and the near hook share fewer than d cells
+    nus = [nu for nu in partitions_list(n) if _overlap(nu, near_hook) >= d]
+    return d, n - d, a, b, n - a - b, draw(st.sampled_from(nus))
+
+
+@seed(20261018)
+@settings(max_examples=20, deadline=None, database=None)
+@given(two_row_near_hook_triples())
+def test_triple_sums_match_oracle_property(triple):
+    d, e, a, b, c, nu = triple
+    oracle = kronecker_coefficient(P(d, e), Partition((a, b) + (1,) * c), nu)
+    interval = triple1(d, e, a, b, c, nu) - triple2(d, e, a, b, c, nu)
+    reduced = triple3(d, e, a, b, c, nu)[0] - triple4(d, e, a, b, c, nu)[0]
+    assert interval == reduced == oracle

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from kroncalc.partition import Partition, is_double_hook, partitions_list
 from kroncalc.rosas import phi, psi, rosas_kronecker, rosas_report, xi, xi_report
@@ -96,3 +98,33 @@ def test_rosas_matches_oracle_small():
                     assert (oracle > 0) == (
                         is_double_hook(nu, n) and xi(nu, a, r, c) > 0
                     )
+
+
+def _overlap(p, q) -> int:
+    """Number of cells in the intersection of the diagrams of p and q."""
+    return sum(min(x, y) for x, y in zip(p, q))
+
+
+@st.composite
+def two_row_hook_triples(draw):
+    n = draw(st.integers(11, 13))
+    r = draw(st.integers(0, n // 2))
+    a = draw(st.integers(1, n - 1))
+    hook = Partition((a,) + (1,) * (n - a))
+    # g vanishes off the double hooks and, by Dvir's bound, whenever the
+    # diagrams of nu and the hook share fewer than n - r cells
+    nus = [
+        nu for nu in partitions_list(n)
+        if is_double_hook(nu, n) and _overlap(nu, hook) >= n - r
+    ]
+    return n, r, a, n - a - 1, draw(st.sampled_from(nus))
+
+
+@seed(20261018)
+@settings(max_examples=25, deadline=None, database=None)
+@given(two_row_hook_triples())
+def test_rosas_matches_oracle_property(triple):
+    n, r, a, c, nu = triple
+    hook = Partition((a,) + (1,) * (c + 1))
+    oracle = kronecker_coefficient(Partition((n - r, r)), hook, nu)
+    assert rosas_kronecker(n, r, a, c, nu) == oracle
