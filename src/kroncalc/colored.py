@@ -35,6 +35,7 @@ from functools import lru_cache, total_ordering
 from typing import Iterable, Optional, Sequence
 
 from .partition import Partition
+from .tableau import is_yamanouchi
 
 
 @total_ordering
@@ -99,12 +100,7 @@ def blft(word: Iterable[ColoredLetter]) -> tuple[int, ...]:
 
 def is_suffix_yamanouchi(values: Sequence[int]) -> bool:
     """Every suffix of the plain word has weakly decreasing content."""
-    counts: dict[int, int] = {}
-    for v in reversed(values):
-        counts[v] = counts.get(v, 0) + 1
-        if v > 1 and counts[v] > counts.get(v - 1, 0):
-            return False
-    return True
+    return is_yamanouchi(reversed(values))
 
 
 def is_colored_yamanouchi(word: Iterable[ColoredLetter]) -> bool:
@@ -215,24 +211,13 @@ def _tableau_from_encoded(rows: Sequence[Sequence[int]]) -> ColoredTableau:
 def schensted_insert(
     rows: Sequence[Sequence[int]], x: int
 ) -> tuple[tuple[int, ...], ...]:
-    """Ordinary row insertion into a straight-shape SSYT of plain integers."""
-    out = [list(r) for r in rows]
-    i = 0
-    while True:
-        if i == len(out):
-            out.append([x])
-            break
-        row = out[i]
-        for j, y in enumerate(row):
-            if y > x:
-                row[j] = x
-                x = y
-                break
-        else:
-            row.append(x)
-            break
-        i += 1
-    return tuple(tuple(r) for r in out)
+    """Ordinary row insertion into a straight-shape SSYT of plain integers.
+
+    This is mixed insertion restricted to unbarred letters: value v is
+    encoded as 2v, so no barred letter arises and no column insertion runs.
+    """
+    doubled = tuple(tuple(2 * y for y in row) for row in rows)
+    return tuple(tuple(k // 2 for k in row) for row in _inserted(doubled, 2 * x))
 
 
 def _mixed_insert_encoded(rows: list[list[int]], k: int) -> None:
@@ -455,7 +440,6 @@ def count_blasiak(lam, d: int, nu) -> int:
     return len(enumerate_blasiak(Partition(lam), d, Partition(nu)))
 
 
-@lru_cache(maxsize=None)
 def blasiak_by_shape(lam, d: int) -> dict:
     """Map shape -> canonically ordered tableaux, one search for all shapes."""
     lam = Partition(lam)

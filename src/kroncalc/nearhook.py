@@ -273,6 +273,22 @@ def _in_interval(a: int, c: int, d: int, s: int) -> bool:
     return lr_two_row(c + 2 - s, s, a, 0, d, a + c + 2 - d) == 1
 
 
+def _check_negative_side(a: int, c: int, d: int, e: int, s: int) -> None:
+    """Check J- and triple4 at special_nu against the interval; raise on a mismatch.
+
+    Inside the interval J- must be exactly {(delta*, 0, s)} and its term 1;
+    outside it J- must be empty and triple4 zero.
+    """
+    nu = special_nu(a, c, s)
+    expected = {(delta_star(c, s), 0, s)} if _in_interval(a, c, d, s) else set()
+    members = j_minus(d, nu, a, 2, c)
+    if members != expected:
+        raise ArithmeticError(f"negative index set is not {sorted(expected)}: {sorted(members)}")
+    value, _ = triple4(d, e, a, 2, c, nu)
+    if value != len(expected):
+        raise ArithmeticError(f"triple4 is {value}, expected {len(expected)}")
+
+
 def singleton_case_check(
     a: int, b: int, c: int, d: int, e: int, s: int
 ) -> Optional[tuple]:
@@ -284,15 +300,8 @@ def singleton_case_check(
     """
     if b != 2 or not _witness_hypotheses(a, c, d, e, s) or not _in_interval(a, c, d, s):
         return None
-    nu = special_nu(a, c, s)
-    expected = (delta_star(c, s), 0, s)
-    members = j_minus(d, nu, a, 2, c)
-    if members != frozenset({expected}):
-        raise ArithmeticError(f"negative index set is not the expected singleton: {sorted(members)}")
-    value, certs = triple4(d, e, a, 2, c, nu)
-    if value != 1 or len(certs) != 1:
-        raise ArithmeticError(f"singleton term is not 1: {value}")
-    return expected
+    _check_negative_side(a, c, d, e, s)
+    return (delta_star(c, s), 0, s)
 
 
 def null_case_check(a: int, b: int, c: int, d: int, e: int, s: int) -> bool:
@@ -303,12 +312,7 @@ def null_case_check(a: int, b: int, c: int, d: int, e: int, s: int) -> bool:
         raise ValueError("witness hypotheses not met")
     if _in_interval(a, c, d, s):
         return False
-    nu = special_nu(a, c, s)
-    if j_minus(d, nu, a, 2, c):
-        raise ArithmeticError("negative index set should be empty")
-    value, _ = triple4(d, e, a, 2, c, nu)
-    if value != 0:
-        raise ArithmeticError("triple4 should vanish")
+    _check_negative_side(a, c, d, e, s)
     return True
 
 
@@ -358,11 +362,11 @@ def _member_key(m: WitnessMember):
     )
 
 
-def _witness_blocks(a: int, c: int, d: int, s: int) -> tuple[WitnessSet, int]:
+def _witness_blocks(a: int, c: int, d: int, s: int) -> tuple[int, WitnessSet]:
+    """The witness value and set; the least member is removed inside the interval."""
     n = a + 2 + c
     nu = special_nu(a, c, s)
     members = []
-    total = 0
     for eta, j, r in _sorted_tuples(j_plus(d, nu, a, 2, c)):
         if j != 0:
             raise ArithmeticError("positive index set must have j = 0 when b = 2")
@@ -370,9 +374,13 @@ def _witness_blocks(a: int, c: int, d: int, s: int) -> tuple[WitnessSet, int]:
         if not block:
             raise ArithmeticError(f"hook-rule block for {(eta, j, r)} is empty")
         members.extend(WitnessMember(t, (eta, 0, r)) for t in block)
-        total += len(block)
     members.sort(key=_member_key)
-    return tuple(members), total
+    removed = _in_interval(a, c, d, s)
+    witness_set = WitnessSet(tuple(members), removed_min=members[0] if removed else None)
+    value = len(members) - removed
+    if value != len(witness_set.surviving):
+        raise ArithmeticError("witness count does not match the removal policy")
+    return value, witness_set
 
 
 def witnesses_singleton_case(
@@ -383,12 +391,7 @@ def witnesses_singleton_case(
         raise ValueError(
             "singleton hypotheses not met; use witnesses_null_case or g_two_row_near_hook"
         )
-    members, total = _witness_blocks(a, c, d, s)
-    witness_set = WitnessSet(members, removed_min=members[0])
-    value = total - 1
-    if value != len(witness_set.surviving):
-        raise ArithmeticError("witness count does not match the removal policy")
-    return value, witness_set
+    return _witness_blocks(a, c, d, s)
 
 
 def witnesses_null_case(
@@ -399,8 +402,4 @@ def witnesses_null_case(
         raise ValueError(
             "vanishing-case hypotheses not met; use witnesses_singleton_case"
         )
-    members, total = _witness_blocks(a, c, d, s)
-    witness_set = WitnessSet(members, removed_min=None)
-    if total != len(witness_set.surviving):
-        raise ArithmeticError("witness count mismatch")
-    return total, witness_set
+    return _witness_blocks(a, c, d, s)

@@ -13,6 +13,7 @@ reproducible byte for byte.
 from __future__ import annotations
 
 from functools import cache
+from operator import index
 from typing import Iterator, NamedTuple, Optional
 
 
@@ -22,14 +23,20 @@ class Partition(tuple):
     __slots__ = ()
 
     def __new__(cls, parts=()):
-        tup = [int(p) for p in parts]
+        if type(parts) is cls:
+            return parts  # immutable and validated when it was built
+        parts = tuple(parts)
+        try:
+            tup = [index(p) for p in parts]
+        except TypeError:
+            raise ValueError(f"parts must be integers: {parts!r}") from None
         while tup and tup[-1] == 0:
             tup.pop()
         for a, b in zip(tup, tup[1:]):
             if a < b:
-                raise ValueError(f"parts must weakly decrease: {tuple(parts)!r}")
+                raise ValueError(f"parts must weakly decrease: {parts!r}")
         if tup and tup[-1] < 0:
-            raise ValueError(f"parts must be positive: {tuple(parts)!r}")
+            raise ValueError(f"parts must be positive: {parts!r}")
         return super().__new__(cls, tup)
 
     def __getnewargs__(self):
@@ -235,7 +242,10 @@ def parse_partition(text: str) -> Partition:
         token = token.strip()
         if "^" in token:
             base, _, exp = token.partition("^")
-            parts.extend([int(base)] * int(exp))
+            count = int(exp)
+            if count < 0:
+                raise ValueError(f"negative exponent in {token!r}")
+            parts.extend([int(base)] * count)
         else:
             parts.append(int(token))
     return Partition(parts)

@@ -104,14 +104,13 @@ def xi_report(eta, a: int, r: int, c: int) -> XiCaseReport:
     n = eta.size
     if not 0 <= r <= n // 2:
         raise ValueError(f"r must satisfy 0 <= r <= {n // 2}, got {r}")
+    hook = (a,) + (1,) * (c + 1) if a >= 1 and c >= -1 else None
     if r == 0:
-        hook = (a,) + (1,) * (c + 1) if a >= 1 and c >= -1 else None
         return XiCaseReport("r-zero", int(tuple(eta) == hook), (a, c))
     if tuple(eta) == (n,):
         return XiCaseReport("row-N", int(c == 0 and r == 1), (c, r))
     if tuple(eta) == (1,) * n:
         # sign rule: positive iff the hook is the transposed two-row shape
-        hook = (a,) + (1,) * (c + 1) if a >= 1 and c >= -1 else None
         target = tuple(Partition((n - r, r)).transpose())
         return XiCaseReport("column-1N", int(hook == target), (n, r, a, c))
     if eta[0] >= 2 and len(eta) >= 2 and all(x == 1 for x in eta[1:]):
@@ -137,8 +136,6 @@ def rosas_report(n: int, r: int, a: int, c: int, nu) -> XiCaseReport:
         raise ValueError(f"hook parameters need a >= 1 and c >= 0, got ({a}, {c})")
     if a + c + 1 != n:
         raise ValueError(f"hook (a, 1^(c+1)) must have size {n}")
-    if not 0 <= r <= n // 2:
-        raise ValueError(f"r must satisfy 0 <= r <= {n // 2}, got {r}")
     report = xi_report(nu, a, r, c)
     if report.value < 0:
         raise ArithmeticError(f"negative branch value for nu={nu!r}: {report}")

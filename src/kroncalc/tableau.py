@@ -98,16 +98,17 @@ def _lr_fillings(outer: Partition, inner: Partition, weight: tuple[int, ...]):
     Cells are filled in reading order; a label v is admissible when it keeps
     the row weakly increasing (right neighbour bound), the column strictly
     increasing (cell above), the weight within budget, and the Yamanouchi
-    prefix inequality counts[v] < counts[v-1].
+    prefix inequality counts[v] < counts[v-1].  Degenerate input (inner not
+    contained in outer, or sizes that do not balance) yields nothing.
     """
+    if inner.size + sum(weight) != outer.size or not contains(inner, outer):
+        return
     m = len(weight)
     cells = []
     for r in range(len(outer)):
         lo = inner.part(r + 1)
         for c in range(outer[r] - 1, lo - 1, -1):
             cells.append((r, c))
-    if len(cells) != sum(weight):
-        return
     grid = [[0] * outer[r] for r in range(len(outer))]
     counts = [0] * (m + 1)
 
@@ -142,8 +143,6 @@ def _lr_fillings(outer: Partition, inner: Partition, weight: tuple[int, ...]):
 def lr_tableaux(lam, mu, nu) -> list[SkewSSYT]:
     """All LR tableaux of shape lam/mu and weight nu."""
     lam, mu, nu = Partition(lam), Partition(mu), Partition(nu)
-    if mu.size + nu.size != lam.size or not contains(mu, lam):
-        return []
     return [
         SkewSSYT(lam, mu, rows) for rows in _lr_fillings(lam, mu, tuple(nu))
     ]
@@ -153,8 +152,6 @@ def lr_tableaux(lam, mu, nu) -> list[SkewSSYT]:
 def lr_coefficient(lam, mu, nu) -> int:
     """c^lam_{mu nu}: LR tableaux of shape lam/mu, weight nu (0 on degenerate input)."""
     lam, mu, nu = Partition(lam), Partition(mu), Partition(nu)
-    if mu.size + nu.size != lam.size or not contains(mu, lam):
-        return 0
     return sum(1 for _ in _lr_fillings(lam, mu, tuple(nu)))
 
 

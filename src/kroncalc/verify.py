@@ -22,10 +22,6 @@ from .partition import (
 )
 
 
-def _fail(messages: list[str], text: str) -> None:
-    messages.append(text)
-
-
 def _fmt(p: Partition) -> str:
     return "(" + ",".join(str(x) for x in p) + ")"
 
@@ -47,13 +43,13 @@ def run_partitions(unit) -> tuple[int, list[str]]:
         for lam in partitions_list(n):
             checks += 2
             if lam.transpose().transpose() != lam:
-                _fail(fails, f"transpose not involutive at {_fmt(lam)}")
+                fails.append(f"transpose not involutive at {_fmt(lam)}")
             if lam and from_frobenius(lam.frobenius()) != lam:
-                _fail(fails, f"frobenius round trip broke at {_fmt(lam)}")
+                fails.append(f"frobenius round trip broke at {_fmt(lam)}")
     else:
         checks += 1
         if len(partitions_list(n)) != partition_count(n):
-            _fail(fails, f"enumerated count != p({n})")
+            fails.append(f"enumerated count != p({n})")
     return checks, fails
 
 
@@ -82,10 +78,7 @@ def run_lr(unit) -> tuple[int, list[str]]:
                         if tableau.lr_coefficient(lam, mu, nu) != tableau.lr_coefficient(
                             lam, nu, mu
                         ):
-                            _fail(
-                                fails,
-                                f"lr symmetry broke at {_fmt(lam)}/{_fmt(mu)},{_fmt(nu)}",
-                            )
+                            fails.append(f"lr symmetry broke at {_fmt(lam)}/{_fmt(mu)},{_fmt(nu)}")
     elif kind == "pieri":
         # horizontal-strip indicator == Pieri coefficient of h_k s_mu,
         # over all |mu| + k up to the sweep limit
@@ -101,10 +94,7 @@ def run_lr(unit) -> tuple[int, list[str]]:
                         else 0
                     )
                     if coeff != strip:
-                        _fail(
-                            fails,
-                            f"pieri mismatch at mu={_fmt(mu)} k={k} lam={_fmt(lam)}",
-                        )
+                        fails.append(f"pieri mismatch at mu={_fmt(mu)} k={k} lam={_fmt(lam)}")
     elif kind == "two-row":
         total = n
         for x in range(total + 1):
@@ -122,9 +112,8 @@ def run_lr(unit) -> tuple[int, list[str]]:
                             Partition((u, v)),
                         )
                         if closed != direct:
-                            _fail(
-                                fails,
-                                f"two-row closed form broke at {(x, y, u, v, d, total - d)}",
+                            fails.append(
+                                f"two-row closed form broke at {(x, y, u, v, d, total - d)}"
                             )
     elif kind == "strip-diff":
         for nu in partitions_list(n):
@@ -139,9 +128,8 @@ def run_lr(unit) -> tuple[int, list[str]]:
                             nu, eta, Partition((b - 1 - j, j))
                         )
                         if via != direct:
-                            _fail(
-                                fails,
-                                f"strip-difference broke at nu={_fmt(nu)} eta={_fmt(eta)} b={b} j={j}",
+                            fails.append(
+                                f"strip-difference broke at nu={_fmt(nu)} eta={_fmt(eta)} b={b} j={j}"
                             )
     else:  # product-dim
         for k in range(n + 1):
@@ -156,10 +144,7 @@ def run_lr(unit) -> tuple[int, list[str]]:
                         comb(n, k) * tableau.dimension(mu) * tableau.dimension(nu)
                     )
                     if total != expected:
-                        _fail(
-                            fails,
-                            f"product dimension broke at {_fmt(mu)} x {_fmt(nu)}",
-                        )
+                        fails.append(f"product dimension broke at {_fmt(mu)} x {_fmt(nu)}")
     return checks, fails
 
 
@@ -176,7 +161,7 @@ def run_giambelli(n) -> tuple[int, list[str]]:
     for lam in partitions_list(n):
         checks += 1
         if symfun.giambelli_expand(lam) != symfun.schur(lam):
-            _fail(fails, f"hook determinant expansion broke at {_fmt(lam)}")
+            fails.append(f"hook determinant expansion broke at {_fmt(lam)}")
     return checks, fails
 
 
@@ -193,7 +178,7 @@ def run_jacobi_trudi(n) -> tuple[int, list[str]]:
     for lam in partitions_list(n):
         checks += 1
         if symfun.jacobi_trudi_to_schur(lam) != symfun.schur(lam):
-            _fail(fails, f"jacobi-trudi expansion broke at {_fmt(lam)}")
+            fails.append(f"jacobi-trudi expansion broke at {_fmt(lam)}")
     return checks, fails
 
 
@@ -229,9 +214,8 @@ def run_littlewood(unit) -> tuple[int, list[str]]:
                 right = symfun.kronecker_product(symfun.schur(eta), symfun.schur(mu))
                 rhs = rhs + symfun.schur_product(left, right).scale(coeff)
         if lhs != rhs:
-            _fail(
-                fails,
-                f"coproduct compatibility broke at lam={_fmt(lam)} mu={_fmt(mu)} nu={_fmt(nu)}",
+            fails.append(
+                f"coproduct compatibility broke at lam={_fmt(lam)} mu={_fmt(mu)} nu={_fmt(nu)}"
             )
     return checks, fails
 
@@ -262,9 +246,8 @@ def run_kron_basics(unit) -> tuple[int, list[str]]:
                     for order in permutations((lam, mu, nu)):
                         checks += 1
                         if symfun.kronecker_coefficient(*order) != base:
-                            _fail(
-                                fails,
-                                f"index permutation changed g at {_fmt(lam)},{_fmt(mu)},{_fmt(nu)}",
+                            fails.append(
+                                f"index permutation changed g at {_fmt(lam)},{_fmt(mu)},{_fmt(nu)}"
                             )
     elif kind == "conjugation":
         for lam in parts:
@@ -276,9 +259,8 @@ def run_kron_basics(unit) -> tuple[int, list[str]]:
                     ) != symfun.kronecker_coefficient(
                         lam, mu.transpose(), nu.transpose()
                     ):
-                        _fail(
-                            fails,
-                            f"conjugation invariance broke at {_fmt(lam)},{_fmt(mu)},{_fmt(nu)}",
+                        fails.append(
+                            f"conjugation invariance broke at {_fmt(lam)},{_fmt(mu)},{_fmt(nu)}"
                         )
     elif kind == "trivial-sign":
         row = Partition((n,)) if n else Partition()
@@ -288,10 +270,10 @@ def run_kron_basics(unit) -> tuple[int, list[str]]:
                 checks += 2
                 expected = 1 if lam == mu else 0
                 if symfun.kronecker_coefficient(row, lam, mu) != expected:
-                    _fail(fails, f"trivial row rule broke at {_fmt(lam)},{_fmt(mu)}")
+                    fails.append(f"trivial row rule broke at {_fmt(lam)},{_fmt(mu)}")
                 expected = 1 if lam == mu.transpose() else 0
                 if symfun.kronecker_coefficient(column, lam, mu) != expected:
-                    _fail(fails, f"sign column rule broke at {_fmt(lam)},{_fmt(mu)}")
+                    fails.append(f"sign column rule broke at {_fmt(lam)},{_fmt(mu)}")
     else:  # hall: <f*g, h> == <f, g*h> on basis elements
         for lam in parts:
             for mu in parts:
@@ -306,9 +288,8 @@ def run_kron_basics(unit) -> tuple[int, list[str]]:
                         symfun.kronecker_product(symfun.schur(mu), symfun.schur(nu)),
                     )
                     if left != right:
-                        _fail(
-                            fails,
-                            f"inner product adjunction broke at {_fmt(lam)},{_fmt(mu)},{_fmt(nu)}",
+                        fails.append(
+                            f"inner product adjunction broke at {_fmt(lam)},{_fmt(mu)},{_fmt(nu)}"
                         )
     return checks, fails
 
@@ -334,9 +315,8 @@ def run_rosas(unit) -> tuple[int, list[str]]:
             closed = rosas.rosas_kronecker(n, r, a, c, nu)
             oracle = symfun.kronecker_coefficient(two_row, hook, nu)
             if closed != oracle:
-                _fail(
-                    fails,
-                    f"closed form != oracle at n={n} r={r} a={a} nu={_fmt(nu)}: {closed} vs {oracle}",
+                fails.append(
+                    f"closed form != oracle at n={n} r={r} a={a} nu={_fmt(nu)}: {closed} vs {oracle}"
                 )
             # positivity localization: positive iff double hook with positive branch
             positive = oracle > 0
@@ -344,16 +324,14 @@ def run_rosas(unit) -> tuple[int, list[str]]:
             claim = is_double_hook(nu, n) and branch.value > 0
             checks += 1
             if positive != claim:
-                _fail(
-                    fails,
-                    f"positivity characterization broke at n={n} r={r} a={a} nu={_fmt(nu)}",
+                fails.append(
+                    f"positivity characterization broke at n={n} r={r} a={a} nu={_fmt(nu)}"
                 )
             key = (tuple(nu), r == 0)
             prior = seen_cases.get(key)
             if prior is not None and prior != branch.case:
-                _fail(
-                    fails,
-                    f"branch depends on a at nu={_fmt(nu)} r={r}: {prior} vs {branch.case}",
+                fails.append(
+                    f"branch depends on a at nu={_fmt(nu)} r={r}: {prior} vs {branch.case}"
                 )
             seen_cases[key] = branch.case
     return checks, fails
@@ -383,9 +361,8 @@ def run_blasiak(unit) -> tuple[int, list[str]]:
         count = len(by_shape.get(nu, ()))
         oracle = symfun.kronecker_coefficient(lam, hook, nu)
         if count != oracle:
-            _fail(
-                fails,
-                f"tableau count != oracle at lam={_fmt(lam)} d={d} nu={_fmt(nu)}: {count} vs {oracle}",
+            fails.append(
+                f"tableau count != oracle at lam={_fmt(lam)} d={d} nu={_fmt(nu)}: {count} vs {oracle}"
             )
     return checks, fails
 
@@ -415,9 +392,8 @@ def run_fundamental(unit) -> tuple[int, list[str]]:
                 lam, Partition((a, b) + (1,) * c), nu
             )
             if value != oracle:
-                _fail(
-                    fails,
-                    f"expansion != oracle at lam={_fmt(lam)} (a,b,c)=({a},{b},{c}) nu={_fmt(nu)}: {value} vs {oracle}",
+                fails.append(
+                    f"expansion != oracle at lam={_fmt(lam)} (a,b,c)=({a},{b},{c}) nu={_fmt(nu)}: {value} vs {oracle}"
                 )
     return checks, fails
 
@@ -454,27 +430,24 @@ def run_triples(unit) -> tuple[int, list[str]]:
                 t2 = nearhook.triple2(d, e, a, b, c, nu)
                 checks += 1
                 if t1 - t2 != oracle:
-                    _fail(
-                        fails,
-                        f"triple1-triple2 != oracle at (d,e)=({d},{e}) (a,b,c)=({a},{b},{c}) nu={_fmt(nu)}",
+                    fails.append(
+                        f"triple1-triple2 != oracle at (d,e)=({d},{e}) (a,b,c)=({a},{b},{c}) nu={_fmt(nu)}"
                     )
                 t3, certs3 = nearhook.triple3(d, e, a, b, c, nu)
                 t4, certs4 = nearhook.triple4(d, e, a, b, c, nu)
                 checks += 1
                 if t3 - t4 != oracle:
-                    _fail(
-                        fails,
-                        f"triple3-triple4 != oracle at (d,e)=({d},{e}) (a,b,c)=({a},{b},{c}) nu={_fmt(nu)}",
+                    fails.append(
+                        f"triple3-triple4 != oracle at (d,e)=({d},{e}) (a,b,c)=({a},{b},{c}) nu={_fmt(nu)}"
                     )
                 checks += 1
                 if t3 != t1 or t4 != t2:
-                    _fail(
-                        fails,
-                        f"positive support lost terms at (d,e)=({d},{e}) (a,b,c)=({a},{b},{c}) nu={_fmt(nu)}",
+                    fails.append(
+                        f"positive support lost terms at (d,e)=({d},{e}) (a,b,c)=({a},{b},{c}) nu={_fmt(nu)}"
                     )
                 checks += 1
                 if any(cert.contribution <= 0 for cert in certs3 + certs4):
-                    _fail(fails, f"non-positive reduced certificate at nu={_fmt(nu)}")
+                    fails.append(f"non-positive reduced certificate at nu={_fmt(nu)}")
     else:
         # membership <=> strict positivity of the product, via the oracle route
         for aa in range(1, n):
@@ -499,9 +472,8 @@ def run_triples(unit) -> tuple[int, list[str]]:
                                 )
                                 member = (eta, j, r) in plus
                                 if member != (coeff * g > 0):
-                                    _fail(
-                                        fails,
-                                        f"positive-support membership broke at nu={_fmt(nu)} eta={_fmt(eta)} j={j} r={r}",
+                                    fails.append(
+                                        f"positive-support membership broke at nu={_fmt(nu)} eta={_fmt(eta)} j={j} r={r}"
                                     )
                     if bb < 2:
                         continue  # the negative-side hook (b-1, 1^(c+1)) needs b >= 2
@@ -521,9 +493,8 @@ def run_triples(unit) -> tuple[int, list[str]]:
                                 )
                                 member = (delta, i, r) in minus
                                 if member != (coeff * g > 0):
-                                    _fail(
-                                        fails,
-                                        f"negative-support membership broke at nu={_fmt(nu)} delta={_fmt(delta)} i={i} r={r}",
+                                    fails.append(
+                                        f"negative-support membership broke at nu={_fmt(nu)} delta={_fmt(delta)} i={i} r={r}"
                                     )
     return checks, fails
 
@@ -559,24 +530,22 @@ def run_mainresults(unit) -> tuple[int, list[str]]:
         else:
             checks += 1
             if not nearhook.null_case_check(a, 2, c, d, e, s):
-                _fail(fails, f"interval logic inconsistent at (n,a,s,d)=({n},{a},{s},{d})")
+                fails.append(f"interval logic inconsistent at (n,a,s,d)=({n},{a},{s},{d})")
                 continue
             value, witness_set = nearhook.witnesses_null_case(a, c, d, e, s)
         checks += 2
         if value != oracle:
-            _fail(
-                fails,
-                f"witness value != oracle at (n,a,s,d)=({n},{a},{s},{d}): {value} vs {oracle}",
+            fails.append(
+                f"witness value != oracle at (n,a,s,d)=({n},{a},{s},{d}): {value} vs {oracle}"
             )
         if value != len(witness_set.surviving):
-            _fail(fails, f"removal policy broke at (n,a,s,d)=({n},{a},{s},{d})")
+            fails.append(f"removal policy broke at (n,a,s,d)=({n},{a},{s},{d})")
         # single-box LR guarantee for the positive index set
         for eta, j, r in nearhook.j_plus(d, nu, a, 2, c):
             checks += 1
             if tableau.lr_coefficient(nu, eta, Partition((1,))) != 1:
-                _fail(
-                    fails,
-                    f"single-box LR coefficient != 1 at eta={_fmt(eta)} (n,a,s,d)=({n},{a},{s},{d})",
+                fails.append(
+                    f"single-box LR coefficient != 1 at eta={_fmt(eta)} (n,a,s,d)=({n},{a},{s},{d})"
                 )
     return checks, fails
 

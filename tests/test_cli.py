@@ -202,3 +202,11 @@ def test_verify_rejects_negative_limit_and_jobs_below_one(capsys):
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_kron_negative_exponent_exits_2(capsys):
+    # "1^-3" used to expand to no parts, so this printed g(3 ; 3 ; 3) = 1
+    code, out, err = run(capsys, "kron", "1^-3,3", "3", "3")
+    assert code == 2
+    assert out == ""
+    assert "bad partition" in err

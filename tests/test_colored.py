@@ -3,6 +3,8 @@ import random
 from itertools import combinations, permutations
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from kroncalc.colored import (
     ColoredLetter,
@@ -86,6 +88,34 @@ def test_schensted_example():
     assert schensted_insert(rows, 3) == ((1, 2, 3), (2, 3, 4), (4,))
     assert schensted_insert((), 5) == ((5,),)
     assert schensted_insert(((1, 2),), 9) == ((1, 2, 9),)
+
+
+def _longest_chain(word, related) -> int:
+    """Length of the longest subsequence whose consecutive letters are related."""
+    best = []
+    for i, x in enumerate(word):
+        best.append(1 + max((best[j] for j in range(i) if related(word[j], x)), default=0))
+    return max(best, default=0)
+
+
+@seed(20261018)
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.lists(st.integers(1, 5), max_size=12))
+def test_schensted_insert_property(word):
+    rows = ()
+    for x in word:
+        rows = schensted_insert(rows, x)
+    assert all(a <= b for row in rows for a, b in zip(row, row[1:]))
+    assert all(
+        rows[i][j] < rows[i + 1][j]
+        for i in range(len(rows) - 1)
+        for j in range(len(rows[i + 1]))
+    )
+    assert all(len(a) >= len(b) for a, b in zip(rows, rows[1:]))
+    assert sorted(x for row in rows for x in row) == sorted(word)
+    # Schensted's theorem
+    assert (len(rows[0]) if rows else 0) == _longest_chain(word, lambda a, b: a <= b)
+    assert len(rows) == _longest_chain(word, lambda a, b: a > b)
 
 
 def test_mixed_insert_single_letters():

@@ -1,4 +1,5 @@
 import hashlib
+import json
 
 import pytest
 from hypothesis import given, seed, settings
@@ -330,6 +331,35 @@ def test_triple_sums_golden_digest():
                                 total += 1
     assert total == 8022
     assert h.hexdigest() == TRIPLE_SUMS_DIGEST_N9
+
+
+# sha256 over every b = 2 witness family for n = 4..10, with a, s and d
+# ranging as in the mainresults suite; computed before the singleton and
+# null cases shared one implementation
+WITNESS_SETS_DIGEST_N10 = "6140a68cee987cc7bf07edbabd4c551acfb0367d8f7f12b1c07de377d385c100"
+
+
+def test_witness_sets_golden_digest():
+    h = hashlib.sha256()
+    sets = members = 0
+    for n in range(4, 11):
+        for a in range(2, n - 2):
+            c = n - 2 - a
+            if c < 1:
+                continue
+            for s in range(1, (c + 2) // 2 + 1):
+                for d in range((n + 1) // 2, n + 1):
+                    e = n - d
+                    if singleton_case_check(a, 2, c, d, e, s) is not None:
+                        value, ws = witnesses_singleton_case(a, c, d, e, s)
+                    else:
+                        value, ws = witnesses_null_case(a, c, d, e, s)
+                    record = [n, a, s, d, value, ws.to_json()]
+                    h.update(json.dumps(record, sort_keys=True).encode())
+                    sets += 1
+                    members += len(ws.members)
+    assert (sets, members) == (220, 180)
+    assert h.hexdigest() == WITNESS_SETS_DIGEST_N10
 
 
 def _overlap(p, q) -> int:

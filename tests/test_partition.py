@@ -139,3 +139,50 @@ def test_shape_classifiers():
     assert as_near_hook((4, 1, 1)) is None
     assert as_near_hook((3, 2)) == (3, 2, 0)
     assert hook_partition(3, 2) == Partition((3, 1, 1))
+
+
+def test_existing_partition_is_returned_unchanged():
+    lam = Partition((4, 2, 1))
+    assert Partition(lam) is lam
+    assert Partition([4, 2, 1, 0]) == lam
+    with pytest.raises(ValueError):
+        Partition([1, 2])
+    with pytest.raises(ValueError):
+        Partition((2, -1))
+
+
+def test_public_entry_points_still_reject_bad_partitions():
+    from kroncalc.rosas import rosas_kronecker
+    from kroncalc.symfun import kronecker_coefficient
+    from kroncalc.tableau import lr_coefficient
+
+    bad = (1, 2)
+    for call in (
+        lambda: contains(bad, (3,)),
+        lambda: contains((), bad),
+        lambda: tail(bad),
+        lambda: is_double_hook(bad, 3),
+        lambda: as_hook(bad),
+        lambda: lr_coefficient((2, 1), (1,), bad),
+        lambda: kronecker_coefficient((2, 1), (3,), bad),
+        lambda: rosas_kronecker(3, 1, 1, 1, bad),
+    ):
+        with pytest.raises(ValueError):
+            call()
+
+
+def test_construction_rejects_non_integer_parts():
+    with pytest.raises(ValueError):
+        Partition((2.5, 1))
+    with pytest.raises(ValueError):
+        Partition((2.0, 1))
+    with pytest.raises(ValueError):
+        Partition(("2", "1"))
+
+
+def test_parse_rejects_negative_exponent():
+    with pytest.raises(ValueError):
+        parse_partition("1^-3,3")
+    with pytest.raises(ValueError):
+        parse_partition("2^-1")
+    assert parse_partition("3,1^0") == Partition((3,))
