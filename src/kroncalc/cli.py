@@ -81,12 +81,9 @@ def _witnesses_if_applicable(lam, mu, nu):
     s = twos + 1
     if nu != nearhook.special_nu(a, c, s) or not 1 <= s <= (c + 2) // 2:
         return None
-    try:
-        if nearhook.singleton_case_check(a, 2, c, d, e, s) is not None:
-            return nearhook.witnesses_singleton_case(a, c, d, e, s)
-        return nearhook.witnesses_null_case(a, c, d, e, s)
-    except ValueError:
-        return None
+    if nearhook.singleton_case_check(a, 2, c, d, e, s) is not None:
+        return nearhook.witnesses_singleton_case(a, c, d, e, s)
+    return nearhook.witnesses_null_case(a, c, d, e, s)
 
 
 def _run_method(method: str, lam, mu, nu, explain: bool):
@@ -171,6 +168,8 @@ def _cert_text(cert) -> str:
 
 
 def cmd_kron(args) -> int:
+    if args.explain and args.output == "csv":
+        raise InputError("--explain has no csv form; use --output text or json")
     lam = _parse_partition_arg(args.lam)
     mu = _parse_partition_arg(args.mu)
     nu = _parse_partition_arg(args.nu)
@@ -251,6 +250,13 @@ def cmd_kron(args) -> int:
 def cmd_enumerate(args) -> int:
     kind = args.kind
     rest = args.params
+    trace = kind == "blasiak" and rest[:1] == ["trace"]
+    if args.ytableau and kind != "lr":
+        raise InputError("--ytableau applies only to enumerate lr")
+    if args.output == "json" and (kind == "lr" or trace):
+        raise InputError(
+            "--output json applies only to enumerate blasiak CONTENT TOTAL_COLOR SHAPE"
+        )
     if kind == "lr":
         if len(rest) != 3:
             raise InputError("usage: enumerate lr OUTER INNER WEIGHT")
@@ -264,7 +270,7 @@ def cmd_enumerate(args) -> int:
                 print(tab.to_ytableau())
         return 0
     if kind == "blasiak":
-        if rest and rest[0] == "trace":
+        if trace:
             word = colored.parse_colored_word(" ".join(rest[1:]))
             if not word:
                 raise InputError("usage: enumerate blasiak trace LETTERS")
@@ -302,32 +308,20 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_rosas(args) -> int:
-    two_row = _parse_partition_arg(args.two_row)
-    hook = _parse_partition_arg(args.hook)
+    lam = _parse_partition_arg(args.two_row)
+    mu = _parse_partition_arg(args.hook)
     nu = _parse_partition_arg(args.nu)
-    if as_two_row(two_row) is None:
-        raise HypothesisError("first partition must have at most two rows")
-    hook_shape = as_hook(hook)
-    if hook_shape is None or len(hook) < 2:
-        raise HypothesisError("second partition must be a hook (a, 1^(c+1)) with c >= 0")
-    n = two_row.size
-    if hook.size != n or nu.size != n:
+    why = _applicable_methods(lam, mu, nu)["rosas"]
+    if why is not None:
+        raise HypothesisError(why)
+    if not lam.size == mu.size == nu.size:
         raise InputError("all three partitions must have the same size")
-    report = rosas.rosas_report(n, two_row.part(2), hook[0], len(hook) - 2, nu)
+    value, lines, payload = _run_method("rosas", lam, mu, nu, explain=True)
     if args.output == "json":
-        print(
-            json.dumps(
-                {
-                    "value": report.value,
-                    "branch": report.case,
-                    "arguments": list(report.arguments),
-                },
-                sort_keys=True,
-            )
-        )
+        print(json.dumps(dict(payload, value=value), sort_keys=True))
     else:
-        print(f"value: {report.value}")
-        print(f"branch: {report.describe()}")
+        print(f"value: {value}")
+        print(*lines, sep="\n")
     return 0
 
 

@@ -4,16 +4,17 @@ The alphabet is 1' < 1 < 2' < 2 < ... where a trailing apostrophe marks a
 barred letter.  Internally a letter (v, barred) is encoded as the integer
 2v-1 (barred) or 2v (unbarred) so the total order is plain integer order.
 
-Mixed insertion: an unbarred letter enters row 1 and bumps the leftmost
-entry strictly greater than it; a barred letter enters column 1 and bumps
-the topmost entry strictly greater than it.  A bumped unbarred letter
-continues in the row below its old cell; a bumped barred letter continues
-in the column to its right.  The strict comparators in both directions are
-forced by the worked single-letter insertions and the full insertion trace
-for an eight-letter word, which are pinned as test vectors; row insertion
-passes over equal unbarred letters (rows weakly increase in them) and
-column insertion passes over equal barred letters (columns weakly increase
-in them).
+Mixed insertion is one bump loop over a cell (i, j), starting at row 1,
+column 1.  An unbarred letter scans row i from the left and a barred
+letter scans column j from the top; the first entry strictly greater than
+the letter is bumped and the letter takes its cell.  A bumped unbarred
+letter goes on in the row below (i + 1); a bumped barred letter goes on in
+the column to the right (j + 1).  When no entry is greater, the letter ends
+that row or column.  The strict comparators in both directions are forced
+by the worked single-letter insertions and the full insertion trace for an
+eight-letter word, which are pinned as test vectors; row scans pass over
+equal unbarred letters (rows weakly increase in them) and column scans
+pass over equal barred letters (columns weakly increase in them).
 
 A colored word w lies behind the hook rule when w^blft - barred letters
 moved to the front, bars erased - is Yamanouchi in the suffix sense: the
@@ -31,7 +32,8 @@ the same completions, and each tableau state is expanded once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, total_ordering
+from functools import lru_cache, reduce, total_ordering
+from itertools import accumulate
 from typing import Iterable, Optional, Sequence
 
 from .partition import Partition
@@ -196,10 +198,6 @@ class ColoredTableau:
         return cls(tuple(rows))
 
 
-def _encode_rows(tab: ColoredTableau) -> list[list[int]]:
-    return [[x.key for x in row] for row in tab.rows]
-
-
 def _tableau_from_encoded(rows: Sequence[Sequence[int]]) -> ColoredTableau:
     return ColoredTableau(tuple(tuple(_dec(k) for k in row) for row in rows))
 
@@ -220,92 +218,58 @@ def schensted_insert(
     return tuple(tuple(k // 2 for k in row) for row in _inserted(doubled, 2 * x))
 
 
-def _mixed_insert_encoded(rows: list[list[int]], k: int) -> None:
-    """Insert encoded letter k; mutates rows."""
-    if k & 1:
-        _column_insert(rows, k, 0)
-    else:
-        _row_insert(rows, k, 0)
+def _inserted(state: Sequence[Sequence[int]], k: int) -> tuple[tuple[int, ...], ...]:
+    """The frozen tableau state with encoded letter k mixed-inserted.
 
-
-def _row_insert(rows: list[list[int]], k: int, i: int) -> None:
+    One bump loop: an unbarred k scans row i from the left and a barred k
+    scans column j from the top.  The first entry greater than k is swapped
+    out at (i, j); a bumped barred letter goes on in column j + 1, a bumped
+    unbarred one in row i + 1.  With nothing greater, k lands at (i, j).
+    """
+    rows = [list(r) for r in state]
+    i = j = 0
     while True:
-        if i == len(rows):
-            rows.append([k])
-            return
-        row = rows[i]
-        for j, y in enumerate(row):
-            if y > k:
-                row[j] = k
-                if y & 1:
-                    _column_insert(rows, y, j + 1)
-                    return
-                k = y
-                break
+        if k & 1:
+            i = 0
+            while i < len(rows) and j < len(rows[i]) and rows[i][j] <= k:
+                i += 1
         else:
+            j = 0
+            while i < len(rows) and j < len(rows[i]) and rows[i][j] <= k:
+                j += 1
+        if i == len(rows):
+            if j != 0:
+                raise RuntimeError("insertion produced a ragged shape")
+            rows.append([k])
+            return tuple(map(tuple, rows))
+        row = rows[i]
+        if j >= len(row):
+            if j != len(row):
+                raise RuntimeError("insertion produced a ragged shape")
             row.append(k)
-            return
-        i += 1
-
-
-def _column_insert(rows: list[list[int]], k: int, j: int) -> None:
-    while True:
-        i = 0
-        bumped = -1
-        while i < len(rows) and len(rows[i]) > j:
-            if rows[i][j] > k:
-                bumped = rows[i][j]
-                rows[i][j] = k
-                break
-            i += 1
-        if bumped < 0:
-            if i == len(rows):
-                if j != 0:
-                    raise RuntimeError("insertion produced a ragged shape")
-                rows.append([k])
-            else:
-                if len(rows[i]) != j:
-                    raise RuntimeError("insertion produced a ragged shape")
-                rows[i].append(k)
-            return
-        if bumped & 1:
-            k = bumped
+            return tuple(map(tuple, rows))
+        row[j], k = k, row[j]
+        if k & 1:
             j += 1
         else:
-            _row_insert(rows, bumped, i + 1)
-            return
-
-
-def _inserted(state: tuple[tuple[int, ...], ...], k: int) -> tuple[tuple[int, ...], ...]:
-    """The frozen tableau state with encoded letter k mixed-inserted."""
-    rows = [list(r) for r in state]
-    _mixed_insert_encoded(rows, k)
-    return tuple(map(tuple, rows))
+            i += 1
 
 
 def mixed_insert(tab: ColoredTableau, letter: ColoredLetter) -> ColoredTableau:
     """Mixed-insert one letter into a colored tableau."""
-    rows = _encode_rows(tab)
-    _mixed_insert_encoded(rows, letter.key)
-    return _tableau_from_encoded(rows)
+    rows = [[x.key for x in row] for row in tab.rows]
+    return _tableau_from_encoded(_inserted(rows, letter.key))
 
 
 def mixed_insertion_tableau(word: Iterable[ColoredLetter]) -> ColoredTableau:
     """Left-to-right mixed insertion of the word, starting from empty."""
-    rows: list[list[int]] = []
-    for letter in word:
-        _mixed_insert_encoded(rows, letter.key)
-    return _tableau_from_encoded(rows)
+    return _tableau_from_encoded(reduce(_inserted, (x.key for x in word), ()))
 
 
 def mixed_insertion_trace(word: Sequence[ColoredLetter]) -> list[ColoredTableau]:
     """The successive insertion tableaux P_1, ..., P_n."""
-    rows: list[list[int]] = []
-    trace = []
-    for letter in word:
-        _mixed_insert_encoded(rows, letter.key)
-        trace.append(_tableau_from_encoded(rows))
-    return trace
+    states = accumulate((x.key for x in word), _inserted, initial=())
+    return [_tableau_from_encoded(state) for state in states][1:]
 
 
 # ---------------------------------------------------------------------------
@@ -354,8 +318,6 @@ def _search(lam: Partition, d: int, target: Optional[Partition]):
     m = len(lam)
     found: dict[tuple[int, ...], set] = {}
     tgt = tuple(target) if target is not None else None
-    if tgt is not None and sum(tgt) != n:
-        return found
 
     for cb in _barred_content_vectors(lam, d):
         cu = tuple(a - b for a, b in zip(lam, cb))
@@ -431,6 +393,8 @@ def enumerate_blasiak(lam, d: int, nu) -> tuple[ColoredTableau, ...]:
     """The tableaux counted by g(lam, (n-d, 1^d), nu), canonically ordered."""
     lam, nu = Partition(lam), Partition(nu)
     _check_hook_args(lam, d)
+    if nu.size != lam.size:
+        raise ValueError(f"shape size {nu.size} differs from content size {lam.size}")
     found = _search(lam, d, nu)
     return _finalize(lam, d, found.get(tuple(nu), ()))
 

@@ -187,30 +187,27 @@ def hook_partition(arm: int, legs: int) -> Partition:
     return Partition((arm,) + (1,) * legs)
 
 
-def partitions_of(n: int, max_length: Optional[int] = None) -> Iterator[Partition]:
+def partitions_of(n: int) -> Iterator[Partition]:
     """Yield the partitions of n in reverse-lexicographic order."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    room = n if max_length is None else max_length
 
-    def rec(remaining: int, biggest: int, room: int):
+    def rec(remaining: int, biggest: int):
         if remaining == 0:
             yield ()
             return
-        if room == 0:
-            return
         for first in range(min(remaining, biggest), 0, -1):
-            for rest in rec(remaining - first, first, room - 1):
+            for rest in rec(remaining - first, first):
                 yield (first,) + rest
 
-    for t in rec(n, n, room):
+    for t in rec(n, n):
         yield Partition(t)
 
 
 @cache
-def partitions_list(n: int, max_length: Optional[int] = None) -> tuple[Partition, ...]:
-    """Cached tuple of partitions_of(n, max_length)."""
-    return tuple(partitions_of(n, max_length))
+def partitions_list(n: int) -> tuple[Partition, ...]:
+    """Cached tuple of partitions_of(n)."""
+    return tuple(partitions_of(n))
 
 
 @cache

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from kroncalc.cli import main
 
 
@@ -111,6 +113,41 @@ def test_enumerate_trace(capsys):
 def test_enumerate_bad_shape_exits_2(capsys):
     code, _, err = run(capsys, "enumerate", "lr", "5,4", "oops", "4,1,1")
     assert code == 2
+
+
+def test_enumerate_blasiak_size_mismatch_exits_2(capsys):
+    code, out, err = run(capsys, "enumerate", "blasiak", "5,2,1", "4", "4,2,1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: shape size 7 differs from content size 8\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("enumerate", "lr", "5,4,2,1", "4,2", "4,1,1", "--output", "json"),
+        ("enumerate", "blasiak", "trace", "2'", "1", "--output", "json"),
+        ("enumerate", "blasiak", "5,2,1", "4", "4,2,1,1", "--ytableau"),
+        ("enumerate", "blasiak", "trace", "2'", "1", "--ytableau"),
+        ("kron", "4,2", "4,2", "4,2", "--explain", "--output", "csv"),
+    ],
+    ids=["lr-json", "trace-json", "blasiak-ytableau", "trace-ytableau", "kron-explain-csv"],
+)
+def test_option_that_would_be_ignored_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_rosas_readme_example_bytes(capsys):
+    argv = ("rosas", "6,2", "2,1^6", "3,2,1,1,1")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == "value: 1\nbranch: double-hook(2, 3, 3, 0, 6, 2) -> 1\n"
+    code, out, _ = run(capsys, *argv, "--output", "json")
+    assert code == 0
+    assert out == '{"arguments": [2, 3, 3, 0, 6, 2], "branch": "double-hook", "value": 1}\n'
 
 
 def test_rosas_subcommand(capsys):

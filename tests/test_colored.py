@@ -1,6 +1,6 @@
 import hashlib
 import random
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import given, seed, settings
@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from kroncalc.colored import (
     ColoredLetter,
     ColoredTableau,
+    _inserted,
     blasiak_by_shape,
     blft,
     content,
@@ -118,6 +119,25 @@ def test_schensted_insert_property(word):
     assert len(rows) == _longest_chain(word, lambda a, b: a > b)
 
 
+# sha256 over the insertion state of every encoded word of length <= 5 on
+# letters 1..8 (1' < 1 < ... < 4' < 4), inserted left to right from empty
+INSERTION_DIGEST_LEN5 = "6fe40e7da0ebe1d4d1ed5709e5fd770636bc07c15c04b935a489f69207288fef"
+
+
+def test_insertion_golden_digest():
+    h = hashlib.sha256()
+    total = 0
+    for length in range(6):
+        for word in product(range(1, 9), repeat=length):
+            state = ()
+            for k in word:
+                state = _inserted(state, k)
+            h.update(repr(state).encode())
+            total += 1
+    assert total == 37449
+    assert h.hexdigest() == INSERTION_DIGEST_LEN5
+
+
 def test_mixed_insert_single_letters():
     cases = {
         "1'": "1' 1 2' | 1' 2' 2 | 1' 2' 3 | 2",
@@ -183,6 +203,13 @@ def test_count_examples():
     assert enumerate_blasiak((5, 3), 6, (3, 2, 1, 1, 1))[0] == ColoredTableau.from_text(
         "1' 1 2' | 1' 2' | 1' | 1' | 2"
     )
+
+
+def test_shape_and_content_sizes_must_match():
+    with pytest.raises(ValueError, match="differs from content size"):
+        enumerate_blasiak((5, 2, 1), 4, (4, 2, 1))
+    with pytest.raises(ValueError, match="differs from content size"):
+        count_blasiak((2, 1), 1, (2, 2))
 
 
 def test_violating_tableau_never_produced():
@@ -303,8 +330,6 @@ def test_insertion_always_valid():
     # every word over {1, 1', 2, 2'} of length <= 4: the insertion tableau
     # satisfies the colored-tableau conditions (checked at construction)
     # and has one cell per letter
-    from itertools import product
-
     alphabet = parse_colored_word("1' 1 2' 2")
     for length in range(5):
         for word in product(alphabet, repeat=length):

@@ -113,10 +113,6 @@ def test_partitions_of_order_and_counts():
         assert len(partitions_list(n)) == partition_count(n)
 
 
-def test_partitions_of_max_length():
-    assert [tuple(p) for p in partitions_of(4, max_length=2)] == [(4,), (3, 1), (2, 2)]
-
-
 def test_parse_and_format():
     assert parse_partition("6,2,1^6") == Partition((6, 2, 1, 1, 1, 1, 1, 1))
     assert parse_partition("4,1^4") == Partition((4, 1, 1, 1, 1))
