@@ -27,6 +27,7 @@ from .partition import (
     as_hook,
     as_near_hook,
     as_two_row,
+    contains,
     format_partition,
     parse_partition,
 )
@@ -52,7 +53,7 @@ def _parse_partition_arg(text: str) -> Partition:
 # kron
 
 
-def _applicable_methods(lam, mu, nu):
+def _applicable_methods(lam, mu):
     """Method -> None if applicable, else the failed hypothesis."""
     out = {"oracle": None}
     hook = as_hook(mu)
@@ -177,7 +178,7 @@ def cmd_kron(args) -> int:
         raise InputError(
             f"sizes differ: |lambda|={lam.size} |mu|={mu.size} |nu|={nu.size}"
         )
-    applicable = _applicable_methods(lam, mu, nu)
+    applicable = _applicable_methods(lam, mu)
     if args.method == "all":
         methods = [m for m, why in applicable.items() if why is None]
     else:
@@ -261,6 +262,14 @@ def cmd_enumerate(args) -> int:
         if len(rest) != 3:
             raise InputError("usage: enumerate lr OUTER INNER WEIGHT")
         outer, inner, weight = (_parse_partition_arg(x) for x in rest)
+        if not contains(inner, outer):
+            raise InputError(
+                f"INNER {format_partition(inner)} is not contained in OUTER {format_partition(outer)}"
+            )
+        if outer.size != inner.size + weight.size:
+            raise InputError(
+                f"sizes do not balance: |OUTER|={outer.size}, |INNER|+|WEIGHT|={inner.size + weight.size}"
+            )
         tableaux = lr_tableaux(outer, inner, weight)
         print(f"count: {len(tableaux)}")
         for i, tab in enumerate(tableaux, 1):
@@ -269,38 +278,37 @@ def cmd_enumerate(args) -> int:
             if args.ytableau:
                 print(tab.to_ytableau())
         return 0
-    if kind == "blasiak":
-        if trace:
-            word = colored.parse_colored_word(" ".join(rest[1:]))
-            if not word:
-                raise InputError("usage: enumerate blasiak trace LETTERS")
-            print(f"word: {colored.format_colored_word(word)}")
-            print(f"blft: {''.join(str(v) for v in colored.blft(word))}")
-            for step, tab in enumerate(colored.mixed_insertion_trace(word), 1):
-                print(f"step {step}:")
-                print(tab.to_ascii())
-            return 0
-        if len(rest) != 3:
-            raise InputError("usage: enumerate blasiak CONTENT TOTAL_COLOR SHAPE")
-        lam = _parse_partition_arg(rest[0])
-        try:
-            d = int(rest[1])
-        except ValueError as exc:
-            raise InputError(f"bad total color {rest[1]!r}") from exc
-        nu = _parse_partition_arg(rest[2])
-        try:
-            tableaux = colored.enumerate_blasiak(lam, d, nu)
-        except ValueError as exc:
-            raise InputError(str(exc)) from exc
-        if args.output == "json":
-            print(json.dumps([t.to_json() for t in tableaux], sort_keys=True))
-            return 0
-        print(f"count: {len(tableaux)}")
-        for i, tab in enumerate(tableaux, 1):
-            print(f"tableau {i}:")
+    # kind is "blasiak": the parser's choices admit no other
+    if trace:
+        word = colored.parse_colored_word(" ".join(rest[1:]))
+        if not word:
+            raise InputError("usage: enumerate blasiak trace LETTERS")
+        print(f"word: {colored.format_colored_word(word)}")
+        print(f"blft: {''.join(str(v) for v in colored.blft(word))}")
+        for step, tab in enumerate(colored.mixed_insertion_trace(word), 1):
+            print(f"step {step}:")
             print(tab.to_ascii())
         return 0
-    raise InputError(f"unknown enumeration kind {kind!r}")
+    if len(rest) != 3:
+        raise InputError("usage: enumerate blasiak CONTENT TOTAL_COLOR SHAPE")
+    lam = _parse_partition_arg(rest[0])
+    try:
+        d = int(rest[1])
+    except ValueError as exc:
+        raise InputError(f"bad total color {rest[1]!r}") from exc
+    nu = _parse_partition_arg(rest[2])
+    try:
+        tableaux = colored.enumerate_blasiak(lam, d, nu)
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
+    if args.output == "json":
+        print(json.dumps([t.to_json() for t in tableaux], sort_keys=True))
+        return 0
+    print(f"count: {len(tableaux)}")
+    for i, tab in enumerate(tableaux, 1):
+        print(f"tableau {i}:")
+        print(tab.to_ascii())
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +319,7 @@ def cmd_rosas(args) -> int:
     lam = _parse_partition_arg(args.two_row)
     mu = _parse_partition_arg(args.hook)
     nu = _parse_partition_arg(args.nu)
-    why = _applicable_methods(lam, mu, nu)["rosas"]
+    why = _applicable_methods(lam, mu)["rosas"]
     if why is not None:
         raise HypothesisError(why)
     if not lam.size == mu.size == nu.size:

@@ -218,15 +218,18 @@ def schensted_insert(
     return tuple(tuple(k // 2 for k in row) for row in _inserted(doubled, 2 * x))
 
 
-def _inserted(state: Sequence[Sequence[int]], k: int) -> tuple[tuple[int, ...], ...]:
+def _inserted(
+    state: tuple[tuple[int, ...], ...], k: int
+) -> tuple[tuple[int, ...], ...]:
     """The frozen tableau state with encoded letter k mixed-inserted.
 
     One bump loop: an unbarred k scans row i from the left and a barred k
     scans column j from the top.  The first entry greater than k is swapped
     out at (i, j); a bumped barred letter goes on in column j + 1, a bumped
     unbarred one in row i + 1.  With nothing greater, k lands at (i, j).
+    Only the rows that change are rebuilt; the others are shared with state.
     """
-    rows = [list(r) for r in state]
+    rows = list(state)
     i = j = 0
     while True:
         if k & 1:
@@ -240,15 +243,16 @@ def _inserted(state: Sequence[Sequence[int]], k: int) -> tuple[tuple[int, ...], 
         if i == len(rows):
             if j != 0:
                 raise RuntimeError("insertion produced a ragged shape")
-            rows.append([k])
-            return tuple(map(tuple, rows))
+            rows.append((k,))
+            return tuple(rows)
         row = rows[i]
         if j >= len(row):
             if j != len(row):
                 raise RuntimeError("insertion produced a ragged shape")
-            row.append(k)
-            return tuple(map(tuple, rows))
-        row[j], k = k, row[j]
+            rows[i] = row + (k,)
+            return tuple(rows)
+        rows[i] = row[:j] + (k,) + row[j + 1 :]
+        k = row[j]
         if k & 1:
             j += 1
         else:
@@ -257,7 +261,7 @@ def _inserted(state: Sequence[Sequence[int]], k: int) -> tuple[tuple[int, ...], 
 
 def mixed_insert(tab: ColoredTableau, letter: ColoredLetter) -> ColoredTableau:
     """Mixed-insert one letter into a colored tableau."""
-    rows = [[x.key for x in row] for row in tab.rows]
+    rows = tuple(tuple(x.key for x in row) for row in tab.rows)
     return _tableau_from_encoded(_inserted(rows, letter.key))
 
 

@@ -30,7 +30,7 @@ from functools import cache
 from typing import Optional
 
 from .colored import ColoredTableau, enumerate_blasiak
-from .partition import Partition, hook_partition, is_double_hook, partitions_list
+from .partition import Partition, hook_partition, is_double_hook, partitions_list, two_rows
 from .rosas import rosas_kronecker, xi
 from .symfun import kronecker_coefficient
 from .tableau import lr_coefficient, lr_two_row, lr_via_strip_difference
@@ -142,8 +142,8 @@ def _interval_sum(side, d, e, a, b, c, nu) -> int:
     size, p, arm = side(a, b, c)
     total = 0
     for sigma in partitions_list(size):
-        for k in range(p // 2 + 1):
-            coeff = lr_coefficient(nu, sigma, Partition((p - k, k)))
+        for k, strip in enumerate(two_rows(p)):
+            coeff = lr_coefficient(nu, sigma, strip)
             if not coeff:
                 continue
             for r in range(size // 2 + 1):
@@ -187,7 +187,7 @@ def _certified_sum(side, d, e, a, b, c, nu) -> tuple[int, list[TermCertificate]]
     size, p, arm = side(a, b, c)
     certs = []
     for sigma, k, r in _sorted_tuples(_gated(side, d, nu, a, b, c)):
-        coeff = lr_coefficient(nu, sigma, Partition((p - k, k)))
+        coeff = lr_coefficient(nu, sigma, two_rows(p)[k])
         g = rosas_kronecker(size, r, arm, c, sigma)
         cert = TermCertificate(1, (sigma, k, r), coeff, g)
         if cert.contribution <= 0:

@@ -138,12 +138,12 @@ def tail(eta) -> Partition:
 
 def tail_twos(eta) -> int:
     """Number of 2's among the parts of tail(eta)."""
-    return sum(1 for p in tail(eta) if p == 2)
+    return Partition(eta)[2:].count(2)
 
 
 def tail_ones(eta) -> int:
     """Number of 1's among the parts of tail(eta)."""
-    return sum(1 for p in tail(eta) if p == 1)
+    return Partition(eta)[2:].count(1)
 
 
 def is_double_hook(eta, n: int) -> bool:
@@ -185,6 +185,12 @@ def hook_partition(arm: int, legs: int) -> Partition:
     if arm < 1 or legs < 0:
         raise ValueError(f"invalid hook parameters ({arm}, {legs})")
     return Partition((arm,) + (1,) * legs)
+
+
+@cache
+def two_rows(m: int) -> tuple[Partition, ...]:
+    """The partitions (m - k, k) of m with at most two rows, in order of k."""
+    return tuple(Partition((m - k, k)) for k in range(m // 2 + 1))
 
 
 def partitions_of(n: int) -> Iterator[Partition]:

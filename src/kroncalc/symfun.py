@@ -9,6 +9,9 @@ Kronecker coefficient is the class-sum character formula
 
 evaluated in integer arithmetic (the class-sum form is mathematically
 identical to averaging over all n! permutations but exponentially cheaper).
+The sum runs over cached per-partition character rows: chi^lam on every
+cycle type of n, in partitions_list order, built once per partition and
+multiplied term by term with the class sizes and the other two rows.
 The h-basis appears only as formal monomial lists inside the Jacobi-Trudi
 expansion; the public algebra is Schur-basis only.
 """
@@ -17,6 +20,7 @@ from __future__ import annotations
 
 from functools import cache
 from math import factorial
+from operator import mul
 from typing import NamedTuple
 
 from .partition import Partition, partitions_list
@@ -264,10 +268,16 @@ def _char(lam: Partition, mu: Partition) -> int:
 
 
 @cache
-def _class_sizes(n: int) -> tuple[tuple[Partition, int], ...]:
-    """(rho, n!/z_rho) for every cycle type rho of n."""
+def _class_sizes(n: int) -> tuple[int, ...]:
+    """n!/z_rho for every cycle type rho of n, in partitions_list order."""
     nfact = factorial(n)
-    return tuple((rho, nfact // centralizer_order(rho)) for rho in partitions_list(n))
+    return tuple(nfact // centralizer_order(rho) for rho in partitions_list(n))
+
+
+@cache
+def _char_row(lam: Partition) -> tuple[int, ...]:
+    """chi^lam on every cycle type of |lam|, in partitions_list order."""
+    return tuple(_char(lam, rho) for rho in partitions_list(lam.size))
 
 
 @cache
@@ -277,9 +287,8 @@ def kronecker_coefficient(lam, mu, nu) -> int:
     n = lam.size
     if mu.size != n or nu.size != n:
         raise ValueError("all three partitions must have the same size")
-    total = 0
-    for rho, class_size in _class_sizes(n):
-        total += class_size * _char(lam, rho) * _char(mu, rho) * _char(nu, rho)
+    weighted = map(mul, _class_sizes(n), _char_row(lam))
+    total = sum(map(mul, weighted, map(mul, _char_row(mu), _char_row(nu))))
     nfact = factorial(n)
     value, remainder = divmod(total, nfact)
     if remainder or value < 0:

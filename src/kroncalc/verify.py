@@ -15,10 +15,12 @@ from .partition import (
     Partition,
     contains,
     from_frobenius,
+    hook_partition,
     is_double_hook,
     is_horizontal_strip,
     partition_count,
     partitions_list,
+    two_rows,
 )
 
 
@@ -201,6 +203,7 @@ def run_littlewood(unit) -> tuple[int, list[str]]:
     checks, fails = 0, []
     n = lam.size + mu.size
     product = symfun.schur_product(symfun.schur(lam), symfun.schur(mu))
+    terms: dict[tuple[Partition, Partition], symfun.SchurVector] = {}
     for nu in partitions_list(n):
         checks += 1
         lhs = symfun.kronecker_product(product, symfun.schur(nu)) if product else symfun.SchurVector()
@@ -210,9 +213,12 @@ def run_littlewood(unit) -> tuple[int, list[str]]:
                 coeff = tableau.lr_coefficient(nu, tau, eta)
                 if not coeff:
                     continue
-                left = symfun.kronecker_product(symfun.schur(tau), symfun.schur(lam))
-                right = symfun.kronecker_product(symfun.schur(eta), symfun.schur(mu))
-                rhs = rhs + symfun.schur_product(left, right).scale(coeff)
+                term = terms.get((tau, eta))
+                if term is None:
+                    left = symfun.kronecker_product(symfun.schur(tau), symfun.schur(lam))
+                    right = symfun.kronecker_product(symfun.schur(eta), symfun.schur(mu))
+                    term = terms[tau, eta] = symfun.schur_product(left, right)
+                rhs = rhs + term.scale(coeff)
         if lhs != rhs:
             fails.append(
                 f"coproduct compatibility broke at lam={_fmt(lam)} mu={_fmt(mu)} nu={_fmt(nu)}"
@@ -456,41 +462,32 @@ def run_triples(unit) -> tuple[int, list[str]]:
                 if cc < 0:
                     continue
                 big_n = n - bb + 1
+                big_m = n - aa
+                plus_hook = hook_partition(aa, cc + 1)
+                # the negative-side hook (b-1, 1^(c+1)) needs b >= 2
+                minus_hook = hook_partition(bb - 1, cc + 1) if bb >= 2 else None
                 for nu in partitions_list(n):
                     plus = nearhook.index_set_plus(nu, aa, bb, cc)
                     for eta in partitions_list(big_n):
-                        for j in range((bb - 1) // 2 + 1):
-                            coeff = tableau.lr_coefficient(
-                                nu, eta, Partition((bb - 1 - j, j))
-                            )
-                            for r in range(big_n // 2 + 1):
+                        for j, strip in enumerate(two_rows(bb - 1)):
+                            coeff = tableau.lr_coefficient(nu, eta, strip)
+                            for r, two_row in enumerate(two_rows(big_n)):
                                 checks += 1
-                                g = symfun.kronecker_coefficient(
-                                    Partition((big_n - r, r)),
-                                    Partition((aa,) + (1,) * (cc + 1)),
-                                    eta,
-                                )
+                                g = symfun.kronecker_coefficient(two_row, plus_hook, eta)
                                 member = (eta, j, r) in plus
                                 if member != (coeff * g > 0):
                                     fails.append(
                                         f"positive-support membership broke at nu={_fmt(nu)} eta={_fmt(eta)} j={j} r={r}"
                                     )
-                    if bb < 2:
-                        continue  # the negative-side hook (b-1, 1^(c+1)) needs b >= 2
-                    big_m = n - aa
+                    if minus_hook is None:
+                        continue
                     minus = nearhook.index_set_minus(nu, aa, bb, cc)
                     for delta in partitions_list(big_m):
-                        for i in range(aa // 2 + 1):
-                            coeff = tableau.lr_coefficient(
-                                nu, Partition((aa - i, i)), delta
-                            )
-                            for r in range(big_m // 2 + 1):
+                        for i, strip in enumerate(two_rows(aa)):
+                            coeff = tableau.lr_coefficient(nu, strip, delta)
+                            for r, two_row in enumerate(two_rows(big_m)):
                                 checks += 1
-                                g = symfun.kronecker_coefficient(
-                                    Partition((big_m - r, r)),
-                                    Partition((bb - 1,) + (1,) * (cc + 1)),
-                                    delta,
-                                )
+                                g = symfun.kronecker_coefficient(two_row, minus_hook, delta)
                                 member = (delta, i, r) in minus
                                 if member != (coeff * g > 0):
                                     fails.append(

@@ -186,6 +186,23 @@ def test_golden_index_sets():
 # criterion 3: oracle equivalence sweeps
 
 
+# checks each sweep runs at the limits below; a sweep that silently drops
+# checks would otherwise still report no failures
+EXPECTED_CHECKS = {
+    "blasiak-vs-oracle": 6554,
+    "rosas-vs-oracle": 9926,
+    "fundamental-vs-oracle": 6313,
+    "triples-vs-oracle": 107567,
+    "mainresults": 733,
+    "giambelli": 96,
+    "littlewood": 2760,
+    "kron-basics": 118684,
+    "lr": 15991,
+    "jacobi-trudi": 67,
+    "partitions": 57289,
+}
+
+
 @pytest.mark.parametrize(
     "suite,limit",
     [
@@ -201,6 +218,7 @@ def test_oracle_equivalence(suite, limit):
     for message in failures[:10]:
         print("   ", message)
     report(f"3 {suite} (n <= {limit}, {checks} checks)", not failures)
+    check(f"3 {suite} check count", checks, EXPECTED_CHECKS[suite])
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +241,7 @@ def test_identity_suites(suite, limit):
     for message in failures[:10]:
         print("   ", message)
     report(f"4 {suite} (limit {limit}, {checks} checks)", not failures)
+    check(f"4 {suite} check count", checks, EXPECTED_CHECKS[suite])
 
 
 # ---------------------------------------------------------------------------

@@ -123,6 +123,21 @@ def test_enumerate_blasiak_size_mismatch_exits_2(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("5,4", "4,2", "4,1,1"), "error: sizes do not balance: |OUTER|=9, |INNER|+|WEIGHT|=12\n"),
+        (("3,1", "4,2", "1"), "error: INNER 4,2 is not contained in OUTER 3,1\n"),
+    ],
+    ids=["sizes-unbalanced", "inner-not-contained"],
+)
+def test_enumerate_lr_unfillable_input_exits_2(capsys, argv, message):
+    code, out, err = run(capsys, "enumerate", "lr", *argv)
+    assert code == 2
+    assert out == ""
+    assert err == message
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ("enumerate", "lr", "5,4,2,1", "4,2", "4,1,1", "--output", "json"),

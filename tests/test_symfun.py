@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
@@ -201,6 +203,26 @@ def test_kronecker_product_examples():
     )
     with pytest.raises(ValueError):
         kronecker_product(schur((2,)), schur((3,)))
+
+
+# sha256 over "g," for every triple (lam, mu, nu) with n <= 8, each index
+# running over partitions_list(n); computed with the oracle that summed
+# _char lookups cycle type by cycle type, before the cached character rows
+ORACLE_DIGEST_N8 = "06e92649b51dab3378508f484b0d297fe5e1e6e0a35008ceadf94d84cb3a8c4a"
+
+
+def test_oracle_golden_digest():
+    h = hashlib.sha256()
+    total = 0
+    for n in range(9):
+        parts = partitions_list(n)
+        for lam in parts:
+            for mu in parts:
+                for nu in parts:
+                    h.update(f"{kronecker_coefficient(lam, mu, nu)},".encode())
+                    total += 1
+    assert total == 15859
+    assert h.hexdigest() == ORACLE_DIGEST_N8
 
 
 # oracle values at n = 16, 17, 18, past the exhaustive sweeps; the same
