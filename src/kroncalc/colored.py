@@ -347,7 +347,7 @@ def _search(lam: Partition, d: int, target: Optional[Partition]):
                     if rb[v] - 1 + cu[v] >= below:
                         rb[v] -= 1
                         nxt = _inserted(state, 2 * v + 1)
-                        if _fits(nxt, tgt):
+                        if tgt is None or _fits(nxt, tgt):
                             dfs(nxt, remaining - 1)
                         rb[v] += 1
                 if ru[v]:
@@ -355,7 +355,7 @@ def _search(lam: Partition, d: int, target: Optional[Partition]):
                     if ru[v] - 1 >= below:
                         ru[v] -= 1
                         nxt = _inserted(state, 2 * v + 2)
-                        if _fits(nxt, tgt):
+                        if tgt is None or _fits(nxt, tgt):
                             dfs(nxt, remaining - 1)
                         ru[v] += 1
 
@@ -363,9 +363,7 @@ def _search(lam: Partition, d: int, target: Optional[Partition]):
     return found
 
 
-def _fits(rows: Sequence[Sequence[int]], tgt: Optional[tuple[int, ...]]) -> bool:
-    if tgt is None:
-        return True
+def _fits(rows: Sequence[Sequence[int]], tgt: tuple[int, ...]) -> bool:
     if len(rows) > len(tgt):
         return False
     return all(len(rows[i]) <= tgt[i] for i in range(len(rows)))

@@ -103,6 +103,9 @@ def from_frobenius(coords: FrobeniusCoords) -> Partition:
     d = len(arms)
     if d != len(legs):
         raise ValueError("arm and leg sequences must have equal length")
+    for seq in (arms, legs):
+        if any(x < 0 for x in seq) or any(x <= y for x, y in zip(seq, seq[1:])):
+            raise ValueError(f"{seq} is not a strictly decreasing sequence of nonnegative integers")
     rows = [arms[i] + i + 1 for i in range(d)]
     depth = max((legs[j] + j + 1 for j in range(d)), default=0)
     for i in range(d, depth):

@@ -13,12 +13,16 @@ The sum runs over cached per-partition character rows: chi^lam on every
 cycle type of n, in partitions_list order, built once per partition and
 multiplied term by term with the class sizes and the other two rows.
 The h-basis appears only as formal monomial lists inside the Jacobi-Trudi
-expansion; the public algebra is Schur-basis only.
+expansion; the public algebra is Schur-basis only.  Giambelli's hook
+determinant and the Jacobi-Trudi determinant both go through one Leibniz
+expansion (``_leibniz``), and every linear combination is summed in one
+place, the ``SchurVector`` constructor.
 """
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, reduce
+from itertools import chain
 from math import factorial
 from operator import mul
 from typing import NamedTuple
@@ -33,9 +37,9 @@ class SchurVector:
     __slots__ = ("terms",)
 
     def __init__(self, terms=()):
+        """Sum the (partition, coefficient) pairs of a dict or iterable; drop zeros."""
         data: dict[Partition, int] = {}
-        items = terms.items() if isinstance(terms, dict) else terms
-        for lam, coeff in items:
+        for lam, coeff in terms.items() if isinstance(terms, dict) else terms:
             if coeff:
                 key = Partition(lam)
                 data[key] = data.get(key, 0) + coeff
@@ -57,19 +61,13 @@ class SchurVector:
         return isinstance(other, SchurVector) and self.terms == other.terms
 
     def __add__(self, other: "SchurVector") -> "SchurVector":
-        out = dict(self.terms)
-        for lam, c in other.terms.items():
-            out[lam] = out.get(lam, 0) + c
-        return SchurVector(out)
+        return SchurVector(chain(self.terms.items(), other.terms.items()))
 
     def __sub__(self, other: "SchurVector") -> "SchurVector":
-        out = dict(self.terms)
-        for lam, c in other.terms.items():
-            out[lam] = out.get(lam, 0) - c
-        return SchurVector(out)
+        return self + other.scale(-1)
 
     def scale(self, factor: int) -> "SchurVector":
-        return SchurVector({lam: factor * c for lam, c in self.terms.items()})
+        return SchurVector((lam, factor * c) for lam, c in self.terms.items())
 
     def homogeneous_degree(self) -> int:
         """Common size of the indexing partitions; error if mixed or empty."""
@@ -98,13 +96,48 @@ def schur(lam) -> SchurVector:
 
 def schur_product(f: SchurVector, g: SchurVector) -> SchurVector:
     """Bilinear extension of s_mu * s_nu = sum_lam c^lam_{mu nu} s_lam."""
-    out: dict[Partition, int] = {}
-    for mu, a in f.items():
-        for nu, b in g.items():
-            ab = a * b
-            for lam, c in schur_expand_product(mu, nu).items():
-                out[lam] = out.get(lam, 0) + ab * c
-    return SchurVector(out)
+    return SchurVector(
+        (lam, a * b * c)
+        for mu, a in f.items()
+        for nu, b in g.items()
+        for lam, c in schur_expand_product(mu, nu).items()
+    )
+
+
+def _schur_product_of(shapes) -> SchurVector:
+    """The product s_shape1 * s_shape2 * ... in the Schur basis; 1 if no shapes."""
+    factors = map(schur, shapes)
+    return reduce(schur_product, factors, next(factors, schur(())))
+
+
+def _signed_sum(terms) -> SchurVector:
+    """sum of sign * vector over (sign, vector) pairs."""
+    return SchurVector((lam, sign * c) for sign, vec in terms for lam, c in vec.items())
+
+
+def _leibniz(size: int, entry):
+    """Nonvanishing Leibniz terms (sign, entries) of det(entry(i, j)), 0 <= i, j < size.
+
+    Terms come in lexicographic order of the permutation p; entries[i] is
+    entry(i, p(i)), and a term is skipped as soon as one of its entries is
+    None (a vanishing matrix entry).  Size 0 yields the single term (1, ()).
+    """
+
+    def rec(i: int, used: int, sign: int, entries: tuple):
+        if i == size:
+            yield sign, entries
+            return
+        for j in range(size):
+            if used >> j & 1:
+                continue
+            x = entry(i, j)
+            if x is None:
+                continue
+            # each column already used to the right of j is one more inversion
+            flips = bin(used >> (j + 1)).count("1")
+            yield from rec(i + 1, used | 1 << j, -sign if flips % 2 else sign, entries + (x,))
+
+    return rec(0, 0, 1, ())
 
 
 def coproduct(lam) -> list[tuple[Partition, Partition, int]]:
@@ -145,31 +178,13 @@ def giambelli_leibniz(lam) -> list[SignedHookProduct]:
     if not lam:
         raise ValueError("empty partition has no hook expansion")
     arms, legs = lam.frobenius()
-    d = len(arms)
-    out: list[SignedHookProduct] = []
-    from itertools import permutations
-
-    for perm in permutations(range(d)):
-        inv = sum(
-            1 for i in range(d) for j in range(i + 1, d) if perm[i] > perm[j]
-        )
-        sign = -1 if inv % 2 else 1
-        hooks = tuple(
-            Partition((arms[i] + 1,) + (1,) * legs[perm[i]]) for i in range(d)
-        )
-        out.append(SignedHookProduct(sign, hooks))
-    return out
+    terms = _leibniz(len(arms), lambda i, j: Partition((arms[i] + 1,) + (1,) * legs[j]))
+    return [SignedHookProduct(sign, hooks) for sign, hooks in terms]
 
 
 def giambelli_expand(lam) -> SchurVector:
     """Multiply out the signed hook products; must reproduce s_lam."""
-    total = SchurVector()
-    for term in giambelli_leibniz(lam):
-        vec = schur(term.hooks[0])
-        for h in term.hooks[1:]:
-            vec = schur_product(vec, schur(h))
-        total = total + (vec if term.sign == 1 else vec.scale(-1))
-    return total
+    return _signed_sum((t.sign, _schur_product_of(t.hooks)) for t in giambelli_leibniz(lam))
 
 
 def jacobi_trudi(lam) -> list[tuple[int, tuple[int, ...]]]:
@@ -179,42 +194,19 @@ def jacobi_trudi(lam) -> list[tuple[int, tuple[int, ...]]]:
     removed from the monomials.  The empty partition yields [(1, ())].
     """
     lam = Partition(lam)
-    size = len(lam)
-    out: list[tuple[int, tuple[int, ...]]] = []
-
-    def rec(i: int, used: int, sign: int, mono: tuple[int, ...]):
-        if i == size:
-            out.append((sign, tuple(sorted((x for x in mono if x), reverse=True))))
-            return
-        for j in range(size):
-            if used >> j & 1:
-                continue
-            idx = lam[i] - (i + 1) + (j + 1)
-            if idx < 0:
-                continue
-            flips = bin(used >> (j + 1)).count("1")
-            rec(i + 1, used | 1 << j, -sign if flips % 2 else sign, mono + (idx,))
-
-    rec(0, 0, 1, ())
-    return out
+    terms = _leibniz(len(lam), lambda i, j: lam[i] - i + j if lam[i] + j >= i else None)
+    return [(sign, tuple(sorted(filter(None, mono), reverse=True))) for sign, mono in terms]
 
 
 @cache
 def h_monomial_to_schur(mono: tuple[int, ...]) -> SchurVector:
     """Expand h_{m1} h_{m2} ... in the Schur basis (h_k = s_(k), iterated Pieri)."""
-    vec = schur(())
-    for k in mono:
-        vec = schur_product(vec, schur((k,)))
-    return vec
+    return _schur_product_of((k,) for k in mono)
 
 
 def jacobi_trudi_to_schur(lam) -> SchurVector:
     """Evaluate the Jacobi-Trudi expansion back into the Schur basis."""
-    total = SchurVector()
-    for sign, mono in jacobi_trudi(lam):
-        vec = h_monomial_to_schur(mono)
-        total = total + (vec if sign == 1 else vec.scale(-1))
-    return total
+    return _signed_sum((sign, h_monomial_to_schur(mono)) for sign, mono in jacobi_trudi(lam))
 
 
 # ---------------------------------------------------------------------------
@@ -303,12 +295,9 @@ def kronecker_product(f: SchurVector, g: SchurVector) -> SchurVector:
     n = f.homogeneous_degree()
     if g.homogeneous_degree() != n:
         raise ValueError("internal product requires equal homogeneous degrees")
-    out: dict[Partition, int] = {}
-    for lam, a in f.items():
-        for mu, b in g.items():
-            ab = a * b
-            for nu in partitions_list(n):
-                coeff = kronecker_coefficient(lam, mu, nu)
-                if coeff:
-                    out[nu] = out.get(nu, 0) + ab * coeff
-    return SchurVector(out)
+    return SchurVector(
+        (nu, a * b * kronecker_coefficient(lam, mu, nu))
+        for lam, a in f.items()
+        for mu, b in g.items()
+        for nu in partitions_list(n)
+    )

@@ -151,36 +151,23 @@ def run_lr(unit) -> tuple[int, list[str]]:
 
 
 # ---------------------------------------------------------------------------
-# suite: giambelli
+# suites: giambelli, jacobi-trudi (a determinant expansion reproduces s_lam)
 
 
 def units_giambelli(limit: int):
     return [n for n in range(1, limit + 1)]
 
 
-def run_giambelli(n) -> tuple[int, list[str]]:
-    checks, fails = 0, []
-    for lam in partitions_list(n):
-        checks += 1
-        if symfun.giambelli_expand(lam) != symfun.schur(lam):
-            fails.append(f"hook determinant expansion broke at {_fmt(lam)}")
-    return checks, fails
-
-
-# ---------------------------------------------------------------------------
-# suite: jacobi-trudi
-
-
 def units_jacobi_trudi(limit: int):
     return [n for n in range(limit + 1)]
 
 
-def run_jacobi_trudi(n) -> tuple[int, list[str]]:
+def run_expansion(expand, label: str, n: int) -> tuple[int, list[str]]:
     checks, fails = 0, []
     for lam in partitions_list(n):
         checks += 1
-        if symfun.jacobi_trudi_to_schur(lam) != symfun.schur(lam):
-            fails.append(f"jacobi-trudi expansion broke at {_fmt(lam)}")
+        if expand(lam) != symfun.schur(lam):
+            fails.append(f"{label} expansion broke at {_fmt(lam)}")
     return checks, fails
 
 
@@ -461,38 +448,31 @@ def run_triples(unit) -> tuple[int, list[str]]:
                 cc = n - aa - bb
                 if cc < 0:
                     continue
-                big_n = n - bb + 1
-                big_m = n - aa
-                plus_hook = hook_partition(aa, cc + 1)
-                # the negative-side hook (b-1, 1^(c+1)) needs b >= 2
-                minus_hook = hook_partition(bb - 1, cc + 1) if bb >= 2 else None
+                # per side: |sigma|, strip size, hook, index set and message
+                # labels; the negative side's hook (b-1, 1^(c+1)) needs b >= 2
+                sides = [
+                    (n - bb + 1, bb - 1, hook_partition(aa, cc + 1), nearhook.index_set_plus,
+                     ("positive", "eta", "j")),
+                ]
+                if bb >= 2:
+                    sides.append(
+                        (n - aa, aa, hook_partition(bb - 1, cc + 1), nearhook.index_set_minus,
+                         ("negative", "delta", "i"))
+                    )
                 for nu in partitions_list(n):
-                    plus = nearhook.index_set_plus(nu, aa, bb, cc)
-                    for eta in partitions_list(big_n):
-                        for j, strip in enumerate(two_rows(bb - 1)):
-                            coeff = tableau.lr_coefficient(nu, eta, strip)
-                            for r, two_row in enumerate(two_rows(big_n)):
-                                checks += 1
-                                g = symfun.kronecker_coefficient(two_row, plus_hook, eta)
-                                member = (eta, j, r) in plus
-                                if member != (coeff * g > 0):
-                                    fails.append(
-                                        f"positive-support membership broke at nu={_fmt(nu)} eta={_fmt(eta)} j={j} r={r}"
-                                    )
-                    if minus_hook is None:
-                        continue
-                    minus = nearhook.index_set_minus(nu, aa, bb, cc)
-                    for delta in partitions_list(big_m):
-                        for i, strip in enumerate(two_rows(aa)):
-                            coeff = tableau.lr_coefficient(nu, strip, delta)
-                            for r, two_row in enumerate(two_rows(big_m)):
-                                checks += 1
-                                g = symfun.kronecker_coefficient(two_row, minus_hook, delta)
-                                member = (delta, i, r) in minus
-                                if member != (coeff * g > 0):
-                                    fails.append(
-                                        f"negative-support membership broke at nu={_fmt(nu)} delta={_fmt(delta)} i={i} r={r}"
-                                    )
+                    for size, p, hook, index_set, (side, sigma_name, k_name) in sides:
+                        members = index_set(nu, aa, bb, cc)
+                        for sigma in partitions_list(size):
+                            for k, strip in enumerate(two_rows(p)):
+                                # c^nu_{strip, delta} is read as c^nu_{delta, strip} (LR symmetry)
+                                coeff = tableau.lr_coefficient(nu, sigma, strip)
+                                for r, two_row in enumerate(two_rows(size)):
+                                    checks += 1
+                                    g = symfun.kronecker_coefficient(two_row, hook, sigma)
+                                    if ((sigma, k, r) in members) != (coeff * g > 0):
+                                        fails.append(
+                                            f"{side}-support membership broke at nu={_fmt(nu)} {sigma_name}={_fmt(sigma)} {k_name}={k} r={r}"
+                                        )
     return checks, fails
 
 
@@ -554,8 +534,14 @@ def run_mainresults(unit) -> tuple[int, list[str]]:
 SUITES = {
     "partitions": (12, units_partitions, run_partitions),
     "lr": (8, units_lr, run_lr),
-    "giambelli": (9, units_giambelli, run_giambelli),
-    "jacobi-trudi": (8, units_jacobi_trudi, run_jacobi_trudi),
+    # each expansion is looked up on every call, so a wrapper bound in place
+    # of the symfun function sees the call
+    "giambelli": (
+        9, units_giambelli, lambda n: run_expansion(symfun.giambelli_expand, "hook determinant", n)
+    ),
+    "jacobi-trudi": (
+        8, units_jacobi_trudi, lambda n: run_expansion(symfun.jacobi_trudi_to_schur, "jacobi-trudi", n)
+    ),
     "littlewood": (7, units_littlewood, run_littlewood),
     "kron-basics": (10, units_kron_basics, run_kron_basics),
     "rosas-vs-oracle": (10, units_rosas, run_rosas),

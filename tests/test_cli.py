@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import kroncalc
 from kroncalc.cli import main
 
 
@@ -183,6 +187,20 @@ def test_expand_outputs(capsys):
     assert "+ h[3] * h[1]" in out and "- h[4]" in out
     code, out, _ = run(capsys, "expand", "coproduct", "2,1")
     assert "s[1] (x) s[1,1]" in out
+
+
+def test_module_entry_point_matches_in_process(capsys):
+    argv = ["kron", "4,2", "4,2", "4,2"]
+    src = os.path.dirname(os.path.dirname(kroncalc.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-m", "kroncalc", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    code, out, _ = run(capsys, *argv)
+    assert proc.returncode == code == 0
+    assert proc.stdout == out
 
 
 def test_verify_subcommand(capsys):

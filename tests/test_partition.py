@@ -66,6 +66,16 @@ def test_frobenius_round_trip():
             assert from_frobenius(coords) == lam
 
 
+@pytest.mark.parametrize(
+    "coords",
+    [FrobeniusCoords((2, 0), (0, 0)), FrobeniusCoords((-1,), (0,))],
+    ids=["legs-not-decreasing", "negative-arm"],
+)
+def test_from_frobenius_rejects_invalid_coordinates(coords):
+    with pytest.raises(ValueError):
+        from_frobenius(coords)
+
+
 def test_contains():
     assert contains((), (3, 1))
     assert contains((4, 3), (5, 3, 2))

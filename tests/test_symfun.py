@@ -140,6 +140,42 @@ def test_jacobi_trudi_to_schur():
             assert jacobi_trudi_to_schur(lam) == schur(lam)
 
 
+# sha256 over repr(giambelli_leibniz(lam)) (lam nonempty) then
+# repr(jacobi_trudi(lam)) for every lam with n <= 10 in partitions_list order;
+# pins the term order and signs that `kroncalc expand` prints.  Computed with
+# the two hand-written determinant loops, before the shared Leibniz expansion.
+DETERMINANT_DIGEST_N10 = "0210b1c3553681ee55def212dc5a06e3d9aee84a138828b9434e3c68442a9efe"
+
+
+def test_determinant_expansions_golden_digest():
+    h = hashlib.sha256()
+    for n in range(11):
+        for lam in partitions_list(n):
+            if lam:
+                h.update(repr(giambelli_leibniz(lam)).encode())
+            h.update(repr(jacobi_trudi(lam)).encode())
+    assert h.hexdigest() == DETERMINANT_DIGEST_N10
+
+
+def test_schur_vector_arithmetic():
+    f = vec({(2, 1): 2, (3,): -1, (1,): 1})
+    assert f - f == SchurVector()
+    assert f.scale(0) == SchurVector()
+    assert f.scale(-2) == vec({(2, 1): -4, (3,): 2, (1,): -2})
+    assert f + f.scale(-1) == SchurVector()
+    # duplicate keys from an iterable of pairs are summed, and zeros dropped
+    g = SchurVector([((2, 1), 1), ((3,), 1), ((2, 1), 2), ((3,), -1)])
+    assert g == vec({(2, 1): 3}) and len(g) == 1
+    assert g[(2, 1)] == 3 and g[(3,)] == 0 and g[()] == 0
+    assert repr(f) == "SchurVector(s[1] + 2*s[2,1] + -1*s[3])"
+    assert repr(SchurVector()) == "SchurVector(0)"
+    with pytest.raises(ValueError):
+        f.homogeneous_degree()
+    with pytest.raises(ValueError):
+        SchurVector().homogeneous_degree()
+    assert g.homogeneous_degree() == 3
+
+
 def test_character_basics():
     for n in range(1, 8):
         for mu in partitions_list(n):
