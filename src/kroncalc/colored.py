@@ -31,24 +31,26 @@ the same completions, and each tableau state is expanded once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache, reduce, total_ordering
+from functools import lru_cache, reduce
 from itertools import accumulate
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .partition import Partition
 from .tableau import is_yamanouchi
 
 
-@total_ordering
-@dataclass(frozen=True)
-class ColoredLetter:
+class _Letter(NamedTuple):
     value: int
     barred: bool = False
 
-    def __post_init__(self):
-        if self.value < 1:
+
+class ColoredLetter(_Letter):
+    __slots__ = ()
+
+    def __new__(cls, value: int, barred: bool = False):
+        if value < 1:
             raise ValueError("letter values start at 1")
+        return super().__new__(cls, value, barred)
 
     @property
     def key(self) -> int:
@@ -56,6 +58,15 @@ class ColoredLetter:
 
     def __lt__(self, other: "ColoredLetter") -> bool:
         return self.key < other.key
+
+    def __le__(self, other: "ColoredLetter") -> bool:
+        return self.key <= other.key
+
+    def __gt__(self, other: "ColoredLetter") -> bool:
+        return self.key > other.key
+
+    def __ge__(self, other: "ColoredLetter") -> bool:
+        return self.key >= other.key
 
     def __str__(self) -> str:
         return f"{self.value}'" if self.barred else str(self.value)
@@ -110,8 +121,11 @@ def is_colored_yamanouchi(word: Iterable[ColoredLetter]) -> bool:
     return is_suffix_yamanouchi([x.value for x in word])
 
 
-@dataclass(frozen=True)
-class ColoredTableau:
+class _Tableau(NamedTuple):
+    rows: tuple[tuple[ColoredLetter, ...], ...]
+
+
+class ColoredTableau(_Tableau):
     """Partition-shaped tableau over the colored alphabet.
 
     Construction enforces the four colored-tableau conditions: unbarred
@@ -121,11 +135,10 @@ class ColoredTableau:
     reported by is_globally_weakly_increasing().
     """
 
-    rows: tuple[tuple[ColoredLetter, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        rows = tuple(tuple(r) for r in self.rows)
-        object.__setattr__(self, "rows", rows)
+    def __new__(cls, rows: Iterable[Iterable[ColoredLetter]]):
+        rows = tuple(tuple(r) for r in rows)
         lengths = [len(r) for r in rows]
         if any(l == 0 for l in lengths) or any(
             a < b for a, b in zip(lengths, lengths[1:])
@@ -147,6 +160,7 @@ class ColoredTableau:
             bar = [x.value for x in col if x.barred]
             if any(a > b for a, b in zip(bar, bar[1:])):
                 raise ValueError("barred letters must weakly increase in columns")
+        return super().__new__(cls, rows)
 
     @property
     def shape(self) -> Partition:

@@ -25,9 +25,8 @@ singleton case, realized by removing the lexicographically least witness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .colored import ColoredTableau, enumerate_blasiak
 from .partition import Partition, hook_partition, is_double_hook, partitions_list, two_rows
@@ -36,8 +35,7 @@ from .symfun import kronecker_coefficient
 from .tableau import lr_coefficient, lr_two_row, lr_via_strip_difference
 
 
-@dataclass(frozen=True)
-class TermCertificate:
+class TermCertificate(NamedTuple):
     """One signed summand: contribution = sign * lr_value * g_value."""
 
     sign: int
@@ -316,14 +314,12 @@ def null_case_check(a: int, b: int, c: int, d: int, e: int, s: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class WitnessMember:
+class WitnessMember(NamedTuple):
     tableau: ColoredTableau
     source: tuple  # (eta, 0, r)
 
 
-@dataclass(frozen=True)
-class WitnessSet:
+class WitnessSet(NamedTuple):
     """Disjoint union of hook-rule tableau blocks, canonically ordered.
 
     Members are (tableau, source) pairs; identical tableaux arising from

@@ -11,7 +11,7 @@ a branch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .partition import (
     Partition,
@@ -83,8 +83,7 @@ def _phi_arguments(eta: Partition, a: int, r: int, c: int) -> tuple:
     return (twos + 2, twos + ones + 2, eta[0] - eta[1], eta[1] - 2, a - 1, r)
 
 
-@dataclass(frozen=True)
-class XiCaseReport:
+class XiCaseReport(NamedTuple):
     """Which branch fired, the value, and the arguments actually used."""
 
     case: str  # r-zero | row-N | column-1N | hook | double-hook | zero

@@ -12,6 +12,9 @@ identical to averaging over all n! permutations but exponentially cheaper).
 The sum runs over cached per-partition character rows: chi^lam on every
 cycle type of n, in partitions_list order, built once per partition and
 multiplied term by term with the class sizes and the other two rows.
+``character`` validates its arguments; the recursion below it runs on
+plain tuples, walking the beta numbers of lam once per step and slicing
+out each smaller shape instead of sorting and revalidating it.
 The h-basis appears only as formal monomial lists inside the Jacobi-Trudi
 expansion; the public algebra is Schur-basis only.  Giambelli's hook
 determinant and the Jacobi-Trudi determinant both go through one Leibniz
@@ -234,28 +237,33 @@ def character(lam, mu) -> int:
 
 
 @cache
-def _char(lam: Partition, mu: Partition) -> int:
+def _char(lam: tuple, mu: tuple) -> int:
+    """chi^lam(mu) on plain partition tuples of equal size."""
     if not mu:
         return 1
-    k = mu[0]
-    rest = Partition(mu[1:])
-    # Beta numbers lam_i + (L - i) encode the shape; removing a border strip
-    # of size k replaces one beta b by b - k, with sign from the betas crossed.
+    k, rest = mu[0], mu[1:]
+    # Beta numbers lam_i + (L - 1 - i) strictly decrease and encode the shape.
+    # Removing a border strip of size k replaces one beta b by nb = b - k; the
+    # sign is the parity of the betas crossed, those strictly between nb and b.
     size = len(lam)
-    betas = [lam[i] + size - 1 - i for i in range(size)]
-    bset = set(betas)
+    betas = [part + size - 1 - i for i, part in enumerate(lam)]
     total = 0
-    for b in betas:
+    p = 0  # insertion point of nb: the first beta <= nb; only moves forward
+    for i, b in enumerate(betas):
         nb = b - k
-        if nb < 0 or nb in bset:
+        if nb < 0:
+            break
+        if p <= i:
+            p = i + 1
+        while p < size and betas[p] > nb:
+            p += 1
+        if p < size and betas[p] == nb:
             continue
-        crossed = sum(1 for x in betas if nb < x < b)
-        nb_sorted = sorted((x if x != b else nb for x in betas), reverse=True)
-        newlam = Partition(
-            tuple(nb_sorted[i] - (size - 1 - i) for i in range(size))
-        )
-        term = _char(newlam, rest)
-        total += -term if crossed % 2 else term
+        # rows i+1 .. p-1 move up one place and lose a box; nb becomes row p-1.
+        # Only nb = 0 leaves empty rows, at the bottom, and they are cut off.
+        shape = lam[:i] + tuple(x - 1 for x in lam[i + 1 : p]) + (nb - size + p,) + lam[p:]
+        term = _char(shape[: shape.index(0)] if nb == 0 else shape, rest)
+        total += -term if (p - i - 1) % 2 else term
     return total
 
 

@@ -13,31 +13,31 @@ incrementally; this keeps exhaustive sweeps through n <= 12 interactive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .partition import Partition, contains, partitions_list
 
 
-@dataclass(frozen=True)
-class SkewSSYT:
-    """Semistandard filling of outer/inner; rows hold the skew-cell labels."""
-
+class _Skew(NamedTuple):
     outer: Partition
     inner: Partition
     rows: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        outer, inner = Partition(self.outer), Partition(self.inner)
-        object.__setattr__(self, "outer", outer)
-        object.__setattr__(self, "inner", inner)
-        object.__setattr__(self, "rows", tuple(tuple(r) for r in self.rows))
+
+class SkewSSYT(_Skew):
+    """Semistandard filling of outer/inner; rows hold the skew-cell labels."""
+
+    __slots__ = ()
+
+    def __new__(cls, outer, inner, rows):
+        outer, inner = Partition(outer), Partition(inner)
+        rows = tuple(tuple(r) for r in rows)
         if not contains(inner, outer):
             raise ValueError(f"{inner!r} not contained in {outer!r}")
-        if len(self.rows) != len(outer):
+        if len(rows) != len(outer):
             raise ValueError("one label row per outer row required")
-        for i, row in enumerate(self.rows):
+        for i, row in enumerate(rows):
             lo = inner.part(i + 1)
             if len(row) != outer[i] - lo:
                 raise ValueError(f"row {i} must hold {outer[i] - lo} labels")
@@ -45,12 +45,13 @@ class SkewSSYT:
                 raise ValueError("labels must be positive integers")
             if any(a > b for a, b in zip(row, row[1:])):
                 raise ValueError(f"row {i} must weakly increase")
-        for i in range(1, len(self.rows)):
+        for i in range(1, len(rows)):
             lo, lo_up = inner.part(i + 1), inner.part(i)
             hi_up = outer[i - 1]
             for c in range(max(lo, lo_up), min(outer[i], hi_up)):
-                if self.rows[i][c - lo] <= self.rows[i - 1][c - lo_up]:
+                if rows[i][c - lo] <= rows[i - 1][c - lo_up]:
                     raise ValueError(f"column {c} must strictly increase")
+        return super().__new__(cls, outer, inner, rows)
 
     def reading_word(self) -> tuple[int, ...]:
         """Rows read right to left, top row first."""

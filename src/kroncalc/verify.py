@@ -194,7 +194,7 @@ def run_littlewood(unit) -> tuple[int, list[str]]:
     for nu in partitions_list(n):
         checks += 1
         lhs = symfun.kronecker_product(product, symfun.schur(nu)) if product else symfun.SchurVector()
-        rhs = symfun.SchurVector()
+        rhs_terms = []
         for tau in partitions_list(lam.size):
             for eta in partitions_list(mu.size):
                 coeff = tableau.lr_coefficient(nu, tau, eta)
@@ -205,8 +205,8 @@ def run_littlewood(unit) -> tuple[int, list[str]]:
                     left = symfun.kronecker_product(symfun.schur(tau), symfun.schur(lam))
                     right = symfun.kronecker_product(symfun.schur(eta), symfun.schur(mu))
                     term = terms[tau, eta] = symfun.schur_product(left, right)
-                rhs = rhs + term.scale(coeff)
-        if lhs != rhs:
+                rhs_terms.extend((p, coeff * c) for p, c in term.items())
+        if lhs != symfun.SchurVector(rhs_terms):
             fails.append(
                 f"coproduct compatibility broke at lam={_fmt(lam)} mu={_fmt(mu)} nu={_fmt(nu)}"
             )

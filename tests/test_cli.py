@@ -203,6 +203,19 @@ def test_module_entry_point_matches_in_process(capsys):
     assert proc.stdout == out
 
 
+def test_cli_import_leaves_dataclasses_and_inspect_unloaded():
+    src = os.path.dirname(os.path.dirname(kroncalc.__file__))
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import kroncalc.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-I", "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_verify_subcommand(capsys):
     code, out, _ = run(capsys, "verify", "giambelli", "--n", "5")
     assert code == 0

@@ -54,6 +54,24 @@ def test_letter_order():
     assert str(ColoredLetter(3, True)) == "3'"
 
 
+def test_letter_and_tableau_records():
+    letter = ColoredLetter(2, True)
+    assert repr(letter) == "ColoredLetter(value=2, barred=True)"
+    assert letter == ColoredLetter(2, True) and hash(letter) == hash(ColoredLetter(2, True))
+    # sorted() order 1' < 1 < 2' < 2 is pinned by test_letter_order
+    assert ColoredLetter(1) <= ColoredLetter(2, True) and ColoredLetter(2) >= ColoredLetter(2)
+    assert ColoredLetter(2, True) > ColoredLetter(1) and not ColoredLetter(1) > ColoredLetter(1)
+    with pytest.raises(AttributeError):
+        letter.value = 3
+    with pytest.raises(AttributeError):
+        BASE.rows = ()
+    with pytest.raises(ValueError):
+        ColoredLetter(0)
+    with pytest.raises(ValueError):
+        ColoredTableau.from_text("2 1")  # unbarred letters decrease along a row
+    assert ColoredTableau([[ColoredLetter(1)]]).rows == ((ColoredLetter(1),),)
+
+
 def test_word_statistics():
     w = parse_colored_word("2' 1 4' 4 4' 3 1' 3")
     assert content(w) == (2, 1, 2, 3)

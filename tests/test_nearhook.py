@@ -60,6 +60,17 @@ def test_expansion_ten_terms():
     ]
 
 
+def test_certificate_record():
+    cert = near_hook_expansion((4, 2), (4, 2), 4, 2, 0)[0][0]
+    assert repr(cert) == (
+        "TermCertificate(sign=1, index=(Partition((4, 1)), Partition((1,)),"
+        " Partition((4, 1))), lr_value=1, g_value=1)"
+    )
+    assert cert.contribution == 1
+    with pytest.raises(AttributeError):
+        cert.g_value = 0
+
+
 def test_expansion_matches_oracle_small():
     for n in range(4, 7):
         for b in range(2, n // 2 + 1):

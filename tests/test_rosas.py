@@ -28,6 +28,15 @@ def test_xi_branches():
     assert xi((3, 2, 1, 1, 1), 2, 2, 5) == 1
     assert xi_report((3, 2, 1, 1, 1), 2, 2, 5).case == "double-hook"
     assert xi_report((3, 2, 1, 1, 1), 2, 2, 5).arguments == (2, 3, 3, 0, 6, 2)
+
+
+def test_report_record():
+    report = xi_report((3, 2, 1, 1, 1), 2, 2, 5)
+    assert repr(report) == (
+        "XiCaseReport(case='double-hook', value=1, arguments=(2, 3, 3, 0, 6, 2))"
+    )
+    with pytest.raises(AttributeError):
+        report.value = 0
     assert xi((4, 2, 1), 3, 2, 3) == 1
     # one-row branch
     for r in range(1, 4):

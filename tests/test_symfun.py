@@ -1,4 +1,5 @@
 import hashlib
+import random
 
 import pytest
 from hypothesis import given, seed, settings
@@ -239,6 +240,37 @@ def test_kronecker_product_examples():
     )
     with pytest.raises(ValueError):
         kronecker_product(schur((2,)), schur((3,)))
+
+
+# sha256 over "chi," for every (lam, rho) with n <= 12, each index running
+# over partitions_list(n); computed with the recursion that rebuilt every
+# shape through sorted beta lists and Partition(...)
+CHARACTER_DIGEST_N12 = "b4c71f41ee413517166a6850807db3ebe6a2c89db9c6d4201337a48820e16ab6"
+
+
+def test_character_golden_digest():
+    h = hashlib.sha256()
+    for n in range(13):
+        parts = partitions_list(n)
+        for lam in parts:
+            for rho in parts:
+                h.update(f"{character(lam, rho)},".encode())
+    assert h.hexdigest() == CHARACTER_DIGEST_N12
+
+
+def test_character_degree_and_norm_past_n12():
+    from math import factorial, prod
+
+    rng = random.Random(20261018)
+    for n in range(13, 19):
+        nfact = factorial(n)
+        parts = partitions_list(n)
+        for lam in rng.sample(parts, 4):
+            hooks = prod(h for row in lam.hook_lengths() for h in row)
+            assert character(lam, (1,) * n) == nfact // hooks
+            # sum over rho of chi^lam(rho)^2 / z_rho = 1, times n!
+            norm = sum(character(lam, rho) ** 2 * (nfact // centralizer_order(rho)) for rho in parts)
+            assert norm == nfact
 
 
 # sha256 over "g," for every triple (lam, mu, nu) with n <= 8, each index

@@ -32,6 +32,9 @@ def test_skew_validation():
         SkewSSYT(Partition((2,)), Partition(()), ((2, 1),))  # row decreasing
     with pytest.raises(ValueError):
         SkewSSYT(Partition((2,)), Partition(()), ((1,),))  # wrong row length
+    assert FIRST_LR.outer == (5, 4, 2, 1) and type(FIRST_LR.inner) is Partition
+    with pytest.raises(AttributeError):
+        FIRST_LR.rows = ()
 
 
 def test_reading_word():
