@@ -15,9 +15,7 @@ words use space-separated letters with a trailing apostrophe for bars
 from __future__ import annotations
 
 import argparse
-import csv
 import io
-import json
 import sys
 import time
 
@@ -40,6 +38,13 @@ class InputError(Exception):
 
 class HypothesisError(Exception):
     pass
+
+
+def _print_json(obj) -> None:
+    # json is imported here, not at module level: most queries print text
+    import json
+
+    print(json.dumps(obj, sort_keys=True))
 
 
 def _parse_partition_arg(text: str) -> Partition:
@@ -216,8 +221,10 @@ def cmd_kron(args) -> int:
         }
         if args.explain:
             payload["explain"] = {m: payloads[m] for m in methods}
-        print(json.dumps(payload, sort_keys=True))
+        _print_json(payload)
     elif args.output == "csv":
+        import csv
+
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["lambda", "mu", "nu", "method", "value", "runtime_ms"])
@@ -302,7 +309,7 @@ def cmd_enumerate(args) -> int:
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     if args.output == "json":
-        print(json.dumps([t.to_json() for t in tableaux], sort_keys=True))
+        _print_json([t.to_json() for t in tableaux])
         return 0
     print(f"count: {len(tableaux)}")
     for i, tab in enumerate(tableaux, 1):
@@ -326,7 +333,7 @@ def cmd_rosas(args) -> int:
         raise InputError("all three partitions must have the same size")
     value, lines, payload = _run_method("rosas", lam, mu, nu, explain=True)
     if args.output == "json":
-        print(json.dumps(dict(payload, value=value), sort_keys=True))
+        _print_json(dict(payload, value=value))
     else:
         print(f"value: {value}")
         print(*lines, sep="\n")

@@ -22,11 +22,20 @@ content of every suffix is a partition.  The number of distinct mixed
 insertion tableaux of such words with content lam, exactly d bars, shape
 nu, and an unbarred southwest corner equals g(lam, (n-d, 1^d), nu).
 
-The enumeration searches insertion states rather than words.  Insertion is
-deterministic and admissibility of the next letter depends only on the
-counts of barred and unbarred letters still to be placed, which the
-tableau built so far determines; so words that reach the same tableau have
-the same completions, and each tableau state is expanded once.
+The enumeration builds these colored Yamanouchi tableaux directly rather
+than inserting words (Blasiak, arXiv:1209.2018).  With cb the barred and
+cu the unbarred content, the keys 1', 1, 2', 2, ... are placed in order,
+a barred key as a vertical strip and an unbarred key as a horizontal
+strip, subject to two reading rules:
+
+- the unbarred letters, read bottom row first and left to right, form a
+  word whose every suffix has partition content;
+- the barred letters, read column by column from right to left and top to
+  bottom within a column, form a word whose every suffix has content
+  plus cu a partition.
+
+The tests keep a search over mixed-insertion states of the admissible
+words as the reference this construction must match.
 """
 
 from __future__ import annotations
@@ -72,6 +81,7 @@ class ColoredLetter(_Letter):
         return f"{self.value}'" if self.barred else str(self.value)
 
 
+@lru_cache(maxsize=None)
 def _dec(k: int) -> ColoredLetter:
     return ColoredLetter((k + 1) // 2, bool(k & 1))
 
@@ -183,16 +193,13 @@ class ColoredTableau(_Tableau):
         return tuple(out)
 
     def is_globally_weakly_increasing(self) -> bool:
-        for row in self.rows:
-            keys = [x.key for x in row]
-            if any(a > b for a, b in zip(keys, keys[1:])):
-                return False
-        ncols = len(self.rows[0]) if self.rows else 0
-        for c in range(ncols):
-            keys = [row[c].key for row in self.rows if c < len(row)]
-            if any(a > b for a, b in zip(keys, keys[1:])):
-                return False
-        return True
+        keys = [[x.key for x in row] for row in self.rows]
+        if any(a > b for row in keys for a, b in zip(row, row[1:])):
+            return False
+        # rows are left-justified, so zip pairs each cell with the one below
+        return not any(
+            a > b for upper, lower in zip(keys, keys[1:]) for a, b in zip(upper, lower)
+        )
 
     def to_ascii(self) -> str:
         return "\n".join(
@@ -313,85 +320,155 @@ def _barred_content_vectors(lam: Partition, d: int):
 
 
 def _search(lam: Partition, d: int, target: Optional[Partition]):
-    """Distinct insertion tableaux of admissible words, keyed by shape.
+    """Colored Yamanouchi tableaux of content lam with d bars, keyed by shape.
 
-    Words are generated by interleaving a barred subsequence B and an
-    unbarred subsequence U.  Fixing the bar content vector, the suffix
-    condition on w^blft becomes two prefix-checkable conditions: after each
-    barred letter the remaining barred content plus the whole unbarred
-    content must be a partition, and after each unbarred letter the
-    remaining unbarred content must be a partition.  Every intermediate
-    insertion shape is contained in the final one, so a target shape prunes
-    the search tree early.
+    For each bar content vector cb (unbarred content cu = lam - cb, which
+    must be a partition), the keys 1', 1, 2', 2, ... are placed in order,
+    each filling a strip of the shape built so far: a vertical strip for a
+    barred key, a horizontal strip for an unbarred one.  Two reading rules
+    hold strip by strip, for every value u >= 2:
 
-    The search runs over insertion states, not words.  Mixed insertion is
-    deterministic, and the admissibility test reads only the remaining
-    barred and unbarred counts rb, ru (the unbarred content cu is fixed by
-    the bar content vector).  The tableau holds exactly the letters
-    inserted so far, so for a fixed bar content vector it determines rb and
-    ru.  Two prefixes that reach the same tableau therefore have the same
-    completions, and each tableau state is expanded once.
+    - unbarred: for every row r, the unbarred u in rows 1..r number at most
+      the unbarred u - 1 in rows 1..r-1 (the unbarred letters, read bottom
+      row first and left to right, form a suffix-Yamanouchi word);
+    - barred: for every column c, the barred u in columns 1..c plus cu_u is
+      at most the barred u - 1 in columns 1..c-1 plus cu_{u-1} (read column
+      by column from right to left, top to bottom, every suffix of the
+      barred letters has content plus cu a partition).
+
+    A tableau is kept when its southwest corner is unbarred.  With a target
+    shape no row may outgrow it, so every finished tableau has that shape.
+    Each shape maps to a set of encoded row tuples (2v - 1 for v', 2v for v).
     """
-    n = lam.size
     m = len(lam)
     found: dict[tuple[int, ...], set] = {}
     tgt = tuple(target) if target is not None else None
+    tgt_cols = tuple(target.transpose()) if target is not None else None
 
     for cb in _barred_content_vectors(lam, d):
         cu = tuple(a - b for a, b in zip(lam, cb))
         if any(cu[i] < cu[i + 1] for i in range(m - 1)):
             continue
-        rb = list(cb)
-        ru = list(cu)
-        seen: set = set()
 
-        def dfs(state: tuple, remaining: int):
-            if state in seen:
+        def place(v: int, rows: tuple, bar_below, unb_above) -> None:
+            # bar_below[c]: barred v - 1 in columns < c; unb_above[r]:
+            # unbarred v - 1 in rows < r (both None for v = 0)
+            if v == m:
+                if rows and not rows[-1][0] & 1:
+                    found.setdefault(tuple(map(len, rows)), set()).add(rows)
                 return
-            seen.add(state)
-            if remaining == 0:
-                if state and not state[-1][0] & 1:
-                    shape = tuple(len(r) for r in state)
-                    if tgt is None or shape == tgt:
-                        found.setdefault(shape, set()).add(state)
-                return
-            for v in range(m):
-                if rb[v]:
-                    below = (rb[v + 1] + cu[v + 1]) if v + 1 < m else 0
-                    if rb[v] - 1 + cu[v] >= below:
-                        rb[v] -= 1
-                        nxt = _inserted(state, 2 * v + 1)
-                        if tgt is None or _fits(nxt, tgt):
-                            dfs(nxt, remaining - 1)
-                        rb[v] += 1
-                if ru[v]:
-                    below = ru[v + 1] if v + 1 < m else 0
-                    if ru[v] - 1 >= below:
-                        ru[v] -= 1
-                        nxt = _inserted(state, 2 * v + 2)
-                        if tgt is None or _fits(nxt, tgt):
-                            dfs(nxt, remaining - 1)
-                        ru[v] += 1
+            bound = [c + cu[v - 1] - cu[v] for c in bar_below] if v else None
+            heights = _column_heights(rows) if cb[v] else []
+            for per_col in _strips(heights, cb[v], tgt_cols, bound):
+                barred = _fill_columns(rows, heights, per_col, 2 * v + 1)
+                below = tuple(accumulate(per_col, initial=0))
+                lengths = [len(row) for row in barred]
+                for per_row in _strips(lengths, cu[v], tgt, unb_above if v else None):
+                    full = _fill_rows(barred, per_row, 2 * v + 2)
+                    place(v + 1, full, below, tuple(accumulate(per_row, initial=0)))
 
-        dfs((), n)
+        place(0, (), None, None)
     return found
 
 
-def _fits(rows: Sequence[Sequence[int]], tgt: tuple[int, ...]) -> bool:
-    if len(rows) > len(tgt):
-        return False
-    return all(len(rows[i]) <= tgt[i] for i in range(len(rows)))
+def _column_heights(rows: tuple) -> list:
+    """Column lengths of the shape that rows fill."""
+    heights = []
+    r = len(rows)
+    for c in range(len(rows[0]) if rows else 0):
+        while len(rows[r - 1]) <= c:
+            r -= 1
+        heights.append(r)
+    return heights
+
+
+def _fill_columns(rows: tuple, heights: list, per_col: tuple, k: int) -> tuple:
+    """rows with per_col[c] cells holding k added at the foot of column c."""
+    if not per_col:
+        return rows
+    new = list(rows)
+    for c, t in enumerate(per_col):
+        if not t:
+            continue
+        top = heights[c] if c < len(heights) else 0
+        for r in range(top, top + t):
+            if r < len(new):
+                new[r] += (k,)
+            else:
+                new.append((k,))
+    return tuple(new)
+
+
+def _fill_rows(rows: tuple, per_row: tuple, k: int) -> tuple:
+    """rows with per_row[i] cells holding k added at the end of row i."""
+    if not per_row:
+        return rows
+    new = [row + (k,) * t if t else row for row, t in zip(rows, per_row)]
+    if per_row[-1]:
+        new.append((k,) * per_row[-1])
+    return tuple(new)
+
+
+def _strips(lengths: list, s: int, limit, bound) -> list:
+    """Ways to add a strip of s cells to lines (rows or columns) of a shape.
+
+    lengths are the weakly decreasing line lengths; line i takes at most
+    lengths[i-1] - lengths[i] cells, line 0 any number, and one empty line
+    after the last may open.  No line may grow past limit (a shape), and
+    bound[i] (the last entry for i past the end) caps the strip's cells in
+    lines 0..i.  Each way is the tuple of cells added per line; () adds
+    none.
+    """
+    if s == 0:
+        return [()]
+    padded = list(lengths) + [0]
+    caps = [s] + [a - b for a, b in zip(padded, padded[1:])]
+    if limit is not None:
+        caps = [
+            min(cap, limit[i] - length) if i < len(limit) else 0
+            for i, (cap, length) in enumerate(zip(caps, padded))
+        ]
+    if bound is not None:
+        bound = [bound[i] if i < len(bound) else bound[-1] for i in range(len(caps))]
+    room = list(accumulate(reversed(caps)))[::-1]
+    picks = [0] * len(caps)
+    out = []
+
+    def rec(start: int, placed: int) -> None:
+        if placed == s:
+            out.append(tuple(picks))
+            return
+        left = s - placed
+        for j in range(start, len(caps)):
+            if room[j] < left:
+                break
+            hi = min(caps[j], left)
+            if bound is not None:
+                hi = min(hi, bound[j] - placed)
+            for t in range(hi, 0, -1):
+                picks[j] = t
+                rec(j + 1, placed + t)
+            picks[j] = 0
+
+    rec(0, 0)
+    return out
 
 
 def _check_hook_args(lam: Partition, d: int) -> None:
-    if not 0 <= d < max(lam.size, 1):
+    if lam.size == 0:
+        raise ValueError("content must be nonempty: the hook (n-d, 1^d) needs n >= 1")
+    if not 0 <= d < lam.size:
         raise ValueError(f"total color {d} out of range for content {lam!r}")
 
 
 def _finalize(lam: Partition, d: int, encoded: Iterable[tuple]) -> tuple[ColoredTableau, ...]:
     """Decode, validate, and canonically order enumerated tableaux."""
     out = []
-    for rows in encoded:
+    # shape, then the keys of the reading word (rows right to left, top first)
+    for rows in sorted(
+        encoded,
+        key=lambda rows: (tuple(map(len, rows)), tuple(k for r in rows for k in r[::-1])),
+    ):
         tab = _tableau_from_encoded(rows)
         if not tab.is_globally_weakly_increasing():
             raise AssertionError(f"enumerated tableau not globally monotone: {rows}")
@@ -400,7 +477,6 @@ def _finalize(lam: Partition, d: int, encoded: Iterable[tuple]) -> tuple[Colored
         if tab.southwest().barred:
             raise AssertionError(f"enumerated tableau has barred corner: {rows}")
         out.append(tab)
-    out.sort(key=lambda t: (tuple(t.shape), tuple(x.key for x in t.reading_word())))
     return tuple(out)
 
 

@@ -189,7 +189,7 @@ def test_golden_index_sets():
 # checks each sweep runs at the limits below; a sweep that silently drops
 # checks would otherwise still report no failures
 EXPECTED_CHECKS = {
-    "blasiak-vs-oracle": 6554,
+    "blasiak-vs-oracle": 14654,
     "rosas-vs-oracle": 9926,
     "fundamental-vs-oracle": 6313,
     "triples-vs-oracle": 107567,
@@ -206,7 +206,7 @@ EXPECTED_CHECKS = {
 @pytest.mark.parametrize(
     "suite,limit",
     [
-        ("blasiak-vs-oracle", 8),
+        ("blasiak-vs-oracle", 9),
         ("rosas-vs-oracle", 10),
         ("fundamental-vs-oracle", 8),
         ("triples-vs-oracle", 9),

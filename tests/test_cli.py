@@ -126,6 +126,14 @@ def test_enumerate_blasiak_size_mismatch_exits_2(capsys):
     assert err == "error: shape size 7 differs from content size 8\n"
 
 
+def test_enumerate_blasiak_empty_content_exits_2(capsys):
+    # (n - d, 1^d) is a hook only for n >= 1, as kron's check of mu says
+    code, out, err = run(capsys, "enumerate", "blasiak", "", "0", "")
+    assert code == 2
+    assert out == ""
+    assert err == "error: content must be nonempty: the hook (n-d, 1^d) needs n >= 1\n"
+
+
 @pytest.mark.parametrize(
     "argv,message",
     [
@@ -207,7 +215,7 @@ def test_cli_import_leaves_dataclasses_and_inspect_unloaded():
     src = os.path.dirname(os.path.dirname(kroncalc.__file__))
     code = (
         f"import sys; sys.path.insert(0, {src!r}); import kroncalc.cli; "
-        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        "print(sorted({'dataclasses', 'inspect', 'json', 'csv'} & set(sys.modules)))"
     )
     proc = subprocess.run(
         [sys.executable, "-I", "-c", code], capture_output=True, text=True, timeout=60

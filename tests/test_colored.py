@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from kroncalc.colored import (
     ColoredLetter,
     ColoredTableau,
+    _barred_content_vectors,
     _inserted,
+    _search,
     blasiak_by_shape,
     blft,
     content,
@@ -228,6 +230,11 @@ def test_shape_and_content_sizes_must_match():
         enumerate_blasiak((5, 2, 1), 4, (4, 2, 1))
     with pytest.raises(ValueError, match="differs from content size"):
         count_blasiak((2, 1), 1, (2, 2))
+    # g(0, 0, 0) = 1, but (n - d, 1^d) with n = 0 is no hook
+    with pytest.raises(ValueError, match="content must be nonempty"):
+        count_blasiak((), 0, ())
+    with pytest.raises(ValueError, match="content must be nonempty"):
+        blasiak_by_shape((), 0)
 
 
 def test_violating_tableau_never_produced():
@@ -306,6 +313,91 @@ def _brute_force(content_vals, d, shape):
     return found
 
 
+def _state_search(lam, d, target):
+    """The hook rule by a search over mixed-insertion states.
+
+    Words interleave a barred and an unbarred subsequence.  For a fixed bar
+    content vector the suffix condition on w^blft becomes two prefix
+    conditions: after each barred letter the remaining barred content plus
+    the whole unbarred content is a partition, and after each unbarred
+    letter the remaining unbarred content is a partition.  Insertion is
+    deterministic and the tableau determines the letters still to place,
+    so each insertion state is expanded once.  Every intermediate shape
+    lies inside the final one, so a target shape prunes the search.
+    """
+    m = len(lam)
+    found = {}
+    tgt = tuple(target) if target is not None else None
+
+    def fits(rows):
+        return len(rows) <= len(tgt) and all(len(r) <= t for r, t in zip(rows, tgt))
+
+    for cb in _barred_content_vectors(lam, d):
+        cu = tuple(a - b for a, b in zip(lam, cb))
+        if any(cu[i] < cu[i + 1] for i in range(m - 1)):
+            continue
+        rb, ru = list(cb), list(cu)
+        seen = set()
+
+        def dfs(state, remaining):
+            if state in seen:
+                return
+            seen.add(state)
+            if remaining == 0:
+                if state and not state[-1][0] & 1:
+                    shape = tuple(len(r) for r in state)
+                    if tgt is None or shape == tgt:
+                        found.setdefault(shape, set()).add(state)
+                return
+            for v in range(m):
+                if rb[v]:
+                    below = (rb[v + 1] + cu[v + 1]) if v + 1 < m else 0
+                    if rb[v] - 1 + cu[v] >= below:
+                        rb[v] -= 1
+                        nxt = _inserted(state, 2 * v + 1)
+                        if tgt is None or fits(nxt):
+                            dfs(nxt, remaining - 1)
+                        rb[v] += 1
+                if ru[v]:
+                    below = ru[v + 1] if v + 1 < m else 0
+                    if ru[v] - 1 >= below:
+                        ru[v] -= 1
+                        nxt = _inserted(state, 2 * v + 2)
+                        if tgt is None or fits(nxt):
+                            dfs(nxt, remaining - 1)
+                        ru[v] += 1
+
+        dfs((), lam.size)
+    return found
+
+
+def test_direct_construction_matches_state_search():
+    total = 0
+    for n in range(1, 9):
+        for lam in partitions_list(n):
+            for d in range(n):
+                got = _search(lam, d, None)
+                assert got == _state_search(lam, d, None), (lam, d)
+                total += sum(len(rows) for rows in got.values())
+    assert total == 3052
+
+
+@seed(20261019)
+@settings(max_examples=50, deadline=None, database=None)
+@given(
+    st.integers(10, 12).flatmap(
+        lambda n: st.tuples(
+            st.sampled_from(partitions_list(n)),
+            st.integers(0, n - 1),
+            st.sampled_from(partitions_list(n)),
+        )
+    )
+)
+def test_targeted_search_matches_state_search_past_n8(case):
+    lam, d, nu = case
+    assert _search(lam, d, nu) == _state_search(lam, d, nu)
+
+
 def test_enumeration_matches_naive_word_scan():
     cases = [
         ((3, 2), 2, (3, 1, 1)),
@@ -331,7 +423,7 @@ def test_blasiak_matches_oracle_small():
 
 
 def test_blasiak_matches_oracle_sampled_past_exhaustive_range():
-    # the exhaustive sweeps stop at n = 8; a seeded sample reaches n = 10, 11
+    # the exhaustive sweeps stop at n = 9; a seeded sample reaches n = 10, 11
     rng = random.Random(2024)
     for _ in range(20):
         n = rng.choice((10, 11))
