@@ -439,7 +439,6 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("suite")
     ver.add_argument("--n", type=int, default=None)
     ver.add_argument("--jobs", type=int, default=1)
-    ver.add_argument("--cache-file", help=CACHE_FILE_HELP)
     ver.set_defaults(func=cmd_verify)
 
     return parser

@@ -23,10 +23,12 @@ insertion tableaux of such words with content lam, exactly d bars, shape
 nu, and an unbarred southwest corner equals g(lam, (n-d, 1^d), nu).
 
 The enumeration builds these colored Yamanouchi tableaux directly rather
-than inserting words (Blasiak, arXiv:1209.2018).  With cb the barred and
-cu the unbarred content, the keys 1', 1, 2', 2, ... are placed in order,
-a barred key as a vertical strip and an unbarred key as a horizontal
-strip, subject to two reading rules:
+than inserting words (Blasiak, arXiv:1209.2018).  The keys 1', 1, 2', 2,
+... are placed in order, a barred key as a vertical strip and an unbarred
+key as a horizontal strip.  The barred content cb is chosen key by key:
+cb_v is fixed when the keys of value v are placed, so that the unbarred
+content cu = lam - cb stays a partition and the later values can still
+take exactly the bars left.  Two reading rules hold:
 
 - the unbarred letters, read bottom row first and left to right, form a
   word whose every suffix has partition content;
@@ -41,7 +43,7 @@ words as the reference this construction must match.
 from __future__ import annotations
 
 from functools import lru_cache, reduce
-from itertools import accumulate
+from itertools import accumulate, zip_longest
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .partition import Partition
@@ -131,6 +133,19 @@ def is_colored_yamanouchi(word: Iterable[ColoredLetter]) -> bool:
     return is_suffix_yamanouchi([x.value for x in word])
 
 
+def _misordered(line: Iterable[ColoredLetter], strict_barred: bool) -> str:
+    """Which letters are out of order in a row (strict_barred) or column:
+    "unbarred" (reported first), "barred", or "" when none are."""
+    last, bad = [0, 0], ""  # last unbarred and last barred value
+    for value, barred in line:
+        if value < last[barred] or (value == last[barred] and barred == strict_barred):
+            if not barred:
+                return "unbarred"
+            bad = "barred"
+        last[barred] = value
+    return bad
+
+
 class _Tableau(NamedTuple):
     rows: tuple[tuple[ColoredLetter, ...], ...]
 
@@ -155,20 +170,16 @@ class ColoredTableau(_Tableau):
         ):
             raise ValueError("rows must be nonempty with weakly decreasing lengths")
         for row in rows:
-            unb = [x.value for x in row if not x.barred]
-            if any(a > b for a, b in zip(unb, unb[1:])):
+            bad = _misordered(row, strict_barred=True)
+            if bad == "unbarred":
                 raise ValueError("unbarred letters must weakly increase in rows")
-            bar = [x.value for x in row if x.barred]
-            if any(a >= b for a, b in zip(bar, bar[1:])):
+            if bad:
                 raise ValueError("barred letters must strictly increase in rows")
-        ncols = lengths[0] if lengths else 0
-        for c in range(ncols):
-            col = [row[c] for row in rows if c < len(row)]
-            unb = [x.value for x in col if not x.barred]
-            if any(a >= b for a, b in zip(unb, unb[1:])):
+        for col in zip_longest(*rows):  # lengths decrease, so padding ends a column
+            bad = _misordered(filter(None, col), strict_barred=False)
+            if bad == "unbarred":
                 raise ValueError("unbarred letters must strictly increase in columns")
-            bar = [x.value for x in col if x.barred]
-            if any(a > b for a, b in zip(bar, bar[1:])):
+            if bad:
                 raise ValueError("barred letters must weakly increase in columns")
         return super().__new__(cls, rows)
 
@@ -301,32 +312,17 @@ def mixed_insertion_trace(word: Sequence[ColoredLetter]) -> list[ColoredTableau]
 # tableau enumeration behind the hook rule
 
 
-def _barred_content_vectors(lam: Partition, d: int):
-    """All ways to choose how many letters of each value carry a bar."""
-    m = len(lam)
-
-    def rec(i: int, left: int):
-        if i == m:
-            if left == 0:
-                yield ()
-            return
-        hi = min(lam[i], left)
-        lo = max(0, left - sum(lam[i + 1 :]))
-        for take in range(hi, lo - 1, -1):
-            for rest in rec(i + 1, left - take):
-                yield (take,) + rest
-
-    yield from rec(0, d)
-
-
 def _search(lam: Partition, d: int, target: Optional[Partition]):
     """Colored Yamanouchi tableaux of content lam with d bars, keyed by shape.
 
-    For each bar content vector cb (unbarred content cu = lam - cb, which
-    must be a partition), the keys 1', 1, 2', 2, ... are placed in order,
-    each filling a strip of the shape built so far: a vertical strip for a
-    barred key, a horizontal strip for an unbarred one.  Two reading rules
-    hold strip by strip, for every value u >= 2:
+    The keys 1', 1, 2', 2, ... are placed in order, each filling a strip of
+    the shape built so far: a vertical strip for a barred key, a horizontal
+    strip for an unbarred one.  At value v the number of barred v, cb_v, is
+    chosen as the keys are placed, from min(lam_v, bars left) down to 0.  A
+    count is skipped when the unbarred count cu_v = lam_v - cb_v exceeds
+    cu_{v-1}, or when the later values cannot take exactly the bars still
+    left (each later w takes at most lam_w bars and at least lam_w - cu_v).
+    Two reading rules hold strip by strip, for every value u >= 2:
 
     - unbarred: for every row r, the unbarred u in rows 1..r number at most
       the unbarred u - 1 in rows 1..r-1 (the unbarred letters, read bottom
@@ -345,29 +341,31 @@ def _search(lam: Partition, d: int, target: Optional[Partition]):
     tgt = tuple(target) if target is not None else None
     tgt_cols = tuple(target.transpose()) if target is not None else None
 
-    for cb in _barred_content_vectors(lam, d):
-        cu = tuple(a - b for a, b in zip(lam, cb))
-        if any(cu[i] < cu[i + 1] for i in range(m - 1)):
-            continue
-
-        def place(v: int, rows: tuple, bar_below, unb_above) -> None:
-            # bar_below[c]: barred v - 1 in columns < c; unb_above[r]:
-            # unbarred v - 1 in rows < r (both None for v = 0)
-            if v == m:
-                if rows and not rows[-1][0] & 1:
-                    found.setdefault(tuple(map(len, rows)), set()).add(rows)
-                return
-            bound = [c + cu[v - 1] - cu[v] for c in bar_below] if v else None
-            heights = _column_heights(rows) if cb[v] else []
-            for per_col in _strips(heights, cb[v], tgt_cols, bound):
+    def place(v: int, rows: tuple, left: int, cu_prev: int, bar_below, unb_above) -> None:
+        # left: bars still to place; cu_prev: unbarred v - 1; bar_below[c]:
+        # barred v - 1 in columns < c; unb_above[r]: unbarred v - 1 in rows < r
+        # (both None at v = 0)
+        if v == m:
+            if rows and not rows[-1][0] & 1:
+                found.setdefault(tuple(map(len, rows)), set()).add(rows)
+            return
+        later = lam[v + 1 :]
+        lo = max(0, lam[v] - cu_prev, left - sum(later))
+        heights = _column_heights(rows)
+        for cb in range(min(lam[v], left), lo - 1, -1):
+            cu = lam[v] - cb
+            if left - cb < sum(w - cu for w in later if w > cu):
+                continue
+            bound = [c + cu_prev - cu for c in bar_below] if v else None
+            for per_col in _strips(heights, cb, tgt_cols, bound):
                 barred = _fill_columns(rows, heights, per_col, 2 * v + 1)
                 below = tuple(accumulate(per_col, initial=0))
-                lengths = [len(row) for row in barred]
-                for per_row in _strips(lengths, cu[v], tgt, unb_above if v else None):
+                for per_row in _strips(list(map(len, barred)), cu, tgt, unb_above):
                     full = _fill_rows(barred, per_row, 2 * v + 2)
-                    place(v + 1, full, below, tuple(accumulate(per_row, initial=0)))
+                    above = tuple(accumulate(per_row, initial=0))
+                    place(v + 1, full, left - cb, cu, below, above)
 
-        place(0, (), None, None)
+    place(0, (), d, lam[0] if m else 0, None, None)
     return found
 
 
@@ -472,7 +470,8 @@ def _finalize(lam: Partition, d: int, encoded: Iterable[tuple]) -> tuple[Colored
         tab = _tableau_from_encoded(rows)
         if not tab.is_globally_weakly_increasing():
             raise AssertionError(f"enumerated tableau not globally monotone: {rows}")
-        if content(tab.cells()) != tuple(lam) or total_color(tab.cells()) != d:
+        cells = tab.cells()
+        if content(cells) != tuple(lam) or total_color(cells) != d:
             raise AssertionError(f"enumerated tableau has wrong content: {rows}")
         if tab.southwest().barred:
             raise AssertionError(f"enumerated tableau has barred corner: {rows}")

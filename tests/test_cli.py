@@ -269,6 +269,14 @@ def test_cache_file_round_trip(tmp_path, capsys):
     assert not cache.exists()
 
 
+def test_verify_cache_file_exits_2(capsys):
+    # verify never read a cache file, so it no longer takes the option
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "lr", "--cache-file", "X"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --cache-file X" in capsys.readouterr().err
+
+
 def test_internal_error_exits_4_without_traceback(capsys, monkeypatch):
     from kroncalc import colored
 

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from kroncalc.colored import (
     ColoredLetter,
     ColoredTableau,
-    _barred_content_vectors,
     _inserted,
     _search,
     blasiak_by_shape,
@@ -96,12 +95,16 @@ def test_colored_tableau_validation():
     # separate barred/unbarred conditions admit a globally decreasing row
     violating = ColoredTableau.from_text("1 1'")
     assert not violating.is_globally_weakly_increasing()
-    with pytest.raises(ValueError):
-        ColoredTableau.from_text("1 | 2 2")  # row lengths must weakly decrease
-    with pytest.raises(ValueError):
-        ColoredTableau.from_text("1' 1' | 1'")  # barred letters equal in a row
-    with pytest.raises(ValueError):
-        ColoredTableau.from_text("1 | 1")  # unbarred letters equal in a column
+    cases = {
+        "1 | 2 2": "rows must be nonempty with weakly decreasing lengths",
+        "2 1": "unbarred letters must weakly increase in rows",
+        "1' 1' | 1'": "barred letters must strictly increase in rows",
+        "1 | 1": "unbarred letters must strictly increase in columns",
+        "2' | 1'": "barred letters must weakly increase in columns",
+    }
+    for text, message in cases.items():
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ColoredTableau.from_text(text)
 
 
 def test_schensted_example():
@@ -316,8 +319,9 @@ def _brute_force(content_vals, d, shape):
 def _state_search(lam, d, target):
     """The hook rule by a search over mixed-insertion states.
 
-    Words interleave a barred and an unbarred subsequence.  For a fixed bar
-    content vector the suffix condition on w^blft becomes two prefix
+    Words interleave a barred and an unbarred subsequence.  For each bar
+    content vector cb (cb_v <= lam_v, summing to d, with lam - cb a
+    partition) the suffix condition on w^blft becomes two prefix
     conditions: after each barred letter the remaining barred content plus
     the whole unbarred content is a partition, and after each unbarred
     letter the remaining unbarred content is a partition.  Insertion is
@@ -332,9 +336,9 @@ def _state_search(lam, d, target):
     def fits(rows):
         return len(rows) <= len(tgt) and all(len(r) <= t for r, t in zip(rows, tgt))
 
-    for cb in _barred_content_vectors(lam, d):
+    for cb in product(*(range(part + 1) for part in lam)):
         cu = tuple(a - b for a, b in zip(lam, cb))
-        if any(cu[i] < cu[i + 1] for i in range(m - 1)):
+        if sum(cb) != d or any(cu[i] < cu[i + 1] for i in range(m - 1)):
             continue
         rb, ru = list(cb), list(cu)
         seen = set()
@@ -380,6 +384,17 @@ def test_direct_construction_matches_state_search():
                 assert got == _state_search(lam, d, None), (lam, d)
                 total += sum(len(rows) for rows in got.values())
     assert total == 3052
+
+
+def test_targeted_search_matches_state_search():
+    total = 0
+    for n in range(1, 7):
+        for lam in partitions_list(n):
+            for d in range(n):
+                for nu in partitions_list(n):
+                    assert _search(lam, d, nu) == _state_search(lam, d, nu), (lam, d, nu)
+                    total += 1
+    assert total == 1107
 
 
 @seed(20261019)
