@@ -100,12 +100,13 @@ def _run_method(method: str, lam, mu, nu, explain: bool):
         return symfun.kronecker_coefficient(lam, mu, nu), lines, payload
     if method == "blasiak":
         d = len(mu) - 1
+        if not explain:
+            return colored.count_blasiak(lam, d, nu), lines, payload
         tableaux = colored.enumerate_blasiak(lam, d, nu)
-        if explain:
-            payload["tableaux"] = [tab.to_json() for tab in tableaux]
-            for i, tab in enumerate(tableaux, 1):
-                lines.append(f"tableau {i}:")
-                lines.extend("  " + row for row in tab.to_ascii().splitlines())
+        payload["tableaux"] = [tab.to_json() for tab in tableaux]
+        for i, tab in enumerate(tableaux, 1):
+            lines.append(f"tableau {i}:")
+            lines.extend("  " + row for row in tab.to_ascii().splitlines())
         return len(tableaux), lines, payload
     if method == "rosas":
         n = lam.size

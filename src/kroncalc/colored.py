@@ -36,6 +36,13 @@ take exactly the bars left.  Two reading rules hold:
   bottom within a column, form a word whose every suffix has content
   plus cu a partition.
 
+Counting needs no tableau.  What can still follow a partly built tableau
+depends only on a small state (the value being placed, the row lengths,
+the bars left, and the counts the reading rules compare), so the counts
+come from a memoized graph of these states; with the bars left out of the
+state, one graph counts every total color at once.  Enumeration walks the
+same graph and enters only states with a nonzero count.
+
 The tests keep a search over mixed-insertion states of the admissible
 words as the reference this construction must match.
 """
@@ -315,6 +322,35 @@ def mixed_insertion_trace(word: Sequence[ColoredLetter]) -> list[ColoredTableau]
 def _search(lam: Partition, d: int, target: Optional[Partition]):
     """Colored Yamanouchi tableaux of content lam with d bars, keyed by shape.
 
+    A walk over the counted states of a _HookGraph that fills in the rows.
+    It enters only states with a nonzero count, that is, states from which
+    a tableau with exactly the bars left (and the target shape, if given)
+    can still be finished, so no branch it explores is dead.  With a target
+    shape no row may outgrow it, so every finished tableau has that shape.
+    Each shape maps to a set of encoded row tuples (2v - 1 for v', 2v for v).
+    """
+    graph = _HookGraph(lam, d, target)
+    m = len(lam)
+    found: dict[tuple[int, ...], set] = {}
+
+    def walk(state: tuple, rows: tuple) -> None:
+        v, lengths = state[0], state[1]
+        if v == m:
+            found.setdefault(lengths, set()).add(rows)
+            return
+        heights = _column_heights(lengths)
+        for per_col, per_row, child in graph.live[state]:
+            barred = _fill_columns(rows, heights, per_col, 2 * v + 1)
+            walk(child, _fill_rows(barred, per_row, 2 * v + 2))
+
+    if graph.counts(graph.root):
+        walk(graph.root, ())
+    return found
+
+
+class _HookGraph:
+    """The states of the hook-rule search for one content lam, with their counts.
+
     The keys 1', 1, 2', 2, ... are placed in order, each filling a strip of
     the shape built so far: a vertical strip for a barred key, a horizontal
     strip for an unbarred one.  At value v the number of barred v, cb_v, is
@@ -332,52 +368,116 @@ def _search(lam: Partition, d: int, target: Optional[Partition]):
       by column from right to left, top to bottom, every suffix of the
       barred letters has content plus cu a partition).
 
-    A tableau is kept when its southwest corner is unbarred.  With a target
-    shape no row may outgrow it, so every finished tableau has that shape.
-    Each shape maps to a set of encoded row tuples (2v - 1 for v', 2v for v).
+    A tableau is finished when all values are placed and its southwest
+    corner is unbarred.  What can still follow a state depends only on
+
+        (v, lengths, left, cu_prev, bar_below, unb_above, bottom_barred):
+
+    the next value v (from 0), the row lengths, the bars still to place,
+    cu_{v-1}, the barred v - 1 in columns < c (bar_below[c]), the unbarred
+    v - 1 in rows < r (unb_above[r]), and whether the bottom row starts
+    barred; bar_below and unb_above are None at v = 0.  With d None, left
+    is None and any number of bars may be placed, so one graph counts every
+    d.  counts(state) maps (bars placed from state on, final shape) to the
+    number of finished tableaux; it is memoized on the state, so tableaux
+    that share a state are counted once, and none is built.  live[state]
+    keeps the moves into states with a nonzero count, which is all an
+    enumeration needs to walk.  With a target shape no row may outgrow it.
     """
-    m = len(lam)
-    found: dict[tuple[int, ...], set] = {}
-    tgt = tuple(target) if target is not None else None
-    tgt_cols = tuple(target.transpose()) if target is not None else None
 
-    def place(v: int, rows: tuple, left: int, cu_prev: int, bar_below, unb_above) -> None:
-        # left: bars still to place; cu_prev: unbarred v - 1; bar_below[c]:
-        # barred v - 1 in columns < c; unb_above[r]: unbarred v - 1 in rows < r
-        # (both None at v = 0)
-        if v == m:
-            if rows and not rows[-1][0] & 1:
-                found.setdefault(tuple(map(len, rows)), set()).add(rows)
-            return
-        later = lam[v + 1 :]
-        lo = max(0, lam[v] - cu_prev, left - sum(later))
-        heights = _column_heights(rows)
-        for cb in range(min(lam[v], left), lo - 1, -1):
-            cu = lam[v] - cb
-            if left - cb < sum(w - cu for w in later if w > cu):
-                continue
+    def __init__(self, lam: Partition, d: Optional[int], target: Optional[Partition]):
+        self.lam = lam
+        self.tgt = tuple(target) if target is not None else None
+        self.tgt_cols = tuple(target.transpose()) if target is not None else None
+        self.root = (0, (), d, lam[0] if lam else 0, None, None, False)
+        self.memo: dict[tuple, dict] = {}
+        self.live: dict[tuple, list] = {}
+
+    def moves(self, state: tuple):
+        """Yield (cb, per_col, per_row, next state) for each way to place v', v.
+
+        cb barred v fill per_col[c] cells at the foot of column c, then the
+        unbarred v fill per_row[r] cells at the end of row r.
+        """
+        v, lengths, left, cu_prev, bar_below, unb_above, bottom_barred = state
+        lam = self.lam
+        part, later = lam[v], lam[v + 1 :]
+        lo, hi = max(0, part - cu_prev), part
+        if left is not None:
+            lo, hi = max(lo, left - sum(later)), min(hi, left)
+        heights = _column_heights(lengths)
+        for cb in range(hi, lo - 1, -1):
+            cu = part - cb
+            rest = None
+            if left is not None:
+                rest = left - cb
+                if rest < sum(w - cu for w in later if w > cu):
+                    continue
             bound = [c + cu_prev - cu for c in bar_below] if v else None
-            for per_col in _strips(heights, cb, tgt_cols, bound):
-                barred = _fill_columns(rows, heights, per_col, 2 * v + 1)
+            for per_col in _strips(heights, cb, self.tgt_cols, bound):
+                barred = _grow_columns(lengths, heights, per_col)
                 below = tuple(accumulate(per_col, initial=0))
-                for per_row in _strips(list(map(len, barred)), cu, tgt, unb_above):
-                    full = _fill_rows(barred, per_row, 2 * v + 2)
+                starts_barred = bottom_barred or bool(per_col and per_col[0])
+                for per_row in _strips(barred, cu, self.tgt, unb_above):
+                    full = _grow_rows(barred, per_row)
+                    ends_barred = starts_barred and not (per_row and per_row[-1])
                     above = tuple(accumulate(per_row, initial=0))
-                    place(v + 1, full, left - cb, cu, below, above)
+                    yield cb, per_col, per_row, (
+                        v + 1, full, rest, cu, below, above, ends_barred
+                    )
 
-    place(0, (), d, lam[0] if m else 0, None, None)
-    return found
+    def counts(self, state: tuple) -> dict:
+        """{(bars placed from state on, final shape): finished tableaux}."""
+        got = self.memo.get(state)
+        if got is not None:
+            return got
+        got = {}
+        if state[0] == len(self.lam):
+            if state[1] and not state[6]:
+                got[0, state[1]] = 1
+        else:
+            live = self.live[state] = []
+            for cb, per_col, per_row, child in self.moves(state):
+                below = self.counts(child)
+                if below:
+                    live.append((per_col, per_row, child))
+                for (bars, shape), c in below.items():
+                    key = (bars + cb, shape)
+                    got[key] = got.get(key, 0) + c
+        self.memo[state] = got
+        return got
 
 
-def _column_heights(rows: tuple) -> list:
-    """Column lengths of the shape that rows fill."""
+def _column_heights(lengths: Sequence[int]) -> list:
+    """Column lengths of the shape with these row lengths."""
     heights = []
-    r = len(rows)
-    for c in range(len(rows[0]) if rows else 0):
-        while len(rows[r - 1]) <= c:
+    r = len(lengths)
+    for c in range(lengths[0] if lengths else 0):
+        while lengths[r - 1] <= c:
             r -= 1
         heights.append(r)
     return heights
+
+
+def _grow_columns(lengths: Sequence[int], heights: list, per_col: tuple) -> list:
+    """Row lengths after per_col[c] cells are added at the foot of column c."""
+    new = list(lengths)
+    for c, t in enumerate(per_col):
+        top = heights[c] if c < len(heights) else 0
+        for r in range(top, top + t):
+            if r < len(new):
+                new[r] += 1
+            else:
+                new.append(1)
+    return new
+
+
+def _grow_rows(lengths: Sequence[int], per_row: tuple) -> tuple:
+    """Row lengths after per_row[i] cells are added at the end of row i."""
+    if not per_row:
+        return tuple(lengths)
+    new = tuple(a + t for a, t in zip(lengths, per_row))
+    return (new + (per_row[-1],)) if per_row[-1] else new
 
 
 def _fill_columns(rows: tuple, heights: list, per_col: tuple, k: int) -> tuple:
@@ -452,30 +552,38 @@ def _strips(lengths: list, s: int, limit, bound) -> list:
     return out
 
 
-def _check_hook_args(lam: Partition, d: int) -> None:
+def _check_hook_args(lam: Partition, d: int, nu: Optional[Partition] = None) -> None:
     if lam.size == 0:
         raise ValueError("content must be nonempty: the hook (n-d, 1^d) needs n >= 1")
     if not 0 <= d < lam.size:
         raise ValueError(f"total color {d} out of range for content {lam!r}")
+    if nu is not None and nu.size != lam.size:
+        raise ValueError(f"shape size {nu.size} differs from content size {lam.size}")
 
 
 def _finalize(lam: Partition, d: int, encoded: Iterable[tuple]) -> tuple[ColoredTableau, ...]:
-    """Decode, validate, and canonically order enumerated tableaux."""
+    """Validate, decode, and canonically order enumerated tableaux.
+
+    The checks read the encoded rows, before any letter is decoded: global
+    weak monotonicity, the content and bar count, and the southwest corner.
+    """
+    values = tuple(v for v, part in enumerate(lam, 1) for _ in range(part))
     out = []
     # shape, then the keys of the reading word (rows right to left, top first)
     for rows in sorted(
         encoded,
         key=lambda rows: (tuple(map(len, rows)), tuple(k for r in rows for k in r[::-1])),
     ):
-        tab = _tableau_from_encoded(rows)
-        if not tab.is_globally_weakly_increasing():
+        if any(a > b for row in rows for a, b in zip(row, row[1:])) or any(
+            a > b for upper, lower in zip(rows, rows[1:]) for a, b in zip(upper, lower)
+        ):
             raise AssertionError(f"enumerated tableau not globally monotone: {rows}")
-        cells = tab.cells()
-        if content(cells) != tuple(lam) or total_color(cells) != d:
+        keys = sorted(k for row in rows for k in row)
+        if tuple((k + 1) >> 1 for k in keys) != values or sum(k & 1 for k in keys) != d:
             raise AssertionError(f"enumerated tableau has wrong content: {rows}")
-        if tab.southwest().barred:
+        if rows[-1][0] & 1:
             raise AssertionError(f"enumerated tableau has barred corner: {rows}")
-        out.append(tab)
+        out.append(_tableau_from_encoded(rows))
     return tuple(out)
 
 
@@ -483,16 +591,31 @@ def _finalize(lam: Partition, d: int, encoded: Iterable[tuple]) -> tuple[Colored
 def enumerate_blasiak(lam, d: int, nu) -> tuple[ColoredTableau, ...]:
     """The tableaux counted by g(lam, (n-d, 1^d), nu), canonically ordered."""
     lam, nu = Partition(lam), Partition(nu)
-    _check_hook_args(lam, d)
-    if nu.size != lam.size:
-        raise ValueError(f"shape size {nu.size} differs from content size {lam.size}")
+    _check_hook_args(lam, d, nu)
     found = _search(lam, d, nu)
     return _finalize(lam, d, found.get(tuple(nu), ()))
 
 
 def count_blasiak(lam, d: int, nu) -> int:
-    """g(lam, (n-d, 1^d), nu) as a tableau count."""
-    return len(enumerate_blasiak(Partition(lam), d, Partition(nu)))
+    """g(lam, (n-d, 1^d), nu) as a tableau count, no tableau built."""
+    lam, nu = Partition(lam), Partition(nu)
+    _check_hook_args(lam, d, nu)
+    graph = _HookGraph(lam, d, nu)
+    return graph.counts(graph.root).get((d, nu), 0)
+
+
+def blasiak_counts(lam) -> dict:
+    """Map (d, shape) -> g(lam, (n-d, 1^d), shape) for every d, from one count.
+
+    Pairs with no tableau are left out; no tableau is built.
+    """
+    lam = Partition(lam)
+    _check_hook_args(lam, 0)
+    graph = _HookGraph(lam, None, None)
+    return {
+        (d, Partition(shape)): count
+        for (d, shape), count in sorted(graph.counts(graph.root).items())
+    }
 
 
 def blasiak_by_shape(lam, d: int) -> dict:

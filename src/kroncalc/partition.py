@@ -197,20 +197,27 @@ def two_rows(m: int) -> tuple[Partition, ...]:
 
 
 def partitions_of(n: int) -> Iterator[Partition]:
-    """Yield the partitions of n in reverse-lexicographic order."""
+    """Yield the partitions of n in reverse-lexicographic order.
+
+    Each next partition lowers the last part above 1 by one and refills
+    what it and the trailing 1s held with parts as large as that allows.
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
-
-    def rec(remaining: int, biggest: int):
-        if remaining == 0:
-            yield ()
+    parts = [n] if n else []
+    while True:
+        yield Partition(parts)
+        ones = 0
+        while parts and parts[-1] == 1:
+            parts.pop()
+            ones += 1
+        if not parts:
             return
-        for first in range(min(remaining, biggest), 0, -1):
-            for rest in rec(remaining - first, first):
-                yield (first,) + rest
-
-    for t in rec(n, n):
-        yield Partition(t)
+        last = parts.pop()
+        q, r = divmod(last + ones, last - 1)
+        parts.extend([last - 1] * q)
+        if r:
+            parts.append(r)
 
 
 @cache

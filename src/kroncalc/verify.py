@@ -335,28 +335,23 @@ def run_rosas(unit) -> tuple[int, list[str]]:
 
 
 def units_blasiak(limit: int):
-    return [
-        (lam, d)
-        for n in range(1, limit + 1)
-        for lam in partitions_list(n)
-        for d in range(n)
-    ]
+    return [lam for n in range(1, limit + 1) for lam in partitions_list(n)]
 
 
-def run_blasiak(unit) -> tuple[int, list[str]]:
-    lam, d = unit
+def run_blasiak(lam) -> tuple[int, list[str]]:
     checks, fails = 0, []
     n = lam.size
-    hook = Partition((n - d,) + (1,) * d)
-    by_shape = colored.blasiak_by_shape(lam, d)
-    for nu in partitions_list(n):
-        checks += 1
-        count = len(by_shape.get(nu, ()))
-        oracle = symfun.kronecker_coefficient(lam, hook, nu)
-        if count != oracle:
-            fails.append(
-                f"tableau count != oracle at lam={_fmt(lam)} d={d} nu={_fmt(nu)}: {count} vs {oracle}"
-            )
+    counts = colored.blasiak_counts(lam)
+    for d in range(n):
+        hook = Partition((n - d,) + (1,) * d)
+        for nu in partitions_list(n):
+            checks += 1
+            count = counts.get((d, nu), 0)
+            oracle = symfun.kronecker_coefficient(lam, hook, nu)
+            if count != oracle:
+                fails.append(
+                    f"tableau count != oracle at lam={_fmt(lam)} d={d} nu={_fmt(nu)}: {count} vs {oracle}"
+                )
     return checks, fails
 
 

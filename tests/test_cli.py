@@ -280,15 +280,19 @@ def test_verify_cache_file_exits_2(capsys):
 def test_internal_error_exits_4_without_traceback(capsys, monkeypatch):
     from kroncalc import colored
 
-    def broken(lam, d, target):
+    def broken(self, state):
         raise RuntimeError("insertion produced a ragged shape")
 
-    monkeypatch.setattr(colored, "_search", broken)
-    colored.enumerate_blasiak.cache_clear()  # a cached answer would skip _search
-    code, out, err = run(capsys, "kron", "5,2,1", "4,1^4", "4,2,1,1", "--method", "blasiak")
-    assert code == 4
-    assert out == ""
-    assert err == "internal error: RuntimeError: insertion produced a ragged shape\n"
+    # the count (no --explain) and the enumeration (--explain) share the moves
+    monkeypatch.setattr(colored._HookGraph, "moves", broken)
+    for explain in ((), ("--explain",)):
+        colored.enumerate_blasiak.cache_clear()  # a cached answer would skip the search
+        code, out, err = run(
+            capsys, "kron", "5,2,1", "4,1^4", "4,2,1,1", "--method", "blasiak", *explain
+        )
+        assert code == 4
+        assert out == ""
+        assert err == "internal error: RuntimeError: insertion produced a ragged shape\n"
 
 
 def test_verify_rejects_negative_limit_and_jobs_below_one(capsys):

@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 from kroncalc.colored import (
     ColoredLetter,
     ColoredTableau,
+    _HookGraph,
     _inserted,
     _search,
     blasiak_by_shape,
+    blasiak_counts,
     blft,
     content,
     count_blasiak,
@@ -411,6 +413,60 @@ def test_targeted_search_matches_state_search():
 def test_targeted_search_matches_state_search_past_n8(case):
     lam, d, nu = case
     assert _search(lam, d, nu) == _state_search(lam, d, nu)
+
+
+def test_counts_match_enumeration():
+    total = 0
+    for n in range(1, 11):
+        for lam in partitions_list(n):
+            want = {}
+            for d in range(n):
+                for shape, tabs in blasiak_by_shape(lam, d).items():
+                    want[d, shape] = len(tabs)
+                    total += len(tabs)
+            assert blasiak_counts(lam) == want, lam
+    assert total == 21465
+
+
+def test_all_d_counts_match_fixed_d_counts():
+    for n in range(1, 10):
+        for lam in partitions_list(n):
+            fixed = {}
+            for d in range(n):
+                graph = _HookGraph(lam, d, None)
+                fixed.update(graph.counts(graph.root))
+            assert blasiak_counts(lam) == fixed, lam
+
+
+def test_targeted_count_matches_state_search():
+    total = 0
+    for n in range(1, 7):
+        for lam in partitions_list(n):
+            for d in range(n):
+                for nu in partitions_list(n):
+                    want = len(_state_search(lam, d, nu).get(tuple(nu), ()))
+                    assert count_blasiak(lam, d, nu) == want, (lam, d, nu)
+                    total += 1
+    assert total == 1107
+
+
+@seed(20261018)
+@settings(max_examples=40, deadline=None, database=None)
+@given(
+    st.integers(11, 12).flatmap(
+        lambda n: st.tuples(
+            st.sampled_from(partitions_list(n)),
+            st.integers(0, n - 1),
+            st.sampled_from(partitions_list(n)),
+        )
+    )
+)
+def test_counts_match_oracle_past_exhaustive_range(case):
+    lam, d, nu = case
+    n = lam.size
+    oracle = kronecker_coefficient(lam, Partition((n - d,) + (1,) * d), nu)
+    assert count_blasiak(lam, d, nu) == oracle
+    assert blasiak_counts(lam).get((d, nu), 0) == oracle
 
 
 def test_enumeration_matches_naive_word_scan():

@@ -123,6 +123,27 @@ def test_partitions_of_order_and_counts():
         assert len(partitions_list(n)) == partition_count(n)
 
 
+def _partitions_recursive(n):
+    """Reference: the partitions of n, largest first part first, by recursion."""
+
+    def rec(remaining, biggest):
+        if remaining == 0:
+            yield ()
+            return
+        for first in range(min(remaining, biggest), 0, -1):
+            for rest in rec(remaining - first, first):
+                yield (first,) + rest
+
+    return [Partition(t) for t in rec(n, n)]
+
+
+def test_partitions_of_matches_recursive_reference():
+    for n in range(21):
+        got = list(partitions_of(n))
+        assert got == _partitions_recursive(n), n
+        assert all(type(p) is Partition for p in got)
+
+
 def test_parse_and_format():
     assert parse_partition("6,2,1^6") == Partition((6, 2, 1, 1, 1, 1, 1, 1))
     assert parse_partition("4,1^4") == Partition((4, 1, 1, 1, 1))
