@@ -329,7 +329,7 @@ def _search(lam: Partition, d: int, target: Optional[Partition]):
     shape no row may outgrow it, so every finished tableau has that shape.
     Each shape maps to a set of encoded row tuples (2v - 1 for v', 2v for v).
     """
-    graph = _HookGraph(lam, d, target)
+    graph = _HookGraph(lam, d, target, walk=True)
     m = len(lam)
     found: dict[tuple[int, ...], set] = {}
 
@@ -380,18 +380,21 @@ class _HookGraph:
     is None and any number of bars may be placed, so one graph counts every
     d.  counts(state) maps (bars placed from state on, final shape) to the
     number of finished tableaux; it is memoized on the state, so tableaux
-    that share a state are counted once, and none is built.  live[state]
-    keeps the moves into states with a nonzero count, which is all an
-    enumeration needs to walk.  With a target shape no row may outgrow it.
+    that share a state are counted once, and none is built.  With walk set,
+    live[state] keeps the moves into states with a nonzero count, which is
+    all an enumeration needs to walk; a count alone keeps no moves.  With a
+    target shape no row may outgrow it.
     """
 
-    def __init__(self, lam: Partition, d: Optional[int], target: Optional[Partition]):
+    def __init__(
+        self, lam: Partition, d: Optional[int], target: Optional[Partition], walk: bool = False
+    ):
         self.lam = lam
         self.tgt = tuple(target) if target is not None else None
         self.tgt_cols = tuple(target.transpose()) if target is not None else None
         self.root = (0, (), d, lam[0] if lam else 0, None, None, False)
         self.memo: dict[tuple, dict] = {}
-        self.live: dict[tuple, list] = {}
+        self.live: Optional[dict[tuple, list]] = {} if walk else None
 
     def moves(self, state: tuple):
         """Yield (cb, per_col, per_row, next state) for each way to place v', v.
@@ -436,10 +439,12 @@ class _HookGraph:
             if state[1] and not state[6]:
                 got[0, state[1]] = 1
         else:
-            live = self.live[state] = []
+            live = None
+            if self.live is not None:
+                live = self.live[state] = []
             for cb, per_col, per_row, child in self.moves(state):
                 below = self.counts(child)
-                if below:
+                if below and live is not None:
                     live.append((per_col, per_row, child))
                 for (bars, shape), c in below.items():
                     key = (bars + cb, shape)

@@ -17,6 +17,11 @@ is c^{(d,e)}_{(S-r,r),(p-k,k)}, and the Kronecker factor is
 g((S-r, r), (arm, 1^(c+1)), sigma).  The positive side is
 (n-b+1, b-1, a), the negative side (n-a, a, b-1).
 
+Every sum walks only its nonzero LR terms: near_hook_expansion reads the
+cached nonzero-LR supports of ``tableau``, and each side of triple1/triple2
+keeps its nonzero terms once per (nu, S, p, arm, c), so only the two-row
+gate runs per d.
+
 When b = 2 and nu = (a+2, 2^(s-1), 1^(c+2-2s)), the negative side is a
 singleton (d inside an explicit interval) or empty (d outside), so the
 coefficient becomes a count of hook-rule tableaux - minus one in the
@@ -32,7 +37,13 @@ from .colored import ColoredTableau, enumerate_blasiak
 from .partition import Partition, hook_partition, is_double_hook, partitions_list, two_rows
 from .rosas import rosas_kronecker, xi
 from .symfun import kronecker_coefficient
-from .tableau import lr_coefficient, lr_two_row, lr_via_strip_difference
+from .tableau import (
+    lr_coefficient,
+    lr_inner_support,
+    lr_two_row,
+    lr_via_strip_difference,
+    lr_weight_support,
+)
 
 
 class TermCertificate(NamedTuple):
@@ -71,6 +82,8 @@ def near_hook_expansion(
     n-b+1 and delta of size b-1; negative terms over eta of size a and
     delta, theta of size n-a.  A certificate is emitted whenever both LR
     factors are positive, its g factor evaluated by the character oracle.
+    The LR factors are read from the nonzero-LR supports, so only terms
+    with both factors positive are visited, in the order of a full scan.
     Returns (certificates, total); the total is the coefficient itself.
     """
     lam, nu = Partition(lam), Partition(nu)
@@ -83,27 +96,15 @@ def near_hook_expansion(
     second_hook = hook_partition(b - 1, c + 1)
     certs: list[TermCertificate] = []
     for delta in partitions_list(b - 1):
-        for eta in partitions_list(n - b + 1):
-            outer_lr = lr_coefficient(nu, eta, delta)
-            if not outer_lr:
-                continue
-            for theta in partitions_list(n - b + 1):
-                inner_lr = lr_coefficient(lam, theta, delta)
-                if not inner_lr:
-                    continue
+        for eta, outer_lr in lr_inner_support(nu, delta):
+            for theta, inner_lr in lr_inner_support(lam, delta):
                 g = kronecker_coefficient(theta, first_hook, eta)
                 certs.append(
                     TermCertificate(1, (eta, delta, theta), outer_lr * inner_lr, g)
                 )
     for delta in partitions_list(n - a):
-        for eta in partitions_list(a):
-            outer_lr = lr_coefficient(nu, eta, delta)
-            if not outer_lr:
-                continue
-            for theta in partitions_list(n - a):
-                inner_lr = lr_coefficient(lam, eta, theta)
-                if not inner_lr:
-                    continue
+        for eta, outer_lr in lr_inner_support(nu, delta):
+            for theta, inner_lr in lr_weight_support(lam, eta):
                 g = kronecker_coefficient(theta, second_hook, delta)
                 certs.append(
                     TermCertificate(-1, (eta, delta, theta), outer_lr * inner_lr, g)
@@ -135,19 +136,34 @@ def _negative(a: int, b: int, c: int) -> tuple[int, int, int]:
     return b + c, a, b - 1
 
 
-def _interval_sum(side, d, e, a, b, c, nu) -> int:
-    nu = _check_two_row_params(d, e, a, b, c, nu)
-    size, p, arm = side(a, b, c)
-    total = 0
+@cache
+def _interval_terms(nu, size: int, p: int, arm: int, c: int) -> tuple:
+    """(S - r, r, p - k, k, term) for every nonzero term of a side's sum, before the gate.
+
+    term = c^nu_{sigma,(p-k,k)} * g((S-r, r), (arm, 1^(c+1)), sigma), computed
+    from the LR coefficient and the closed form, not from _support's
+    predicates, so the two routes to the support stay independent.
+    """
+    out = []
     for sigma in partitions_list(size):
         for k, strip in enumerate(two_rows(p)):
             coeff = lr_coefficient(nu, sigma, strip)
             if not coeff:
                 continue
             for r in range(size // 2 + 1):
-                if lr_two_row(size - r, r, p - k, k, d, e):
-                    total += coeff * rosas_kronecker(size, r, arm, c, sigma)
-    return total
+                term = coeff * rosas_kronecker(size, r, arm, c, sigma)
+                if term:
+                    out.append((size - r, r, p - k, k, term))
+    return tuple(out)
+
+
+def _interval_sum(side, d, e, a, b, c, nu) -> int:
+    nu = _check_two_row_params(d, e, a, b, c, nu)
+    return sum(
+        term
+        for x, y, u, v, term in _interval_terms(nu, *side(a, b, c), c)
+        if lr_two_row(x, y, u, v, d, e)
+    )
 
 
 @cache

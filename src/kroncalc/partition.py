@@ -53,8 +53,9 @@ class Partition(tuple):
         """1-indexed part; 0 past the end."""
         return self[i - 1] if 1 <= i <= len(self) else 0
 
+    @cache
     def transpose(self) -> "Partition":
-        """Column lengths of the Young diagram."""
+        """Column lengths of the Young diagram, built once per partition."""
         if not self:
             return self
         cols = [0] * self[0]

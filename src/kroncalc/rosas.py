@@ -11,6 +11,7 @@ a branch.
 
 from __future__ import annotations
 
+from functools import cache
 from typing import NamedTuple
 
 from .partition import (
@@ -103,6 +104,13 @@ def xi_report(eta, a: int, r: int, c: int) -> XiCaseReport:
     n = eta.size
     if not 0 <= r <= n // 2:
         raise ValueError(f"r must satisfy 0 <= r <= {n // 2}, got {r}")
+    return _xi_case(eta, a, r, c)
+
+
+@cache
+def _xi_case(eta: Partition, a: int, r: int, c: int) -> XiCaseReport:
+    """xi_report's branches on validated arguments, once per argument tuple."""
+    n = eta.size
     hook = (a,) + (1,) * (c + 1) if a >= 1 and c >= -1 else None
     if r == 0:
         return XiCaseReport("r-zero", int(tuple(eta) == hook), (a, c))

@@ -31,7 +31,7 @@ from operator import mul
 from typing import NamedTuple
 
 from .partition import Partition, partitions_list
-from .tableau import lr_coefficient, schur_expand_product
+from .tableau import lr_weight_support, schur_expand_product
 
 
 class SchurVector:
@@ -146,15 +146,12 @@ def _leibniz(size: int, entry):
 def coproduct(lam) -> list[tuple[Partition, Partition, int]]:
     """All (mu, nu, c^lam_{mu nu}) with positive coefficient, over all bidegrees."""
     lam = Partition(lam)
-    out = []
-    n = lam.size
-    for k in range(n + 1):
-        for mu in partitions_list(k):
-            for nu in partitions_list(n - k):
-                c = lr_coefficient(lam, mu, nu)
-                if c:
-                    out.append((mu, nu, c))
-    return out
+    return [
+        (mu, nu, c)
+        for k in range(lam.size + 1)
+        for mu in partitions_list(k)
+        for nu, c in lr_weight_support(lam, mu)
+    ]
 
 
 def hall_inner(f: SchurVector, g: SchurVector) -> int:

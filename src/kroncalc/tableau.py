@@ -9,6 +9,11 @@ c^{outer}_{inner, w}.
 Enumeration fills cells in reading order so the Yamanouchi prefix counts,
 the semistandard constraints, and the weight budget can all be checked
 incrementally; this keeps exhaustive sweeps through n <= 12 interactive.
+
+Sums weighted by LR coefficients walk the cached supports instead of
+probing every partition: ``lr_inner_support``, ``lr_weight_support`` and
+``lr_outer_support`` fix two of (outer, inner, weight) and list the third
+with its nonzero coefficient, in partitions_list order.
 """
 
 from __future__ import annotations
@@ -156,6 +161,34 @@ def lr_coefficient(lam, mu, nu) -> int:
     return sum(1 for _ in _lr_fillings(lam, mu, tuple(nu)))
 
 
+def _nonzero(size: int, coefficient) -> tuple[tuple[Partition, int], ...]:
+    """(p, coefficient(p)) for every partition p of size with a nonzero value."""
+    if size < 0:
+        return ()
+    return tuple((p, c) for p in partitions_list(size) if (c := coefficient(p)))
+
+
+@cache
+def lr_inner_support(lam, weight) -> tuple[tuple[Partition, int], ...]:
+    """(inner, c^lam_{inner, weight}) for every inner with a nonzero coefficient."""
+    lam, weight = Partition(lam), Partition(weight)
+    return _nonzero(lam.size - weight.size, lambda inner: lr_coefficient(lam, inner, weight))
+
+
+@cache
+def lr_weight_support(lam, inner) -> tuple[tuple[Partition, int], ...]:
+    """(weight, c^lam_{inner, weight}) for every weight with a nonzero coefficient."""
+    lam, inner = Partition(lam), Partition(inner)
+    return _nonzero(lam.size - inner.size, lambda weight: lr_coefficient(lam, inner, weight))
+
+
+@cache
+def lr_outer_support(inner, weight) -> tuple[tuple[Partition, int], ...]:
+    """(lam, c^lam_{inner, weight}) for every lam with a nonzero coefficient."""
+    inner, weight = Partition(inner), Partition(weight)
+    return _nonzero(inner.size + weight.size, lambda lam: lr_coefficient(lam, inner, weight))
+
+
 def lr_two_row(x: int, y: int, u: int, v: int, d: int, e: int) -> int:
     """Closed form for c^{(d,e)}_{(x,y),(u,v)}: 1 iff max(x+v, y+u) <= d <= x+u."""
     if not (x >= y >= 0 and u >= v >= 0 and d >= e >= 0):
@@ -230,11 +263,5 @@ def dimension(lam) -> int:
 
 
 def schur_expand_product(mu, nu) -> dict[Partition, int]:
-    """Map lam -> c^lam_{mu nu} over all lam of the right size."""
-    mu, nu = Partition(mu), Partition(nu)
-    out: dict[Partition, int] = {}
-    for lam in partitions_list(mu.size + nu.size):
-        c = lr_coefficient(lam, mu, nu)
-        if c:
-            out[lam] = c
-    return out
+    """Map lam -> c^lam_{mu nu} over all lam of the right size; a fresh dict per call."""
+    return dict(lr_outer_support(Partition(mu), Partition(nu)))

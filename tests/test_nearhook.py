@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from kroncalc.colored import ColoredTableau
 from kroncalc.nearhook import (
+    TermCertificate,
+    _interval_terms,
     delta_star,
     g_two_row_near_hook,
     index_set_minus,
@@ -24,8 +26,10 @@ from kroncalc.nearhook import (
     witnesses_null_case,
     witnesses_singleton_case,
 )
-from kroncalc.partition import Partition, partitions_list
+from kroncalc.partition import Partition, hook_partition, partitions_list, two_rows
+from kroncalc.rosas import rosas_kronecker
 from kroncalc.symfun import kronecker_coefficient
+from kroncalc.tableau import lr_coefficient, lr_two_row
 
 
 def P(*parts) -> Partition:
@@ -83,6 +87,60 @@ def test_expansion_matches_oracle_small():
                         assert value == kronecker_coefficient(lam, near_hook, nu)
 
 
+def _expansion_by_scan(lam, nu, a, b, c):
+    """near_hook_expansion's certificates found by probing every partition.
+
+    The reference for the expansion that walks the nonzero-LR supports:
+    each LR factor is looked up for every partition and zeros are skipped.
+    """
+    n = a + b + c
+    first_hook = hook_partition(a, c + 1)
+    second_hook = hook_partition(b - 1, c + 1)
+    certs = []
+    for delta in partitions_list(b - 1):
+        for eta in partitions_list(n - b + 1):
+            outer_lr = lr_coefficient(nu, eta, delta)
+            if not outer_lr:
+                continue
+            for theta in partitions_list(n - b + 1):
+                inner_lr = lr_coefficient(lam, theta, delta)
+                if not inner_lr:
+                    continue
+                g = kronecker_coefficient(theta, first_hook, eta)
+                certs.append(TermCertificate(1, (eta, delta, theta), outer_lr * inner_lr, g))
+    for delta in partitions_list(n - a):
+        for eta in partitions_list(a):
+            outer_lr = lr_coefficient(nu, eta, delta)
+            if not outer_lr:
+                continue
+            for theta in partitions_list(n - a):
+                inner_lr = lr_coefficient(lam, eta, theta)
+                if not inner_lr:
+                    continue
+                g = kronecker_coefficient(theta, second_hook, delta)
+                certs.append(TermCertificate(-1, (eta, delta, theta), outer_lr * inner_lr, g))
+    return certs
+
+
+def test_expansion_matches_full_scan():
+    cases = certificates = 0
+    for n in range(4, 8):
+        for b in range(2, n // 2 + 1):
+            for a in range(b, n - b + 1):
+                c = n - a - b
+                for lam in partitions_list(n):
+                    for nu in partitions_list(n):
+                        want = _expansion_by_scan(lam, nu, a, b, c)
+                        got, value = near_hook_expansion(lam, nu, a, b, c)
+                        assert got == want, (lam, nu, a, b, c)
+                        assert [t.to_json() for t in got] == [t.to_json() for t in want]
+                        assert value == sum(t.contribution for t in want)
+                        cases += 1
+                        certificates += len(want)
+    assert cases == 1957
+    assert certificates > cases
+
+
 def test_expansion_validation():
     with pytest.raises(ValueError):
         near_hook_expansion((4, 2), (4, 2), 2, 4, 0)  # a < b
@@ -94,6 +152,48 @@ def test_triple_values_from_worked_example():
     assert triple1(4, 2, 3, 2, 1, (4, 2)) == 4
     assert triple2(4, 2, 3, 2, 1, (4, 2)) == 2
     assert g_two_row_near_hook(4, 2, 3, 2, 1, (4, 2)) == 2
+
+
+def _interval_sum_by_scan(size, p, arm, d, e, c, nu):
+    """One side of triple1/triple2 probing every (sigma, k, r) at this d.
+
+    The reference for the sums that keep each side's nonzero terms once and
+    gate them per d: sigma runs over the partitions of size, the LR factor is
+    c^nu_{sigma,(p-k,k)}, the gate c^{(d,e)}_{(size-r,r),(p-k,k)}.
+    """
+    total = 0
+    for sigma in partitions_list(size):
+        for k, strip in enumerate(two_rows(p)):
+            coeff = lr_coefficient(nu, sigma, strip)
+            if not coeff:
+                continue
+            for r in range(size // 2 + 1):
+                if lr_two_row(size - r, r, p - k, k, d, e):
+                    total += coeff * rosas_kronecker(size, r, arm, c, sigma)
+    return total
+
+
+def test_triple_sums_match_full_scan():
+    cases = 0
+    for n in range(5, 9):
+        for b in range(2, n):
+            for a in range(b, n - b):
+                c = n - a - b
+                for nu in partitions_list(n):
+                    for d in range((n + 1) // 2, n + 1):
+                        e = n - d
+                        plus = _interval_sum_by_scan(a + c + 1, b - 1, a, d, e, c, nu)
+                        minus = _interval_sum_by_scan(b + c, a, b - 1, d, e, c, nu)
+                        assert triple1(d, e, a, b, c, nu) == plus, (d, a, b, nu)
+                        assert triple2(d, e, a, b, c, nu) == minus, (d, a, b, nu)
+                        cases += 1
+    assert cases == 1009
+
+
+def test_interval_terms_are_immutable():
+    terms = _interval_terms(P(4, 2), 5, 1, 3, 1)  # positive side of (a, b, c) = (3, 2, 1)
+    assert terms and type(terms) is tuple
+    assert all(type(t) is tuple and t[4] != 0 for t in terms)
 
 
 def test_index_sets_worked_example():

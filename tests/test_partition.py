@@ -48,6 +48,18 @@ def test_transpose_involution_small():
             assert lam.transpose().transpose() == lam
 
 
+def test_transpose_matches_column_count():
+    for n in range(13):
+        for lam in partitions_list(n):
+            columns = tuple(
+                sum(1 for part in lam if part > j) for j in range(lam[0] if lam else 0)
+            )
+            first = lam.transpose()
+            assert type(first) is Partition and first == columns
+            # the memoized result is an immutable Partition, returned again unchanged
+            assert lam.transpose() is first and first == columns
+
+
 def test_frobenius_examples():
     # (a, b, 1^c) with a >= b >= 2 has arms (a-1, b-2) and legs (c+1, 0)
     lam = Partition((4, 3, 1, 1))

@@ -93,6 +93,16 @@ def test_rosas_validation():
         rosas_kronecker(6, 1, 0, 5, (3, 2, 1))  # a must be >= 1
 
 
+def test_xi_report_validates_before_its_memo():
+    eta = Partition((3, 2, 1))
+    first = xi_report(eta, 2, 1, 2)
+    assert xi_report((3, 2, 1), 2, 1, 2) == first
+    with pytest.raises(ValueError):
+        xi_report(eta, 2, 4, 2)  # r too large, after a valid call on the same shape
+    with pytest.raises(ValueError):
+        xi_report((2, 3), 2, 1, 2)  # not a partition
+
+
 def test_rosas_matches_oracle_small():
     for n in range(1, 9):
         for r in range(n // 2 + 1):

@@ -334,3 +334,31 @@ def test_blasiak_matches_oracle_property(triple):
     lam, d, nu = triple
     hook = Partition((lam.size - d,) + (1,) * d)
     assert count_blasiak(lam, d, nu) == kronecker_coefficient(lam, hook, nu)
+
+
+@st.composite
+def triples_past_sweeps(draw):
+    n = draw(st.integers(11, 14))
+    parts = st.sampled_from(partitions_list(n))
+    return draw(parts), draw(parts), draw(parts)
+
+
+@seed(20261020)
+@settings(max_examples=40, deadline=None, database=None)
+@given(triples_past_sweeps())
+def test_kronecker_symmetry_property(triple):
+    from itertools import permutations
+
+    expected = kronecker_coefficient(*triple)
+    for order in permutations(triple):
+        assert kronecker_coefficient(*order) == expected
+
+
+@seed(20261021)
+@settings(max_examples=40, deadline=None, database=None)
+@given(triples_past_sweeps())
+def test_kronecker_conjugation_property(triple):
+    lam, mu, nu = triple
+    expected = kronecker_coefficient(lam, mu, nu)
+    assert kronecker_coefficient(lam, mu.transpose(), nu.transpose()) == expected
+    assert kronecker_coefficient(lam.transpose(), mu.transpose(), nu) == expected

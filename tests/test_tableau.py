@@ -6,9 +6,13 @@ from kroncalc.tableau import (
     dimension,
     is_yamanouchi,
     lr_coefficient,
+    lr_inner_support,
+    lr_outer_support,
     lr_tableaux,
     lr_two_row,
     lr_via_strip_difference,
+    lr_weight_support,
+    schur_expand_product,
     strip_chain_count,
 )
 
@@ -167,3 +171,58 @@ def test_dimension():
     assert dimension((3, 2)) == 5
     assert dimension((2, 1)) == 2
     assert dimension((4, 2, 1, 1)) == 90  # 8! / (7*4*2*1*4*1*2*1)
+
+
+def _scan(size, coefficient):
+    """(p, coefficient(p)) over every partition p of size, zeros dropped."""
+    return tuple((p, coefficient(p)) for p in partitions_list(size) if coefficient(p))
+
+
+def test_support_tables_match_full_scans():
+    keys = 0
+    shapes = [lam for n in range(9) for lam in partitions_list(n)]
+    for lam in shapes:
+        for fixed in shapes:
+            if fixed.size > lam.size:
+                continue
+            rest = lam.size - fixed.size
+            keys += 2
+            assert lr_inner_support(lam, fixed) == _scan(
+                rest, lambda inner: lr_coefficient(lam, inner, fixed)
+            )
+            assert lr_weight_support(lam, fixed) == _scan(
+                rest, lambda weight: lr_coefficient(lam, fixed, weight)
+            )
+    for inner in shapes:
+        for weight in shapes:
+            if inner.size + weight.size > 8:
+                continue
+            keys += 1
+            assert lr_outer_support(inner, weight) == _scan(
+                inner.size + weight.size, lambda lam: lr_coefficient(lam, inner, weight)
+            )
+    assert keys == 5842
+
+
+def test_support_tables_are_immutable():
+    lam, fixed = Partition((5, 4, 2, 1)), Partition((4, 1, 1))
+    for table in (
+        lr_inner_support(lam, fixed),
+        lr_weight_support(lam, fixed),
+        lr_outer_support(fixed, Partition((3, 2, 1))),
+    ):
+        assert table and type(table) is tuple
+        assert all(type(entry) is tuple and type(entry[0]) is Partition for entry in table)
+    assert lr_inner_support(lam, Partition((6, 1, 1, 1, 1, 1, 1))) == ()
+
+
+def test_schur_expand_product_returns_a_fresh_dict():
+    first = schur_expand_product((2, 1), (2, 1))
+    assert first[Partition((3, 2, 1))] == 2
+    first[Partition((3, 2, 1))] = 99
+    first[Partition((9,))] = 1
+    del first[Partition((4, 2))]
+    again = schur_expand_product((2, 1), (2, 1))
+    assert again[Partition((3, 2, 1))] == 2
+    assert Partition((9,)) not in again and again[Partition((4, 2))] == 1
+    assert again is not first
