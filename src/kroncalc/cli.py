@@ -174,16 +174,20 @@ def _cert_text(cert) -> str:
     return f"[{index}] lr={cert.lr_value} g={cert.g_value}"
 
 
-def cmd_kron(args) -> int:
-    if args.explain and args.output == "csv":
-        raise InputError("--explain has no csv form; use --output text or json")
-    lam = _parse_partition_arg(args.lam)
-    mu = _parse_partition_arg(args.mu)
-    nu = _parse_partition_arg(args.nu)
+def _parse_triple(*texts: str) -> tuple[Partition, Partition, Partition]:
+    """lambda, mu, nu parsed in turn, then checked to have one size."""
+    lam, mu, nu = (_parse_partition_arg(x) for x in texts)
     if not lam.size == mu.size == nu.size:
         raise InputError(
             f"sizes differ: |lambda|={lam.size} |mu|={mu.size} |nu|={nu.size}"
         )
+    return lam, mu, nu
+
+
+def cmd_kron(args) -> int:
+    if args.explain and args.output == "csv":
+        raise InputError("--explain has no csv form; use --output text or json")
+    lam, mu, nu = _parse_triple(args.lam, args.mu, args.nu)
     applicable = _applicable_methods(lam, mu)
     if args.method == "all":
         methods = [m for m, why in applicable.items() if why is None]
@@ -324,14 +328,10 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_rosas(args) -> int:
-    lam = _parse_partition_arg(args.two_row)
-    mu = _parse_partition_arg(args.hook)
-    nu = _parse_partition_arg(args.nu)
+    lam, mu, nu = _parse_triple(args.two_row, args.hook, args.nu)
     why = _applicable_methods(lam, mu)["rosas"]
     if why is not None:
         raise HypothesisError(why)
-    if not lam.size == mu.size == nu.size:
-        raise InputError("all three partitions must have the same size")
     value, lines, payload = _run_method("rosas", lam, mu, nu, explain=True)
     if args.output == "json":
         _print_json(dict(payload, value=value))

@@ -41,7 +41,9 @@ depends only on a small state (the value being placed, the row lengths,
 the bars left, and the counts the reading rules compare), so the counts
 come from a memoized graph of these states; with the bars left out of the
 state, one graph counts every total color at once.  Enumeration walks the
-same graph and enters only states with a nonzero count.
+same graph, enters only states with a nonzero count, and records the shape
+after each key; the rows of a finished tableau are read off that chain of
+shapes.
 
 The tests keep a search over mixed-insertion states of the admissible
 words as the reference this construction must match.
@@ -211,13 +213,7 @@ class ColoredTableau(_Tableau):
         return tuple(out)
 
     def is_globally_weakly_increasing(self) -> bool:
-        keys = [[x.key for x in row] for row in self.rows]
-        if any(a > b for row in keys for a, b in zip(row, row[1:])):
-            return False
-        # rows are left-justified, so zip pairs each cell with the one below
-        return not any(
-            a > b for upper, lower in zip(keys, keys[1:]) for a, b in zip(upper, lower)
-        )
+        return _weakly_increasing([[x.key for x in row] for row in self.rows])
 
     def to_ascii(self) -> str:
         return "\n".join(
@@ -235,6 +231,16 @@ class ColoredTableau(_Tableau):
         """Rows separated by "|", letters by spaces: "1' 1 1 | 2"."""
         rows = [parse_colored_word(chunk) for chunk in text.split("|")]
         return cls(tuple(rows))
+
+
+def _weakly_increasing(rows: Sequence[Sequence[int]]) -> bool:
+    """Integer rows weakly increase along every row and down every column."""
+    if any(a > b for row in rows for a, b in zip(row, row[1:])):
+        return False
+    # rows are left-justified, so zip pairs each cell with the one below
+    return not any(
+        a > b for upper, lower in zip(rows, rows[1:]) for a, b in zip(upper, lower)
+    )
 
 
 def _tableau_from_encoded(rows: Sequence[Sequence[int]]) -> ColoredTableau:
@@ -322,7 +328,8 @@ def mixed_insertion_trace(word: Sequence[ColoredLetter]) -> list[ColoredTableau]
 def _search(lam: Partition, d: int, target: Optional[Partition]):
     """Colored Yamanouchi tableaux of content lam with d bars, keyed by shape.
 
-    A walk over the counted states of a _HookGraph that fills in the rows.
+    A walk over the counted states of a _HookGraph that records the chain
+    of shapes, one after each key, and decodes each finished chain once.
     It enters only states with a nonzero count, that is, states from which
     a tableau with exactly the bars left (and the target shape, if given)
     can still be finished, so no branch it explores is dead.  With a target
@@ -333,19 +340,33 @@ def _search(lam: Partition, d: int, target: Optional[Partition]):
     m = len(lam)
     found: dict[tuple[int, ...], set] = {}
 
-    def walk(state: tuple, rows: tuple) -> None:
-        v, lengths = state[0], state[1]
-        if v == m:
-            found.setdefault(lengths, set()).add(rows)
+    def walk(state: tuple, chain: tuple) -> None:
+        if state[0] == m:
+            found.setdefault(state[1], set()).add(_rows_of_chain(chain))
             return
-        heights = _column_heights(lengths)
-        for per_col, per_row, child in graph.live[state]:
-            barred = _fill_columns(rows, heights, per_col, 2 * v + 1)
-            walk(child, _fill_rows(barred, per_row, 2 * v + 2))
+        for barred, child in graph.live[state]:
+            walk(child, chain + (barred, child[1]))
 
     if graph.counts(graph.root):
         walk(graph.root, ())
     return found
+
+
+def _rows_of_chain(chain: Sequence[Sequence[int]]) -> tuple:
+    """Encoded rows of the tableau whose k-th shape in chain adds the key k.
+
+    The cells new in a shape are the last ones of their rows, so each row
+    holds every key in turn, as many as the row grew by with it.
+    """
+    rows = []
+    for lengths in zip_longest(*chain, fillvalue=0):  # one row's lengths
+        row, prev = [], 0
+        for k, length in enumerate(lengths, 1):
+            if length != prev:
+                row += [k] * (length - prev)
+                prev = length
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 class _HookGraph:
@@ -381,9 +402,10 @@ class _HookGraph:
     d.  counts(state) maps (bars placed from state on, final shape) to the
     number of finished tableaux; it is memoized on the state, so tableaux
     that share a state are counted once, and none is built.  With walk set,
-    live[state] keeps the moves into states with a nonzero count, which is
-    all an enumeration needs to walk; a count alone keeps no moves.  With a
-    target shape no row may outgrow it.
+    live[state] keeps (barred, next state) for each move into a state with
+    a nonzero count: the row lengths after the v' strip and after the v
+    strip are all an enumeration needs to walk and to fill the rows; a
+    count alone keeps no moves.  With a target shape no row may outgrow it.
     """
 
     def __init__(
@@ -397,10 +419,11 @@ class _HookGraph:
         self.live: Optional[dict[tuple, list]] = {} if walk else None
 
     def moves(self, state: tuple):
-        """Yield (cb, per_col, per_row, next state) for each way to place v', v.
+        """Yield (cb, barred, next state) for each way to place v', v.
 
-        cb barred v fill per_col[c] cells at the foot of column c, then the
-        unbarred v fill per_row[r] cells at the end of row r.
+        The cb barred v fill a vertical strip, which gives the row lengths
+        barred; the unbarred v then fill a horizontal strip, which gives the
+        row lengths of the next state.
         """
         v, lengths, left, cu_prev, bar_below, unb_above, bottom_barred = state
         lam = self.lam
@@ -425,7 +448,7 @@ class _HookGraph:
                     full = _grow_rows(barred, per_row)
                     ends_barred = starts_barred and not (per_row and per_row[-1])
                     above = tuple(accumulate(per_row, initial=0))
-                    yield cb, per_col, per_row, (
+                    yield cb, barred, (
                         v + 1, full, rest, cu, below, above, ends_barred
                     )
 
@@ -442,10 +465,10 @@ class _HookGraph:
             live = None
             if self.live is not None:
                 live = self.live[state] = []
-            for cb, per_col, per_row, child in self.moves(state):
+            for cb, barred, child in self.moves(state):
                 below = self.counts(child)
                 if below and live is not None:
-                    live.append((per_col, per_row, child))
+                    live.append((barred, child))
                 for (bars, shape), c in below.items():
                     key = (bars + cb, shape)
                     got[key] = got.get(key, 0) + c
@@ -464,7 +487,7 @@ def _column_heights(lengths: Sequence[int]) -> list:
     return heights
 
 
-def _grow_columns(lengths: Sequence[int], heights: list, per_col: tuple) -> list:
+def _grow_columns(lengths: Sequence[int], heights: list, per_col: tuple) -> tuple:
     """Row lengths after per_col[c] cells are added at the foot of column c."""
     new = list(lengths)
     for c, t in enumerate(per_col):
@@ -474,7 +497,7 @@ def _grow_columns(lengths: Sequence[int], heights: list, per_col: tuple) -> list
                 new[r] += 1
             else:
                 new.append(1)
-    return new
+    return tuple(new)
 
 
 def _grow_rows(lengths: Sequence[int], per_row: tuple) -> tuple:
@@ -483,33 +506,6 @@ def _grow_rows(lengths: Sequence[int], per_row: tuple) -> tuple:
         return tuple(lengths)
     new = tuple(a + t for a, t in zip(lengths, per_row))
     return (new + (per_row[-1],)) if per_row[-1] else new
-
-
-def _fill_columns(rows: tuple, heights: list, per_col: tuple, k: int) -> tuple:
-    """rows with per_col[c] cells holding k added at the foot of column c."""
-    if not per_col:
-        return rows
-    new = list(rows)
-    for c, t in enumerate(per_col):
-        if not t:
-            continue
-        top = heights[c] if c < len(heights) else 0
-        for r in range(top, top + t):
-            if r < len(new):
-                new[r] += (k,)
-            else:
-                new.append((k,))
-    return tuple(new)
-
-
-def _fill_rows(rows: tuple, per_row: tuple, k: int) -> tuple:
-    """rows with per_row[i] cells holding k added at the end of row i."""
-    if not per_row:
-        return rows
-    new = [row + (k,) * t if t else row for row, t in zip(rows, per_row)]
-    if per_row[-1]:
-        new.append((k,) * per_row[-1])
-    return tuple(new)
 
 
 def _strips(lengths: list, s: int, limit, bound) -> list:
@@ -579,9 +575,7 @@ def _finalize(lam: Partition, d: int, encoded: Iterable[tuple]) -> tuple[Colored
         encoded,
         key=lambda rows: (tuple(map(len, rows)), tuple(k for r in rows for k in r[::-1])),
     ):
-        if any(a > b for row in rows for a, b in zip(row, row[1:])) or any(
-            a > b for upper, lower in zip(rows, rows[1:]) for a, b in zip(upper, lower)
-        ):
+        if not _weakly_increasing(rows):
             raise AssertionError(f"enumerated tableau not globally monotone: {rows}")
         keys = sorted(k for row in rows for k in row)
         if tuple((k + 1) >> 1 for k in keys) != values or sum(k & 1 for k in keys) != d:

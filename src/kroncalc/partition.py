@@ -202,12 +202,14 @@ def partitions_of(n: int) -> Iterator[Partition]:
 
     Each next partition lowers the last part above 1 by one and refills
     what it and the trailing 1s held with parts as large as that allows.
+    That keeps the parts positive and weakly decreasing, so each one is
+    wrapped without the constructor's validation.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     parts = [n] if n else []
     while True:
-        yield Partition(parts)
+        yield tuple.__new__(Partition, parts)
         ones = 0
         while parts and parts[-1] == 1:
             parts.pop()

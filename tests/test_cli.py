@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -182,8 +183,13 @@ def test_rosas_subcommand(capsys):
     assert code == 0
     assert "value: 1" in out
     assert "branch: double-hook" in out
-    code, _, err = run(capsys, "rosas", "3,2,1", "2,1^3", "3,2,1")
+    code, _, err = run(capsys, "rosas", "3,2,1", "2,1^4", "3,2,1")
     assert code == 3
+    assert "hypothesis not met" in err
+    # sizes 6, 5, 6: the size check comes before the hypotheses, as in kron
+    code, _, err = run(capsys, "rosas", "3,2,1", "2,1^3", "3,2,1")
+    assert code == 2
+    assert "sizes differ: |lambda|=6 |mu|=5 |nu|=6" in err
 
 
 def test_expand_outputs(capsys):
@@ -313,3 +319,66 @@ def test_kron_negative_exponent_exits_2(capsys):
     assert code == 2
     assert out == ""
     assert "bad partition" in err
+
+
+# sha256 of stdout for the --explain queries of the benchmark, in text and
+# json, with the hook-rule tableaux, the signed expansion and one tableau
+# listing; any change to an explain line, its order or its json shows here
+EXPLAIN_DIGESTS = [
+    (("kron", "4,3", "3,2,1,1", "3,2,1,1", "--method", "nearhook", "--explain", "--output", "text"),
+     "eb4b4dedb2abf5bf90787e0cb017439f8deca6e8ad6c4fb2975046f7735bcc24"),
+    (("kron", "4,3", "3,2,1,1", "3,2,1,1", "--method", "nearhook", "--explain", "--output", "json"),
+     "1d3a3cf30f4424841ebdd8792c7c5e1783ae58bdd235be73699b2351b2884588"),
+    (("kron", "6,2", "2,1^6", "3,2,1,1,1", "--method", "rosas", "--explain", "--output", "text"),
+     "83d9fe23df7f5728b2ee8b1fa0d56a8aa1dd60b5be1836645da7de06160854ad"),
+    (("kron", "6,2", "2,1^6", "3,2,1,1,1", "--method", "rosas", "--explain", "--output", "json"),
+     "df15a2a5108fd7e9647d745e475b90367580e043d8b7a71aeb013836cdbc99ef"),
+    (("kron", "5,2", "3,2,1,1", "5,2", "--method", "all", "--explain", "--output", "text"),
+     "5b091ca1c1930890afafb612b2e87c012e0ba077c25003c830e21342afa71fcf"),
+    (("kron", "5,2", "3,2,1,1", "5,2", "--method", "all", "--explain", "--output", "json"),
+     "e8e06659e7c7b0cbe7d37a591b48f6562c6217c6ad5943a703a15e8fd1c221a7"),
+    (("kron", "8,6", "6,2,1^6", "8,2,1^4", "--method", "all", "--explain", "--output", "text"),
+     "7d31cf6f96e1ab82bece34d1d2a926d71fec44206299024f74200f39a7f13f79"),
+    (("kron", "8,6", "6,2,1^6", "8,2,1^4", "--method", "all", "--explain", "--output", "json"),
+     "1b40003d3fa53a2dfaa30b7f252323ba54ba2a660a0c61810b10c9dbe8c02abb"),
+    (("kron", "5,4", "3,2,1^4", "5,2,2", "--method", "all", "--explain", "--output", "text"),
+     "507f6600e2c1971ac7293229260f7892bb8d5e0bad8f5a844aada92df7d8e9ae"),
+    (("kron", "5,4", "3,2,1^4", "5,2,2", "--method", "all", "--explain", "--output", "json"),
+     "b6b9d9e0652f41498627d3c74aae314e5116735c3d3a1930b4ec6371b551174c"),
+    (("kron", "10,5", "7,2,1^6", "9,2,2,2", "--method", "all", "--explain", "--output", "text"),
+     "b9b406d2f8e1ffba8688077e14b5a8b116ec7efa80b679437fd090415b73a82e"),
+    (("kron", "10,5", "7,2,1^6", "9,2,2,2", "--method", "all", "--explain", "--output", "json"),
+     "ecb1b13e70c72f530c2154e8aa21fb2acff177f895498463e58818a19b5c5d0e"),
+    (("kron", "6,3", "2,2,1^5", "4,2,1^3", "--method", "all", "--explain", "--output", "text"),
+     "2de8e1928309c1e922303a431cdec89eae34d6f6ef728ee6b36cd228020286df"),
+    (("kron", "6,3", "2,2,1^5", "4,2,1^3", "--method", "all", "--explain", "--output", "json"),
+     "5b96a0f9af17fe0fc0c654516fe8020a14b67e5b941c8f99b4d8c0e3d830f357"),
+    (("kron", "11,2", "5,2,1,1,1,1,1,1", "7,2,1,1,1,1", "--method", "all", "--explain", "--output", "text"),
+     "e48abee993f85f01f6fac7bcb06014f1d928e9a3540de1ed21b278b1325ece17"),
+    (("kron", "11,2", "5,2,1,1,1,1,1,1", "7,2,1,1,1,1", "--method", "all", "--explain", "--output", "json"),
+     "2d8e3eefebf2a1b2db15f26463af2718a15e62b213626ed59a6e4313b162b7c7"),
+    (("kron", "8,5", "7,2,1,1,1,1", "9,2,1,1", "--method", "all", "--explain", "--output", "text"),
+     "065e6fb4bef1dddc1f7022899da722839d89e10f7ddba27f69d562fd4223b390"),
+    (("kron", "8,5", "7,2,1,1,1,1", "9,2,1,1", "--method", "all", "--explain", "--output", "json"),
+     "e18492ca517aa42c657ca0173a0129e737c120720ce38a81b50967b01e625394"),
+    (("kron", "5,2,1", "4,1^4", "4,2,1,1", "--method", "all", "--explain", "--output", "text"),
+     "da5e1e167dc7217f11ace30d20bb839c7b86aa00bab1921aa3c86fb92c835473"),
+    (("kron", "5,2,1", "4,1^4", "4,2,1,1", "--method", "all", "--explain", "--output", "json"),
+     "86c910f85df05049386a8ea660051f19f2d72a13ec9c921eb4914b544dc3f246"),
+    (("kron", "3,2,1", "2,2,1,1", "4,1,1", "--method", "all", "--explain", "--output", "text"),
+     "4c482549d2caae29e87fc526ff6204603caabb614e8501da9b09af4501386c11"),
+    (("kron", "3,2,1", "2,2,1,1", "4,1,1", "--method", "all", "--explain", "--output", "json"),
+     "254ce3d8733e70d337d21a6c8b7938bbe2b7d214fe555f13c5f67f439d6be830"),
+    (("enumerate", "blasiak", "5,2,1", "4", "4,2,1,1", "--output", "json"),
+     "b356aadae1d2fa64f483685937a8a66cfff0df4a6187a742ce4c093c939b150c"),
+]
+
+
+def test_explain_output_bytes_are_pinned(capsys):
+    changed = []
+    for argv, digest in EXPLAIN_DIGESTS:
+        code, out, _ = run(capsys, *argv)
+        assert code == 0, argv
+        if hashlib.sha256(out.encode()).hexdigest() != digest:
+            changed.append(" ".join(argv))
+    assert not changed

@@ -438,6 +438,26 @@ def test_all_d_counts_match_fixed_d_counts():
             assert blasiak_counts(lam) == fixed, lam
 
 
+def test_walk_explores_no_dead_branch():
+    graphs = 0
+    for n in range(1, 8):
+        for lam in partitions_list(n):
+            for d in [None, *range(n)]:
+                for target in [None, *partitions_list(n)]:
+                    graph = _HookGraph(lam, d, target, walk=True)
+                    graph.counts(graph.root)
+                    graphs += 1
+                    for state, got in graph.memo.items():
+                        if state[0] == len(lam):
+                            continue
+                        live = graph.live[state]
+                        # a live move enters a state with a nonzero count
+                        assert all(graph.memo[child] for _, child in live), state
+                        # a state with a nonzero count has a live move
+                        assert bool(live) == bool(got), state
+    assert graphs == 3400
+
+
 def test_targeted_count_matches_state_search():
     total = 0
     for n in range(1, 7):

@@ -156,6 +156,18 @@ def test_partitions_of_matches_recursive_reference():
         assert all(type(p) is Partition for p in got)
 
 
+def test_partitions_of_yields_validated_partitions_in_order():
+    # the parts are wrapped without the constructor; each must still be one
+    for n in range(25):
+        got = list(partitions_of(n))
+        assert len(got) == partition_count(n)
+        for p in got:
+            assert type(p) is Partition
+            assert p == Partition(tuple(p))
+        # reverse-lexicographic order is strictly decreasing tuple order
+        assert all(a > b for a, b in zip(got, got[1:])), n
+
+
 def test_parse_and_format():
     assert parse_partition("6,2,1^6") == Partition((6, 2, 1, 1, 1, 1, 1, 1))
     assert parse_partition("4,1^4") == Partition((4, 1, 1, 1, 1))
