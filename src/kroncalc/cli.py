@@ -368,12 +368,16 @@ def cmd_expand(args) -> int:
 # ---------------------------------------------------------------------------
 # verify
 
+MAX_JOBS = 64  # verify opens one pool of this many workers per suite
+
 
 def cmd_verify(args) -> int:
     if args.n is not None and args.n < 0:
         raise InputError(f"--n must be >= 0, got {args.n}")
     if args.jobs < 1:
         raise InputError(f"--jobs must be >= 1, got {args.jobs}")
+    if args.jobs > MAX_JOBS:
+        raise InputError(f"--jobs must be <= {MAX_JOBS}, got {args.jobs}")
     names = sorted(verify.SUITES) if args.suite == "all" else [args.suite]
     if args.suite != "all" and args.suite not in verify.SUITES:
         raise InputError(
@@ -439,7 +443,9 @@ def build_parser() -> argparse.ArgumentParser:
     ver = sub.add_parser("verify", help="run verification sweeps")
     ver.add_argument("suite")
     ver.add_argument("--n", type=int, default=None)
-    ver.add_argument("--jobs", type=int, default=1)
+    ver.add_argument(
+        "--jobs", type=int, default=1, help=f"worker processes, 1 to {MAX_JOBS}"
+    )
     ver.set_defaults(func=cmd_verify)
 
     return parser

@@ -25,10 +25,11 @@ nu, and an unbarred southwest corner equals g(lam, (n-d, 1^d), nu).
 The enumeration builds these colored Yamanouchi tableaux directly rather
 than inserting words (Blasiak, arXiv:1209.2018).  The keys 1', 1, 2', 2,
 ... are placed in order, a barred key as a vertical strip and an unbarred
-key as a horizontal strip.  The barred content cb is chosen key by key:
-cb_v is fixed when the keys of value v are placed, so that the unbarred
-content cu = lam - cb stays a partition and the later values can still
-take exactly the bars left.  Two reading rules hold:
+key as a horizontal strip; a vertical strip is placed as a horizontal strip
+of the conjugate shape, so one routine lists both.  The barred content cb
+is chosen key by key: cb_v is fixed when the keys of value v are placed,
+so that the unbarred content cu = lam - cb stays a partition and the later
+values can still take exactly the bars left.  Two reading rules hold:
 
 - the unbarred letters, read bottom row first and left to right, form a
   word whose every suffix has partition content;
@@ -373,12 +374,13 @@ class _HookGraph:
     """The states of the hook-rule search for one content lam, with their counts.
 
     The keys 1', 1, 2', 2, ... are placed in order, each filling a strip of
-    the shape built so far: a vertical strip for a barred key, a horizontal
-    strip for an unbarred one.  At value v the number of barred v, cb_v, is
-    chosen as the keys are placed, from min(lam_v, bars left) down to 0.  A
-    count is skipped when the unbarred count cu_v = lam_v - cb_v exceeds
-    cu_{v-1}, or when the later values cannot take exactly the bars still
-    left (each later w takes at most lam_w bars and at least lam_w - cu_v).
+    the shape built so far: a vertical strip for a barred key (a horizontal
+    strip of the conjugate shape), a horizontal strip for an unbarred one.
+    At value v the number of barred v, cb_v, is chosen as the keys are
+    placed, from min(lam_v, bars left) down to 0.  A count is skipped when
+    the unbarred count cu_v = lam_v - cb_v exceeds cu_{v-1}, or when the
+    later values cannot take exactly the bars still left (each later w
+    takes at most lam_w bars and at least lam_w - cu_v).
     Two reading rules hold strip by strip, for every value u >= 2:
 
     - unbarred: for every row r, the unbarred u in rows 1..r number at most
@@ -397,9 +399,10 @@ class _HookGraph:
     the next value v (from 0), the row lengths, the bars still to place,
     cu_{v-1}, the barred v - 1 in columns < c (bar_below[c]), the unbarred
     v - 1 in rows < r (unb_above[r]), and whether the bottom row starts
-    barred; bar_below and unb_above are None at v = 0.  With d None, left
-    is None and any number of bars may be placed, so one graph counts every
-    d.  counts(state) maps (bars placed from state on, final shape) to the
+    barred.  bar_below and unb_above are the prefix sums _strips returns
+    for the last v' and v strips, and None at v = 0.  With d None, left is
+    None and any number of bars may be placed, so one graph counts every d.
+    counts(state) maps (bars placed from state on, final shape) to the
     number of finished tableaux; it is memoized on the state, so tableaux
     that share a state are counted once, and none is built.  With walk set,
     live[state] keeps (barred, next state) for each move into a state with
@@ -413,7 +416,7 @@ class _HookGraph:
     ):
         self.lam = lam
         self.tgt = tuple(target) if target is not None else None
-        self.tgt_cols = tuple(target.transpose()) if target is not None else None
+        self.tgt_cols = _conjugate(self.tgt) if target is not None else None
         self.root = (0, (), d, lam[0] if lam else 0, None, None, False)
         self.memo: dict[tuple, dict] = {}
         self.live: Optional[dict[tuple, list]] = {} if walk else None
@@ -421,9 +424,11 @@ class _HookGraph:
     def moves(self, state: tuple):
         """Yield (cb, barred, next state) for each way to place v', v.
 
-        The cb barred v fill a vertical strip, which gives the row lengths
-        barred; the unbarred v then fill a horizontal strip, which gives the
-        row lengths of the next state.
+        The cb barred v fill a horizontal strip of the conjugate shape,
+        conjugated back to the row lengths barred; the unbarred v then fill
+        a horizontal strip, which gives the row lengths of the next state.
+        The bottom row starts barred once the v' strip opens a row, and
+        starts unbarred again when the v strip opens one.
         """
         v, lengths, left, cu_prev, bar_below, unb_above, bottom_barred = state
         lam = self.lam
@@ -431,7 +436,7 @@ class _HookGraph:
         lo, hi = max(0, part - cu_prev), part
         if left is not None:
             lo, hi = max(lo, left - sum(later)), min(hi, left)
-        heights = _column_heights(lengths)
+        cols = _conjugate(lengths)
         for cb in range(hi, lo - 1, -1):
             cu = part - cb
             rest = None
@@ -440,14 +445,11 @@ class _HookGraph:
                 if rest < sum(w - cu for w in later if w > cu):
                     continue
             bound = [c + cu_prev - cu for c in bar_below] if v else None
-            for per_col in _strips(heights, cb, self.tgt_cols, bound):
-                barred = _grow_columns(lengths, heights, per_col)
-                below = tuple(accumulate(per_col, initial=0))
-                starts_barred = bottom_barred or bool(per_col and per_col[0])
-                for per_row in _strips(barred, cu, self.tgt, unb_above):
-                    full = _grow_rows(barred, per_row)
-                    ends_barred = starts_barred and not (per_row and per_row[-1])
-                    above = tuple(accumulate(per_row, initial=0))
+            for grown, below in _strips(cols, cb, self.tgt_cols, bound):
+                barred = _conjugate(grown)
+                starts_barred = bottom_barred or len(barred) > len(lengths)
+                for full, above in _strips(barred, cu, self.tgt, unb_above):
+                    ends_barred = starts_barred and len(full) == len(barred)
                     yield cb, barred, (
                         v + 1, full, rest, cu, below, above, ends_barred
                     )
@@ -476,51 +478,32 @@ class _HookGraph:
         return got
 
 
-def _column_heights(lengths: Sequence[int]) -> list:
-    """Column lengths of the shape with these row lengths."""
-    heights = []
+def _conjugate(lengths: Sequence[int]) -> tuple:
+    """Line lengths of the conjugate shape: the column lengths of these rows."""
+    cols = []
     r = len(lengths)
     for c in range(lengths[0] if lengths else 0):
         while lengths[r - 1] <= c:
             r -= 1
-        heights.append(r)
-    return heights
+        cols.append(r)
+    return tuple(cols)
 
 
-def _grow_columns(lengths: Sequence[int], heights: list, per_col: tuple) -> tuple:
-    """Row lengths after per_col[c] cells are added at the foot of column c."""
-    new = list(lengths)
-    for c, t in enumerate(per_col):
-        top = heights[c] if c < len(heights) else 0
-        for r in range(top, top + t):
-            if r < len(new):
-                new[r] += 1
-            else:
-                new.append(1)
-    return tuple(new)
+def _strips(lines: Sequence[int], s: int, limit, bound) -> list:
+    """Ways to add a horizontal strip of s cells to a shape's lines.
 
-
-def _grow_rows(lengths: Sequence[int], per_row: tuple) -> tuple:
-    """Row lengths after per_row[i] cells are added at the end of row i."""
-    if not per_row:
-        return tuple(lengths)
-    new = tuple(a + t for a, t in zip(lengths, per_row))
-    return (new + (per_row[-1],)) if per_row[-1] else new
-
-
-def _strips(lengths: list, s: int, limit, bound) -> list:
-    """Ways to add a strip of s cells to lines (rows or columns) of a shape.
-
-    lengths are the weakly decreasing line lengths; line i takes at most
-    lengths[i-1] - lengths[i] cells, line 0 any number, and one empty line
+    lines are the weakly decreasing line lengths (rows, or the columns of
+    the conjugate shape for a vertical strip); line i takes at most
+    lines[i-1] - lines[i] cells, line 0 any number, and one empty line
     after the last may open.  No line may grow past limit (a shape), and
     bound[i] (the last entry for i past the end) caps the strip's cells in
-    lines 0..i.  Each way is the tuple of cells added per line; () adds
-    none.
+    lines 0..i.  Each way is (grown line lengths, prefix sums), the prefix
+    sums being accumulate(cells per line, initial=0); an empty strip is
+    (tuple(lines), (0,)).
     """
     if s == 0:
-        return [()]
-    padded = list(lengths) + [0]
+        return [(tuple(lines), (0,))]
+    padded = list(lines) + [0]
     caps = [s] + [a - b for a, b in zip(padded, padded[1:])]
     if limit is not None:
         caps = [
@@ -535,7 +518,9 @@ def _strips(lengths: list, s: int, limit, bound) -> list:
 
     def rec(start: int, placed: int) -> None:
         if placed == s:
-            out.append(tuple(picks))
+            grown = tuple(a + t for a, t in zip(padded, picks))
+            prefix = tuple(accumulate(picks, initial=0))
+            out.append((grown if picks[-1] else grown[:-1], prefix))
             return
         left = s - placed
         for j in range(start, len(caps)):

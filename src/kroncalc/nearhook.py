@@ -39,7 +39,6 @@ from .rosas import rosas_kronecker, xi
 from .symfun import kronecker_coefficient
 from .tableau import (
     lr_coefficient,
-    lr_inner_support,
     lr_two_row,
     lr_via_strip_difference,
     lr_weight_support,
@@ -82,8 +81,9 @@ def near_hook_expansion(
     n-b+1 and delta of size b-1; negative terms over eta of size a and
     delta, theta of size n-a.  A certificate is emitted whenever both LR
     factors are positive, its g factor evaluated by the character oracle.
-    The LR factors are read from the nonzero-LR supports, so only terms
-    with both factors positive are visited, in the order of a full scan.
+    The LR factors are read from lr_weight_support (c^nu_{eta, delta} =
+    c^nu_{delta, eta} lists the eta for a fixed delta), so only terms with
+    both factors positive are visited, in the order of a full scan.
     Returns (certificates, total); the total is the coefficient itself.
     """
     lam, nu = Partition(lam), Partition(nu)
@@ -96,14 +96,14 @@ def near_hook_expansion(
     second_hook = hook_partition(b - 1, c + 1)
     certs: list[TermCertificate] = []
     for delta in partitions_list(b - 1):
-        for eta, outer_lr in lr_inner_support(nu, delta):
-            for theta, inner_lr in lr_inner_support(lam, delta):
+        for eta, outer_lr in lr_weight_support(nu, delta):
+            for theta, inner_lr in lr_weight_support(lam, delta):
                 g = kronecker_coefficient(theta, first_hook, eta)
                 certs.append(
                     TermCertificate(1, (eta, delta, theta), outer_lr * inner_lr, g)
                 )
     for delta in partitions_list(n - a):
-        for eta, outer_lr in lr_inner_support(nu, delta):
+        for eta, outer_lr in lr_weight_support(nu, delta):
             for theta, inner_lr in lr_weight_support(lam, eta):
                 g = kronecker_coefficient(theta, second_hook, delta)
                 certs.append(

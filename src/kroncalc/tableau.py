@@ -11,9 +11,11 @@ the semistandard constraints, and the weight budget can all be checked
 incrementally; this keeps exhaustive sweeps through n <= 12 interactive.
 
 Sums weighted by LR coefficients walk the cached supports instead of
-probing every partition: ``lr_inner_support``, ``lr_weight_support`` and
-``lr_outer_support`` fix two of (outer, inner, weight) and list the third
-with its nonzero coefficient, in partitions_list order.
+probing every partition: ``lr_weight_support`` fixes (outer, inner) and
+``lr_outer_support`` fixes (inner, weight), and each lists the third with
+its nonzero coefficient, in partitions_list order.  By the symmetry
+c^lam_{inner, weight} = c^lam_{weight, inner}, ``lr_weight_support`` also
+lists the inner shapes for a fixed weight.
 """
 
 from __future__ import annotations
@@ -166,13 +168,6 @@ def _nonzero(size: int, coefficient) -> tuple[tuple[Partition, int], ...]:
     if size < 0:
         return ()
     return tuple((p, c) for p in partitions_list(size) if (c := coefficient(p)))
-
-
-@cache
-def lr_inner_support(lam, weight) -> tuple[tuple[Partition, int], ...]:
-    """(inner, c^lam_{inner, weight}) for every inner with a nonzero coefficient."""
-    lam, weight = Partition(lam), Partition(weight)
-    return _nonzero(lam.size - weight.size, lambda inner: lr_coefficient(lam, inner, weight))
 
 
 @cache

@@ -306,6 +306,7 @@ def test_verify_rejects_negative_limit_and_jobs_below_one(capsys):
         ("verify", "lr", "--n", "-3"),
         ("verify", "lr", "--jobs", "0"),
         ("verify", "lr", "--jobs", "-2"),
+        ("verify", "lr", "--jobs", "65"),
     ):
         code, out, err = run(capsys, *argv)
         assert code == 2

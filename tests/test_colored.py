@@ -10,8 +10,10 @@ from kroncalc.colored import (
     ColoredLetter,
     ColoredTableau,
     _HookGraph,
+    _conjugate,
     _inserted,
     _search,
+    _strips,
     blasiak_by_shape,
     blasiak_counts,
     blft,
@@ -27,7 +29,7 @@ from kroncalc.colored import (
     schensted_insert,
     total_color,
 )
-from kroncalc.partition import Partition, partitions_list
+from kroncalc.partition import Partition, contains, is_horizontal_strip, partitions_list
 from kroncalc.symfun import kronecker_coefficient
 
 # the 3x3 colored tableau used by the single-letter insertion examples
@@ -436,6 +438,46 @@ def test_all_d_counts_match_fixed_d_counts():
                 graph = _HookGraph(lam, d, None)
                 fixed.update(graph.counts(graph.root))
             assert blasiak_counts(lam) == fixed, lam
+
+
+def test_conjugate_is_transpose():
+    for n in range(13):
+        for lam in partitions_list(n):
+            assert _conjugate(lam) == tuple(lam.transpose()), lam
+
+
+def test_strips_are_the_horizontal_and_vertical_strips():
+    cases = 0
+    for n in range(8):
+        for lam in partitions_list(n):
+            for s in range(5):
+                grown = [mu for mu in partitions_list(n + s) if contains(lam, mu)]
+                ways = _strips(lam, s, None, None)
+                # partitions_list has no repeats, so sorted equality means each once
+                assert sorted(shape for shape, _ in ways) == sorted(
+                    tuple(mu) for mu in grown if is_horizontal_strip(lam, mu)
+                ), (lam, s)
+                assert all(prefix[-1] == s for _, prefix in ways)
+                vertical = _strips(_conjugate(lam), s, None, None)
+                assert sorted(_conjugate(shape) for shape, _ in vertical) == sorted(
+                    tuple(mu)
+                    for mu in grown
+                    if is_horizontal_strip(lam.transpose(), mu.transpose())
+                ), (lam, s)
+                cases += 1
+    assert cases == 225
+
+
+def test_strips_respect_limit_and_bound():
+    lam, limit, bound = (4, 2, 1), (6, 4, 2, 1), (2, 3, 4)
+
+    def fits(shape, prefix):
+        caps = bound + bound[-1:] * len(prefix)
+        return contains(shape, limit) and all(p <= c for p, c in zip(prefix[1:], caps))
+
+    ways = _strips(lam, 4, limit, bound)
+    assert ways and all(fits(*way) for way in ways)
+    assert ways == [way for way in _strips(lam, 4, None, None) if fits(*way)]
 
 
 def test_walk_explores_no_dead_branch():
