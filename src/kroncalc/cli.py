@@ -58,9 +58,15 @@ def _parse_partition_arg(text: str) -> Partition:
 # kron
 
 
+# Largest n measured for the oracle: a cold query at n = 26 took at most
+# 0.13 s CPU and 22 MB peak RSS (2 cores, Python 3.11.7).  Larger n is unmeasured.
+ORACLE_MAX_N = 26
+
+
 def _applicable_methods(lam, mu):
     """Method -> None if applicable, else the failed hypothesis."""
-    out = {"oracle": None}
+    n = lam.size
+    out = {"oracle": None if n <= ORACLE_MAX_N else f"n = {n} is above the bound {ORACLE_MAX_N}"}
     hook = as_hook(mu)
     out["blasiak"] = None if hook else "mu is not a hook (m, 1^d)"
     if hook and len(mu) >= 2 and as_two_row(lam):
@@ -191,6 +197,10 @@ def cmd_kron(args) -> int:
     applicable = _applicable_methods(lam, mu)
     if args.method == "all":
         methods = [m for m, why in applicable.items() if why is None]
+        if not methods:
+            raise HypothesisError(
+                "no method applies: " + "; ".join(f"{m}: {why}" for m, why in applicable.items())
+            )
     else:
         why = applicable[args.method]
         if why is not None:
@@ -415,6 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--method",
         choices=["oracle", "blasiak", "rosas", "nearhook", "all"],
         default="all",
+        help=f"the oracle takes n up to {ORACLE_MAX_N}; all runs every method that applies",
     )
     kron.add_argument("--output", choices=["text", "json", "csv"], default="text")
     kron.add_argument("--explain", action="store_true")

@@ -13,8 +13,13 @@ The sum runs over cached per-partition character rows: chi^lam on every
 cycle type of n, in partitions_list order, built once per partition and
 multiplied term by term with the class sizes and the other two rows.
 ``character`` validates its arguments; the recursion below it runs on
-plain tuples, walking the beta numbers of lam once per step and slicing
-out each smaller shape instead of sorting and revalidating it.
+James' abacus.  A shape is one int, its bead set, whose set bits are the
+beta numbers lam_i + (L - 1 - i) of its L rows.  Removing a border strip
+of size k moves a bead from b to an empty b - k, and its sign is the
+parity of the beads strictly between, counted with ``int.bit_count``.
+Beads left at 0, 1, ... are empty last rows and are shifted out, so each
+shape has one key.  The memo is keyed on (bead set, rest of the cycle
+type), and the largest part of the cycle type is removed first.
 The h-basis appears only as formal monomial lists inside the Jacobi-Trudi
 expansion; the public algebra is Schur-basis only.  Giambelli's hook
 determinant and the Jacobi-Trudi determinant both go through one Leibniz
@@ -230,37 +235,36 @@ def character(lam, mu) -> int:
     lam, mu = Partition(lam), Partition(mu)
     if lam.size != mu.size:
         raise ValueError(f"|{lam!r}| != |{mu!r}|")
-    return _char(lam, mu)
+    return _char(_beads(lam), mu)
+
+
+def _beads(lam) -> int:
+    """The bead set of lam: bit lam_i + (L - 1 - i) set for each of its L rows."""
+    last = len(lam) - 1
+    return sum(1 << (part + last - i) for i, part in enumerate(lam))
 
 
 @cache
-def _char(lam: tuple, mu: tuple) -> int:
-    """chi^lam(mu) on plain partition tuples of equal size."""
+def _char(beads: int, mu: tuple) -> int:
+    """chi^lam(mu) for the bead set of lam and a partition tuple mu of equal size."""
     if not mu:
         return 1
     k, rest = mu[0], mu[1:]
-    # Beta numbers lam_i + (L - 1 - i) strictly decrease and encode the shape.
-    # Removing a border strip of size k replaces one beta b by nb = b - k; the
-    # sign is the parity of the betas crossed, those strictly between nb and b.
-    size = len(lam)
-    betas = [part + size - 1 - i for i, part in enumerate(lam)]
+    # Removing a border strip of size k moves a bead from b to an empty b - k;
+    # its sign is the parity of the beads crossed, strictly between b - k and b.
+    crossed = (1 << (k - 1)) - 1
+    movable = beads & ~(beads << k) & ~((1 << k) - 1)  # b >= k and b - k empty
     total = 0
-    p = 0  # insertion point of nb: the first beta <= nb; only moves forward
-    for i, b in enumerate(betas):
-        nb = b - k
-        if nb < 0:
-            break
-        if p <= i:
-            p = i + 1
-        while p < size and betas[p] > nb:
-            p += 1
-        if p < size and betas[p] == nb:
-            continue
-        # rows i+1 .. p-1 move up one place and lose a box; nb becomes row p-1.
-        # Only nb = 0 leaves empty rows, at the bottom, and they are cut off.
-        shape = lam[:i] + tuple(x - 1 for x in lam[i + 1 : p]) + (nb - size + p,) + lam[p:]
-        term = _char(shape[: shape.index(0)] if nb == 0 else shape, rest)
-        total += -term if (p - i - 1) % 2 else term
+    while movable:
+        bead = movable & -movable
+        movable ^= bead
+        moved = beads ^ bead ^ (bead >> k)
+        if moved & 1:
+            # beads at 0, 1, ... are empty last rows: shift them out
+            moved >>= (moved ^ (moved + 1)).bit_length() - 1
+        term = _char(moved, rest)
+        low = bead.bit_length() - k
+        total += -term if (beads >> low & crossed).bit_count() & 1 else term
     return total
 
 
@@ -274,7 +278,8 @@ def _class_sizes(n: int) -> tuple[int, ...]:
 @cache
 def _char_row(lam: Partition) -> tuple[int, ...]:
     """chi^lam on every cycle type of |lam|, in partitions_list order."""
-    return tuple(_char(lam, rho) for rho in partitions_list(lam.size))
+    beads = _beads(lam)
+    return tuple(_char(beads, rho) for rho in partitions_list(lam.size))
 
 
 @cache

@@ -15,7 +15,8 @@ probing every partition: ``lr_weight_support`` fixes (outer, inner) and
 ``lr_outer_support`` fixes (inner, weight), and each lists the third with
 its nonzero coefficient, in partitions_list order.  By the symmetry
 c^lam_{inner, weight} = c^lam_{weight, inner}, ``lr_weight_support`` also
-lists the inner shapes for a fixed weight.
+lists the inner shapes for a fixed weight.  That symmetry also puts every
+weight with a nonzero coefficient inside lam, so only those are searched.
 """
 
 from __future__ import annotations
@@ -174,7 +175,10 @@ def _nonzero(size: int, coefficient) -> tuple[tuple[Partition, int], ...]:
 def lr_weight_support(lam, inner) -> tuple[tuple[Partition, int], ...]:
     """(weight, c^lam_{inner, weight}) for every weight with a nonzero coefficient."""
     lam, inner = Partition(lam), Partition(inner)
-    return _nonzero(lam.size - inner.size, lambda weight: lr_coefficient(lam, inner, weight))
+    return _nonzero(
+        lam.size - inner.size,
+        lambda weight: contains(weight, lam) and lr_coefficient(lam, inner, weight),
+    )
 
 
 @cache

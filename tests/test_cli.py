@@ -7,7 +7,8 @@ import sys
 import pytest
 
 import kroncalc
-from kroncalc.cli import main
+from kroncalc.cli import ORACLE_MAX_N, _applicable_methods, main
+from kroncalc.partition import Partition
 
 
 def run(capsys, *argv):
@@ -60,6 +61,23 @@ def test_kron_hypothesis_not_met_exits_3(capsys):
     assert "hypothesis not met" in err
     code, _, err = run(capsys, "kron", "2,1,1", "2,1,1", "3,1", "--method", "nearhook")
     assert code == 3
+
+
+def test_kron_oracle_rejects_n_above_bound(capsys):
+    # every query here is rejected before any method runs
+    n = ORACLE_MAX_N + 1
+    reason = f"n = {n} is above the bound {ORACLE_MAX_N}"
+    code, out, err = run(capsys, "kron", f"{n}", f"{n}", f"{n}", "--method", "oracle")
+    assert (code, out) == (3, "")
+    assert err == f"hypothesis not met: method oracle: {reason}\n"
+    code, out, err = run(capsys, "kron", f"{n}", f"{n - 6},3,3", f"{n}")
+    assert (code, out) == (3, "")
+    assert err.startswith(f"hypothesis not met: no method applies: oracle: {reason}; blasiak: ")
+    # --method all keeps the other methods that apply
+    applicable = _applicable_methods(Partition((n - 2, 2)), Partition((n - 1, 1)))
+    assert applicable["oracle"] == reason
+    assert [m for m, why in applicable.items() if why is None] == ["blasiak", "rosas"]
+    assert _applicable_methods(Partition((n - 1,)), Partition((n - 1,)))["oracle"] is None
 
 
 def test_kron_json_round_trip(capsys):

@@ -1,5 +1,6 @@
 import hashlib
 import random
+from functools import cache
 
 import pytest
 from hypothesis import given, seed, settings
@@ -9,6 +10,9 @@ from kroncalc.colored import count_blasiak
 from kroncalc.partition import Partition, partitions_list
 from kroncalc.symfun import (
     SchurVector,
+    _beads,
+    _char,
+    _char_row,
     centralizer_order,
     character,
     coproduct,
@@ -258,6 +262,69 @@ def test_character_golden_digest():
     assert h.hexdigest() == CHARACTER_DIGEST_N12
 
 
+@cache
+def _char_reference(lam: tuple, mu: tuple) -> int:
+    """chi^lam(mu) by border-strip removal on partition tuples, row by row."""
+    if not mu:
+        return 1
+    k, rest = mu[0], mu[1:]
+    # Beta numbers lam_i + (L - 1 - i) strictly decrease and encode the shape.
+    # Removing a border strip of size k replaces one beta b by nb = b - k; the
+    # sign is the parity of the betas crossed, those strictly between nb and b.
+    size = len(lam)
+    betas = [part + size - 1 - i for i, part in enumerate(lam)]
+    total = 0
+    p = 0  # insertion point of nb: the first beta <= nb; only moves forward
+    for i, b in enumerate(betas):
+        nb = b - k
+        if nb < 0:
+            break
+        if p <= i:
+            p = i + 1
+        while p < size and betas[p] > nb:
+            p += 1
+        if p < size and betas[p] == nb:
+            continue
+        # rows i+1 .. p-1 move up one place and lose a box; nb becomes row p-1.
+        # Only nb = 0 leaves empty rows, at the bottom, and they are cut off.
+        shape = lam[:i] + tuple(x - 1 for x in lam[i + 1 : p]) + (nb - size + p,) + lam[p:]
+        term = _char_reference(shape[: shape.index(0)] if nb == 0 else shape, rest)
+        total += -term if (p - i - 1) % 2 else term
+    return total
+
+
+def _reference_row(lam) -> tuple[int, ...]:
+    return tuple(_char_reference(tuple(lam), rho) for rho in partitions_list(lam.size))
+
+
+def test_bead_kernel_matches_tuple_recursion():
+    # every lam with n <= 14, then 4 seeded lam at each n = 15..20
+    rng = random.Random(20261018)
+    try:
+        for n in range(21):
+            parts = partitions_list(n)
+            for lam in parts if n <= 14 else rng.sample(parts, 4):
+                assert _char_row(lam) == _reference_row(lam), lam
+    finally:
+        _char_reference.cache_clear()
+
+
+def test_bead_kernel_keeps_one_state_per_shape():
+    # a bead left at 0 would give one shape two keys, and the memo more states
+    _char.cache_clear()
+    _char_reference.cache_clear()
+    try:
+        for n in range(13):
+            parts = partitions_list(n)
+            for lam in parts:
+                beads = _beads(lam)
+                for rho in parts:
+                    assert _char(beads, rho) == _char_reference(tuple(lam), rho)
+        assert _char.cache_info().currsize == _char_reference.cache_info().currsize
+    finally:
+        _char_reference.cache_clear()
+
+
 def test_character_degree_and_norm_past_n12():
     from math import factorial, prod
 
@@ -274,8 +341,8 @@ def test_character_degree_and_norm_past_n12():
 
 
 # sha256 over "g," for every triple (lam, mu, nu) with n <= 8, each index
-# running over partitions_list(n); computed with the oracle that summed
-# _char lookups cycle type by cycle type, before the cached character rows
+# running over partitions_list(n); computed with the oracle that looked up
+# one character per cycle type, before the cached character rows
 ORACLE_DIGEST_N8 = "06e92649b51dab3378508f484b0d297fe5e1e6e0a35008ceadf94d84cb3a8c4a"
 
 
