@@ -188,7 +188,9 @@ def hook_partition(arm: int, legs: int) -> Partition:
     """The hook (arm, 1^legs)."""
     if arm < 1 or legs < 0:
         raise ValueError(f"invalid hook parameters ({arm}, {legs})")
-    return Partition((arm,) + (1,) * legs)
+    # valid by construction, so it skips the constructor's checks; index()
+    # and the repeat count still reject a part that is not an integer
+    return tuple.__new__(Partition, (index(arm),) + (1,) * legs)
 
 
 @cache

@@ -20,11 +20,19 @@ parity of the beads strictly between, counted with ``int.bit_count``.
 Beads left at 0, 1, ... are empty last rows and are shifted out, so each
 shape has one key.  The memo is keyed on (bead set, rest of the cycle
 type), and the largest part of the cycle type is removed first.
+``kronecker_product`` walks a cached table per ordered pair (lam, mu): the
+(nu, g) pairs with g(lam, mu, nu) != 0 in partitions_list order, each g
+read from ``kronecker_coefficient`` with the arguments in that order, so
+no zero term is generated and every triple still passes its checks.
 The h-basis appears only as formal monomial lists inside the Jacobi-Trudi
 expansion; the public algebra is Schur-basis only.  Giambelli's hook
 determinant and the Jacobi-Trudi determinant both go through one Leibniz
-expansion (``_leibniz``), and every linear combination is summed in one
-place, the ``SchurVector`` constructor.
+expansion (``_leibniz``).  It builds the matrix once and ends a branch
+when the lowest unused column has no nonvanishing entry in the rows still
+to fill, so a banded matrix such as the Jacobi-Trudi one of (1^n), with
+2^(n-1) terms among n! permutations, costs time in its terms rather than
+in n!.  Every linear combination is summed in one place, the
+``SchurVector`` constructor.
 """
 
 from __future__ import annotations
@@ -35,7 +43,7 @@ from math import factorial
 from operator import mul
 from typing import NamedTuple
 
-from .partition import Partition, partitions_list
+from .partition import Partition, hook_partition, partitions_list
 from .tableau import lr_weight_support, schur_expand_product
 
 
@@ -123,29 +131,42 @@ def _signed_sum(terms) -> SchurVector:
     return SchurVector((lam, sign * c) for sign, vec in terms for lam, c in vec.items())
 
 
-def _leibniz(size: int, entry):
+def _leibniz(size: int, entry) -> list[tuple[int, tuple]]:
     """Nonvanishing Leibniz terms (sign, entries) of det(entry(i, j)), 0 <= i, j < size.
 
     Terms come in lexicographic order of the permutation p; entries[i] is
-    entry(i, p(i)), and a term is skipped as soon as one of its entries is
-    None (a vanishing matrix entry).  Size 0 yields the single term (1, ()).
+    entry(i, p(i)), and None marks a vanishing matrix entry.  The matrix is
+    built once.  A branch ends as soon as its lowest unused column has a
+    nonvanishing entry in no row still to fill, since no permutation
+    completes it; the terms and their order stay those of the full
+    expansion.  Size 0 yields the single term (1, ()).
     """
+    matrix = [[entry(i, j) for j in range(size)] for i in range(size)]
+    # last[j]: the last row with a nonvanishing entry in column j, -1 if none;
+    # the sentinel last[size] lets a full set of columns pass the test
+    last = [
+        max((i for i, row in enumerate(matrix) if row[j] is not None), default=-1)
+        for j in range(size)
+    ]
+    last.append(size)
+    terms = []
 
     def rec(i: int, used: int, sign: int, entries: tuple):
         if i == size:
-            yield sign, entries
+            terms.append((sign, entries))
             return
-        for j in range(size):
-            if used >> j & 1:
+        for j, x in enumerate(matrix[i]):
+            if x is None or used >> j & 1:
                 continue
-            x = entry(i, j)
-            if x is None:
-                continue
+            now = used | 1 << j
+            if last[(~now & (now + 1)).bit_length() - 1] <= i:
+                continue  # the lowest unused column can no longer be filled
             # each column already used to the right of j is one more inversion
-            flips = bin(used >> (j + 1)).count("1")
-            yield from rec(i + 1, used | 1 << j, -sign if flips % 2 else sign, entries + (x,))
+            flips = (used >> (j + 1)).bit_count()
+            rec(i + 1, now, -sign if flips & 1 else sign, entries + (x,))
 
-    return rec(0, 0, 1, ())
+    rec(0, 0, 1, ())
+    return terms
 
 
 def coproduct(lam) -> list[tuple[Partition, Partition, int]]:
@@ -183,7 +204,7 @@ def giambelli_leibniz(lam) -> list[SignedHookProduct]:
     if not lam:
         raise ValueError("empty partition has no hook expansion")
     arms, legs = lam.frobenius()
-    terms = _leibniz(len(arms), lambda i, j: Partition((arms[i] + 1,) + (1,) * legs[j]))
+    terms = _leibniz(len(arms), lambda i, j: hook_partition(arms[i] + 1, legs[j]))
     return [SignedHookProduct(sign, hooks) for sign, hooks in terms]
 
 
@@ -306,8 +327,19 @@ def kronecker_product(f: SchurVector, g: SchurVector) -> SchurVector:
     if g.homogeneous_degree() != n:
         raise ValueError("internal product requires equal homogeneous degrees")
     return SchurVector(
-        (nu, a * b * kronecker_coefficient(lam, mu, nu))
+        (nu, a * b * c)
         for lam, a in f.items()
         for mu, b in g.items()
-        for nu in partitions_list(n)
+        for nu, c in _kronecker_support(lam, mu)
     )
+
+
+@cache
+def _kronecker_support(lam: Partition, mu: Partition) -> tuple[tuple[Partition, int], ...]:
+    """The (nu, g(lam, mu, nu)) pairs with g != 0, in partitions_list order.
+
+    Each value comes from ``kronecker_coefficient(lam, mu, nu)`` in this
+    argument order, so its checks run for every triple of the table.
+    """
+    pairs = ((nu, kronecker_coefficient(lam, mu, nu)) for nu in partitions_list(lam.size))
+    return tuple((nu, c) for nu, c in pairs if c)

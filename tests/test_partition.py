@@ -192,6 +192,20 @@ def test_shape_classifiers():
     assert hook_partition(3, 2) == Partition((3, 1, 1))
 
 
+def test_hook_partition_builds_every_hook_and_rejects_bad_parameters():
+    for arm in range(1, 6):
+        for legs in range(5):
+            hook = hook_partition(arm, legs)
+            assert type(hook) is Partition and hook == Partition((arm,) + (1,) * legs)
+            assert as_hook(hook) == (arm, legs)
+    for arm, legs in [(0, 2), (-1, 0), (3, -1)]:
+        with pytest.raises(ValueError):
+            hook_partition(arm, legs)
+    for arm, legs in [(2.5, 1), (2, 1.5)]:
+        with pytest.raises(TypeError):
+            hook_partition(arm, legs)
+
+
 def test_existing_partition_is_returned_unchanged():
     lam = Partition((4, 2, 1))
     assert Partition(lam) is lam

@@ -1,6 +1,7 @@
 import hashlib
 import random
 from functools import cache
+from itertools import permutations
 
 import pytest
 from hypothesis import given, seed, settings
@@ -13,6 +14,7 @@ from kroncalc.symfun import (
     _beads,
     _char,
     _char_row,
+    _kronecker_support,
     centralizer_order,
     character,
     coproduct,
@@ -162,6 +164,45 @@ def test_determinant_expansions_golden_digest():
     assert h.hexdigest() == DETERMINANT_DIGEST_N10
 
 
+def _leibniz_reference(size, entry):
+    """Every permutation in lexicographic order, vanishing terms (an entry None) dropped."""
+    terms = []
+    for p in permutations(range(size)):
+        entries = tuple(entry(i, p[i]) for i in range(size))
+        if None not in entries:
+            inversions = sum(p[i] > p[j] for i in range(size) for j in range(i + 1, size))
+            terms.append((-1 if inversions % 2 else 1, entries))
+    return terms
+
+
+def test_determinant_expansions_match_all_permutations():
+    for n in range(8):
+        for lam in partitions_list(n):
+            h = lambda i, j: lam[i] - i + j if lam[i] - i + j >= 0 else None  # noqa: E731
+            expected = [
+                (sign, tuple(sorted(filter(None, mono), reverse=True)))
+                for sign, mono in _leibniz_reference(len(lam), h)
+            ]
+            assert jacobi_trudi(lam) == expected, lam
+            if not lam:
+                continue
+            arms, legs = lam.frobenius()
+            hook = lambda i, j: Partition((arms[i] + 1,) + (1,) * legs[j])  # noqa: E731
+            expected = _leibniz_reference(len(arms), hook)
+            assert [tuple(t) for t in giambelli_leibniz(lam)] == expected, lam
+
+
+def test_jacobi_trudi_of_a_long_column():
+    # e_14 = sum over compositions of 14 of (-1)^(14 - parts) h_composition:
+    # 2^13 terms, each a composition sorted into a partition; the branches
+    # that leave a column unfillable are cut, so this returns at once
+    terms = jacobi_trudi((1,) * 14)
+    assert len(terms) == 2**13
+    for sign, mono in terms:
+        assert sum(mono) == 14 and sign == (-1) ** (14 - len(mono))
+    assert terms[0] == (1, (1,) * 14) and terms[-1] == (-1, (14,))
+
+
 def test_schur_vector_arithmetic():
     f = vec({(2, 1): 2, (3,): -1, (1,): 1})
     assert f - f == SchurVector()
@@ -244,6 +285,42 @@ def test_kronecker_product_examples():
     )
     with pytest.raises(ValueError):
         kronecker_product(schur((2,)), schur((3,)))
+
+
+def _kronecker_full_scan(f, g):
+    """f (*) g summed bilinearly over every nu of the degree."""
+    n = f.homogeneous_degree()
+    return SchurVector(
+        (nu, a * b * kronecker_coefficient(lam, mu, nu))
+        for lam, a in f.items()
+        for mu, b in g.items()
+        for nu in partitions_list(n)
+    )
+
+
+def test_kronecker_support_matches_full_scan():
+    for n in range(8):
+        parts = partitions_list(n)
+        for lam in parts:
+            for mu in parts:
+                scan = [(nu, kronecker_coefficient(lam, mu, nu)) for nu in parts]
+                assert _kronecker_support(lam, mu) == tuple((nu, g) for nu, g in scan if g)
+
+
+def test_kronecker_product_of_signed_vectors():
+    # s_(3) and s_(1,1,1) send s_(2,1) to itself and to its conjugate (2,1)
+    assert kronecker_product(schur((3,)) - schur((1, 1, 1)), schur((2, 1))) == SchurVector()
+    assert kronecker_product(schur((3, 1)) - schur((3, 1)), schur((2, 2))) == SchurVector()
+    f = vec({(3, 1): 2, (2, 2): -1, (2, 1, 1): 3, (4,): -2})
+    g = vec({(3, 1): 1, (2, 1, 1): -2, (2, 2): 1})
+    product = kronecker_product(f, g)
+    assert product == _kronecker_full_scan(f, g)
+    assert any(c < 0 for _, c in product.items()) and any(c > 0 for _, c in product.items())
+    # s_(4) fixes g and s_(1,1,1,1) conjugates it: the (3,1) and (2,1,1) terms cancel
+    f = vec({(4,): 1, (1, 1, 1, 1): 1})
+    g = vec({(2, 2): 1, (3, 1): 1, (2, 1, 1): -1})
+    assert kronecker_product(f, g) == _kronecker_full_scan(f, g)
+    assert kronecker_product(f, g)[(3, 1)] == 0
 
 
 # sha256 over "chi," for every (lam, rho) with n <= 12, each index running
