@@ -34,7 +34,14 @@ from functools import cache
 from typing import NamedTuple, Optional
 
 from .colored import ColoredTableau, enumerate_blasiak
-from .partition import Partition, hook_partition, is_double_hook, partitions_list, two_rows
+from .partition import (
+    Partition,
+    as_partition,
+    hook_partition,
+    is_double_hook,
+    partitions_list,
+    two_rows,
+)
 from .rosas import rosas_kronecker, xi
 from .symfun import kronecker_coefficient
 from .tableau import (
@@ -86,7 +93,7 @@ def near_hook_expansion(
     both factors positive are visited, in the order of a full scan.
     Returns (certificates, total); the total is the coefficient itself.
     """
-    lam, nu = Partition(lam), Partition(nu)
+    lam, nu = as_partition(lam), as_partition(nu)
     if not (a >= b >= 2 and c >= 0):
         raise ValueError("near-hook parameters need a >= b >= 2 and c >= 0")
     n = a + b + c
@@ -95,21 +102,22 @@ def near_hook_expansion(
     first_hook = hook_partition(a, c + 1)
     second_hook = hook_partition(b - 1, c + 1)
     certs: list[TermCertificate] = []
+    total = 0
     for delta in partitions_list(b - 1):
         for eta, outer_lr in lr_weight_support(nu, delta):
             for theta, inner_lr in lr_weight_support(lam, delta):
+                lr = outer_lr * inner_lr
                 g = kronecker_coefficient(theta, first_hook, eta)
-                certs.append(
-                    TermCertificate(1, (eta, delta, theta), outer_lr * inner_lr, g)
-                )
+                total += lr * g
+                certs.append(TermCertificate(1, (eta, delta, theta), lr, g))
     for delta in partitions_list(n - a):
         for eta, outer_lr in lr_weight_support(nu, delta):
             for theta, inner_lr in lr_weight_support(lam, eta):
+                lr = outer_lr * inner_lr
                 g = kronecker_coefficient(theta, second_hook, delta)
-                certs.append(
-                    TermCertificate(-1, (eta, delta, theta), outer_lr * inner_lr, g)
-                )
-    return certs, sum(t.contribution for t in certs)
+                total -= lr * g
+                certs.append(TermCertificate(-1, (eta, delta, theta), lr, g))
+    return certs, total
 
 
 def _check_two_row_params(d, e, a, b, c, nu) -> Partition:
@@ -120,7 +128,7 @@ def _check_two_row_params(d, e, a, b, c, nu) -> Partition:
     n = a + b + c
     if d + e != n:
         raise ValueError(f"d + e must equal {n}")
-    nu = Partition(nu)
+    nu = as_partition(nu)
     if nu.size != n:
         raise ValueError(f"nu must be a partition of {n}")
     return nu

@@ -87,6 +87,15 @@ class Partition(tuple):
         ]
 
 
+def as_partition(p) -> Partition:
+    """p itself when its type is Partition, else Partition(p).
+
+    A Partition was validated when it was built, so the hot entry points
+    take this path instead of calling the constructor on every argument.
+    """
+    return p if type(p) is Partition else Partition(p)
+
+
 class FrobeniusCoords(NamedTuple):
     """Strictly decreasing arm and leg sequences of equal length."""
 
@@ -116,7 +125,7 @@ def from_frobenius(coords: FrobeniusCoords) -> Partition:
 
 def contains(inner, outer) -> bool:
     """True iff inner_i <= outer_i for all i (missing parts read as 0)."""
-    inner, outer = Partition(inner), Partition(outer)
+    inner, outer = as_partition(inner), as_partition(outer)
     if len(inner) > len(outer):
         return False
     return all(a <= b for a, b in zip(inner, outer))
@@ -152,7 +161,7 @@ def tail_ones(eta) -> int:
 
 def is_double_hook(eta, n: int) -> bool:
     """True iff eta is a partition of n with at most two rows or third part <= 2."""
-    eta = Partition(eta)
+    eta = as_partition(eta)
     return eta.size == n and (len(eta) <= 2 or eta[2] <= 2)
 
 

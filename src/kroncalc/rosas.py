@@ -16,6 +16,7 @@ from typing import NamedTuple
 
 from .partition import (
     Partition,
+    as_partition,
     is_double_hook,
     tail_ones,
     tail_twos,
@@ -100,7 +101,7 @@ class XiCaseReport(NamedTuple):
 
 def xi_report(eta, a: int, r: int, c: int) -> XiCaseReport:
     """Piecewise evaluation with branch provenance; branches tested in order."""
-    eta = Partition(eta)
+    eta = as_partition(eta)
     n = eta.size
     if not 0 <= r <= n // 2:
         raise ValueError(f"r must satisfy 0 <= r <= {n // 2}, got {r}")
@@ -136,7 +137,7 @@ def xi(eta, a: int, r: int, c: int) -> int:
 
 def rosas_report(n: int, r: int, a: int, c: int, nu) -> XiCaseReport:
     """Branch report of g((n-r, r), (a, 1^{c+1}), nu); validates arguments."""
-    nu = Partition(nu)
+    nu = as_partition(nu)
     if nu.size != n:
         raise ValueError(f"|nu| must be {n}, got {nu.size}")
     if a < 1 or c < 0:

@@ -9,9 +9,11 @@ Kronecker coefficient is the class-sum character formula
 
 evaluated in integer arithmetic (the class-sum form is mathematically
 identical to averaging over all n! permutations but exponentially cheaper).
-The sum runs over cached per-partition character rows: chi^lam on every
-cycle type of n, in partitions_list order, built once per partition and
-multiplied term by term with the class sizes and the other two rows.
+The sum runs over cached per-partition rows in partitions_list order,
+each built once per partition: the character row chi^lam on every cycle
+type of n, and the weighted row |class(rho)| * chi^lam(rho).  A
+coefficient multiplies the first argument's weighted row term by term with
+the other two arguments' character rows.
 ``character`` validates its arguments; the recursion below it runs on
 James' abacus.  A shape is one int, its bead set, whose set bits are the
 beta numbers lam_i + (L - 1 - i) of its L rows.  Removing a border strip
@@ -32,7 +34,8 @@ when the lowest unused column has no nonvanishing entry in the rows still
 to fill, so a banded matrix such as the Jacobi-Trudi one of (1^n), with
 2^(n-1) terms among n! permutations, costs time in its terms rather than
 in n!.  Every linear combination is summed in one place, the
-``SchurVector`` constructor.
+``SchurVector`` constructor, and a vector is read-only once built, so the
+memoized vectors of ``h_monomial_to_schur`` are safe to share.
 """
 
 from __future__ import annotations
@@ -41,31 +44,46 @@ from functools import cache, reduce
 from itertools import chain
 from math import factorial
 from operator import mul
+from types import MappingProxyType
 from typing import NamedTuple
 
-from .partition import Partition, hook_partition, partitions_list
+from .partition import Partition, as_partition, hook_partition, partitions_list
 from .tableau import lr_weight_support, schur_expand_product
 
 
 class SchurVector:
-    """Finite formal linear combination of Schur functions, integer coefficients."""
+    """Finite formal linear combination of Schur functions, integer coefficients.
+
+    A vector is read-only: ``terms`` is a read-only view of its nonzero
+    coefficients and cannot be rebound, so a memoized vector cannot be
+    changed under the callers that share it.
+    """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=()):
-        """Sum the (partition, coefficient) pairs of a dict or iterable; drop zeros."""
+        """Sum the (partition, coefficient) pairs of a mapping or iterable; drop zeros."""
         data: dict[Partition, int] = {}
-        for lam, coeff in terms.items() if isinstance(terms, dict) else terms:
+        for lam, coeff in terms.items() if isinstance(terms, (dict, MappingProxyType)) else terms:
             if coeff:
-                key = Partition(lam)
+                key = as_partition(lam)
                 data[key] = data.get(key, 0) + coeff
-        self.terms = {k: v for k, v in data.items() if v}
+        object.__setattr__(self, "terms", MappingProxyType({k: v for k, v in data.items() if v}))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("SchurVector is read-only")
+
+    def __delattr__(self, name):
+        raise AttributeError("SchurVector is read-only")
+
+    def __reduce__(self):
+        return SchurVector, (dict(self.terms),)
 
     def items(self):
         return self.terms.items()
 
     def __getitem__(self, lam) -> int:
-        return self.terms.get(Partition(lam), 0)
+        return self.terms.get(as_partition(lam), 0)
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -107,7 +125,7 @@ class SchurVector:
 
 def schur(lam) -> SchurVector:
     """The Schur basis element s_lam."""
-    return SchurVector({Partition(lam): 1})
+    return SchurVector({as_partition(lam): 1})
 
 
 def schur_product(f: SchurVector, g: SchurVector) -> SchurVector:
@@ -304,14 +322,19 @@ def _char_row(lam: Partition) -> tuple[int, ...]:
 
 
 @cache
+def _weighted_row(lam: Partition) -> tuple[int, ...]:
+    """|class(rho)| * chi^lam(rho) for every cycle type rho of |lam|, in partitions_list order."""
+    return tuple(map(mul, _class_sizes(lam.size), _char_row(lam)))
+
+
+@cache
 def kronecker_coefficient(lam, mu, nu) -> int:
     """g(lam, mu, nu) by the class-sum character formula; exact, nonnegative."""
-    lam, mu, nu = Partition(lam), Partition(mu), Partition(nu)
+    lam, mu, nu = as_partition(lam), as_partition(mu), as_partition(nu)
     n = lam.size
     if mu.size != n or nu.size != n:
         raise ValueError("all three partitions must have the same size")
-    weighted = map(mul, _class_sizes(n), _char_row(lam))
-    total = sum(map(mul, weighted, map(mul, _char_row(mu), _char_row(nu))))
+    total = sum(map(mul, _weighted_row(lam), map(mul, _char_row(mu), _char_row(nu))))
     nfact = factorial(n)
     value, remainder = divmod(total, nfact)
     if remainder or value < 0:

@@ -9,6 +9,9 @@ c^{outer}_{inner, w}.
 Enumeration fills cells in reading order so the Yamanouchi prefix counts,
 the semistandard constraints, and the weight budget can all be checked
 incrementally; this keeps exhaustive sweeps through n <= 12 interactive.
+One walk serves both uses: it returns the number of fillings, which is
+all ``lr_coefficient`` reads, and only ``lr_tableaux`` asks it to record
+each filling's label rows as well.
 
 Sums weighted by LR coefficients walk the cached supports instead of
 probing every partition: ``lr_weight_support`` fixes (outer, inner) and
@@ -24,7 +27,7 @@ from __future__ import annotations
 from functools import cache
 from typing import NamedTuple, Sequence
 
-from .partition import Partition, contains, partitions_list
+from .partition import Partition, as_partition, contains, partitions_list
 
 
 class _Skew(NamedTuple):
@@ -101,67 +104,70 @@ def is_yamanouchi(word: Sequence[int]) -> bool:
     return True
 
 
-def _lr_fillings(outer: Partition, inner: Partition, weight: tuple[int, ...]):
-    """Yield label rows of LR fillings of outer/inner with the given weight.
+def _lr_fillings(outer: Partition, inner: Partition, weight: Sequence[int], found=None) -> int:
+    """Count the LR fillings of outer/inner with the given weight.
 
-    Cells are filled in reading order; a label v is admissible when it keeps
-    the row weakly increasing (right neighbour bound), the column strictly
-    increasing (cell above), the weight within budget, and the Yamanouchi
-    prefix inequality counts[v] < counts[v-1].  Degenerate input (inner not
-    contained in outer, or sizes that do not balance) yields nothing.
+    When ``found`` is a list, each filling's label rows are appended to it
+    as well, in the order the walk finishes them.  Cells are filled in
+    reading order; a label v is admissible when it keeps the row weakly
+    increasing (right neighbour bound), the column strictly increasing
+    (cell above), the weight within budget, and the Yamanouchi prefix
+    inequality counts[v] < counts[v-1].  Both bounds come from cells filled
+    earlier in reading order, so a cell is never cleared on the way back.
+    Degenerate input (inner not contained in outer, or sizes that do not
+    balance) has no filling.
     """
     if inner.size + sum(weight) != outer.size or not contains(inner, outer):
-        return
+        return 0
     m = len(weight)
     cells = []
     for r in range(len(outer)):
         lo = inner.part(r + 1)
         for c in range(outer[r] - 1, lo - 1, -1):
             cells.append((r, c))
+    last = len(cells)
     grid = [[0] * outer[r] for r in range(len(outer))]
     counts = [0] * (m + 1)
 
-    def rec(k: int):
-        if k == len(cells):
-            yield tuple(
-                tuple(grid[r][inner.part(r + 1) : outer[r]])
-                for r in range(len(outer))
-            )
-            return
+    def rec(k: int) -> int:
+        if k == last:
+            if found is not None:
+                found.append(
+                    tuple(tuple(row[inner.part(r + 1) :]) for r, row in enumerate(grid))
+                )
+            return 1
         r, c = cells[k]
-        hi = m
-        if c + 1 < outer[r]:
-            hi = grid[r][c + 1]
-        lo = 0
-        if r > 0 and c < outer[r - 1]:
-            lo = grid[r - 1][c]
+        row = grid[r]
+        hi = row[c + 1] if c + 1 < outer[r] else m
+        lo = grid[r - 1][c] if r > 0 and c < outer[r - 1] else 0
+        total = 0
         for v in range(lo + 1, hi + 1):
             if counts[v] >= weight[v - 1]:
                 continue
             if v > 1 and counts[v] >= counts[v - 1]:
                 continue
-            grid[r][c] = v
+            row[c] = v
             counts[v] += 1
-            yield from rec(k + 1)
+            total += rec(k + 1)
             counts[v] -= 1
-            grid[r][c] = 0
+        return total
 
-    yield from rec(0)
+    return rec(0)
 
 
 def lr_tableaux(lam, mu, nu) -> list[SkewSSYT]:
     """All LR tableaux of shape lam/mu and weight nu."""
     lam, mu, nu = Partition(lam), Partition(mu), Partition(nu)
-    return [
-        SkewSSYT(lam, mu, rows) for rows in _lr_fillings(lam, mu, tuple(nu))
-    ]
+    found: list[tuple[tuple[int, ...], ...]] = []
+    _lr_fillings(lam, mu, nu, found)
+    return [SkewSSYT(lam, mu, rows) for rows in found]
 
 
 @cache
 def lr_coefficient(lam, mu, nu) -> int:
     """c^lam_{mu nu}: LR tableaux of shape lam/mu, weight nu (0 on degenerate input)."""
-    lam, mu, nu = Partition(lam), Partition(mu), Partition(nu)
-    return sum(1 for _ in _lr_fillings(lam, mu, tuple(nu)))
+    lam, mu, nu = as_partition(lam), as_partition(mu), as_partition(nu)
+    return _lr_fillings(lam, mu, nu)
 
 
 def _nonzero(size: int, coefficient) -> tuple[tuple[Partition, int], ...]:
@@ -206,7 +212,7 @@ def strip_chain_count(nu, eta, size1: int, size2: int) -> int:
     enumerated row-wise within max(eta_i, nu_{i+1}) <= kappa_i <= min(nu_i,
     eta_{i-1}), which encodes both strip conditions at once.
     """
-    nu, eta = Partition(nu), Partition(eta)
+    nu, eta = as_partition(nu), as_partition(eta)
     if size1 < 0 or size2 < 0:
         return 0
     if eta.size + size1 + size2 != nu.size:
@@ -263,4 +269,4 @@ def dimension(lam) -> int:
 
 def schur_expand_product(mu, nu) -> dict[Partition, int]:
     """Map lam -> c^lam_{mu nu} over all lam of the right size; a fresh dict per call."""
-    return dict(lr_outer_support(Partition(mu), Partition(nu)))
+    return dict(lr_outer_support(as_partition(mu), as_partition(nu)))

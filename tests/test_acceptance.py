@@ -4,6 +4,11 @@ All values are exact integers; every comparison is equality with zero
 tolerance.  Run with -s to see the lines.
 """
 
+import hashlib
+import json
+import re
+from pathlib import Path
+
 import pytest
 
 from kroncalc import verify
@@ -260,3 +265,20 @@ def test_determinism_across_jobs(capsys):
         identical = identical and outputs[0] == outputs[1]
     with capsys.disabled():
         report("5 verify reports byte-identical across worker counts", identical)
+
+
+# ---------------------------------------------------------------------------
+# criterion 6: the full sweep report, pinned where the benchmark pins it
+
+
+def test_verify_all_report_is_pinned(capsys):
+    expected_file = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
+    expected = json.loads(expected_file.read_text())["verify-all"]
+    code = cli_main(["verify", "all", "--jobs", "1"])
+    out = capsys.readouterr().out
+    checks = sum(int(x) for x in re.findall(r"^checks: (\d+)$", out, re.M))
+    with capsys.disabled():
+        check("6 verify all exit code", code, 0)
+        check("6 verify all check count", checks, expected["checks"])
+        check("6 verify all report sha256", hashlib.sha256(out.encode()).hexdigest(),
+              expected["report_sha256"])

@@ -4,6 +4,7 @@ from kroncalc.partition import (
     FrobeniusCoords,
     Partition,
     as_hook,
+    as_partition,
     as_near_hook,
     as_two_row,
     contains,
@@ -20,6 +21,10 @@ from kroncalc.partition import (
     tail_ones,
     tail_twos,
 )
+from kroncalc.nearhook import near_hook_expansion
+from kroncalc.rosas import rosas_report, xi_report
+from kroncalc.symfun import SchurVector, kronecker_coefficient
+from kroncalc.tableau import lr_coefficient, schur_expand_product, strip_chain_count
 
 
 def test_construction_normalizes_trailing_zeros():
@@ -251,3 +256,47 @@ def test_parse_rejects_negative_exponent():
     with pytest.raises(ValueError):
         parse_partition("2^-1")
     assert parse_partition("3,1^0") == Partition((3,))
+
+
+def test_as_partition_returns_partitions_unchanged():
+    p = Partition((3, 1))
+    assert as_partition(p) is p
+    assert type(as_partition((3, 1, 0))) is Partition and as_partition([3, 1]) == p
+    with pytest.raises(ValueError):
+        as_partition((1, 2))
+
+
+# (function, arguments, positions of the partition arguments), all given as tuples
+COERCING_CALLS = [
+    (kronecker_coefficient, ((3, 1), (2, 2), (2, 1, 1)), (0, 1, 2)),
+    (lr_coefficient, ((3, 2, 1), (2, 1), (2, 1)), (0, 1, 2)),
+    (strip_chain_count, ((4, 2, 1), (2, 1), 2, 2), (0, 1)),
+    (contains, ((2, 1), (3, 1)), (0, 1)),
+    (is_double_hook, ((3, 2, 2, 1), 8), (0,)),
+    (xi_report, ((3, 2, 1), 3, 1, 2), (0,)),
+    (rosas_report, (6, 2, 3, 2, (3, 2, 1)), (4,)),
+    (lambda lam, mu: SchurVector({lam: 2, mu: -1}), ((2, 1), (3,)), (0, 1)),
+    (lambda lam: SchurVector({(2, 1): 3})[lam], ((2, 1),), (0,)),
+    (near_hook_expansion, ((3, 2, 1), (2, 2, 1, 1), 2, 2, 2), (0, 1)),
+    (schur_expand_product, ((2, 1), (2,)), (0, 1)),
+]
+
+
+COERCING_NAMES = [
+    "kronecker_coefficient", "lr_coefficient", "strip_chain_count", "contains",
+    "is_double_hook", "xi_report", "rosas_report", "SchurVector", "SchurVector_getitem",
+    "near_hook_expansion", "schur_expand_product",
+]
+
+
+@pytest.mark.parametrize("fn,args,positions", COERCING_CALLS, ids=COERCING_NAMES)
+def test_coercing_entry_points_agree_on_tuples_and_partitions(fn, args, positions):
+    # the memoized names are called through __wrapped__ so that the second
+    # call computes its value instead of finding the first one's
+    compute = getattr(fn, "__wrapped__", fn)
+    as_partitions = tuple(Partition(x) if i in positions else x for i, x in enumerate(args))
+    assert compute(*args) == compute(*as_partitions) == fn(*as_partitions)
+    for i in positions:
+        for bad in ((1, 2), (2, -1)):
+            with pytest.raises(ValueError):
+                fn(*args[:i], bad, *args[i + 1 :])

@@ -1,4 +1,5 @@
 import hashlib
+import pickle
 import random
 from functools import cache
 from itertools import permutations
@@ -20,6 +21,7 @@ from kroncalc.symfun import (
     coproduct,
     giambelli_expand,
     giambelli_leibniz,
+    h_monomial_to_schur,
     hall_inner,
     jacobi_trudi,
     jacobi_trudi_to_schur,
@@ -220,6 +222,26 @@ def test_schur_vector_arithmetic():
     with pytest.raises(ValueError):
         SchurVector().homogeneous_degree()
     assert g.homogeneous_degree() == 3
+
+
+def test_schur_vectors_are_read_only():
+    memo = h_monomial_to_schur((2, 1))
+    with pytest.raises(AttributeError):
+        memo.terms.clear()
+    with pytest.raises(TypeError):
+        memo.terms[Partition((3,))] = 5
+    with pytest.raises(TypeError):
+        memo[(3,)] = 5
+    with pytest.raises(AttributeError):
+        memo.terms = {}
+    with pytest.raises(AttributeError):
+        del memo.terms
+    # the memoized vector is intact, and so is what is built from it
+    assert h_monomial_to_schur((2, 1)) == vec({(3,): 1, (2, 1): 1})
+    assert jacobi_trudi_to_schur((2, 1)) == schur((2, 1))
+    # a vector built from another's terms view, or unpickled, is equal to it
+    assert SchurVector(memo.terms) == memo
+    assert pickle.loads(pickle.dumps(memo)) == memo
 
 
 def test_character_basics():

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from kroncalc.partition import Partition, contains, is_horizontal_strip, partitions_list
@@ -225,3 +227,24 @@ def test_schur_expand_product_returns_a_fresh_dict():
     assert again[Partition((3, 2, 1))] == 2
     assert Partition((9,)) not in again and again[Partition((4, 2))] == 1
     assert again is not first
+
+
+# sha256 over repr([t.rows for t in lr_tableaux(lam, mu, nu)]) for every
+# (lam, mu, nu) with |lam| <= 7 and |mu| + |nu| = |lam|, with |lam|, lam, |mu|,
+# mu and nu each running in partitions_list order (2,760 triples, 637
+# tableaux).  Computed with the generator walker, before the fillings were
+# counted; it pins the order in which lr_tableaux lists them.
+LR_TABLEAUX_DIGEST_N7 = "d460e7519b08af24684096a8daecff6e3bd29acb24ba7ad56393bf449ee016dd"
+
+
+def test_lr_tableaux_agree_with_the_count_in_pinned_order():
+    h = hashlib.sha256()
+    for n in range(8):
+        for lam in partitions_list(n):
+            for k in range(n + 1):
+                for mu in partitions_list(k):
+                    for nu in partitions_list(n - k):
+                        tableaux = lr_tableaux(lam, mu, nu)
+                        assert len(tableaux) == lr_coefficient(lam, mu, nu), (lam, mu, nu)
+                        h.update(repr([t.rows for t in tableaux]).encode())
+    assert h.hexdigest() == LR_TABLEAUX_DIGEST_N7
