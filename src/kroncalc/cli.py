@@ -1,9 +1,11 @@
-"""Command line front end.
+"""Command line front end: `parse_args` reads the `COMMANDS` table.
 
 Subcommands: kron (coefficient queries by any method), enumerate (LR and
 hook-rule tableaux, insertion traces), rosas (two-row x hook closed form
 with branch report), expand (hook determinant / Jacobi-Trudi / coproduct
-printing), verify (exhaustive sweep suites).
+printing), verify (exhaustive sweep suites).  Options go before, between
+or after positionals, as --opt value, --opt=value or a unique prefix of
+--opt; "--" ends them, and -h prints help.
 
 Exit codes: 0 success, 1 verification failure or method disagreement,
 2 input error, 3 method hypotheses not met, 4 internal error (a failed
@@ -14,12 +16,13 @@ words use space-separated letters with a trailing apostrophe for bars
 
 from __future__ import annotations
 
-import argparse
 import io
+import re
 import sys
 import time
+from types import SimpleNamespace
 
-from . import colored, nearhook, rosas, symfun, verify
+from . import colored, nearhook, rosas, symfun
 from .partition import (
     Partition,
     as_hook,
@@ -145,6 +148,8 @@ def _run_method(method: str, lam, mu, nu, explain: bool):
                 witnessed = _witnesses_if_applicable(lam, mu, nu)
                 if witnessed is not None:
                     value, witness_set = witnessed
+                    if value != plus - minus:
+                        raise ArithmeticError(f"witness count {value} differs from triple3 - triple4 = {plus - minus}")
                     payload["witnesses"] = witness_set.to_json()
                     removed = witness_set.removed_min
                     lines.append(
@@ -382,6 +387,7 @@ MAX_JOBS = 64  # verify opens one pool of this many workers per suite
 
 
 def cmd_verify(args) -> int:
+    from . import verify  # only this command reads the sweep suites
     if args.n is not None and args.n < 0:
         raise InputError(f"--n must be >= 0, got {args.n}")
     if args.jobs < 1:
@@ -404,67 +410,110 @@ def cmd_verify(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# parser
+# command line
 
 
-CACHE_FILE_HELP = "accepted and ignored; characters are memoized per process"
+# command -> (handler, help, positionals, options).  A positional maps to its
+# metavar or its tuple of choices, and "params" takes zero or more tokens.  An
+# option maps to (kind, default, help); kind is bool, str, int or the choices.
+COMMANDS = {
+    "kron": (cmd_kron, "compute one Kronecker coefficient", {"lam": "LAMBDA", "mu": "MU", "nu": "NU"}, {
+        "--method": (("oracle", "blasiak", "rosas", "nearhook", "all"), "all",
+                     f"the oracle takes n up to {ORACLE_MAX_N}; all runs every method that applies"),
+        "--output": (("text", "json", "csv"), "text", ""), "--explain": (bool, False, ""),
+        "--cache-file": (str, None, "accepted and ignored; characters are memoized per process"),
+    }),
+    "enumerate": (cmd_enumerate, "enumerate tableaux or trace insertion", {"kind": ("lr", "blasiak"), "params": "PARAMS"},
+                  {"--output": (("text", "json"), "text", ""), "--ytableau": (bool, False, "")}),
+    "rosas": (cmd_rosas, "two-row x hook closed form with branch report", {"two_row": "TWO_ROW", "hook": "HOOK", "nu": "NU"},
+              {"--output": (("text", "json"), "text", "")}),
+    "expand": (cmd_expand, "print structural expansions",
+               {"what": ("giambelli", "jacobi-trudi", "coproduct"), "partition": "PARTITION"}, {}),
+    "verify": (cmd_verify, "run verification sweeps", {"suite": "SUITE"},
+               {"--n": (int, None, ""), "--jobs": (int, 1, f"worker processes, 1 to {MAX_JOBS}")}),
+}
+
+# as in argparse, "-", "-1", "-.5" and any token with a space are values, not options
+_VALUE = re.compile(r"|[^-].*|-|-\d+|-\d*\.\d+|.* .*", re.DOTALL)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="kroncalc",
-        description="Exact Kronecker coefficients by independent methods.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _exit(code: int, usage: str, *lines: str):
+    """Print the usage line and lines: help to stdout (0) or an error to stderr (2)."""
+    print(f"usage: {usage}", *lines, sep="\n", file=sys.stderr if code else sys.stdout)
+    raise SystemExit(code)
 
-    kron = sub.add_parser("kron", help="compute one Kronecker coefficient")
-    kron.add_argument("lam", metavar="LAMBDA")
-    kron.add_argument("mu", metavar="MU")
-    kron.add_argument("nu", metavar="NU")
-    kron.add_argument(
-        "--method",
-        choices=["oracle", "blasiak", "rosas", "nearhook", "all"],
-        default="all",
-        help=f"the oracle takes n up to {ORACLE_MAX_N}; all runs every method that applies",
-    )
-    kron.add_argument("--output", choices=["text", "json", "csv"], default="text")
-    kron.add_argument("--explain", action="store_true")
-    kron.add_argument("--cache-file", help=CACHE_FILE_HELP)
-    kron.set_defaults(func=cmd_kron)
 
-    enum = sub.add_parser("enumerate", help="enumerate tableaux or trace insertion")
-    enum.add_argument("kind", choices=["lr", "blasiak"])
-    enum.add_argument("params", nargs="*")
-    enum.add_argument("--output", choices=["text", "json"], default="text")
-    enum.add_argument("--ytableau", action="store_true")
-    enum.set_defaults(func=cmd_enumerate)
+def parse_args(argv: list[str]) -> SimpleNamespace:
+    """The handler's arguments, with `func` and `command`, for a command line
+    without the program name; raises SystemExit(2) if malformed, (0) after -h."""
+    command = argv[0] if argv else ""
+    if command not in COMMANDS:
+        usage = "kroncalc [-h] {" + ",".join(COMMANDS) + "} ..."
+        if command == "-h" or len(command) > 2 and "--help".startswith(command):
+            _exit(0, usage, "", "Exact Kronecker coefficients by independent methods.", "",
+                  *(f"  {name:26} {spec[1]}" for name, spec in COMMANDS.items()))
+        _exit(2, usage, f"kroncalc: error: {f'invalid command {command!r}' if argv else 'a command is required'}")
+    func, about, positionals, options = COMMANDS[command]
+    shown = {o: o if k is bool else f"{o} {{{','.join(k)}}}" if isinstance(k, tuple)
+             else f"{o} {o[2:].upper().replace('-', '_')}" for o, (k, _, _) in options.items()}
+    usage = " ".join([f"kroncalc {command} [-h]"] + [f"[{s}]" for s in shown.values()] + [
+        "[PARAMS ...]" if p == "params" else k if isinstance(k, str) else "{" + ",".join(k) + "}"
+        for p, k in positionals.items()])
 
-    ros = sub.add_parser("rosas", help="two-row x hook closed form with branch report")
-    ros.add_argument("two_row", metavar="TWO_ROW")
-    ros.add_argument("hook", metavar="HOOK")
-    ros.add_argument("nu", metavar="NU")
-    ros.add_argument("--output", choices=["text", "json"], default="text")
-    ros.set_defaults(func=cmd_rosas)
+    def fail(message: str):
+        _exit(2, usage, f"kroncalc {command}: error: {message}")
 
-    exp = sub.add_parser("expand", help="print structural expansions")
-    exp.add_argument("what", choices=["giambelli", "jacobi-trudi", "coproduct"])
-    exp.add_argument("partition", metavar="PARTITION")
-    exp.set_defaults(func=cmd_expand)
-
-    ver = sub.add_parser("verify", help="run verification sweeps")
-    ver.add_argument("suite")
-    ver.add_argument("--n", type=int, default=None)
-    ver.add_argument(
-        "--jobs", type=int, default=1, help=f"worker processes, 1 to {MAX_JOBS}"
-    )
-    ver.set_defaults(func=cmd_verify)
-
-    return parser
+    args = SimpleNamespace(command=command, func=func, **{o[2:].replace("-", "_"): s[1] for o, s in options.items()})
+    values, extras = [], []
+    rest = iter(argv[1:])
+    for token in rest:
+        if token == "--":
+            values += rest
+            continue
+        if _VALUE.fullmatch(token):
+            values.append(token)
+            continue
+        name, eq, value = token.partition("=")
+        hits = [o for o in ("-h", "--help", *options)
+                if o == name or len(name) > 2 and name.startswith("--") and o.startswith(name)]
+        option = name if name in hits else hits[0] if len(hits) == 1 else None
+        if option in ("-h", "--help"):
+            _exit(0, usage, "", about, "", *(f"  {shown[o]:26} {text} {f'(default: {d})' if d else ''}".rstrip()
+                                             for o, (_, d, text) in options.items()))
+        if option is None:
+            extras.append(token)
+            continue
+        kind = options[option][0]
+        if kind is bool:
+            value = not eq or fail(f"argument {option}: ignored explicit argument {value!r}")
+        elif not eq:
+            value = next(rest, "--")
+            if not _VALUE.fullmatch(value):
+                fail(f"argument {option}: expected one argument")
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                fail(f"argument {option}: invalid int value: {value!r}")
+        elif isinstance(kind, tuple) and value not in kind:
+            fail(f"argument {option}: invalid choice: {value!r} (choose from {', '.join(kind)})")
+        setattr(args, option[2:].replace("-", "_"), value)
+    required = [p for p in positionals if p != "params"]
+    for name, token in zip(required, values):
+        if isinstance(positionals[name], tuple) and token not in positionals[name]:
+            fail(f"argument {name}: invalid choice: {token!r} (choose from {', '.join(positionals[name])})")
+        setattr(args, name, token)
+    if "params" in positionals:
+        args.params, values = values[len(required):], values[:len(required)]
+    extras += values[len(required):]
+    if len(values) < len(required) or extras:
+        fail(f"the following arguments are required: {', '.join(required[len(values):])}"
+             if len(values) < len(required) else f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.func(args)
     except InputError as exc:

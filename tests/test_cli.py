@@ -1,14 +1,19 @@
+import argparse
 import hashlib
 import json
 import os
+import shlex
 import subprocess
 import sys
 
 import pytest
 
 import kroncalc
-from kroncalc.cli import ORACLE_MAX_N, _applicable_methods, main
+from kroncalc import cli
+from kroncalc.cli import ORACLE_MAX_N, _applicable_methods, main, parse_args
 from kroncalc.partition import Partition
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def run(capsys, *argv):
@@ -235,17 +240,27 @@ def test_module_entry_point_matches_in_process(capsys):
     assert proc.stdout == out
 
 
-def test_cli_import_leaves_dataclasses_and_inspect_unloaded():
+def _loaded_after_cli_import(names):
     src = os.path.dirname(os.path.dirname(kroncalc.__file__))
     code = (
         f"import sys; sys.path.insert(0, {src!r}); import kroncalc.cli; "
-        "print(sorted({'dataclasses', 'inspect', 'json', 'csv'} & set(sys.modules)))"
+        f"print(sorted({set(names)!r} & set(sys.modules)))"
     )
     proc = subprocess.run(
         [sys.executable, "-I", "-c", code], capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    return proc.stdout
+
+
+def test_cli_import_leaves_dataclasses_and_inspect_unloaded():
+    assert _loaded_after_cli_import({"dataclasses", "inspect", "json", "csv"}) == "[]\n"
+
+
+def test_cli_import_leaves_argparse_locale_and_verify_unloaded():
+    # argparse's gettext calls import locale; verify is read by cmd_verify only
+    names = {"argparse", "gettext", "locale", "kroncalc.verify"}
+    assert _loaded_after_cli_import(names) == "[]\n"
 
 
 def test_verify_subcommand(capsys):
@@ -301,6 +316,190 @@ def test_verify_cache_file_exits_2(capsys):
     assert "unrecognized arguments: --cache-file X" in capsys.readouterr().err
 
 
+def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser kroncalc used before parse_args: the reference."""
+    parser = argparse.ArgumentParser(
+        prog="kroncalc",
+        description="Exact Kronecker coefficients by independent methods.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    kron = sub.add_parser("kron", help="compute one Kronecker coefficient")
+    kron.add_argument("lam", metavar="LAMBDA")
+    kron.add_argument("mu", metavar="MU")
+    kron.add_argument("nu", metavar="NU")
+    kron.add_argument(
+        "--method", choices=["oracle", "blasiak", "rosas", "nearhook", "all"], default="all"
+    )
+    kron.add_argument("--output", choices=["text", "json", "csv"], default="text")
+    kron.add_argument("--explain", action="store_true")
+    kron.add_argument("--cache-file")
+    kron.set_defaults(func=cli.cmd_kron)
+
+    enum = sub.add_parser("enumerate", help="enumerate tableaux or trace insertion")
+    enum.add_argument("kind", choices=["lr", "blasiak"])
+    enum.add_argument("params", nargs="*")
+    enum.add_argument("--output", choices=["text", "json"], default="text")
+    enum.add_argument("--ytableau", action="store_true")
+    enum.set_defaults(func=cli.cmd_enumerate)
+
+    ros = sub.add_parser("rosas", help="two-row x hook closed form with branch report")
+    ros.add_argument("two_row", metavar="TWO_ROW")
+    ros.add_argument("hook", metavar="HOOK")
+    ros.add_argument("nu", metavar="NU")
+    ros.add_argument("--output", choices=["text", "json"], default="text")
+    ros.set_defaults(func=cli.cmd_rosas)
+
+    exp = sub.add_parser("expand", help="print structural expansions")
+    exp.add_argument("what", choices=["giambelli", "jacobi-trudi", "coproduct"])
+    exp.add_argument("partition", metavar="PARTITION")
+    exp.set_defaults(func=cli.cmd_expand)
+
+    ver = sub.add_parser("verify", help="run verification sweeps")
+    ver.add_argument("suite")
+    ver.add_argument("--n", type=int, default=None)
+    ver.add_argument("--jobs", type=int, default=1)
+    ver.set_defaults(func=cli.cmd_verify)
+
+    return parser
+
+
+def _readme_argvs():
+    with open(os.path.join(REPO, "README.md"), encoding="utf-8") as handle:
+        text = handle.read()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True)[1:] for line in block.splitlines()]
+
+
+def _queries_argvs():
+    with open(os.path.join(REPO, "perfbench", "queries.json"), encoding="utf-8") as handle:
+        pool = json.load(handle)
+    return [query["argv"] for group in pool.values() for query in group]
+
+
+# lines the handlers accept or reject themselves, and lines that are malformed
+# (exit 2) or ask for help (exit 0) in both parsers
+PARSER_CASES = [
+    "kron 5,2,1 4,1^4 4,2,1,1 --method=all",
+    "kron --method all --output json 5,2,1 4,1^4 4,2,1,1",
+    "kron 5,2,1 --explain 4,1^4 --output=csv 4,2,1,1",
+    "kron 5,2,1 4,1^4 4,2,1,1 --meth oracle --out json --exp --cache P",
+    "kron 5,2,1 4,1^4 4,2,1,1 --meth=oracle",
+    "kron -- 5,2,1 4,1^4 4,2,1,1",
+    "kron --explain -- 5,2,1 -4 --method",
+    "kron 1,1 2 --cache-file= 2",
+    "kron -1 -2 -3",
+    "kron '-a b' 2 3",
+    "enumerate blasiak 2,1 -1 2,1",
+    "enumerate --output json blasiak 5,2,1 4 4,2,1,1",
+    "enumerate lr 5,4,2,1 4,2 4,1,1 --yt",
+    "enumerate blasiak '' 0 ''",
+    "enumerate lr -- -5 --x",
+    "enumerate blasiak",
+    "rosas 6,2 2,1^6 3,2,1,1,1 --output json",
+    "expand coproduct -- 2,1",
+    "verify lr --n -3",
+    "verify lr --jobs=2 --n=4",
+    "verify lr --j 2 --n ' 3'",
+    "verify not-a-suite",
+    # malformed
+    "",
+    "bogus 1 2",
+    "--bogus kron 1 2 3",
+    "--method all kron 1 2 3",
+    "-- kron 1 2 3",
+    "kron",
+    "kron 5,2,1 4,1^4",
+    "kron 5,2,1 4,1^4 4,2,1,1 4",
+    "kron 5,2,1 4,1^4 4,2,1,1 --bogus",
+    "kron 1 2 3 -x",
+    "kron 1 2 3 -",
+    "kron 5,2,1 4,1^4 4,2,1,1 --method bogus",
+    "kron 5,2,1 4,1^4 4,2,1,1 --method",
+    "kron 5,2,1 4,1^4 4,2,1,1 --method --explain",
+    "kron 5,2,1 4,1^4 4,2,1,1 --cache-file",
+    "kron 5,2,1 4,1^4 4,2,1,1 --explain=yes",
+    "kron 1 2 3 --=x",
+    "enumerate",
+    "enumerate bogus 1",
+    "expand bogus 4",
+    "expand giambelli",
+    "expand coproduct 2,1 extra",
+    "rosas 6,2 2,1^6",
+    "verify",
+    "verify lr --jobs x",
+    "verify lr --n 1.5",
+    "verify lr --n -.5",
+    # help
+    "-h",
+    "--help",
+    "--he kron",
+    "kron -h",
+    "kron 1 --help",
+    "kron 1 2 3 --bogus --h",
+    "enumerate -h",
+    "rosas 1 2 3 -h",
+    "expand --help",
+    "verify lr -h",
+]
+
+
+def _parse_outcome(parse, argv, capsys):
+    try:
+        result = ("parsed", vars(parse(list(argv))))
+    except SystemExit as exc:
+        result = ("exit", exc.code)
+    return result, capsys.readouterr()
+
+
+def test_parser_matches_argparse_reference(capsys):
+    argvs = _readme_argvs() + _queries_argvs() + [shlex.split(case) for case in PARSER_CASES]
+    argvs += [argv + ["--cache-file", "P"] for argv in _readme_argvs() + _queries_argvs()]
+    outcomes = {"parsed": 0, 0: 0, 2: 0}
+    for argv in argvs:
+        expected, _ = _parse_outcome(build_parser().parse_args, argv, capsys)
+        got, captured = _parse_outcome(parse_args, argv, capsys)
+        assert got == expected, argv
+        outcomes[got[0] if got[0] == "parsed" else got[1]] += 1
+        if got == ("exit", 2):
+            lines = captured.err.splitlines()
+            assert captured.out == "" and len(lines) == 2, argv
+            assert lines[0].startswith("usage: kroncalc"), argv
+            assert lines[1].startswith("kroncalc") and ": error: " in lines[1], argv
+        elif got == ("exit", 0):
+            assert captured.out.startswith("usage: kroncalc") and captured.err == "", argv
+    # every kind of outcome is exercised
+    assert min(outcomes.values()) >= 10, outcomes
+
+
+@pytest.mark.parametrize(
+    "line,reordered",
+    [
+        ("enumerate lr --ytableau 5,4,2,1 4,2 4,1,1", "enumerate --ytableau lr 5,4,2,1 4,2 4,1,1"),
+        ("enumerate blasiak 5,2,1 --output json 4 4,2,1,1",
+         "enumerate --output json blasiak 5,2,1 4 4,2,1,1"),
+    ],
+    ids=["flag-before-params", "option-between-params"],
+)
+def test_parser_accepts_lines_argparse_rejected(capsys, line, reordered):
+    # argparse ends a nargs="*" positional at the first option after it
+    assert _parse_outcome(build_parser().parse_args, shlex.split(line), capsys)[0] == ("exit", 2)
+    expected, _ = _parse_outcome(build_parser().parse_args, shlex.split(reordered), capsys)
+    assert expected[0] == "parsed"
+    assert _parse_outcome(parse_args, shlex.split(line), capsys)[0] == expected
+
+
+def test_help_lists_each_option_with_its_choices(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["kron", "-h"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: kroncalc kron [-h] ")
+    for shown in ("--method {oracle,blasiak,rosas,nearhook,all}", "--output {text,json,csv}",
+                  "--explain", "--cache-file CACHE_FILE"):
+        assert "\n  " + shown in out
+
+
 def test_internal_error_exits_4_without_traceback(capsys, monkeypatch):
     from kroncalc import colored
 
@@ -317,6 +516,22 @@ def test_internal_error_exits_4_without_traceback(capsys, monkeypatch):
         assert code == 4
         assert out == ""
         assert err == "internal error: RuntimeError: insertion produced a ragged shape\n"
+
+
+def test_witness_count_that_differs_from_the_triple_sums_exits_4(capsys, monkeypatch):
+    from kroncalc import cli
+
+    original = cli._witnesses_if_applicable
+
+    def broken(lam, mu, nu):
+        value, witness_set = original(lam, mu, nu)
+        return value + 1, witness_set
+
+    monkeypatch.setattr(cli, "_witnesses_if_applicable", broken)
+    argv = ("kron", "8,6", "6,2,1^6", "8,2,1^4", "--method", "nearhook", "--explain")
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (4, "")
+    assert err == "internal error: ArithmeticError: witness count 2 differs from triple3 - triple4 = 1\n"
 
 
 def test_verify_rejects_negative_limit_and_jobs_below_one(capsys):
