@@ -44,7 +44,10 @@ come from a memoized graph of these states; with the bars left out of the
 state, one graph counts every total color at once.  Enumeration walks the
 same graph, enters only states with a nonzero count, and records the shape
 after each key; the rows of a finished tableau are read off that chain of
-shapes.
+shapes.  The strip listing and the tableau walk are module-level
+recursions (``_grow``, ``_walk``) that take their state as arguments, so
+a call leaves no reference cycle and its lists are freed by reference
+counting when it returns.
 
 The tests keep a search over mixed-insertion states of the admissible
 words as the reference this construction must match.
@@ -338,19 +341,19 @@ def _search(lam: Partition, d: int, target: Optional[Partition]):
     Each shape maps to a set of encoded row tuples (2v - 1 for v', 2v for v).
     """
     graph = _HookGraph(lam, d, target, walk=True)
-    m = len(lam)
     found: dict[tuple[int, ...], set] = {}
-
-    def walk(state: tuple, chain: tuple) -> None:
-        if state[0] == m:
-            found.setdefault(state[1], set()).add(_rows_of_chain(chain))
-            return
-        for barred, child in graph.live[state]:
-            walk(child, chain + (barred, child[1]))
-
     if graph.counts(graph.root):
-        walk(graph.root, ())
+        _walk(graph.root, (), len(lam), graph.live, found)
     return found
+
+
+def _walk(state: tuple, chain: tuple, m: int, live: dict, found: dict) -> None:
+    """Add to found the tableaux finished from state, chain holding the shapes so far."""
+    if state[0] == m:
+        found.setdefault(state[1], set()).add(_rows_of_chain(chain))
+        return
+    for barred, child in live[state]:
+        _walk(child, chain + (barred, child[1]), m, live, found)
 
 
 def _rows_of_chain(chain: Sequence[Sequence[int]]) -> tuple:
@@ -513,29 +516,34 @@ def _strips(lines: Sequence[int], s: int, limit, bound) -> list:
     if bound is not None:
         bound = [bound[i] if i < len(bound) else bound[-1] for i in range(len(caps))]
     room = list(accumulate(reversed(caps)))[::-1]
-    picks = [0] * len(caps)
     out = []
-
-    def rec(start: int, placed: int) -> None:
-        if placed == s:
-            grown = tuple(a + t for a, t in zip(padded, picks))
-            prefix = tuple(accumulate(picks, initial=0))
-            out.append((grown if picks[-1] else grown[:-1], prefix))
-            return
-        left = s - placed
-        for j in range(start, len(caps)):
-            if room[j] < left:
-                break
-            hi = min(caps[j], left)
-            if bound is not None:
-                hi = min(hi, bound[j] - placed)
-            for t in range(hi, 0, -1):
-                picks[j] = t
-                rec(j + 1, placed + t)
-            picks[j] = 0
-
-    rec(0, 0)
+    _grow(0, 0, s, padded, caps, room, bound, [0] * len(caps), out)
     return out
+
+
+def _grow(start, placed, s, padded, caps, room, bound, picks, out) -> None:
+    """Append to out each way to place the s - placed cells left in lines start..
+
+    picks[i] holds the cells line i takes; lines from start on take none
+    yet.  Lines are tried in order and, within a line, the larger count
+    first, so the ways come in decreasing lexicographic order of picks.
+    """
+    if placed == s:
+        grown = tuple(a + t for a, t in zip(padded, picks))
+        prefix = tuple(accumulate(picks, initial=0))
+        out.append((grown if picks[-1] else grown[:-1], prefix))
+        return
+    left = s - placed
+    for j in range(start, len(caps)):
+        if room[j] < left:
+            break
+        hi = min(caps[j], left)
+        if bound is not None:
+            hi = min(hi, bound[j] - placed)
+        for t in range(hi, 0, -1):
+            picks[j] = t
+            _grow(j + 1, placed + t, s, padded, caps, room, bound, picks, out)
+        picks[j] = 0
 
 
 def _check_hook_args(lam: Partition, d: int, nu: Optional[Partition] = None) -> None:

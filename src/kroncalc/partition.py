@@ -45,9 +45,8 @@ class Partition(tuple):
     def __repr__(self) -> str:
         return f"Partition({tuple(self)})"
 
-    @property
-    def size(self) -> int:
-        return sum(self)
+    # the builtin sum as the getter: a read runs no Python frame
+    size = property(sum, doc="Sum of the parts: the number of cells of the Young diagram.")
 
     def part(self, i: int) -> int:
         """1-indexed part; 0 past the end."""

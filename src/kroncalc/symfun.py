@@ -33,9 +33,12 @@ expansion (``_leibniz``).  It builds the matrix once and ends a branch
 when the lowest unused column has no nonvanishing entry in the rows still
 to fill, so a banded matrix such as the Jacobi-Trudi one of (1^n), with
 2^(n-1) terms among n! permutations, costs time in its terms rather than
-in n!.  Every linear combination is summed in one place, the
-``SchurVector`` constructor, and a vector is read-only once built, so the
-memoized vectors of ``h_monomial_to_schur`` are safe to share.
+in n!.  The expansion recurses through a module-level function
+(``_expand``) that takes the matrix and the term list as arguments, so it
+leaves no reference cycle for the garbage collector.  Every linear
+combination is summed in one place, the ``SchurVector`` constructor, and a
+vector is read-only once built, so the memoized vectors of
+``h_monomial_to_schur`` are safe to share.
 """
 
 from __future__ import annotations
@@ -68,7 +71,9 @@ class SchurVector:
             if coeff:
                 key = as_partition(lam)
                 data[key] = data.get(key, 0) + coeff
-        object.__setattr__(self, "terms", MappingProxyType({k: v for k, v in data.items() if v}))
+        for key in [k for k, v in data.items() if not v]:
+            del data[key]  # the others keep their order
+        object.__setattr__(self, "terms", MappingProxyType(data))
 
     def __setattr__(self, name, value):
         raise AttributeError("SchurVector is read-only")
@@ -168,23 +173,28 @@ def _leibniz(size: int, entry) -> list[tuple[int, tuple]]:
     ]
     last.append(size)
     terms = []
-
-    def rec(i: int, used: int, sign: int, entries: tuple):
-        if i == size:
-            terms.append((sign, entries))
-            return
-        for j, x in enumerate(matrix[i]):
-            if x is None or used >> j & 1:
-                continue
-            now = used | 1 << j
-            if last[(~now & (now + 1)).bit_length() - 1] <= i:
-                continue  # the lowest unused column can no longer be filled
-            # each column already used to the right of j is one more inversion
-            flips = (used >> (j + 1)).bit_count()
-            rec(i + 1, now, -sign if flips & 1 else sign, entries + (x,))
-
-    rec(0, 0, 1, ())
+    _expand(0, 0, 1, (), matrix, last, terms)
     return terms
+
+
+def _expand(i: int, used: int, sign: int, entries: tuple, matrix, last, terms) -> None:
+    """Append to terms each Leibniz term that completes rows 0..i-1 of a permutation.
+
+    used has bit j set for each column taken by those rows, sign is the
+    sign so far, and entries their matrix entries.
+    """
+    if i == len(matrix):
+        terms.append((sign, entries))
+        return
+    for j, x in enumerate(matrix[i]):
+        if x is None or used >> j & 1:
+            continue
+        now = used | 1 << j
+        if last[(~now & (now + 1)).bit_length() - 1] <= i:
+            continue  # the lowest unused column can no longer be filled
+        # each column already used to the right of j is one more inversion
+        flips = (used >> (j + 1)).bit_count()
+        _expand(i + 1, now, -sign if flips & 1 else sign, entries + (x,), matrix, last, terms)
 
 
 def coproduct(lam) -> list[tuple[Partition, Partition, int]]:

@@ -11,7 +11,10 @@ the semistandard constraints, and the weight budget can all be checked
 incrementally; this keeps exhaustive sweeps through n <= 12 interactive.
 One walk serves both uses: it returns the number of fillings, which is
 all ``lr_coefficient`` reads, and only ``lr_tableaux`` asks it to record
-each filling's label rows as well.
+each filling's label rows as well.  The fillings walk (``_fill``) and the
+strip-chain count (``_chains``) are module-level recursions that take
+their state as arguments, so a call leaves no reference cycle behind and
+its lists are freed by reference counting as soon as it returns.
 
 Sums weighted by LR coefficients walk the cached supports instead of
 probing every partition: ``lr_weight_support`` fixes (outer, inner) and
@@ -119,40 +122,36 @@ def _lr_fillings(outer: Partition, inner: Partition, weight: Sequence[int], foun
     """
     if inner.size + sum(weight) != outer.size or not contains(inner, outer):
         return 0
-    m = len(weight)
     cells = []
     for r in range(len(outer)):
         lo = inner.part(r + 1)
         for c in range(outer[r] - 1, lo - 1, -1):
             cells.append((r, c))
-    last = len(cells)
     grid = [[0] * outer[r] for r in range(len(outer))]
-    counts = [0] * (m + 1)
+    return _fill(0, cells, grid, [0] * (len(weight) + 1), weight, outer, inner, found)
 
-    def rec(k: int) -> int:
-        if k == last:
-            if found is not None:
-                found.append(
-                    tuple(tuple(row[inner.part(r + 1) :]) for r, row in enumerate(grid))
-                )
-            return 1
-        r, c = cells[k]
-        row = grid[r]
-        hi = row[c + 1] if c + 1 < outer[r] else m
-        lo = grid[r - 1][c] if r > 0 and c < outer[r - 1] else 0
-        total = 0
-        for v in range(lo + 1, hi + 1):
-            if counts[v] >= weight[v - 1]:
-                continue
-            if v > 1 and counts[v] >= counts[v - 1]:
-                continue
-            row[c] = v
-            counts[v] += 1
-            total += rec(k + 1)
-            counts[v] -= 1
-        return total
 
-    return rec(0)
+def _fill(k, cells, grid, counts, weight, outer, inner, found) -> int:
+    """Fillings that complete grid from cell k on, with counts[v] labels v placed."""
+    if k == len(cells):
+        if found is not None:
+            found.append(tuple(tuple(row[inner.part(r + 1) :]) for r, row in enumerate(grid)))
+        return 1
+    r, c = cells[k]
+    row = grid[r]
+    hi = row[c + 1] if c + 1 < outer[r] else len(weight)
+    lo = grid[r - 1][c] if r > 0 and c < outer[r - 1] else 0
+    total = 0
+    for v in range(lo + 1, hi + 1):
+        if counts[v] >= weight[v - 1]:
+            continue
+        if v > 1 and counts[v] >= counts[v - 1]:
+            continue
+        row[c] = v
+        counts[v] += 1
+        total += _fill(k + 1, cells, grid, counts, weight, outer, inner, found)
+        counts[v] -= 1
+    return total
 
 
 def lr_tableaux(lam, mu, nu) -> list[SkewSSYT]:
@@ -233,19 +232,23 @@ def strip_chain_count(nu, eta, size1: int, size2: int) -> int:
     for i in range(rows - 1, -1, -1):
         suf_lo[i] = suf_lo[i + 1] + lo[i]
         suf_hi[i] = suf_hi[i + 1] + hi[i]
-    target = eta.size + size1
+    return _chains(0, eta.size + size1, lo, hi, suf_lo, suf_hi)
 
-    def rec(i: int, remaining: int) -> int:
-        if i == rows:
-            return 1 if remaining == 0 else 0
-        total = 0
-        for k in range(lo[i], hi[i] + 1):
-            left = remaining - k
-            if suf_lo[i + 1] <= left <= suf_hi[i + 1]:
-                total += rec(i + 1, left)
-        return total
 
-    return rec(0, target)
+def _chains(i, remaining, lo, hi, suf_lo, suf_hi) -> int:
+    """Ways to choose lo[j] <= kappa_j <= hi[j] for the rows j >= i, summing to remaining.
+
+    Rows i, i+1, ... sum to between suf_lo[i] and suf_hi[i], so a branch
+    that cannot reach the sum exactly is never entered.
+    """
+    if i == len(lo):
+        return 1 if remaining == 0 else 0
+    total = 0
+    for k in range(lo[i], hi[i] + 1):
+        left = remaining - k
+        if suf_lo[i + 1] <= left <= suf_hi[i + 1]:
+            total += _chains(i + 1, left, lo, hi, suf_lo, suf_hi)
+    return total
 
 
 def lr_via_strip_difference(nu, eta, b: int, j: int) -> int:

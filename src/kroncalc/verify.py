@@ -370,14 +370,13 @@ def units_fundamental(limit: int):
 def run_fundamental(unit) -> tuple[int, list[str]]:
     n, a, b = unit
     c = n - a - b
+    near_hook = Partition((a, b) + (1,) * c)
     checks, fails = 0, []
     for lam in partitions_list(n):
         for nu in partitions_list(n):
             checks += 1
             _, value = nearhook.near_hook_expansion(lam, nu, a, b, c)
-            oracle = symfun.kronecker_coefficient(
-                lam, Partition((a, b) + (1,) * c), nu
-            )
+            oracle = symfun.kronecker_coefficient(lam, near_hook, nu)
             if value != oracle:
                 fails.append(
                     f"expansion != oracle at lam={_fmt(lam)} (a,b,c)=({a},{b},{c}) nu={_fmt(nu)}: {value} vs {oracle}"

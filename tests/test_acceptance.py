@@ -4,6 +4,7 @@ All values are exact integers; every comparison is equality with zero
 tolerance.  Run with -s to see the lines.
 """
 
+import gc
 import hashlib
 import json
 import re
@@ -15,6 +16,7 @@ from kroncalc import verify
 from kroncalc.cli import main as cli_main
 from kroncalc.colored import (
     ColoredTableau,
+    blasiak_counts,
     blft,
     enumerate_blasiak,
     mixed_insertion_tableau,
@@ -25,6 +27,7 @@ from kroncalc.nearhook import (
     g_two_row_near_hook,
     j_minus,
     j_plus,
+    special_nu,
     triple1,
     triple2,
     triple3,
@@ -34,8 +37,8 @@ from kroncalc.nearhook import (
 )
 from kroncalc.partition import Partition
 from kroncalc.rosas import phi, xi
-from kroncalc.symfun import kronecker_coefficient
-from kroncalc.tableau import lr_coefficient, strip_chain_count
+from kroncalc.symfun import giambelli_leibniz, jacobi_trudi, kronecker_coefficient
+from kroncalc.tableau import lr_coefficient, lr_tableaux, strip_chain_count
 
 
 def report(name: str, passed: bool) -> None:
@@ -282,3 +285,29 @@ def test_verify_all_report_is_pinned(capsys):
         check("6 verify all check count", checks, expected["checks"])
         check("6 verify all report sha256", hashlib.sha256(out.encode()).hexdigest(),
               expected["report_sha256"])
+
+
+# ---------------------------------------------------------------------------
+# criterion 7: the recursive walkers are freed by reference counting
+
+
+def test_walkers_leave_no_cyclic_garbage():
+    """A walk leaves nothing for the garbage collector to find.
+
+    Memoized entry points are called through __wrapped__, so a warm memo
+    cannot skip the walk; each call is checked to have walked something.
+    """
+    gc.collect()
+    gc.disable()
+    try:
+        assert len(lr_tableaux((4, 3, 1), (2, 1), (3, 2))) == 2
+        assert lr_coefficient.__wrapped__((4, 2, 1, 1), (2, 1), (3, 1, 1)) == 2
+        assert strip_chain_count.__wrapped__((4, 3, 1), (2, 1), 2, 3) == 3
+        assert len(blasiak_counts((3, 2, 1))) == 34
+        assert len(enumerate_blasiak.__wrapped__((5, 2), 2, special_nu(2, 3, 2))) == 2
+        assert len(giambelli_leibniz((3, 2, 1))) == 2
+        assert len(jacobi_trudi((3, 2, 1))) == 4
+        unreachable = gc.collect()
+    finally:
+        gc.enable()
+    check("7 unreachable objects left by the walkers", unreachable, 0)

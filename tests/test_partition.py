@@ -31,6 +31,16 @@ def test_construction_normalizes_trailing_zeros():
     assert Partition((5, 2, 0, 0)) == Partition((5, 2))
     assert Partition(()) == ()
     assert Partition((3,)).size == 3
+    assert Partition(()).size == 0 and Partition((4, 2, 1, 1)).size == 8
+
+
+def test_size_is_read_only():
+    p = Partition((3, 1))
+    with pytest.raises(AttributeError):
+        p.size = 5
+    with pytest.raises(AttributeError):
+        del p.size
+    assert p.size == 4 and Partition.size.__doc__
 
 
 def test_construction_rejects_bad_parts():

@@ -224,6 +224,17 @@ def test_schur_vector_arithmetic():
     assert g.homogeneous_degree() == 3
 
 
+def test_cancelled_terms_leave_the_others_in_order():
+    v = SchurVector(
+        [((2, 1), 1), ((3,), 2), ((1, 1, 1), 4), ((2, 1), -1), ((4,), 0), ((3,), -2), ((2,), 7)]
+    )
+    assert list(v.terms) == [Partition((1, 1, 1)), Partition((2,))]
+    assert list(v.terms.values()) == [4, 7]
+    # a term that cancels and comes back keeps its first place
+    w = SchurVector([((3,), 1), ((2, 1), 1), ((3,), -1), ((1, 1, 1), 1), ((3,), 5)])
+    assert list(w.items()) == [(Partition((3,)), 5), (Partition((2, 1)), 1), (Partition((1, 1, 1)), 1)]
+
+
 def test_schur_vectors_are_read_only():
     memo = h_monomial_to_schur((2, 1))
     with pytest.raises(AttributeError):
