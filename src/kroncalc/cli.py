@@ -16,7 +16,6 @@ words use space-separated letters with a trailing apostrophe for bars
 
 from __future__ import annotations
 
-import io
 import re
 import sys
 import time
@@ -35,7 +34,7 @@ from .partition import (
 from .tableau import lr_tableaux
 
 
-class InputError(Exception):
+class InputError(ValueError):
     pass
 
 
@@ -78,9 +77,15 @@ def _applicable_methods(lam, mu):
         out["rosas"] = "mu is not a hook (a, 1^(c+1)) with c >= 0"
     else:
         out["rosas"] = "lambda is not a two-row partition"
-    out["nearhook"] = (
-        None if as_near_hook(mu) else "mu is not a near-hook (a, b, 1^c) with a >= b >= 2"
-    )
+    near_hook = as_near_hook(mu)
+    # the signed expansion, unlike the triple sums, calls the oracle at n - b + 1
+    inner = n - near_hook[1] + 1 if near_hook and not (as_two_row(lam) and near_hook[2]) else 0
+    if near_hook is None:
+        out["nearhook"] = "mu is not a near-hook (a, b, 1^c) with a >= b >= 2"
+    elif inner > ORACLE_MAX_N:
+        out["nearhook"] = f"the signed expansion calls the oracle at n - b + 1 = {inner}, above the bound {ORACLE_MAX_N}"
+    else:
+        out["nearhook"] = None
     return out
 
 
@@ -245,8 +250,7 @@ def cmd_kron(args) -> int:
     elif args.output == "csv":
         import csv
 
-        buf = io.StringIO()
-        writer = csv.writer(buf)
+        writer = csv.writer(sys.stdout)
         writer.writerow(["lambda", "mu", "nu", "method", "value", "runtime_ms"])
         for method in methods:
             writer.writerow(
@@ -259,7 +263,6 @@ def cmd_kron(args) -> int:
                     f"{timings[method]:.3f}",
                 ]
             )
-        sys.stdout.write(buf.getvalue())
     else:
         print(f"g({query}) = {value}   [{', '.join(methods)}]")
         if args.explain:
@@ -324,10 +327,7 @@ def cmd_enumerate(args) -> int:
     except ValueError as exc:
         raise InputError(f"bad total color {rest[1]!r}") from exc
     nu = _parse_partition_arg(rest[2])
-    try:
-        tableaux = colored.enumerate_blasiak(lam, d, nu)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    tableaux = colored.enumerate_blasiak(lam, d, nu)
     if args.output == "json":
         _print_json([t.to_json() for t in tableaux])
         return 0
@@ -516,9 +516,6 @@ def main(argv=None) -> int:
     args = parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except HypothesisError as exc:
         print(f"hypothesis not met: {exc}", file=sys.stderr)
         return 3

@@ -44,7 +44,9 @@ come from a memoized graph of these states; with the bars left out of the
 state, one graph counts every total color at once.  Enumeration walks the
 same graph, enters only states with a nonzero count, and records the shape
 after each key; the rows of a finished tableau are read off that chain of
-shapes.  The strip listing and the tableau walk are module-level
+shapes.  Each walk is checked against the graph's count: if the tableaux
+it finds for some shape differ in number from that count, it raises
+ArithmeticError.  The strip listing and the tableau walk are module-level
 recursions (``_grow``, ``_walk``) that take their state as arguments, so
 a call leaves no reference cycle and its lists are freed by reference
 counting when it returns.
@@ -339,11 +341,16 @@ def _search(lam: Partition, d: int, target: Optional[Partition]):
     can still be finished, so no branch it explores is dead.  With a target
     shape no row may outgrow it, so every finished tableau has that shape.
     Each shape maps to a set of encoded row tuples (2v - 1 for v', 2v for v).
+    The tableaux walked per shape must number what the graph counted.
     """
     graph = _HookGraph(lam, d, target, walk=True)
+    counts = graph.counts(graph.root)
     found: dict[tuple[int, ...], set] = {}
-    if graph.counts(graph.root):
+    if counts:
         _walk(graph.root, (), len(lam), graph.live, found)
+    walked = {(d, shape): len(rows) for shape, rows in found.items()}
+    if walked != counts:
+        raise ArithmeticError(f"hook-rule walk found {walked} tableaux, the count is {counts}")
     return found
 
 
@@ -609,12 +616,3 @@ def blasiak_counts(lam) -> dict:
         for (d, shape), count in sorted(graph.counts(graph.root).items())
     }
 
-
-def blasiak_by_shape(lam, d: int) -> dict:
-    """Map shape -> canonically ordered tableaux, one search for all shapes."""
-    lam = Partition(lam)
-    _check_hook_args(lam, d)
-    found = _search(lam, d, None)
-    return {
-        Partition(shape): _finalize(lam, d, rows) for shape, rows in sorted(found.items())
-    }

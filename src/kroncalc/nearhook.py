@@ -175,8 +175,7 @@ def _interval_sum(side, d, e, a, b, c, nu) -> int:
 
 
 @cache
-def _support(nu, size: int, p: int, arm: int, c: int) -> frozenset:
-    nu = Partition(nu)
+def _support(nu: Partition, size: int, p: int, arm: int, c: int) -> frozenset:
     out = set()
     for sigma in partitions_list(size):
         if not is_double_hook(sigma, size):
@@ -230,12 +229,12 @@ def triple2(d, e, a, b, c, nu) -> int:
 
 def index_set_plus(nu, a: int, b: int, c: int) -> frozenset:
     """Tuples (eta, j, r) whose triple1 summand is strictly positive."""
-    return _support(nu, *_positive(a, b, c), c)
+    return _support(Partition(nu), *_positive(a, b, c), c)
 
 
 def index_set_minus(nu, a: int, b: int, c: int) -> frozenset:
     """Tuples (delta, i, r) whose triple2 summand is strictly positive."""
-    return _support(nu, *_negative(a, b, c), c)
+    return _support(Partition(nu), *_negative(a, b, c), c)
 
 
 def j_plus(d: int, nu, a: int, b: int, c: int) -> frozenset:

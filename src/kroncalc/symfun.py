@@ -9,11 +9,12 @@ Kronecker coefficient is the class-sum character formula
 
 evaluated in integer arithmetic (the class-sum form is mathematically
 identical to averaging over all n! permutations but exponentially cheaper).
-The sum runs over cached per-partition rows in partitions_list order,
-each built once per partition: the character row chi^lam on every cycle
-type of n, and the weighted row |class(rho)| * chi^lam(rho).  A
-coefficient multiplies the first argument's weighted row term by term with
-the other two arguments' character rows.
+The sum runs over one cached table of per-partition rows in
+partitions_list order, built once per partition: ``_rows(lam)`` holds the
+character row chi^lam on every cycle type of n together with the weighted
+row |class(rho)| * chi^lam(rho).  A coefficient multiplies the first
+argument's weighted row term by term with the other two arguments'
+character rows.
 ``character`` validates its arguments; the recursion below it runs on
 James' abacus.  A shape is one int, its bead set, whose set bits are the
 beta numbers lam_i + (L - 1 - i) of its L rows.  Removing a border strip
@@ -325,16 +326,12 @@ def _class_sizes(n: int) -> tuple[int, ...]:
 
 
 @cache
-def _char_row(lam: Partition) -> tuple[int, ...]:
-    """chi^lam on every cycle type of |lam|, in partitions_list order."""
+def _rows(lam: Partition) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """chi^lam(rho) and |class(rho)| * chi^lam(rho) on every cycle type rho of |lam|,
+    in partitions_list order."""
     beads = _beads(lam)
-    return tuple(_char(beads, rho) for rho in partitions_list(lam.size))
-
-
-@cache
-def _weighted_row(lam: Partition) -> tuple[int, ...]:
-    """|class(rho)| * chi^lam(rho) for every cycle type rho of |lam|, in partitions_list order."""
-    return tuple(map(mul, _class_sizes(lam.size), _char_row(lam)))
+    row = tuple(_char(beads, rho) for rho in partitions_list(lam.size))
+    return row, tuple(map(mul, _class_sizes(lam.size), row))
 
 
 @cache
@@ -344,7 +341,7 @@ def kronecker_coefficient(lam, mu, nu) -> int:
     n = lam.size
     if mu.size != n or nu.size != n:
         raise ValueError("all three partitions must have the same size")
-    total = sum(map(mul, _weighted_row(lam), map(mul, _char_row(mu), _char_row(nu))))
+    total = sum(map(mul, _rows(lam)[1], map(mul, _rows(mu)[0], _rows(nu)[0])))
     nfact = factorial(n)
     value, remainder = divmod(total, nfact)
     if remainder or value < 0:

@@ -85,6 +85,33 @@ def test_kron_oracle_rejects_n_above_bound(capsys):
     assert _applicable_methods(Partition((n - 1,)), Partition((n - 1,)))["oracle"] is None
 
 
+def test_nearhook_refuses_an_inner_oracle_size_above_the_bound(capsys, monkeypatch):
+    from kroncalc import symfun
+
+    def entered(*args):
+        raise AssertionError("the oracle ran")
+
+    monkeypatch.setattr(symfun, "_char", entered)
+    # the signed expansion calls the oracle at n - b + 1; both queries have n = 30
+    code, out, err = run(capsys, "kron", "8,7,6,5,4", "3,2,1^25", "10,8,6,4,2", "--method", "nearhook")
+    assert (code, out) == (3, "")
+    assert err == (
+        "hypothesis not met: method nearhook: the signed expansion calls the oracle"
+        f" at n - b + 1 = 29, above the bound {ORACLE_MAX_N}\n"
+    )
+    code, out, err = run(capsys, "kron", "9,7,5,3,2,1,1,1,1", "4,3,1^23", "10,8,6,4,2")
+    assert (code, out) == (3, "")
+    assert err.endswith(
+        f"; nearhook: the signed expansion calls the oracle at n - b + 1 = 28, above the bound {ORACLE_MAX_N}\n"
+    )
+    # c = 0 takes the signed expansion even for a two-row lambda
+    assert "n - b + 1 = 29" in _applicable_methods(Partition((20, 10)), Partition((28, 2)))["nearhook"]
+    # a two-row lambda with c >= 1 takes the triple sums, which need no oracle
+    code, out, err = run(capsys, "kron", "28,2", "3,2,1^25", "3,2,1^25", "--method", "nearhook")
+    assert (code, err) == (0, "")
+    assert out.endswith(") = 4   [nearhook]\n")
+
+
 def test_kron_json_round_trip(capsys):
     args = ["kron", "4,2", "4,2", "4,2", "--output", "json"]
     code, out, _ = run(capsys, *args)
@@ -532,6 +559,28 @@ def test_witness_count_that_differs_from_the_triple_sums_exits_4(capsys, monkeyp
     code, out, err = run(capsys, *argv)
     assert (code, out) == (4, "")
     assert err == "internal error: ArithmeticError: witness count 2 differs from triple3 - triple4 = 1\n"
+
+
+def test_hook_rule_walk_that_differs_from_its_count_exits_4(capsys, monkeypatch):
+    from kroncalc import colored
+
+    walk = colored._walk
+
+    def first_moves_only(state, chain, m, live, found):
+        walk(state, chain, m, {s: moves[:1] for s, moves in live.items()}, found)
+
+    monkeypatch.setattr(colored, "_walk", first_moves_only)
+    colored.enumerate_blasiak.cache_clear()
+    try:
+        argv = ("kron", "5,2,1", "4,1^4", "4,2,1,1", "--method", "blasiak", "--explain")
+        code, out, err = run(capsys, *argv)
+    finally:
+        colored.enumerate_blasiak.cache_clear()
+    assert (code, out) == (4, "")
+    assert err == (
+        "internal error: ArithmeticError: hook-rule walk found {(4, (4, 2, 1, 1)): 1} tableaux,"
+        " the count is {(4, (4, 2, 1, 1)): 5}\n"
+    )
 
 
 def test_verify_rejects_negative_limit_and_jobs_below_one(capsys):

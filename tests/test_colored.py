@@ -11,10 +11,10 @@ from kroncalc.colored import (
     ColoredTableau,
     _HookGraph,
     _conjugate,
+    _finalize,
     _inserted,
     _search,
     _strips,
-    blasiak_by_shape,
     blasiak_counts,
     blft,
     content,
@@ -241,7 +241,16 @@ def test_shape_and_content_sizes_must_match():
     with pytest.raises(ValueError, match="content must be nonempty"):
         count_blasiak((), 0, ())
     with pytest.raises(ValueError, match="content must be nonempty"):
-        blasiak_by_shape((), 0)
+        enumerate_blasiak((), 0, ())
+
+
+def _by_shape(lam, d: int) -> dict:
+    """Map shape -> canonically ordered tableaux, one untargeted search for all shapes."""
+    lam = Partition(lam)
+    return {
+        Partition(shape): _finalize(lam, d, rows)
+        for shape, rows in sorted(_search(lam, d, None).items())
+    }
 
 
 def test_violating_tableau_never_produced():
@@ -253,8 +262,6 @@ def test_violating_tableau_never_produced():
 
 
 def test_finalize_rejects_bad_tableaux():
-    from kroncalc.colored import _finalize
-
     # encoded letters: 2v - 1 is v barred, 2v is v unbarred
     with pytest.raises(AssertionError, match="globally monotone"):
         _finalize(Partition((2,)), 1, [((2,), (1,))])
@@ -268,13 +275,13 @@ def test_enumeration_is_deterministic():
     a = enumerate_blasiak((5, 2, 1), 4, (4, 2, 1, 1))
     b = enumerate_blasiak(Partition((5, 2, 1)), 4, Partition((4, 2, 1, 1)))
     assert a == b
-    by_shape = blasiak_by_shape((5, 2, 1), 4)
+    by_shape = _by_shape((5, 2, 1), 4)
     assert by_shape[Partition((4, 2, 1, 1))] == a
     # the target-pruned search agrees with the all-shapes search
     for n in range(1, 8):
         for lam in partitions_list(n):
             for d in range(n):
-                by_shape = blasiak_by_shape(lam, d)
+                by_shape = _by_shape(lam, d)
                 for nu in partitions_list(n):
                     assert enumerate_blasiak(lam, d, nu) == by_shape.get(nu, ()), (
                         lam, d, nu
@@ -293,7 +300,7 @@ def test_hook_rule_golden_digest():
     for n in range(1, 10):
         for lam in partitions_list(n):
             for d in range(n):
-                for shape, tabs in blasiak_by_shape(lam, d).items():
+                for shape, tabs in _by_shape(lam, d).items():
                     h.update(repr((tuple(lam), d, tuple(shape))).encode())
                     for tab in tabs:
                         h.update(repr(tuple(x.key for x in tab.reading_word())).encode())
@@ -423,7 +430,7 @@ def test_counts_match_enumeration():
         for lam in partitions_list(n):
             want = {}
             for d in range(n):
-                for shape, tabs in blasiak_by_shape(lam, d).items():
+                for shape, tabs in _by_shape(lam, d).items():
                     want[d, shape] = len(tabs)
                     total += len(tabs)
             assert blasiak_counts(lam) == want, lam
@@ -547,7 +554,7 @@ def test_blasiak_matches_oracle_small():
     for n in range(1, 6):
         for lam in partitions_list(n):
             for d in range(n):
-                by_shape = blasiak_by_shape(lam, d)
+                by_shape = _by_shape(lam, d)
                 hook = Partition((n - d,) + (1,) * d)
                 for nu in partitions_list(n):
                     assert len(by_shape.get(nu, ())) == kronecker_coefficient(

@@ -21,7 +21,7 @@ from kroncalc.partition import (
     tail_ones,
     tail_twos,
 )
-from kroncalc.nearhook import near_hook_expansion
+from kroncalc.nearhook import index_set_minus, index_set_plus, near_hook_expansion
 from kroncalc.rosas import rosas_report, xi_report
 from kroncalc.symfun import SchurVector, kronecker_coefficient
 from kroncalc.tableau import lr_coefficient, schur_expand_product, strip_chain_count
@@ -289,13 +289,18 @@ COERCING_CALLS = [
     (lambda lam: SchurVector({(2, 1): 3})[lam], ((2, 1),), (0,)),
     (near_hook_expansion, ((3, 2, 1), (2, 2, 1, 1), 2, 2, 2), (0, 1)),
     (schur_expand_product, ((2, 1), (2,)), (0, 1)),
+    (index_set_plus, ((2, 2, 1), 2, 2, 1), (0,)),
+    (index_set_minus, ((2, 2, 1), 2, 2, 1), (0,)),
 ]
+
+# entry points whose partition arguments may also be lists
+LIST_CALLS = (index_set_plus, index_set_minus)
 
 
 COERCING_NAMES = [
     "kronecker_coefficient", "lr_coefficient", "strip_chain_count", "contains",
     "is_double_hook", "xi_report", "rosas_report", "SchurVector", "SchurVector_getitem",
-    "near_hook_expansion", "schur_expand_product",
+    "near_hook_expansion", "schur_expand_product", "index_set_plus", "index_set_minus",
 ]
 
 
@@ -306,6 +311,9 @@ def test_coercing_entry_points_agree_on_tuples_and_partitions(fn, args, position
     compute = getattr(fn, "__wrapped__", fn)
     as_partitions = tuple(Partition(x) if i in positions else x for i, x in enumerate(args))
     assert compute(*args) == compute(*as_partitions) == fn(*as_partitions)
+    if fn in LIST_CALLS:
+        as_lists = tuple(list(x) if i in positions else x for i, x in enumerate(args))
+        assert fn(*as_lists) == compute(*args)
     for i in positions:
         for bad in ((1, 2), (2, -1)):
             with pytest.raises(ValueError):
