@@ -78,6 +78,7 @@ from .nearhook import (
     j_minus,
     j_plus,
     near_hook_expansion,
+    near_hook_value,
     null_case_check,
     singleton_case_check,
     special_nu,

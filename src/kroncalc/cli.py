@@ -172,14 +172,15 @@ def _run_method(method: str, lam, mu, nu, explain: bool):
                             for row in member.tableau.to_ascii().splitlines()
                         )
             return plus - minus, lines, payload
+    if not explain:
+        return nearhook.near_hook_value(lam, nu, *as_near_hook(mu)), lines, payload
     certs, value = nearhook.near_hook_expansion(lam, nu, *as_near_hook(mu))
-    if explain:
-        payload["terms"] = [cert.to_json() for cert in certs]
-        lines.append(f"signed expansion, {len(certs)} terms:")
-        lines.extend(
-            "  " + ("+" if cert.sign > 0 else "-") + _cert_text(cert)
-            for cert in certs
-        )
+    payload["terms"] = [cert.to_json() for cert in certs]
+    lines.append(f"signed expansion, {len(certs)} terms:")
+    lines.extend(
+        "  " + ("+" if cert.sign > 0 else "-") + _cert_text(cert)
+        for cert in certs
+    )
     return value, lines, payload
 
 

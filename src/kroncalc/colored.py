@@ -61,7 +61,7 @@ from functools import lru_cache, reduce
 from itertools import accumulate, zip_longest
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .partition import Partition
+from .partition import Partition, format_partition
 from .tableau import is_yamanouchi
 
 
@@ -557,7 +557,7 @@ def _check_hook_args(lam: Partition, d: int, nu: Optional[Partition] = None) -> 
     if lam.size == 0:
         raise ValueError("content must be nonempty: the hook (n-d, 1^d) needs n >= 1")
     if not 0 <= d < lam.size:
-        raise ValueError(f"total color {d} out of range for content {lam!r}")
+        raise ValueError(f"total color {d} out of range for content {format_partition(lam)}")
     if nu is not None and nu.size != lam.size:
         raise ValueError(f"shape size {nu.size} differs from content size {lam.size}")
 

@@ -20,7 +20,12 @@ g((S-r, r), (arm, 1^(c+1)), sigma).  The positive side is
 Every sum walks only its nonzero LR terms: near_hook_expansion reads the
 cached nonzero-LR supports of ``tableau``, and each side of triple1/triple2
 keeps its nonzero terms once per (nu, S, p, arm, c), so only the two-row
-gate runs per d.
+gate runs per d.  The expansion is one walk (_expand) that returns the
+total and appends a certificate per term only when handed a list:
+near_hook_expansion hands it one, near_hook_value does not and builds no
+certificate.  The per-term gate is tableau.two_row_gate, the closed form
+without lr_two_row's argument checks; its arguments are two-row by
+construction, and j_plus / j_minus check d once per call.
 
 When b = 2 and nu = (a+2, 2^(s-1), 1^(c+2-2s)), the negative side is a
 singleton (d inside an explicit interval) or empty (d outside), so the
@@ -49,6 +54,7 @@ from .tableau import (
     lr_two_row,
     lr_via_strip_difference,
     lr_weight_support,
+    two_row_gate,
 )
 
 
@@ -93,6 +99,18 @@ def near_hook_expansion(
     both factors positive are visited, in the order of a full scan.
     Returns (certificates, total); the total is the coefficient itself.
     """
+    certs: list[TermCertificate] = []
+    total = _expand(lam, nu, a, b, c, certs)
+    return certs, total
+
+
+def near_hook_value(lam, nu, a: int, b: int, c: int) -> int:
+    """g(lam, (a,b,1^c), nu) as near_hook_expansion's total; no certificate is built."""
+    return _expand(lam, nu, a, b, c)
+
+
+def _expand(lam, nu, a: int, b: int, c: int, certs=None) -> int:
+    """The signed expansion's total; each term's certificate is appended to certs when it is a list."""
     lam, nu = as_partition(lam), as_partition(nu)
     if not (a >= b >= 2 and c >= 0):
         raise ValueError("near-hook parameters need a >= b >= 2 and c >= 0")
@@ -101,7 +119,6 @@ def near_hook_expansion(
         raise ValueError(f"lam and nu must be partitions of {n}")
     first_hook = hook_partition(a, c + 1)
     second_hook = hook_partition(b - 1, c + 1)
-    certs: list[TermCertificate] = []
     total = 0
     for delta in partitions_list(b - 1):
         for eta, outer_lr in lr_weight_support(nu, delta):
@@ -109,15 +126,17 @@ def near_hook_expansion(
                 lr = outer_lr * inner_lr
                 g = kronecker_coefficient(theta, first_hook, eta)
                 total += lr * g
-                certs.append(TermCertificate(1, (eta, delta, theta), lr, g))
+                if certs is not None:
+                    certs.append(TermCertificate(1, (eta, delta, theta), lr, g))
     for delta in partitions_list(n - a):
         for eta, outer_lr in lr_weight_support(nu, delta):
             for theta, inner_lr in lr_weight_support(lam, eta):
                 lr = outer_lr * inner_lr
                 g = kronecker_coefficient(theta, second_hook, delta)
                 total -= lr * g
-                certs.append(TermCertificate(-1, (eta, delta, theta), lr, g))
-    return certs, total
+                if certs is not None:
+                    certs.append(TermCertificate(-1, (eta, delta, theta), lr, g))
+    return total
 
 
 def _check_two_row_params(d, e, a, b, c, nu) -> Partition:
@@ -170,7 +189,7 @@ def _interval_sum(side, d, e, a, b, c, nu) -> int:
     return sum(
         term
         for x, y, u, v, term in _interval_terms(nu, *side(a, b, c), c)
-        if lr_two_row(x, y, u, v, d, e)
+        if two_row_gate(x, y, u, v, d)
     )
 
 
@@ -191,11 +210,14 @@ def _support(nu: Partition, size: int, p: int, arm: int, c: int) -> frozenset:
 
 def _gated(side, d: int, nu, a: int, b: int, c: int) -> frozenset:
     size, p, arm = side(a, b, c)
-    e = size + p - d
+    # the gate's other arguments are two-row by construction and balance
+    # with e, so d is the one argument left to check
+    if not d >= size + p - d >= 0:
+        raise ValueError("two-row arguments must be weakly decreasing and nonnegative")
     return frozenset(
         (sigma, k, r)
         for sigma, k, r in _support(nu, size, p, arm, c)
-        if lr_two_row(size - r, r, p - k, k, d, e)
+        if two_row_gate(size - r, r, p - k, k, d)
     )
 
 

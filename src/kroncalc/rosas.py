@@ -6,7 +6,10 @@ base case is the trivial-character identity; for r >= 1 the branches are
 tested strictly in order: one-row nu, one-column nu, proper hook nu, double
 hook with second part >= 2, and zero otherwise.  Each evaluation can report
 which branch fired and with which arguments, so sweep failures localize to
-a branch.
+a branch.  rosas_kronecker and rosas_report read one memo keyed on the
+whole argument tuple, which runs the argument checks and the negative-value
+ArithmeticError once per tuple; a tuple that raises is not memoized and
+raises again on every call.
 """
 
 from __future__ import annotations
@@ -137,7 +140,12 @@ def xi(eta, a: int, r: int, c: int) -> int:
 
 def rosas_report(n: int, r: int, a: int, c: int, nu) -> XiCaseReport:
     """Branch report of g((n-r, r), (a, 1^{c+1}), nu); validates arguments."""
-    nu = as_partition(nu)
+    return _rosas_case(n, r, a, c, as_partition(nu))
+
+
+@cache
+def _rosas_case(n: int, r: int, a: int, c: int, nu: Partition) -> XiCaseReport:
+    """rosas_report's checks and branch, once per argument tuple."""
     if nu.size != n:
         raise ValueError(f"|nu| must be {n}, got {nu.size}")
     if a < 1 or c < 0:
@@ -152,4 +160,4 @@ def rosas_report(n: int, r: int, a: int, c: int, nu) -> XiCaseReport:
 
 def rosas_kronecker(n: int, r: int, a: int, c: int, nu) -> int:
     """g((n-r, r), (a, 1^{c+1}), nu) for nu a partition of n."""
-    return rosas_report(n, r, a, c, nu).value
+    return _rosas_case(n, r, a, c, as_partition(nu)).value

@@ -199,7 +199,16 @@ def lr_two_row(x: int, y: int, u: int, v: int, d: int, e: int) -> int:
         raise ValueError("two-row arguments must be weakly decreasing and nonnegative")
     if d + e != x + y + u + v:
         raise ValueError("sizes must balance: d+e == x+y+u+v")
-    return int(max(x + v, y + u) <= d <= x + u)
+    return int(two_row_gate(x, y, u, v, d))
+
+
+def two_row_gate(x: int, y: int, u: int, v: int, d: int) -> bool:
+    """lr_two_row's closed form without its checks.
+
+    The caller guarantees x >= y >= 0, u >= v >= 0 and d >= e >= 0, where
+    e = x + y + u + v - d.
+    """
+    return max(x + v, y + u) <= d <= x + u
 
 
 @cache

@@ -192,6 +192,16 @@ def run_littlewood(unit) -> tuple[int, list[str]]:
     checks, fails = 0, []
     n = lam.size + mu.size
     product = symfun.schur_product(symfun.schur(lam), symfun.schur(mu))
+    # every tau of |lam| and every eta of |mu| meets some nu, so each factor
+    # is built once here instead of once per (tau, eta) pair
+    lefts = {
+        tau: symfun.kronecker_product(symfun.schur(tau), symfun.schur(lam))
+        for tau in partitions_list(lam.size)
+    }
+    rights = {
+        eta: symfun.kronecker_product(symfun.schur(eta), symfun.schur(mu))
+        for eta in partitions_list(mu.size)
+    }
     terms: dict[tuple[Partition, Partition], symfun.SchurVector] = {}
     for nu in partitions_list(n):
         checks += 1
@@ -201,9 +211,7 @@ def run_littlewood(unit) -> tuple[int, list[str]]:
             for eta, coeff in tableau.lr_weight_support(nu, tau):
                 term = terms.get((tau, eta))
                 if term is None:
-                    left = symfun.kronecker_product(symfun.schur(tau), symfun.schur(lam))
-                    right = symfun.kronecker_product(symfun.schur(eta), symfun.schur(mu))
-                    term = terms[tau, eta] = symfun.schur_product(left, right)
+                    term = terms[tau, eta] = symfun.schur_product(lefts[tau], rights[eta])
                 rhs_terms.extend((p, coeff * c) for p, c in term.items())
         if lhs != symfun.SchurVector(rhs_terms):
             fails.append(
@@ -375,7 +383,7 @@ def run_fundamental(unit) -> tuple[int, list[str]]:
     for lam in partitions_list(n):
         for nu in partitions_list(n):
             checks += 1
-            _, value = nearhook.near_hook_expansion(lam, nu, a, b, c)
+            value = nearhook.near_hook_value(lam, nu, a, b, c)
             oracle = symfun.kronecker_coefficient(lam, near_hook, nu)
             if value != oracle:
                 fails.append(
@@ -441,32 +449,41 @@ def run_triples(unit) -> tuple[int, list[str]]:
                 cc = n - aa - bb
                 if cc < 0:
                     continue
-                # per side: |sigma|, strip size, hook, index set and message
-                # labels; the negative side's hook (b-1, 1^(c+1)) needs b >= 2
+                # per side: the strips (p-k, k), g((S-r, r), hook, sigma) for each
+                # sigma of S and each r, index set and message labels; the
+                # negative side's hook (b-1, 1^(c+1)) needs b >= 2
                 sides = [
-                    (n - bb + 1, bb - 1, hook_partition(aa, cc + 1), nearhook.index_set_plus,
-                     ("positive", "eta", "j")),
+                    (two_rows(bb - 1), _g_rows(n - bb + 1, hook_partition(aa, cc + 1)),
+                     nearhook.index_set_plus, ("positive", "eta", "j")),
                 ]
                 if bb >= 2:
                     sides.append(
-                        (n - aa, aa, hook_partition(bb - 1, cc + 1), nearhook.index_set_minus,
-                         ("negative", "delta", "i"))
+                        (two_rows(aa), _g_rows(n - aa, hook_partition(bb - 1, cc + 1)),
+                         nearhook.index_set_minus, ("negative", "delta", "i"))
                     )
                 for nu in partitions_list(n):
-                    for size, p, hook, index_set, (side, sigma_name, k_name) in sides:
+                    for strips, g_rows, index_set, (side, sigma_name, k_name) in sides:
                         members = index_set(nu, aa, bb, cc)
-                        for sigma in partitions_list(size):
-                            for k, strip in enumerate(two_rows(p)):
+                        for sigma, g_row in g_rows:
+                            for k, strip in enumerate(strips):
                                 # c^nu_{strip, delta} is read as c^nu_{delta, strip} (LR symmetry)
                                 coeff = tableau.lr_coefficient(nu, sigma, strip)
-                                for r, two_row in enumerate(two_rows(size)):
+                                for r, g in enumerate(g_row):
                                     checks += 1
-                                    g = symfun.kronecker_coefficient(two_row, hook, sigma)
                                     if ((sigma, k, r) in members) != (coeff * g > 0):
                                         fails.append(
                                             f"{side}-support membership broke at nu={_fmt(nu)} {sigma_name}={_fmt(sigma)} {k_name}={k} r={r}"
                                         )
     return checks, fails
+
+
+def _g_rows(size: int, hook: Partition) -> list:
+    """(sigma, [g((size-r, r), hook, sigma) for each r]) for every sigma of size."""
+    two_row_shapes = two_rows(size)
+    return [
+        (sigma, [symfun.kronecker_coefficient(two_row, hook, sigma) for two_row in two_row_shapes])
+        for sigma in partitions_list(size)
+    ]
 
 
 # ---------------------------------------------------------------------------

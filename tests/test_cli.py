@@ -185,6 +185,13 @@ def test_enumerate_blasiak_empty_content_exits_2(capsys):
     assert err == "error: content must be nonempty: the hook (n-d, 1^d) needs n >= 1\n"
 
 
+def test_enumerate_blasiak_color_out_of_range_prints_the_content_as_typed(capsys):
+    code, out, err = run(capsys, "enumerate", "blasiak", "2,1", "5", "3")
+    assert code == 2
+    assert out == ""
+    assert err == "error: total color 5 out of range for content 2,1\n"
+
+
 @pytest.mark.parametrize(
     "argv,message",
     [

@@ -16,6 +16,7 @@ from kroncalc.nearhook import (
     j_minus,
     j_plus,
     near_hook_expansion,
+    near_hook_value,
     null_case_check,
     singleton_case_check,
     special_nu,
@@ -146,6 +147,53 @@ def test_expansion_validation():
         near_hook_expansion((4, 2), (4, 2), 2, 4, 0)  # a < b
     with pytest.raises(ValueError):
         near_hook_expansion((4, 2), (4, 2), 3, 2, 0)  # size mismatch
+
+
+def test_value_is_the_expansion_total_without_certificates(monkeypatch):
+    cases = []
+    for n in range(4, 9):
+        for b in range(2, n // 2 + 1):
+            for a in range(b, n - b + 1):
+                c = n - a - b
+                for lam in partitions_list(n):
+                    for nu in partitions_list(n):
+                        cases.append((lam, nu, a, b, c, near_hook_expansion(lam, nu, a, b, c)[1]))
+    assert len(cases) == 6313  # the fundamental-vs-oracle sweep's checks
+
+    def no_certificate(*args, **kwargs):
+        raise AssertionError("near_hook_value built a certificate")
+
+    monkeypatch.setattr("kroncalc.nearhook.TermCertificate", no_certificate)
+    for lam, nu, a, b, c, total in cases:
+        assert near_hook_value(lam, nu, a, b, c) == total, (lam, nu, a, b, c)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ((4, 2), (4, 2), 2, 4, 0),  # a < b
+        ((4, 2), (4, 2), 3, 1, 2),  # b < 2
+        ((4, 2), (4, 2), 3, 2, -1),  # c < 0
+        ((4, 2), (4, 2), 3, 2, 0),  # lam and nu of 6, near-hook of 5
+        ((4, 2), (3, 2), 4, 2, 0),  # nu of 5
+        ((2, 1), (4, 2), 4, 2, 0),  # lam of 3
+    ],
+    ids=["a-below-b", "b-below-2", "c-negative", "both-sizes", "nu-size", "lam-size"],
+)
+def test_value_and_expansion_reject_bad_arguments_alike(args):
+    with pytest.raises(ValueError) as expansion_error:
+        near_hook_expansion(*args)
+    with pytest.raises(ValueError) as value_error:
+        near_hook_value(*args)
+    assert str(value_error.value) == str(expansion_error.value)
+
+
+@pytest.mark.parametrize("d", [2, 3, 8, 9])  # n = 7: d < e, or e < 0
+def test_gated_index_sets_reject_a_d_off_the_two_rows(d):
+    # the gate itself is unchecked, so j_plus and j_minus check d once per call
+    for index_set in (j_plus, j_minus):
+        with pytest.raises(ValueError, match="two-row arguments must be weakly decreasing"):
+            index_set(d, (4, 2, 1), 3, 2, 2)
 
 
 def test_triple_values_from_worked_example():

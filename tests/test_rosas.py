@@ -93,6 +93,51 @@ def test_rosas_validation():
         rosas_kronecker(6, 1, 0, 5, (3, 2, 1))  # a must be >= 1
 
 
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        ((6, 1, 2, 2, (3, 2)), "|nu| must be 6, got 5"),
+        ((6, 1, 2, 4, (3, 2, 1)), "hook (a, 1^(c+1)) must have size 6"),
+        ((6, 4, 2, 3, (3, 2, 1)), "r must satisfy 0 <= r <= 3, got 4"),
+        ((6, 1, 0, 5, (3, 2, 1)), "hook parameters need a >= 1 and c >= 0, got (0, 5)"),
+    ],
+    ids=["nu-size", "hook-size", "r-range", "hook-parameters"],
+)
+def test_rosas_validation_messages_fire_on_every_call(args, message):
+    # a bad tuple is not memoized by the cached core: the second call checks again
+    for fn in (rosas_kronecker, rosas_kronecker, rosas_report):
+        with pytest.raises(ValueError) as error:
+            fn(*args)
+        assert str(error.value) == message
+
+
+def test_rosas_kronecker_takes_nu_as_list_tuple_or_partition():
+    for n in range(1, 8):
+        for r in range(n // 2 + 1):
+            for a in range(1, n):
+                for nu in partitions_list(n):
+                    value = rosas_kronecker(n, r, a, n - a - 1, tuple(nu))
+                    assert rosas_kronecker(n, r, a, n - a - 1, list(nu)) == value
+                    assert rosas_kronecker(n, r, a, n - a - 1, nu) == value
+
+
+def test_negative_branch_value_raises_cold_and_repeated(monkeypatch):
+    from kroncalc import rosas
+
+    def clear():
+        rosas._xi_case.cache_clear()
+        rosas._rosas_case.cache_clear()
+
+    clear()
+    monkeypatch.setattr(rosas, "phi", lambda *args: -1)
+    try:
+        for _ in range(2):
+            with pytest.raises(ArithmeticError, match="negative branch value"):
+                rosas_kronecker(8, 2, 2, 5, (3, 2, 1, 1, 1))
+    finally:
+        clear()  # no report computed from the patched phi outlives the test
+
+
 def test_xi_report_validates_before_its_memo():
     eta = Partition((3, 2, 1))
     first = xi_report(eta, 2, 1, 2)

@@ -15,6 +15,7 @@ from kroncalc.tableau import (
     lr_weight_support,
     schur_expand_product,
     strip_chain_count,
+    two_row_gate,
 )
 
 # the two fillings of shape 5421/42 and weight 411
@@ -106,6 +107,23 @@ def test_lr_two_row_matches_enumeration():
                         assert lr_two_row(x, y, u, v, d, e) == lr_coefficient(
                             (d, e), (x, y), (u, v)
                         ), (x, y, u, v, d, e)
+
+
+def test_two_row_gate_matches_the_checked_closed_form():
+    cases = 0
+    for total in range(15):
+        for x in range(total + 1):
+            for y in range(min(x, total - x) + 1):
+                for u in range(total - x - y + 1):
+                    v = total - x - y - u
+                    if v > u:
+                        continue
+                    for d in range((total + 1) // 2, total + 1):
+                        assert two_row_gate(x, y, u, v, d) == lr_two_row(
+                            x, y, u, v, d, total - d
+                        ), (x, y, u, v, d)
+                        cases += 1
+    assert cases == 6042
 
 
 def test_lr_symmetry_small():
