@@ -5,7 +5,7 @@
 - the two-row x hook closed form (rosas.rosas_kronecker),
 - near-hook reductions to signed and positive hook-indexed sums
   (nearhook.near_hook_expansion, nearhook.g_two_row_near_hook, and the
-  b = 2 witness families).
+  b = 2 witness families, nearhook.witnesses).
 
 All arithmetic is exact; there is no floating point anywhere.
 """
@@ -79,13 +79,12 @@ from .nearhook import (
     j_plus,
     near_hook_expansion,
     near_hook_value,
-    null_case_check,
-    singleton_case_check,
     special_nu,
     triple1,
     triple2,
     triple3,
     triple4,
+    witnesses,
     witnesses_null_case,
     witnesses_singleton_case,
 )

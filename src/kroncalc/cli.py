@@ -101,9 +101,7 @@ def _witnesses_if_applicable(lam, mu, nu):
     s = twos + 1
     if nu != nearhook.special_nu(a, c, s) or not 1 <= s <= (c + 2) // 2:
         return None
-    if nearhook.singleton_case_check(a, 2, c, d, e, s) is not None:
-        return nearhook.witnesses_singleton_case(a, c, d, e, s)
-    return nearhook.witnesses_null_case(a, c, d, e, s)
+    return nearhook.witnesses(a, c, d, e, s)
 
 
 def _run_method(method: str, lam, mu, nu, explain: bool):
@@ -311,7 +309,11 @@ def cmd_enumerate(args) -> int:
         return 0
     # kind is "blasiak": the parser's choices admit no other
     if trace:
-        word = colored.parse_colored_word(" ".join(rest[1:]))
+        text = " ".join(rest[1:])
+        try:
+            word = colored.parse_colored_word(text)
+        except ValueError as exc:
+            raise InputError(f"bad colored word {text!r}: {exc}") from exc
         if not word:
             raise InputError("usage: enumerate blasiak trace LETTERS")
         print(f"word: {colored.format_colored_word(word)}")

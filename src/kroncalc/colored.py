@@ -62,7 +62,7 @@ from itertools import accumulate, zip_longest
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .partition import Partition, format_partition
-from .tableau import is_yamanouchi
+from .tableau import is_yamanouchi, reading_word, value_counts
 
 
 class _Letter(NamedTuple):
@@ -119,11 +119,7 @@ def format_colored_word(word: Iterable[ColoredLetter]) -> str:
 
 def content(word: Iterable[ColoredLetter]) -> tuple[int, ...]:
     """Counts of each value, barred and unbarred occurrences together."""
-    counts: dict[int, int] = {}
-    for letter in word:
-        counts[letter.value] = counts.get(letter.value, 0) + 1
-    m = max(counts) if counts else 0
-    return tuple(counts.get(i, 0) for i in range(1, m + 1))
+    return value_counts(letter.value for letter in word)
 
 
 def total_color(word: Iterable[ColoredLetter]) -> int:
@@ -212,11 +208,7 @@ class ColoredTableau(_Tableau):
         return self.rows[-1][0]
 
     def reading_word(self) -> tuple[ColoredLetter, ...]:
-        """Rows read right to left, top row first."""
-        out: list[ColoredLetter] = []
-        for row in self.rows:
-            out.extend(reversed(row))
-        return tuple(out)
+        return reading_word(self.rows)
 
     def is_globally_weakly_increasing(self) -> bool:
         return _weakly_increasing([[x.key for x in row] for row in self.rows])
@@ -570,11 +562,8 @@ def _finalize(lam: Partition, d: int, encoded: Iterable[tuple]) -> tuple[Colored
     """
     values = tuple(v for v, part in enumerate(lam, 1) for _ in range(part))
     out = []
-    # shape, then the keys of the reading word (rows right to left, top first)
-    for rows in sorted(
-        encoded,
-        key=lambda rows: (tuple(map(len, rows)), tuple(k for r in rows for k in r[::-1])),
-    ):
+    # shape, then the keys of the reading word
+    for rows in sorted(encoded, key=lambda rows: (tuple(map(len, rows)), reading_word(rows))):
         if not _weakly_increasing(rows):
             raise AssertionError(f"enumerated tableau not globally monotone: {rows}")
         keys = sorted(k for row in rows for k in row)

@@ -31,6 +31,8 @@ When b = 2 and nu = (a+2, 2^(s-1), 1^(c+2-2s)), the negative side is a
 singleton (d inside an explicit interval) or empty (d outside), so the
 coefficient becomes a count of hook-rule tableaux - minus one in the
 singleton case, realized by removing the lexicographically least witness.
+witnesses is the one entry: it calls witnesses_singleton_case or
+witnesses_null_case, which check J- and triple4 against the interval once.
 """
 
 from __future__ import annotations
@@ -316,47 +318,22 @@ def _in_interval(a: int, c: int, d: int, s: int) -> bool:
     return lr_two_row(c + 2 - s, s, a, 0, d, a + c + 2 - d) == 1
 
 
-def _check_negative_side(a: int, c: int, d: int, e: int, s: int) -> None:
-    """Check J- and triple4 at special_nu against the interval; raise on a mismatch.
+def _witness_case(a: int, c: int, d: int, e: int, s: int) -> bool:
+    """Whether d lies in the interval, once J- and triple4 at special_nu agree with it.
 
     Inside the interval J- must be exactly {(delta*, 0, s)} and its term 1;
-    outside it J- must be empty and triple4 zero.
+    outside it J- must be empty and triple4 zero.  A mismatch raises.
     """
+    inside = _in_interval(a, c, d, s)
     nu = special_nu(a, c, s)
-    expected = {(delta_star(c, s), 0, s)} if _in_interval(a, c, d, s) else set()
+    expected = {(delta_star(c, s), 0, s)} if inside else set()
     members = j_minus(d, nu, a, 2, c)
     if members != expected:
         raise ArithmeticError(f"negative index set is not {sorted(expected)}: {sorted(members)}")
     value, _ = triple4(d, e, a, 2, c, nu)
     if value != len(expected):
         raise ArithmeticError(f"triple4 is {value}, expected {len(expected)}")
-
-
-def singleton_case_check(
-    a: int, b: int, c: int, d: int, e: int, s: int
-) -> Optional[tuple]:
-    """The unique negative-side tuple (delta*, 0, s), or None if outside scope.
-
-    Scope: b = 2, the witness hypotheses, and d inside the explicit interval.
-    Inside scope the negative index set must be exactly the singleton and its
-    term must equal 1; a violation raises.
-    """
-    if b != 2 or not _witness_hypotheses(a, c, d, e, s) or not _in_interval(a, c, d, s):
-        return None
-    _check_negative_side(a, c, d, e, s)
-    return (delta_star(c, s), 0, s)
-
-
-def null_case_check(a: int, b: int, c: int, d: int, e: int, s: int) -> bool:
-    """True iff d lies outside the interval; then J- is empty and triple4 = 0."""
-    if b != 2:
-        raise ValueError("vanishing case requires b = 2")
-    if not _witness_hypotheses(a, c, d, e, s):
-        raise ValueError("witness hypotheses not met")
-    if _in_interval(a, c, d, s):
-        return False
-    _check_negative_side(a, c, d, e, s)
-    return True
+    return inside
 
 
 class WitnessMember(NamedTuple):
@@ -403,8 +380,8 @@ def _member_key(m: WitnessMember):
     )
 
 
-def _witness_blocks(a: int, c: int, d: int, s: int) -> tuple[int, WitnessSet]:
-    """The witness value and set; the least member is removed inside the interval."""
+def _witness_blocks(a: int, c: int, d: int, s: int, inside: bool) -> tuple[int, WitnessSet]:
+    """The witness value and set; the least member is removed when d is inside the interval."""
     n = a + 2 + c
     nu = special_nu(a, c, s)
     members = []
@@ -416,31 +393,37 @@ def _witness_blocks(a: int, c: int, d: int, s: int) -> tuple[int, WitnessSet]:
             raise ArithmeticError(f"hook-rule block for {(eta, j, r)} is empty")
         members.extend(WitnessMember(t, (eta, 0, r)) for t in block)
     members.sort(key=_member_key)
-    removed = _in_interval(a, c, d, s)
-    witness_set = WitnessSet(tuple(members), removed_min=members[0] if removed else None)
-    value = len(members) - removed
+    witness_set = WitnessSet(tuple(members), removed_min=members[0] if inside else None)
+    value = len(members) - inside
     if value != len(witness_set.surviving):
         raise ArithmeticError("witness count does not match the removal policy")
     return value, witness_set
 
 
-def witnesses_singleton_case(
-    a: int, c: int, d: int, e: int, s: int
-) -> tuple[int, WitnessSet]:
+def witnesses(a: int, c: int, d: int, e: int, s: int) -> tuple[int, WitnessSet]:
+    """g((d,e), (a,2,1^c), special_nu) and its witnesses, by whichever case applies.
+
+    Each case is called by its module-level name, so a wrapper bound there sees the call.
+    """
+    if not _witness_hypotheses(a, c, d, e, s):
+        raise ValueError("witness hypotheses not met")
+    case = witnesses_singleton_case if _in_interval(a, c, d, s) else witnesses_null_case
+    return case(a, c, d, e, s)
+
+
+def witnesses_singleton_case(a: int, c: int, d: int, e: int, s: int) -> tuple[int, WitnessSet]:
     """g((d,e), (a,2,1^c), special_nu) = |witnesses| - 1, d inside the interval."""
-    if singleton_case_check(a, 2, c, d, e, s) is None:
+    if not (_witness_hypotheses(a, c, d, e, s) and _witness_case(a, c, d, e, s)):
         raise ValueError(
             "singleton hypotheses not met; use witnesses_null_case or g_two_row_near_hook"
         )
-    return _witness_blocks(a, c, d, s)
+    return _witness_blocks(a, c, d, s, inside=True)
 
 
-def witnesses_null_case(
-    a: int, c: int, d: int, e: int, s: int
-) -> tuple[int, WitnessSet]:
+def witnesses_null_case(a: int, c: int, d: int, e: int, s: int) -> tuple[int, WitnessSet]:
     """g((d,e), (a,2,1^c), special_nu) = |witnesses|, d outside the interval."""
-    if not null_case_check(a, 2, c, d, e, s):
-        raise ValueError(
-            "vanishing-case hypotheses not met; use witnesses_singleton_case"
-        )
-    return _witness_blocks(a, c, d, s)
+    if not _witness_hypotheses(a, c, d, e, s):
+        raise ValueError("witness hypotheses not met")
+    if _witness_case(a, c, d, e, s):
+        raise ValueError("vanishing-case hypotheses not met; use witnesses_singleton_case")
+    return _witness_blocks(a, c, d, s, inside=False)

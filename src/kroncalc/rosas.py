@@ -6,10 +6,11 @@ base case is the trivial-character identity; for r >= 1 the branches are
 tested strictly in order: one-row nu, one-column nu, proper hook nu, double
 hook with second part >= 2, and zero otherwise.  Each evaluation can report
 which branch fired and with which arguments, so sweep failures localize to
-a branch.  rosas_kronecker and rosas_report read one memo keyed on the
-whole argument tuple, which runs the argument checks and the negative-value
-ArithmeticError once per tuple; a tuple that raises is not memoized and
-raises again on every call.
+a branch.  The branch reports are held once, in one memo keyed on
+(eta, a, r, c) that also runs xi_report's r-range check; a tuple that
+raises is not memoized and raises again on every call.  rosas_kronecker
+and rosas_report check their other arguments and the negative-value
+ArithmeticError on every call, in front of that memo.
 """
 
 from __future__ import annotations
@@ -104,17 +105,15 @@ class XiCaseReport(NamedTuple):
 
 def xi_report(eta, a: int, r: int, c: int) -> XiCaseReport:
     """Piecewise evaluation with branch provenance; branches tested in order."""
-    eta = as_partition(eta)
-    n = eta.size
-    if not 0 <= r <= n // 2:
-        raise ValueError(f"r must satisfy 0 <= r <= {n // 2}, got {r}")
-    return _xi_case(eta, a, r, c)
+    return _xi_case(as_partition(eta), a, r, c)
 
 
 @cache
 def _xi_case(eta: Partition, a: int, r: int, c: int) -> XiCaseReport:
-    """xi_report's branches on validated arguments, once per argument tuple."""
+    """xi_report's r-range check and branches, once per argument tuple."""
     n = eta.size
+    if not 0 <= r <= n // 2:
+        raise ValueError(f"r must satisfy 0 <= r <= {n // 2}, got {r}")
     hook = (a,) + (1,) * (c + 1) if a >= 1 and c >= -1 else None
     if r == 0:
         return XiCaseReport("r-zero", int(tuple(eta) == hook), (a, c))
@@ -143,16 +142,15 @@ def rosas_report(n: int, r: int, a: int, c: int, nu) -> XiCaseReport:
     return _rosas_case(n, r, a, c, as_partition(nu))
 
 
-@cache
 def _rosas_case(n: int, r: int, a: int, c: int, nu: Partition) -> XiCaseReport:
-    """rosas_report's checks and branch, once per argument tuple."""
+    """rosas_report's checks, then the memoized branch of _xi_case."""
     if nu.size != n:
         raise ValueError(f"|nu| must be {n}, got {nu.size}")
     if a < 1 or c < 0:
         raise ValueError(f"hook parameters need a >= 1 and c >= 0, got ({a}, {c})")
     if a + c + 1 != n:
         raise ValueError(f"hook (a, 1^(c+1)) must have size {n}")
-    report = xi_report(nu, a, r, c)
+    report = _xi_case(nu, a, r, c)
     if report.value < 0:
         raise ArithmeticError(f"negative branch value for nu={nu!r}: {report}")
     return report

@@ -28,9 +28,23 @@ weight with a nonzero coefficient inside lam, so only those are searched.
 from __future__ import annotations
 
 from functools import cache
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .partition import Partition, as_partition, contains, partitions_list
+
+
+def reading_word(rows: Sequence[Sequence]) -> tuple:
+    """Rows read right to left, top row first."""
+    return tuple(x for row in rows for x in reversed(row))
+
+
+def value_counts(values: Iterable[int]) -> tuple[int, ...]:
+    """How often each of 1, 2, ..., max(values) occurs."""
+    counts: dict[int, int] = {}
+    for x in values:
+        counts[x] = counts.get(x, 0) + 1
+    m = max(counts) if counts else 0
+    return tuple(counts.get(i, 0) for i in range(1, m + 1))
 
 
 class _Skew(NamedTuple):
@@ -68,19 +82,10 @@ class SkewSSYT(_Skew):
         return super().__new__(cls, outer, inner, rows)
 
     def reading_word(self) -> tuple[int, ...]:
-        """Rows read right to left, top row first."""
-        out: list[int] = []
-        for row in self.rows:
-            out.extend(reversed(row))
-        return tuple(out)
+        return reading_word(self.rows)
 
     def weight(self) -> tuple[int, ...]:
-        counts: dict[int, int] = {}
-        for row in self.rows:
-            for x in row:
-                counts[x] = counts.get(x, 0) + 1
-        m = max(counts) if counts else 0
-        return tuple(counts.get(i, 0) for i in range(1, m + 1))
+        return value_counts(x for row in self.rows for x in row)
 
     def to_ascii(self) -> str:
         lines = []

@@ -511,15 +511,12 @@ def run_mainresults(unit) -> tuple[int, list[str]]:
     for d in range((n + 1) // 2, n + 1):
         e = n - d
         oracle = symfun.kronecker_coefficient(Partition((d, e)), near_hook, nu)
-        inside = nearhook.singleton_case_check(a, 2, c, d, e, s) is not None
-        if inside:
-            value, witness_set = nearhook.witnesses_singleton_case(a, c, d, e, s)
-        else:
+        value, witness_set = nearhook.witnesses(a, c, d, e, s)
+        if witness_set.removed_min is None:  # the null case: J- must be empty
             checks += 1
-            if not nearhook.null_case_check(a, 2, c, d, e, s):
+            if nearhook.j_minus(d, nu, a, 2, c):
                 fails.append(f"interval logic inconsistent at (n,a,s,d)=({n},{a},{s},{d})")
                 continue
-            value, witness_set = nearhook.witnesses_null_case(a, c, d, e, s)
         checks += 2
         if value != oracle:
             fails.append(

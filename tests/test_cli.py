@@ -193,6 +193,21 @@ def test_enumerate_blasiak_color_out_of_range_prints_the_content_as_typed(capsys
 
 
 @pytest.mark.parametrize(
+    "letters,message",
+    [
+        (("x",), "bad colored word 'x': invalid literal for int() with base 10: 'x'"),
+        (("2'", "0"), "bad colored word \"2' 0\": letter values start at 1"),
+    ],
+    ids=["not-a-number", "value-zero"],
+)
+def test_enumerate_trace_bad_colored_word_exits_2(capsys, letters, message):
+    code, out, err = run(capsys, "enumerate", "blasiak", "trace", *letters)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
     "argv,message",
     [
         (("5,4", "4,2", "4,1,1"), "error: sizes do not balance: |OUTER|=9, |INNER|+|WEIGHT|=12\n"),

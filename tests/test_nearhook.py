@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from kroncalc import nearhook
 from kroncalc.colored import ColoredTableau
 from kroncalc.nearhook import (
     TermCertificate,
@@ -17,13 +18,12 @@ from kroncalc.nearhook import (
     j_plus,
     near_hook_expansion,
     near_hook_value,
-    null_case_check,
-    singleton_case_check,
     special_nu,
     triple1,
     triple2,
     triple3,
     triple4,
+    witnesses,
     witnesses_null_case,
     witnesses_singleton_case,
 )
@@ -342,20 +342,33 @@ def test_special_shapes():
     assert delta_star(2, 2) == P(2, 2)
 
 
+def witness_args(n_max: int):
+    """(n, a, c, s, d, e) over the witness hypotheses with n <= n_max, in sweep order."""
+    for n in range(4, n_max + 1):
+        for a in range(2, n - 2):
+            c = n - 2 - a
+            if c < 1:
+                continue
+            for s in range(1, (c + 2) // 2 + 1):
+                for d in range((n + 1) // 2, n + 1):
+                    yield n, a, c, s, d, n - d
+
+
 def test_singleton_case():
-    assert singleton_case_check(2, 2, 2, 4, 2, 2) == (P(2, 2), 0, 2)
+    assert witnesses(2, 2, 4, 2, 2)[1].removed_min is not None
     assert j_minus(4, P(4, 2), 2, 2, 2) == frozenset({(P(2, 2), 0, 2)})
-    assert singleton_case_check(3, 2, 2, 5, 2, 2) == (P(2, 2), 0, 2)
+    assert witnesses(3, 2, 5, 2, 2)[1].removed_min is not None
+    assert j_minus(5, P(5, 2), 3, 2, 2) == frozenset({(P(2, 2), 0, 2)})
     # d outside the interval: no singleton
-    assert singleton_case_check(3, 2, 3, 4, 4, 2) is None
-    # b != 2: out of scope
-    assert singleton_case_check(3, 3, 2, 5, 3, 2) is None
+    assert witnesses(3, 3, 4, 4, 2)[1].removed_min is None
 
 
 def test_null_case():
-    assert null_case_check(3, 2, 3, 4, 4, 2) is True
-    assert null_case_check(3, 2, 4, 5, 4, 3) is True
-    assert null_case_check(3, 2, 2, 5, 2, 2) is False  # d inside the interval
+    assert witnesses(3, 3, 4, 4, 2)[1].removed_min is None
+    assert j_minus(4, special_nu(3, 3, 2), 3, 2, 3) == frozenset()
+    assert witnesses(3, 4, 5, 4, 3)[1].removed_min is None
+    assert j_minus(5, special_nu(3, 4, 3), 3, 2, 4) == frozenset()
+    assert witnesses(3, 2, 5, 2, 2)[1].removed_min is not None  # d inside the interval
 
 
 def test_witnesses_singleton_beforeinterpret():
@@ -439,24 +452,48 @@ def test_witness_routing_errors():
         witnesses_null_case(3, 2, 5, 2, 2)  # d inside: singleton case applies
 
 
+def test_witnesses_is_the_case_that_applies():
+    for n, a, c, s, d, e in witness_args(10):
+        applies = []
+        for case in (witnesses_singleton_case, witnesses_null_case):
+            try:
+                applies.append(case(a, c, d, e, s))
+            except ValueError:
+                pass
+        assert applies == [witnesses(a, c, d, e, s)]
+
+
+@pytest.mark.parametrize(
+    "args", [(1, 2, 3, 2, 1), (3, 0, 3, 2, 1), (3, 2, 3, 4, 1), (3, 2, 4, 2, 1), (3, 2, 5, 2, 0), (3, 2, 5, 2, 3)]
+)
+def test_witnesses_rejects_arguments_off_the_hypotheses(args):
+    with pytest.raises(ValueError, match="^witness hypotheses not met$"):
+        witnesses(*args)
+
+
+def test_witnesses_checks_the_negative_side_once(monkeypatch):
+    calls = []
+    for name in ("j_minus", "triple4"):
+        original = getattr(nearhook, name)
+        monkeypatch.setattr(
+            nearhook, name, lambda *args, _name=name, _fn=original: calls.append(_name) or _fn(*args)
+        )
+    removed = set()
+    for n, a, c, s, d, e in witness_args(10):
+        calls.clear()
+        removed.add(witnesses(a, c, d, e, s)[1].removed_min is not None)
+        assert sorted(calls) == ["j_minus", "triple4"]
+    assert removed == {False, True}  # both cases were reached
+
+
 def test_mainresults_match_oracle_small():
-    for n in range(4, 9):
-        for a in range(2, n - 2):
-            c = n - 2 - a
-            if c < 1:
-                continue
-            near_hook = Partition((a, 2) + (1,) * c)
-            for s in range(1, (c + 2) // 2 + 1):
-                nu = special_nu(a, c, s)
-                for d in range((n + 1) // 2, n + 1):
-                    e = n - d
-                    oracle = kronecker_coefficient(P(d, e), near_hook, nu)
-                    if singleton_case_check(a, 2, c, d, e, s) is not None:
-                        value, ws = witnesses_singleton_case(a, c, d, e, s)
-                    else:
-                        assert null_case_check(a, 2, c, d, e, s)
-                        value, ws = witnesses_null_case(a, c, d, e, s)
-                    assert value == oracle == len(ws.surviving)
+    for n, a, c, s, d, e in witness_args(8):
+        nu = special_nu(a, c, s)
+        oracle = kronecker_coefficient(P(d, e), Partition((a, 2) + (1,) * c), nu)
+        value, ws = witnesses(a, c, d, e, s)
+        if ws.removed_min is None:
+            assert not j_minus(d, nu, a, 2, c)
+        assert value == oracle == len(ws.surviving)
 
 
 # sha256 over the index sets, the four triple sums and every reduced-sum
@@ -501,22 +538,12 @@ WITNESS_SETS_DIGEST_N10 = "6140a68cee987cc7bf07edbabd4c551acfb0367d8f7f12b1c07de
 def test_witness_sets_golden_digest():
     h = hashlib.sha256()
     sets = members = 0
-    for n in range(4, 11):
-        for a in range(2, n - 2):
-            c = n - 2 - a
-            if c < 1:
-                continue
-            for s in range(1, (c + 2) // 2 + 1):
-                for d in range((n + 1) // 2, n + 1):
-                    e = n - d
-                    if singleton_case_check(a, 2, c, d, e, s) is not None:
-                        value, ws = witnesses_singleton_case(a, c, d, e, s)
-                    else:
-                        value, ws = witnesses_null_case(a, c, d, e, s)
-                    record = [n, a, s, d, value, ws.to_json()]
-                    h.update(json.dumps(record, sort_keys=True).encode())
-                    sets += 1
-                    members += len(ws.members)
+    for n, a, c, s, d, e in witness_args(10):
+        value, ws = witnesses(a, c, d, e, s)
+        record = [n, a, s, d, value, ws.to_json()]
+        h.update(json.dumps(record, sort_keys=True).encode())
+        sets += 1
+        members += len(ws.members)
     assert (sets, members) == (220, 180)
     assert h.hexdigest() == WITNESS_SETS_DIGEST_N10
 
