@@ -99,7 +99,7 @@ def _witnesses_if_applicable(lam, mu, nu):
     d, e = two_row
     twos = sum(1 for x in nu[1:] if x == 2)
     s = twos + 1
-    if nu != nearhook.special_nu(a, c, s) or not 1 <= s <= (c + 2) // 2:
+    if not 1 <= s <= (c + 2) // 2 or nu != nearhook.special_nu(a, c, s):
         return None
     return nearhook.witnesses(a, c, d, e, s)
 

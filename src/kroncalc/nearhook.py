@@ -149,6 +149,10 @@ def _check_two_row_params(d, e, a, b, c, nu) -> Partition:
     n = a + b + c
     if d + e != n:
         raise ValueError(f"d + e must equal {n}")
+    return _sized(nu, n)
+
+
+def _sized(nu, n: int) -> Partition:
     nu = as_partition(nu)
     if nu.size != n:
         raise ValueError(f"nu must be a partition of {n}")
@@ -253,22 +257,22 @@ def triple2(d, e, a, b, c, nu) -> int:
 
 def index_set_plus(nu, a: int, b: int, c: int) -> frozenset:
     """Tuples (eta, j, r) whose triple1 summand is strictly positive."""
-    return _support(Partition(nu), *_positive(a, b, c), c)
+    return _support(_sized(nu, a + b + c), *_positive(a, b, c), c)
 
 
 def index_set_minus(nu, a: int, b: int, c: int) -> frozenset:
     """Tuples (delta, i, r) whose triple2 summand is strictly positive."""
-    return _support(Partition(nu), *_negative(a, b, c), c)
+    return _support(_sized(nu, a + b + c), *_negative(a, b, c), c)
 
 
 def j_plus(d: int, nu, a: int, b: int, c: int) -> frozenset:
     """index_set_plus filtered by the two-row interval condition at d."""
-    return _gated(_positive, d, Partition(nu), a, b, c)
+    return _gated(_positive, d, _sized(nu, a + b + c), a, b, c)
 
 
 def j_minus(d: int, nu, a: int, b: int, c: int) -> frozenset:
     """index_set_minus filtered by the two-row interval condition at d."""
-    return _gated(_negative, d, Partition(nu), a, b, c)
+    return _gated(_negative, d, _sized(nu, a + b + c), a, b, c)
 
 
 def triple3(d, e, a, b, c, nu) -> tuple[int, list[TermCertificate]]:
@@ -292,13 +296,20 @@ def g_two_row_near_hook(d, e, a, b, c, nu) -> int:
 # b = 2 witness families
 
 
+def _check_s(c: int, s: int) -> None:
+    if not 1 <= s <= (c + 2) // 2:
+        raise ValueError(f"s must satisfy 1 <= s <= {(c + 2) // 2}, got {s}")
+
+
 def special_nu(a: int, c: int, s: int) -> Partition:
     """(a+2, 2^(s-1), 1^(c+2-2s)), the target shape of the witness families."""
+    _check_s(c, s)
     return Partition((a + 2,) + (2,) * (s - 1) + (1,) * (c + 2 - 2 * s))
 
 
 def delta_star(c: int, s: int) -> Partition:
     """(2^s, 1^(c+2-2s)), the unique negative-side shape."""
+    _check_s(c, s)
     return Partition((2,) * s + (1,) * (c + 2 - 2 * s))
 
 

@@ -12,9 +12,10 @@ incrementally; this keeps exhaustive sweeps through n <= 12 interactive.
 One walk serves both uses: it returns the number of fillings, which is
 all ``lr_coefficient`` reads, and only ``lr_tableaux`` asks it to record
 each filling's label rows as well.  The fillings walk (``_fill``) and the
-strip-chain count (``_chains``) are module-level recursions that take
-their state as arguments, so a call leaves no reference cycle behind and
-its lists are freed by reference counting as soon as it returns.
+strip lister's walk (``_grow``), shared with the hook rule in ``colored``,
+are module-level recursions that take their state as arguments, so a call
+leaves no reference cycle behind and its lists are freed by reference
+counting as soon as it returns.
 
 Sums weighted by LR coefficients walk the cached supports instead of
 probing every partition: ``lr_weight_support`` fixes (outer, inner) and
@@ -28,6 +29,7 @@ weight with a nonzero coefficient inside lam, so only those are searched.
 from __future__ import annotations
 
 from functools import cache
+from itertools import accumulate
 from typing import Iterable, NamedTuple, Sequence
 
 from .partition import Partition, as_partition, contains, partitions_list
@@ -221,9 +223,10 @@ def strip_chain_count(nu, eta, size1: int, size2: int) -> int:
     """Number of kappa with eta <= kappa <= nu forming two horizontal strips.
 
     kappa/eta must be a horizontal strip of size1 cells and nu/kappa one of
-    size2 cells.  Negative sizes count as zero by convention.  kappa is
-    enumerated row-wise within max(eta_i, nu_{i+1}) <= kappa_i <= min(nu_i,
-    eta_{i-1}), which encodes both strip conditions at once.
+    size2 cells.  Negative sizes count as zero by convention.  kappa runs
+    over the strips _strips lists on eta inside nu; nu/kappa is a
+    horizontal strip when kappa has at least len(nu) - 1 rows and
+    kappa_i >= nu_{i+1} for every row i.
     """
     nu, eta = as_partition(nu), as_partition(eta)
     if size1 < 0 or size2 < 0:
@@ -232,37 +235,10 @@ def strip_chain_count(nu, eta, size1: int, size2: int) -> int:
         return 0
     if not contains(eta, nu):
         return 0
-    rows = len(nu)
-    lo, hi = [], []
-    for i in range(rows):
-        l = max(eta.part(i + 1), nu.part(i + 2))
-        h = min(nu[i], eta.part(i)) if i >= 1 else nu[0]
-        if l > h:
-            return 0
-        lo.append(l)
-        hi.append(h)
-    suf_lo = [0] * (rows + 1)
-    suf_hi = [0] * (rows + 1)
-    for i in range(rows - 1, -1, -1):
-        suf_lo[i] = suf_lo[i + 1] + lo[i]
-        suf_hi[i] = suf_hi[i + 1] + hi[i]
-    return _chains(0, eta.size + size1, lo, hi, suf_lo, suf_hi)
-
-
-def _chains(i, remaining, lo, hi, suf_lo, suf_hi) -> int:
-    """Ways to choose lo[j] <= kappa_j <= hi[j] for the rows j >= i, summing to remaining.
-
-    Rows i, i+1, ... sum to between suf_lo[i] and suf_hi[i], so a branch
-    that cannot reach the sum exactly is never entered.
-    """
-    if i == len(lo):
-        return 1 if remaining == 0 else 0
-    total = 0
-    for k in range(lo[i], hi[i] + 1):
-        left = remaining - k
-        if suf_lo[i + 1] <= left <= suf_hi[i + 1]:
-            total += _chains(i + 1, left, lo, hi, suf_lo, suf_hi)
-    return total
+    return sum(
+        len(kappa) >= len(nu) - 1 and all(k >= nu.part(i + 2) for i, k in enumerate(kappa))
+        for kappa, _ in _strips(eta, size1, nu, None)
+    )
 
 
 def lr_via_strip_difference(nu, eta, b: int, j: int) -> int:
@@ -270,6 +246,60 @@ def lr_via_strip_difference(nu, eta, b: int, j: int) -> int:
     return strip_chain_count(nu, eta, j, b - 1 - j) - strip_chain_count(
         nu, eta, j - 1, b - j
     )
+
+
+def _strips(lines: Sequence[int], s: int, limit, bound) -> list:
+    """Ways to add a horizontal strip of s cells to a shape's lines.
+
+    lines are the weakly decreasing line lengths (rows, or the columns of
+    the conjugate shape for a vertical strip); line i takes at most
+    lines[i-1] - lines[i] cells, line 0 any number, and one empty line
+    after the last may open.  No line may grow past limit (a shape), and
+    bound[i] (the last entry for i past the end) caps the strip's cells in
+    lines 0..i.  Each way is (grown line lengths, prefix sums), the prefix
+    sums being accumulate(cells per line, initial=0); an empty strip is
+    (tuple(lines), (0,)).
+    """
+    if s == 0:
+        return [(tuple(lines), (0,))]
+    padded = list(lines) + [0]
+    caps = [s] + [a - b for a, b in zip(padded, padded[1:])]
+    if limit is not None:
+        caps = [
+            min(cap, limit[i] - length) if i < len(limit) else 0
+            for i, (cap, length) in enumerate(zip(caps, padded))
+        ]
+    if bound is not None:
+        bound = [bound[i] if i < len(bound) else bound[-1] for i in range(len(caps))]
+    room = list(accumulate(reversed(caps)))[::-1]
+    out = []
+    _grow(0, 0, s, padded, caps, room, bound, [0] * len(caps), out)
+    return out
+
+
+def _grow(start, placed, s, padded, caps, room, bound, picks, out) -> None:
+    """Append to out each way to place the s - placed cells left in lines start..
+
+    picks[i] holds the cells line i takes; lines from start on take none
+    yet.  Lines are tried in order and, within a line, the larger count
+    first, so the ways come in decreasing lexicographic order of picks.
+    """
+    if placed == s:
+        grown = tuple(a + t for a, t in zip(padded, picks))
+        prefix = tuple(accumulate(picks, initial=0))
+        out.append((grown if picks[-1] else grown[:-1], prefix))
+        return
+    left = s - placed
+    for j in range(start, len(caps)):
+        if room[j] < left:
+            break
+        hi = min(caps[j], left)
+        if bound is not None:
+            hi = min(hi, bound[j] - placed)
+        for t in range(hi, 0, -1):
+            picks[j] = t
+            _grow(j + 1, placed + t, s, padded, caps, room, bound, picks, out)
+        picks[j] = 0
 
 
 def dimension(lam) -> int:

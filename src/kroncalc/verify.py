@@ -122,8 +122,6 @@ def run_lr(unit) -> tuple[int, list[str]]:
     elif kind == "strip-diff":
         for nu in partitions_list(n):
             for b in range(1, n + 2):
-                if n - b + 1 < 0:
-                    continue
                 for eta in partitions_list(n - b + 1):
                     for j in range((b - 1) // 2 + 1):
                         checks += 1
@@ -401,9 +399,6 @@ def units_triples(limit: int):
     for n in range(5, limit + 1):
         for b in range(2, n - 2):
             for a in range(b, n - b):
-                c = n - a - b
-                if c < 1:
-                    continue
                 units.append(("value", n, a, b))
     for n in range(3, min(limit, 8) + 1):
         units.append(("membership", n, 0, 0))
@@ -447,8 +442,6 @@ def run_triples(unit) -> tuple[int, list[str]]:
         for aa in range(1, n):
             for bb in range(1, n - aa + 1):
                 cc = n - aa - bb
-                if cc < 0:
-                    continue
                 # per side: the strips (p-k, k), g((S-r, r), hook, sigma) for each
                 # sigma of S and each r, index set and message labels; the
                 # negative side's hook (b-1, 1^(c+1)) needs b >= 2
@@ -495,8 +488,6 @@ def units_mainresults(limit: int):
     for n in range(4, limit + 1):
         for a in range(2, n - 2):
             c = n - 2 - a
-            if c < 1:
-                continue
             for s in range(1, (c + 2) // 2 + 1):
                 units.append((n, a, s))
     return units

@@ -39,6 +39,23 @@ def test_kron_nearhook_explain(capsys):
     assert "triple4 = 4" in out
 
 
+def test_kron_nearhook_explain_off_the_witness_range(capsys):
+    # nu = (2,2,2) reads as s = 3 > (c + 2) // 2 = 1: no witness family applies
+    code, out, err = run(
+        capsys, "kron", "4,2", "3,2,1", "2,2,2", "--method", "nearhook", "--explain"
+    )
+    assert (code, err) == (0, "")
+    assert out == (
+        "g(4,2 ; 3,2,1 ; 2,2,2) = 1   [nearhook]\n"
+        "-- nearhook --\n"
+        "triple3 = 2\n"
+        "  +[2,2,1, 0, 1] lr=1 g=1\n"
+        "  +[2,2,1, 0, 2] lr=1 g=1\n"
+        "triple4 = 1\n"
+        "  -[2,1, 1, 1] lr=1 g=1\n"
+    )
+
+
 def test_kron_rosas_branch(capsys):
     code, out, _ = run(
         capsys, "kron", "6,2", "2,1^6", "3,2,1,1,1", "--method", "rosas", "--explain"

@@ -14,7 +14,6 @@ from kroncalc.colored import (
     _finalize,
     _inserted,
     _search,
-    _strips,
     blasiak_counts,
     blft,
     content,
@@ -31,6 +30,7 @@ from kroncalc.colored import (
 )
 from kroncalc.partition import Partition, contains, is_horizontal_strip, partitions_list
 from kroncalc.symfun import kronecker_coefficient
+from kroncalc.tableau import _strips
 
 # the 3x3 colored tableau used by the single-letter insertion examples
 BASE = ColoredTableau.from_text("1' 1 2' | 1' 2' 2 | 2' 2 3")

@@ -196,6 +196,20 @@ def test_gated_index_sets_reject_a_d_off_the_two_rows(d):
             index_set(d, (4, 2, 1), 3, 2, 2)
 
 
+def test_index_sets_reject_nu_of_the_wrong_size():
+    # a + b + c = 5 and |nu| = 7, as triple3 rejects it
+    for index_set in (
+        lambda: index_set_plus((3, 2, 1, 1), 2, 2, 1),
+        lambda: index_set_minus((3, 2, 1, 1), 2, 2, 1),
+        lambda: j_plus(5, (3, 2, 1, 1), 2, 2, 1),
+        lambda: j_minus(5, (3, 2, 1, 1), 2, 2, 1),
+    ):
+        with pytest.raises(ValueError, match="^nu must be a partition of 5$"):
+            index_set()
+    with pytest.raises(ValueError, match="^nu must be a partition of 5$"):
+        triple3(4, 1, 2, 2, 1, (3, 2, 1, 1))
+
+
 def test_triple_values_from_worked_example():
     assert triple1(4, 2, 3, 2, 1, (4, 2)) == 4
     assert triple2(4, 2, 3, 2, 1, (4, 2)) == 2
@@ -340,6 +354,14 @@ def test_special_shapes():
     assert special_nu(3, 2, 2) == P(5, 2)
     assert special_nu(2, 5, 2) == P(4, 2, 1, 1, 1)
     assert delta_star(2, 2) == P(2, 2)
+
+
+@pytest.mark.parametrize("s", [0, 2, 3, 5])  # c = 1 allows s = 1 only
+def test_special_shapes_reject_s_out_of_range(s):
+    for build in (lambda: special_nu(2, 1, s), lambda: delta_star(1, s)):
+        with pytest.raises(ValueError) as error:
+            build()
+        assert str(error.value) == f"s must satisfy 1 <= s <= 1, got {s}"
 
 
 def witness_args(n_max: int):

@@ -162,6 +162,28 @@ def test_strip_chain_counts():
     assert strip_chain_count((3, 1), (2, 1), 0, 1) == 1
 
 
+def test_strip_chain_count_matches_brute_force():
+    cases = 0
+    for n in range(9):
+        for nu in partitions_list(n):
+            for m in range(n + 1):
+                for eta in partitions_list(m):
+                    if not contains(eta, nu):
+                        continue
+                    for size1 in range(n - m + 1):
+                        expected = sum(
+                            contains(eta, kappa)
+                            and contains(kappa, nu)
+                            and is_horizontal_strip(eta, kappa)
+                            and is_horizontal_strip(kappa, nu)
+                            for kappa in partitions_list(m + size1)
+                        )
+                        got = strip_chain_count.__wrapped__(nu, eta, size1, n - m - size1)
+                        assert got == expected, (nu, eta, size1)
+                        cases += 1
+    assert cases == 3650
+
+
 def test_lr_via_strip_difference():
     assert lr_via_strip_difference((5, 3, 2, 1), (4, 3), 5, 1) == 1
     assert lr_via_strip_difference((5, 3, 2, 1), (4, 2, 1), 5, 1) == 3
