@@ -61,7 +61,8 @@ def _parse_partition_arg(text: str) -> Partition:
 
 
 # Largest n measured for the oracle: a cold query at n = 26 took at most
-# 0.13 s CPU and 22 MB peak RSS (2 cores, Python 3.11.7).  Larger n is unmeasured.
+# 0.26 s CPU and 19 MB peak RSS for the whole process (3 seeded triples, 4 runs
+# each; a shared 2-core machine, Python 3.11.7).  Larger n is unmeasured.
 ORACLE_MAX_N = 26
 
 

@@ -21,8 +21,14 @@ beta numbers lam_i + (L - 1 - i) of its L rows.  Removing a border strip
 of size k moves a bead from b to an empty b - k, and its sign is the
 parity of the beads strictly between, counted with ``int.bit_count``.
 Beads left at 0, 1, ... are empty last rows and are shifted out, so each
-shape has one key.  The memo is keyed on (bead set, rest of the cycle
-type), and the largest part of the cycle type is removed first.
+shape has one key.  The largest part of the cycle type is removed first,
+and each suffix of a cycle type is one node (``_Suffix``): its first part
+k, the bit masks of a strip of size k, the node of the rest, and a dict
+from bead set to chi on that suffix.  A child value is read from the rest
+node's dict by its bead set, one int, and the recursion runs only on a
+miss, so there is one memo state per (shape, suffix).  One cached table
+per n, ``_cycle_types(n)``, holds each cycle type's node and class size
+n!/z_rho in partitions_list order, and ``_rows`` reads it.
 ``kronecker_product`` walks a cached table per ordered pair (lam, mu): the
 (nu, g) pairs with g(lam, mu, nu) != 0 in partitions_list order, each g
 read from ``kronecker_coefficient`` with the arguments in that order, so
@@ -285,7 +291,7 @@ def character(lam, mu) -> int:
     lam, mu = Partition(lam), Partition(mu)
     if lam.size != mu.size:
         raise ValueError(f"|{lam!r}| != |{mu!r}|")
-    return _char(_beads(lam), mu)
+    return _chi(_beads(lam), _suffix(mu))
 
 
 def _beads(lam) -> int:
@@ -294,16 +300,61 @@ def _beads(lam) -> int:
     return sum(1 << (part + last - i) for i, part in enumerate(lam))
 
 
+class _Suffix:
+    """One suffix of a cycle type, with chi of every shape reached on it.
+
+    k is the first part, crossed and high the bit masks of a border strip of
+    size k, rest the node of the suffix without its first part, and memo
+    maps a bead set to chi of that shape on this suffix.  The empty suffix
+    has no first part and holds chi = 1 on the empty shape, bead set 0.
+    """
+
+    __slots__ = ("k", "crossed", "high", "rest", "memo")
+
+    def __init__(self, k: int = 0, rest: _Suffix | None = None):
+        self.k, self.rest = k, rest
+        if rest is None:
+            self.memo = {0: 1}
+        else:
+            self.memo = {}
+            self.crossed = (1 << (k - 1)) - 1
+            self.high = ~((1 << k) - 1)
+
+
+_EMPTY = _Suffix()
+
+
 @cache
-def _char(beads: int, mu: tuple) -> int:
-    """chi^lam(mu) for the bead set of lam and a partition tuple mu of equal size."""
-    if not mu:
-        return 1
-    k, rest = mu[0], mu[1:]
+def _node(k: int, rest: _Suffix) -> _Suffix:
+    """The one node of the suffix (k,) + rest."""
+    return _Suffix(k, rest)
+
+
+def _suffix(mu) -> _Suffix:
+    """The node of the cycle type mu, built from its last part up."""
+    node = _EMPTY
+    for k in reversed(mu):
+        node = _node(k, node)
+    return node
+
+
+def _chi(beads: int, node: _Suffix) -> int:
+    """chi^lam on node's suffix for the bead set of lam, from the memo if there."""
+    chi = node.memo.get(beads)
+    return _char(beads, node) if chi is None else chi
+
+
+def _char(beads: int, node: _Suffix) -> int:
+    """chi^lam on node's nonempty suffix for the bead set of lam; stores it in node.memo.
+
+    Each child value is read from node.rest.memo by its bead set, and the
+    recursion runs only on a miss.
+    """
+    k, rest, crossed = node.k, node.rest, node.crossed
+    memo = rest.memo
     # Removing a border strip of size k moves a bead from b to an empty b - k;
     # its sign is the parity of the beads crossed, strictly between b - k and b.
-    crossed = (1 << (k - 1)) - 1
-    movable = beads & ~(beads << k) & ~((1 << k) - 1)  # b >= k and b - k empty
+    movable = beads & ~(beads << k) & node.high  # b >= k and b - k empty
     total = 0
     while movable:
         bead = movable & -movable
@@ -312,17 +363,20 @@ def _char(beads: int, mu: tuple) -> int:
         if moved & 1:
             # beads at 0, 1, ... are empty last rows: shift them out
             moved >>= (moved ^ (moved + 1)).bit_length() - 1
-        term = _char(moved, rest)
+        term = memo.get(moved)
+        if term is None:
+            term = _char(moved, rest)
         low = bead.bit_length() - k
         total += -term if (beads >> low & crossed).bit_count() & 1 else term
+    node.memo[beads] = total
     return total
 
 
 @cache
-def _class_sizes(n: int) -> tuple[int, ...]:
-    """n!/z_rho for every cycle type rho of n, in partitions_list order."""
+def _cycle_types(n: int) -> tuple[tuple[_Suffix, int], ...]:
+    """(suffix node, n!/z_rho) for every cycle type rho of n, in partitions_list order."""
     nfact = factorial(n)
-    return tuple(nfact // centralizer_order(rho) for rho in partitions_list(n))
+    return tuple((_suffix(rho), nfact // centralizer_order(rho)) for rho in partitions_list(n))
 
 
 @cache
@@ -330,8 +384,9 @@ def _rows(lam: Partition) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """chi^lam(rho) and |class(rho)| * chi^lam(rho) on every cycle type rho of |lam|,
     in partitions_list order."""
     beads = _beads(lam)
-    row = tuple(_char(beads, rho) for rho in partitions_list(lam.size))
-    return row, tuple(map(mul, _class_sizes(lam.size), row))
+    table = _cycle_types(lam.size)
+    row = tuple(_chi(beads, node) for node, _ in table)
+    return row, tuple(chi * size for chi, (_, size) in zip(row, table))
 
 
 @cache

@@ -226,7 +226,8 @@ def strip_chain_count(nu, eta, size1: int, size2: int) -> int:
     size2 cells.  Negative sizes count as zero by convention.  kappa runs
     over the strips _strips lists on eta inside nu; nu/kappa is a
     horizontal strip when kappa has at least len(nu) - 1 rows and
-    kappa_i >= nu_{i+1} for every row i.
+    kappa_i >= nu_{i+1} for every row i.  Since kappa_i <= eta_{i-1} as
+    well, the count is 0 when some row i >= 2 has eta_{i-1} < nu_{i+1}.
     """
     nu, eta = as_partition(nu), as_partition(eta)
     if size1 < 0 or size2 < 0:
@@ -234,6 +235,8 @@ def strip_chain_count(nu, eta, size1: int, size2: int) -> int:
     if eta.size + size1 + size2 != nu.size:
         return 0
     if not contains(eta, nu):
+        return 0
+    if any(eta.part(i - 1) < nu.part(i + 1) for i in range(2, len(nu))):
         return 0
     return sum(
         len(kappa) >= len(nu) - 1 and all(k >= nu.part(i + 2) for i, k in enumerate(kappa))

@@ -3,6 +3,7 @@ import pickle
 import random
 from functools import cache
 from itertools import permutations
+from operator import mul
 
 import pytest
 from hypothesis import given, seed, settings
@@ -13,8 +14,10 @@ from kroncalc.partition import Partition, partitions_list
 from kroncalc.symfun import (
     SchurVector,
     _beads,
-    _char,
+    _chi,
+    _cycle_types,
     _kronecker_support,
+    _node,
     _rows,
     centralizer_order,
     character,
@@ -419,20 +422,62 @@ def test_bead_kernel_matches_tuple_recursion():
         _char_reference.cache_clear()
 
 
+def _memo_states(sizes) -> int:
+    """Memo entries in every suffix node reached from the cycle types of these sizes."""
+    nodes = {}
+    for n in sizes:
+        for node, _ in _cycle_types(n):
+            while node is not None and id(node) not in nodes:
+                nodes[id(node)] = node
+                node = node.rest
+    return sum(len(node.memo) for node in nodes.values())
+
+
+def _clear_oracle_memos():
+    for memo in (_node, _cycle_types, _rows, kronecker_coefficient):
+        memo.cache_clear()
+
+
 def test_bead_kernel_keeps_one_state_per_shape():
     # a bead left at 0 would give one shape two keys, and the memo more states
-    _char.cache_clear()
+    _clear_oracle_memos()
     _char_reference.cache_clear()
     try:
         for n in range(13):
             parts = partitions_list(n)
             for lam in parts:
                 beads = _beads(lam)
-                for rho in parts:
-                    assert _char(beads, rho) == _char_reference(tuple(lam), rho)
-        assert _char.cache_info().currsize == _char_reference.cache_info().currsize
+                for (node, _), rho in zip(_cycle_types(n), parts):
+                    assert _chi(beads, node) == _char_reference(tuple(lam), rho)
+        assert _memo_states(range(13)) == _char_reference.cache_info().currsize == 12648
     finally:
         _char_reference.cache_clear()
+
+
+def test_cold_oracle_query_keeps_the_shared_memo_states():
+    # a kernel that stopped sharing states between rows or suffixes would keep more
+    _clear_oracle_memos()
+    assert kronecker_coefficient((7, 5, 4, 2), (10, 3, 2, 2, 1), (7, 2, 2, 2, 2, 2, 1)) == 736
+    assert _memo_states([18]) == 4364
+
+
+def test_conjugate_character_takes_the_sign_of_the_cycle_type():
+    # chi^lam'(rho) = sgn(rho) chi^lam(rho), with sgn(rho) = (-1)^(n - len(rho))
+    rng = random.Random(20261025)
+    for n in range(15, 23):
+        parts = partitions_list(n)
+        signs = [-1 if (n - len(rho)) & 1 else 1 for rho in parts]
+        for lam in rng.sample(parts, 4):
+            conjugate = _rows(lam.transpose())[0]
+            assert conjugate == tuple(map(mul, signs, _rows(lam)[0])), lam
+
+
+def test_character_on_a_long_cycle_type():
+    # the suffix chain is built without recursion, and the kernel recurses once per part
+    n = 400
+    assert character((n,), (1,) * n) == 1
+    assert character((n - 1, 1), (1,) * n) == n - 1
+    assert character((n - 1, 1), (2,) * (n // 2)) == -1
 
 
 def test_character_degree_and_norm_past_n12():
