@@ -5,7 +5,8 @@
 - the two-row x hook closed form (rosas.rosas_kronecker),
 - near-hook reductions to signed and positive hook-indexed sums
   (nearhook.near_hook_expansion, nearhook.g_two_row_near_hook, and the
-  b = 2 witness families, nearhook.witnesses).
+  b = 2 witness families, nearhook.witnesses, matched to a query by
+  nearhook.witnesses_for).
 
 All arithmetic is exact; there is no floating point anywhere.
 """
@@ -85,6 +86,7 @@ from .nearhook import (
     triple3,
     triple4,
     witnesses,
+    witnesses_for,
     witnesses_null_case,
     witnesses_singleton_case,
 )

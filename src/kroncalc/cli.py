@@ -80,29 +80,19 @@ def _applicable_methods(lam, mu):
         out["rosas"] = "lambda is not a two-row partition"
     near_hook = as_near_hook(mu)
     # the signed expansion, unlike the triple sums, calls the oracle at n - b + 1
-    inner = n - near_hook[1] + 1 if near_hook and not (as_two_row(lam) and near_hook[2]) else 0
+    inner = n - near_hook[1] + 1 if near_hook else 0
     if near_hook is None:
         out["nearhook"] = "mu is not a near-hook (a, b, 1^c) with a >= b >= 2"
-    elif inner > ORACLE_MAX_N:
+    elif inner > ORACLE_MAX_N and not _triple_sums(lam, near_hook):
         out["nearhook"] = f"the signed expansion calls the oracle at n - b + 1 = {inner}, above the bound {ORACLE_MAX_N}"
     else:
         out["nearhook"] = None
     return out
 
 
-def _witnesses_if_applicable(lam, mu, nu):
-    """Route to a witness family when the b = 2 special shape matches."""
-    shape = as_near_hook(mu)
-    two_row = as_two_row(lam)
-    if shape is None or two_row is None or shape[1] != 2 or shape[2] < 1:
-        return None
-    a, _, c = shape
-    d, e = two_row
-    twos = sum(1 for x in nu[1:] if x == 2)
-    s = twos + 1
-    if not 1 <= s <= (c + 2) // 2 or nu != nearhook.special_nu(a, c, s):
-        return None
-    return nearhook.witnesses(a, c, d, e, s)
+def _triple_sums(lam, near_hook):
+    """(d, e) when the near-hook method takes the triple sums (two-row lam, c >= 1), else None."""
+    return as_two_row(lam) if near_hook[2] >= 1 else None
 
 
 def _run_method(method: str, lam, mu, nu, explain: bool):
@@ -129,51 +119,44 @@ def _run_method(method: str, lam, mu, nu, explain: bool):
             payload["arguments"] = list(report.arguments)
             lines.append(f"branch: {report.describe()}")
         return report.value, lines, payload
-    if method == "nearhook":
-        a, b, c = as_near_hook(mu)
-        two_row = as_two_row(lam)
-        if two_row and c >= 1:
-            d, e = two_row
-            plus, certs3 = nearhook.triple3(d, e, a, b, c, nu)
-            minus, certs4 = nearhook.triple4(d, e, a, b, c, nu)
-            if explain:
-                payload["triple3"] = plus
-                payload["triple4"] = minus
-                payload["certificates"] = {
-                    "plus": [cert.to_json() for cert in certs3],
-                    "minus": [
-                        dict(cert.to_json(), sign=-1) for cert in certs4
-                    ],
-                }
-                lines.append(f"triple3 = {plus}")
-                lines.extend("  +" + _cert_text(cert) for cert in certs3)
-                lines.append(f"triple4 = {minus}")
-                lines.extend("  -" + _cert_text(cert) for cert in certs4)
-                witnessed = _witnesses_if_applicable(lam, mu, nu)
-                if witnessed is not None:
-                    value, witness_set = witnessed
-                    if value != plus - minus:
-                        raise ArithmeticError(f"witness count {value} differs from triple3 - triple4 = {plus - minus}")
-                    payload["witnesses"] = witness_set.to_json()
-                    removed = witness_set.removed_min
-                    lines.append(
-                        f"witnesses: {len(witness_set.members)} tableau(x), "
-                        + ("least removed" if removed else "none removed")
-                    )
-                    for member in witness_set.members:
-                        eta, j, r = member.source
-                        tag = " (removed)" if member is removed else ""
-                        lines.append(
-                            f"  from ({','.join(map(str, eta))} | j={j}, r={r}){tag}:"
-                        )
-                        lines.extend(
-                            "    " + row
-                            for row in member.tableau.to_ascii().splitlines()
-                        )
-            return plus - minus, lines, payload
+    # method is "nearhook": the applicable methods admit no other
+    a, b, c = near_hook = as_near_hook(mu)
+    two_row = _triple_sums(lam, near_hook)
+    if two_row:
+        d, e = two_row
+        plus, certs3 = nearhook.triple3(d, e, a, b, c, nu)
+        minus, certs4 = nearhook.triple4(d, e, a, b, c, nu)
+        if explain:
+            payload["triple3"] = plus
+            payload["triple4"] = minus
+            payload["certificates"] = {
+                "plus": [cert.to_json() for cert in certs3],
+                "minus": [dict(cert.to_json(), sign=-1) for cert in certs4],
+            }
+            lines.append(f"triple3 = {plus}")
+            lines.extend("  +" + _cert_text(cert) for cert in certs3)
+            lines.append(f"triple4 = {minus}")
+            lines.extend("  -" + _cert_text(cert) for cert in certs4)
+            witnessed = nearhook.witnesses_for(d, e, a, b, c, nu)
+            if witnessed is not None:
+                value, witness_set = witnessed
+                if value != plus - minus:
+                    raise ArithmeticError(f"witness count {value} differs from triple3 - triple4 = {plus - minus}")
+                payload["witnesses"] = witness_set.to_json()
+                removed = witness_set.removed_min
+                lines.append(
+                    f"witnesses: {len(witness_set.members)} tableau(x), "
+                    + ("least removed" if removed else "none removed")
+                )
+                for member in witness_set.members:
+                    eta, j, r = member.source
+                    tag = " (removed)" if member is removed else ""
+                    lines.append(f"  from ({','.join(map(str, eta))} | j={j}, r={r}){tag}:")
+                    lines.extend("    " + row for row in member.tableau.to_ascii().splitlines())
+        return plus - minus, lines, payload
     if not explain:
-        return nearhook.near_hook_value(lam, nu, *as_near_hook(mu)), lines, payload
-    certs, value = nearhook.near_hook_expansion(lam, nu, *as_near_hook(mu))
+        return nearhook.near_hook_value(lam, nu, a, b, c), lines, payload
+    certs, value = nearhook.near_hook_expansion(lam, nu, a, b, c)
     payload["terms"] = [cert.to_json() for cert in certs]
     lines.append(f"signed expansion, {len(certs)} terms:")
     lines.extend(

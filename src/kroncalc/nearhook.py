@@ -33,6 +33,9 @@ coefficient becomes a count of hook-rule tableaux - minus one in the
 singleton case, realized by removing the lexicographically least witness.
 witnesses is the one entry: it calls witnesses_singleton_case or
 witnesses_null_case, which check J- and triple4 against the interval once.
+witnesses_for matches a (d, e, a, b, c, nu) query to a family, reading s
+from nu, and returns None when none applies; kron reaches the families
+only through it.
 """
 
 from __future__ import annotations
@@ -404,11 +407,10 @@ def _witness_blocks(a: int, c: int, d: int, s: int, inside: bool) -> tuple[int, 
             raise ArithmeticError(f"hook-rule block for {(eta, j, r)} is empty")
         members.extend(WitnessMember(t, (eta, 0, r)) for t in block)
     members.sort(key=_member_key)
+    if inside and not members:
+        raise ArithmeticError(f"no witness to remove at (a,c,d,s)=({a},{c},{d},{s})")
     witness_set = WitnessSet(tuple(members), removed_min=members[0] if inside else None)
-    value = len(members) - inside
-    if value != len(witness_set.surviving):
-        raise ArithmeticError("witness count does not match the removal policy")
-    return value, witness_set
+    return len(members) - inside, witness_set
 
 
 def witnesses(a: int, c: int, d: int, e: int, s: int) -> tuple[int, WitnessSet]:
@@ -420,6 +422,15 @@ def witnesses(a: int, c: int, d: int, e: int, s: int) -> tuple[int, WitnessSet]:
         raise ValueError("witness hypotheses not met")
     case = witnesses_singleton_case if _in_interval(a, c, d, s) else witnesses_null_case
     return case(a, c, d, e, s)
+
+
+def witnesses_for(d: int, e: int, a: int, b: int, c: int, nu) -> Optional[tuple[int, WitnessSet]]:
+    """witnesses(a, c, d, e, s) when b = 2 and nu = special_nu(a, c, s) for an s in range, else None."""
+    nu = _sized(nu, a + b + c)
+    s = nu[1:].count(2) + 1
+    if b != 2 or not _witness_hypotheses(a, c, d, e, s) or nu != special_nu(a, c, s):
+        return None
+    return witnesses(a, c, d, e, s)
 
 
 def witnesses_singleton_case(a: int, c: int, d: int, e: int, s: int) -> tuple[int, WitnessSet]:

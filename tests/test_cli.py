@@ -585,19 +585,29 @@ def test_internal_error_exits_4_without_traceback(capsys, monkeypatch):
 
 
 def test_witness_count_that_differs_from_the_triple_sums_exits_4(capsys, monkeypatch):
-    from kroncalc import cli
+    from kroncalc import nearhook
 
-    original = cli._witnesses_if_applicable
+    original = nearhook.witnesses_for
 
-    def broken(lam, mu, nu):
-        value, witness_set = original(lam, mu, nu)
+    def broken(*args):
+        value, witness_set = original(*args)
         return value + 1, witness_set
 
-    monkeypatch.setattr(cli, "_witnesses_if_applicable", broken)
+    monkeypatch.setattr(nearhook, "witnesses_for", broken)
     argv = ("kron", "8,6", "6,2,1^6", "8,2,1^4", "--method", "nearhook", "--explain")
     code, out, err = run(capsys, *argv)
     assert (code, out) == (4, "")
     assert err == "internal error: ArithmeticError: witness count 2 differs from triple3 - triple4 = 1\n"
+
+
+def test_singleton_case_with_no_witness_exits_4(capsys, monkeypatch):
+    from kroncalc import nearhook
+
+    monkeypatch.setattr(nearhook, "j_plus", lambda *args: frozenset())
+    argv = ("kron", "8,6", "6,2,1^6", "8,2,1^4", "--method", "nearhook", "--explain")
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (4, "")
+    assert err == "internal error: ArithmeticError: no witness to remove at (a,c,d,s)=(6,6,8,2)\n"
 
 
 def test_hook_rule_walk_that_differs_from_its_count_exits_4(capsys, monkeypatch):

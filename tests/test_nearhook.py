@@ -23,11 +23,20 @@ from kroncalc.nearhook import (
     triple2,
     triple3,
     triple4,
+    WitnessSet,
     witnesses,
+    witnesses_for,
     witnesses_null_case,
     witnesses_singleton_case,
 )
-from kroncalc.partition import Partition, hook_partition, partitions_list, two_rows
+from kroncalc.partition import (
+    Partition,
+    as_near_hook,
+    as_two_row,
+    hook_partition,
+    partitions_list,
+    two_rows,
+)
 from kroncalc.rosas import rosas_kronecker
 from kroncalc.symfun import kronecker_coefficient
 from kroncalc.tableau import lr_coefficient, lr_two_row
@@ -506,6 +515,58 @@ def test_witnesses_checks_the_negative_side_once(monkeypatch):
         removed.add(witnesses(a, c, d, e, s)[1].removed_min is not None)
         assert sorted(calls) == ["j_minus", "triple4"]
     assert removed == {False, True}  # both cases were reached
+
+
+def test_singleton_case_with_no_witness_raises(monkeypatch):
+    monkeypatch.setattr(nearhook, "j_plus", lambda *args: frozenset())
+    with pytest.raises(ArithmeticError, match=r"^no witness to remove at \(a,c,d,s\)=\(6,6,8,2\)$"):
+        witnesses(6, 6, 8, 6, 2)  # d inside the interval
+    assert witnesses(3, 3, 4, 4, 2) == (0, WitnessSet((), None))  # d outside: nothing to remove
+
+
+def _witnesses_by_recognizer(lam, mu, nu):
+    """Reference match of a kron query to a witness family, written from the query's shapes."""
+    shape = as_near_hook(mu)
+    two_row = as_two_row(lam)
+    if shape is None or two_row is None or shape[1] != 2 or shape[2] < 1:
+        return None
+    a, _, c = shape
+    d, e = two_row
+    s = sum(1 for x in nu[1:] if x == 2) + 1
+    if not 1 <= s <= (c + 2) // 2 or nu != special_nu(a, c, s):
+        return None
+    return witnesses(a, c, d, e, s)
+
+
+def test_witnesses_for_matches_the_reference_recognizer():
+    triples = covered = 0
+    for n in range(1, 12):
+        for lam in partitions_list(n):
+            if len(lam) > 2:
+                continue
+            for mu in partitions_list(n):
+                shape = as_near_hook(mu)
+                if shape is None or shape[2] < 1:
+                    continue
+                for nu in partitions_list(n):
+                    expected = _witnesses_by_recognizer(lam, mu, nu)
+                    assert witnesses_for(*as_two_row(lam), *shape, nu) == expected
+                    triples += 1
+                    covered += expected is not None
+    assert (triples, covered) == (10759, 334)
+
+
+def test_witnesses_for_returns_none_off_the_families():
+    assert witnesses_for(4, 3, 3, 3, 1, (5, 1, 1)) is None  # b = 3
+    assert witnesses_for(4, 2, 3, 2, 1, (2, 2, 2)) is None  # s = 3 > (c + 2) // 2 = 1
+    assert witnesses_for(3, 3, 3, 2, 1, (4, 2)) is None  # s = 2 > 1
+    assert witnesses_for(8, 6, 6, 2, 6, (7, 3, 1, 1, 1, 1)) is None  # s = 1, nu is not special_nu(6, 6, 1)
+
+
+def test_witnesses_for_reads_a_list_nu_and_checks_its_size():
+    assert witnesses_for(8, 6, 6, 2, 6, [8, 2, 1, 1, 1, 1]) == witnesses(6, 6, 8, 6, 2)
+    with pytest.raises(ValueError, match="^nu must be a partition of 14$"):
+        witnesses_for(8, 6, 6, 2, 6, [8, 2, 1, 1, 1])
 
 
 def test_mainresults_match_oracle_small():
