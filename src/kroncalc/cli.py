@@ -210,14 +210,9 @@ def cmd_kron(args) -> int:
         values[method] = value
         explains[method] = lines
         payloads[method] = payload
-    distinct = sorted(set(values.values()))
+    distinct = set(values.values())
+    value = distinct.pop() if len(distinct) == 1 else None  # None: the methods disagree
     query = f"{format_partition(lam)} ; {format_partition(mu)} ; {format_partition(nu)}"
-    if len(distinct) > 1:
-        print(f"disagreement on g({query}):")
-        for method in methods:
-            print(f"  {method}: {values[method]}")
-        return 1
-    value = distinct[0]
     if args.output == "json":
         payload = {
             "lambda": list(lam),
@@ -246,6 +241,10 @@ def cmd_kron(args) -> int:
                     f"{timings[method]:.3f}",
                 ]
             )
+    elif value is None:
+        print(f"disagreement on g({query}):")
+        for method in methods:
+            print(f"  {method}: {values[method]}")
     else:
         print(f"g({query}) = {value}   [{', '.join(methods)}]")
         if args.explain:
@@ -254,7 +253,7 @@ def cmd_kron(args) -> int:
                     print(f"-- {method} --")
                     for line in explains[method]:
                         print(line)
-    return 0
+    return 1 if value is None else 0
 
 
 # ---------------------------------------------------------------------------

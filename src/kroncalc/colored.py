@@ -46,7 +46,8 @@ same graph, enters only states with a nonzero count, and records the shape
 after each key; the rows of a finished tableau are read off that chain of
 shapes.  Each walk is checked against the graph's count: if the tableaux
 it finds for some shape differ in number from that count, it raises
-ArithmeticError.  The strip listing comes from ``tableau`` (``_strips``).
+ArithmeticError.  The strip listing comes from ``tableau`` (``_strips``)
+and the conjugation from ``partition`` (``_conjugate``).
 The tableau walk (``_walk``) is a module-level recursion that takes its
 state as arguments, so a call leaves no reference cycle and its lists are
 freed by reference counting when it returns.
@@ -61,7 +62,7 @@ from functools import lru_cache, reduce
 from itertools import accumulate, zip_longest
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .partition import Partition, format_partition
+from .partition import Partition, _conjugate, format_partition
 from .tableau import _strips, is_yamanouchi, reading_word, value_counts
 
 
@@ -478,17 +479,6 @@ class _HookGraph:
                     got[key] = got.get(key, 0) + c
         self.memo[state] = got
         return got
-
-
-def _conjugate(lengths: Sequence[int]) -> tuple:
-    """Line lengths of the conjugate shape: the column lengths of these rows."""
-    cols = []
-    r = len(lengths)
-    for c in range(lengths[0] if lengths else 0):
-        while lengths[r - 1] <= c:
-            r -= 1
-        cols.append(r)
-    return tuple(cols)
 
 
 def _check_hook_args(lam: Partition, d: int, nu: Optional[Partition] = None) -> None:

@@ -14,7 +14,18 @@ from __future__ import annotations
 
 from functools import cache
 from operator import index
-from typing import Iterator, NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional, Sequence
+
+
+def _conjugate(lengths: Sequence[int]) -> tuple:
+    """Line lengths of the conjugate shape: the column lengths of these rows."""
+    cols = []
+    r = len(lengths)
+    for c in range(lengths[0] if lengths else 0):
+        while lengths[r - 1] <= c:
+            r -= 1
+        cols.append(r)
+    return tuple(cols)
 
 
 class Partition(tuple):
@@ -55,13 +66,8 @@ class Partition(tuple):
     @cache
     def transpose(self) -> "Partition":
         """Column lengths of the Young diagram, built once per partition."""
-        if not self:
-            return self
-        cols = [0] * self[0]
-        for p in self:
-            for j in range(p):
-                cols[j] += 1
-        return Partition(cols)
+        # a conjugate partition is valid by construction: no constructor checks
+        return tuple.__new__(Partition, _conjugate(self))
 
     def frobenius(self) -> "FrobeniusCoords":
         """Arm/leg lengths of the diagonal boxes.
@@ -115,10 +121,9 @@ def from_frobenius(coords: FrobeniusCoords) -> Partition:
     for seq in (arms, legs):
         if any(x < 0 for x in seq) or any(x <= y for x, y in zip(seq, seq[1:])):
             raise ValueError(f"{seq} is not a strictly decreasing sequence of nonnegative integers")
+    # only the first d columns reach below the Durfee square
     rows = [arms[i] + i + 1 for i in range(d)]
-    depth = max((legs[j] + j + 1 for j in range(d)), default=0)
-    for i in range(d, depth):
-        rows.append(sum(1 for j in range(d) if legs[j] + j + 1 >= i + 1))
+    rows += _conjugate([legs[j] + j + 1 for j in range(d)])[d:]
     return Partition(rows)
 
 

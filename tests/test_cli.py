@@ -1,5 +1,7 @@
 import argparse
+import csv
 import hashlib
+import io
 import json
 import os
 import shlex
@@ -344,9 +346,7 @@ def test_verify_byte_identical_across_jobs(capsys):
     assert out1 == out2
 
 
-def test_disagreement_reports_and_exits_1(capsys, monkeypatch):
-    from kroncalc import cli
-
+def _blasiak_off_by_one(monkeypatch):
     original = cli._run_method
 
     def broken(method, lam, mu, nu, explain):
@@ -356,10 +356,33 @@ def test_disagreement_reports_and_exits_1(capsys, monkeypatch):
         return value, lines, payload
 
     monkeypatch.setattr(cli, "_run_method", broken)
+
+
+def test_disagreement_reports_and_exits_1(capsys, monkeypatch):
+    _blasiak_off_by_one(monkeypatch)
     code, out, _ = run(capsys, "kron", "5,2,1", "4,1^4", "4,2,1,1", "--method", "all")
     assert code == 1
     assert "disagreement" in out
     assert "oracle: 5" in out and "blasiak: 6" in out
+
+
+def test_disagreement_keeps_json_and_csv_machine_readable(capsys, monkeypatch):
+    _blasiak_off_by_one(monkeypatch)
+    query = ("kron", "5,2,1", "4,1^4", "4,2,1,1", "--method", "all")
+    code, out, err = run(capsys, *query, "--output", "json")
+    assert code == 1 and err == ""
+    payload = json.loads(out)
+    assert payload["value"] is None
+    assert payload["methods"] == {"oracle": 5, "blasiak": 6}
+    code, out, err = run(capsys, *query, "--output", "json", "--explain")
+    assert code == 1 and err == ""
+    payload = json.loads(out)
+    assert payload["value"] is None and set(payload["explain"]) == {"oracle", "blasiak"}
+    code, out, err = run(capsys, *query, "--output", "csv")
+    assert code == 1 and err == ""
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["lambda", "mu", "nu", "method", "value", "runtime_ms"]
+    assert [row[3:5] for row in rows[1:]] == [["oracle", "5"], ["blasiak", "6"]]
 
 
 def test_cache_file_round_trip(tmp_path, capsys):

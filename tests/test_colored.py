@@ -10,7 +10,6 @@ from kroncalc.colored import (
     ColoredLetter,
     ColoredTableau,
     _HookGraph,
-    _conjugate,
     _finalize,
     _inserted,
     _search,
@@ -28,7 +27,13 @@ from kroncalc.colored import (
     schensted_insert,
     total_color,
 )
-from kroncalc.partition import Partition, contains, is_horizontal_strip, partitions_list
+from kroncalc.partition import (
+    Partition,
+    _conjugate,
+    contains,
+    is_horizontal_strip,
+    partitions_list,
+)
 from kroncalc.symfun import kronecker_coefficient
 from kroncalc.tableau import _strips
 
@@ -445,12 +450,6 @@ def test_all_d_counts_match_fixed_d_counts():
                 graph = _HookGraph(lam, d, None)
                 fixed.update(graph.counts(graph.root))
             assert blasiak_counts(lam) == fixed, lam
-
-
-def test_conjugate_is_transpose():
-    for n in range(13):
-        for lam in partitions_list(n):
-            assert _conjugate(lam) == tuple(lam.transpose()), lam
 
 
 def test_strips_are_the_horizontal_and_vertical_strips():

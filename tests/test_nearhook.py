@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 
 import pytest
 from hypothesis import given, seed, settings
@@ -577,6 +578,36 @@ def test_mainresults_match_oracle_small():
         if ws.removed_min is None:
             assert not j_minus(d, nu, a, 2, c)
         assert value == oracle == len(ws.surviving)
+
+
+def test_witness_families_match_oracle_past_the_sweep():
+    # verify mainresults stops at n = 10
+    tuples_seen = nonzero = 0
+    for n, a, c, s, d, e in witness_args(13):
+        if n < 11:
+            continue
+        nu = special_nu(a, c, s)
+        oracle = kronecker_coefficient(P(d, e), Partition((a, 2) + (1,) * c), nu)
+        value, _ = witnesses_for(d, e, a, 2, c, nu)
+        assert value == oracle, (n, a, c, s, d)
+        tuples_seen += 1
+        nonzero += oracle != 0
+    assert (tuples_seen, nonzero) == (485, 162)
+
+
+def test_near_hook_value_matches_oracle_on_seeded_triples():
+    # verify fundamental-vs-oracle stops at n = 8
+    rng = random.Random(2027)
+    nonzero = 0
+    for _ in range(40):
+        n = rng.randint(9, 12)
+        shapes = [(a, b, n - a - b) for b in range(2, n // 2 + 1) for a in range(b, n - b + 1)]
+        a, b, c = rng.choice(shapes)
+        lam, nu = rng.choice(partitions_list(n)), rng.choice(partitions_list(n))
+        oracle = kronecker_coefficient(lam, Partition((a, b) + (1,) * c), nu)
+        assert near_hook_value(lam, nu, a, b, c) == oracle, (lam, a, b, c, nu)
+        nonzero += oracle != 0
+    assert nonzero == 27
 
 
 # sha256 over the index sets, the four triple sums and every reduced-sum

@@ -3,6 +3,7 @@ import pytest
 from kroncalc.partition import (
     FrobeniusCoords,
     Partition,
+    _conjugate,
     as_hook,
     as_partition,
     as_near_hook,
@@ -91,6 +92,41 @@ def test_frobenius_round_trip():
             coords = lam.frobenius()
             assert sum(coords.arms) + sum(coords.legs) + coords.diagonal == n
             assert from_frobenius(coords) == lam
+
+
+def _cell_count_transpose(lam):
+    """The retired ``Partition.transpose`` body: one count per cell."""
+    if not lam:
+        return Partition(())
+    cols = [0] * lam[0]
+    for p in lam:
+        for j in range(p):
+            cols[j] += 1
+    return Partition(cols)
+
+
+def _row_loop_from_frobenius(coords):
+    """The retired ``from_frobenius`` body: recount each row below the diagonal."""
+    arms, legs = coords.arms, coords.legs
+    d = len(arms)
+    rows = [arms[i] + i + 1 for i in range(d)]
+    depth = max((legs[j] + j + 1 for j in range(d)), default=0)
+    for i in range(d, depth):
+        rows.append(sum(1 for j in range(d) if legs[j] + j + 1 >= i + 1))
+    return Partition(rows)
+
+
+def test_one_conjugation_matches_the_retired_references():
+    # past the n <= 12 of the partitions suite
+    for n in range(15):
+        for lam in partitions_list(n):
+            reference = _cell_count_transpose(lam)
+            # the hook graph passes plain tuples, transpose a Partition
+            assert _conjugate(lam) == _conjugate(tuple(lam)) == tuple(reference), lam
+            assert type(_conjugate(lam)) is tuple
+            assert lam.transpose() == reference, lam
+            coords = lam.frobenius()
+            assert from_frobenius(coords) == _row_loop_from_frobenius(coords) == lam, lam
 
 
 @pytest.mark.parametrize(
