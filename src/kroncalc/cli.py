@@ -508,6 +508,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RecursionError:  # a RuntimeError, but the input is at fault, not an engine
+        print(f"error: input too deep for the recursive walkers (recursion limit {sys.getrecursionlimit()})", file=sys.stderr)
+        return 2
     except (ArithmeticError, RuntimeError, AssertionError) as exc:
         # a failed consistency check inside an engine, not a user error
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -8,7 +8,8 @@ coefficients (near_hook_expansion).  Specializing lam to a two-row (d, e)
 collapses the LR factors to interval indicators (triple1 - triple2), and
 filtering out the vanishing terms via strip-chain counts and the two-row x
 hook closed form gives positively-supported index sets J+ / J- and the
-reduced sums triple3 - triple4.
+reduced sums triple3 - triple4.  Both routes read the closed form through
+the checked rosas_kronecker, so a negative value raises on either.
 
 The sums and index sets come in positive and negative sides, and both
 sides are one sum with parameters (S, p, arm): sigma runs over the
@@ -52,7 +53,7 @@ from .partition import (
     partitions_list,
     two_rows,
 )
-from .rosas import rosas_kronecker, xi
+from .rosas import rosas_kronecker
 from .symfun import kronecker_coefficient
 from .tableau import (
     lr_coefficient,
@@ -212,7 +213,7 @@ def _support(nu: Partition, size: int, p: int, arm: int, c: int) -> frozenset:
             if lr_via_strip_difference(nu, sigma, p + 1, k) <= 0:
                 continue
             for r in range(size // 2 + 1):
-                if xi(sigma, arm, r, c) > 0:
+                if rosas_kronecker(size, r, arm, c, sigma) > 0:
                     out.add((sigma, k, r))
     return frozenset(out)
 

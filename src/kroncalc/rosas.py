@@ -8,9 +8,9 @@ hook with second part >= 2, and zero otherwise.  Each evaluation can report
 which branch fired and with which arguments, so sweep failures localize to
 a branch.  The branch reports are held once, in one memo keyed on
 (eta, a, r, c) that also runs xi_report's r-range check; a tuple that
-raises is not memoized and raises again on every call.  rosas_kronecker
-and rosas_report check their other arguments and the negative-value
-ArithmeticError on every call, in front of that memo.
+raises is not memoized and raises again on every call.  rosas_report checks
+its other arguments and raises the negative-value ArithmeticError on every
+call, in front of that memo; rosas_kronecker reads rosas_report.
 """
 
 from __future__ import annotations
@@ -138,12 +138,8 @@ def xi(eta, a: int, r: int, c: int) -> int:
 
 
 def rosas_report(n: int, r: int, a: int, c: int, nu) -> XiCaseReport:
-    """Branch report of g((n-r, r), (a, 1^{c+1}), nu); validates arguments."""
-    return _rosas_case(n, r, a, c, as_partition(nu))
-
-
-def _rosas_case(n: int, r: int, a: int, c: int, nu: Partition) -> XiCaseReport:
-    """rosas_report's checks, then the memoized branch of _xi_case."""
+    """Branch report of g((n-r, r), (a, 1^{c+1}), nu); checks its arguments and a negative value."""
+    nu = as_partition(nu)
     if nu.size != n:
         raise ValueError(f"|nu| must be {n}, got {nu.size}")
     if a < 1 or c < 0:
@@ -158,4 +154,4 @@ def _rosas_case(n: int, r: int, a: int, c: int, nu: Partition) -> XiCaseReport:
 
 def rosas_kronecker(n: int, r: int, a: int, c: int, nu) -> int:
     """g((n-r, r), (a, 1^{c+1}), nu) for nu a partition of n."""
-    return _rosas_case(n, r, a, c, as_partition(nu)).value
+    return rosas_report(n, r, a, c, nu).value

@@ -310,15 +310,14 @@ def run_rosas(unit) -> tuple[int, list[str]]:
         hook = Partition((a,) + (1,) * (c + 1))
         for nu in partitions_list(n):
             checks += 1
-            closed = rosas.rosas_kronecker(n, r, a, c, nu)
+            branch = rosas.rosas_report(n, r, a, c, nu)
             oracle = symfun.kronecker_coefficient(two_row, hook, nu)
-            if closed != oracle:
+            if branch.value != oracle:
                 fails.append(
-                    f"closed form != oracle at n={n} r={r} a={a} nu={_fmt(nu)}: {closed} vs {oracle}"
+                    f"closed form != oracle at n={n} r={r} a={a} nu={_fmt(nu)}: {branch.value} vs {oracle}"
                 )
             # positivity localization: positive iff double hook with positive branch
             positive = oracle > 0
-            branch = rosas.xi_report(nu, a, r, c)
             claim = is_double_hook(nu, n) and branch.value > 0
             checks += 1
             if positive != claim:

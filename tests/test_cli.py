@@ -460,10 +460,24 @@ def _readme_argvs():
     return [shlex.split(line, comments=True)[1:] for line in block.splitlines()]
 
 
-def _queries_argvs():
+def _queries():
     with open(os.path.join(REPO, "perfbench", "queries.json"), encoding="utf-8") as handle:
         pool = json.load(handle)
-    return [query["argv"] for group in pool.values() for query in group]
+    return [query for group in pool.values() for query in group]
+
+
+def _queries_argvs():
+    return [query["argv"] for query in _queries()]
+
+
+def test_kron_answers_the_benchmark_queries_with_their_stored_values(capsys):
+    queries = _queries()
+    assert len(queries) == 30
+    for query in queries:
+        code, out, err = run(capsys, *query["argv"])
+        assert code == 0, (query["argv"], err)
+        first = out.splitlines()[0]
+        assert first.startswith("g(") and f") = {query['value']}   [" in first, (query["argv"], first)
 
 
 # lines the handlers accept or reject themselves, and lines that are malformed
@@ -605,6 +619,22 @@ def test_internal_error_exits_4_without_traceback(capsys, monkeypatch):
         assert code == 4
         assert out == ""
         assert err == "internal error: RuntimeError: insertion produced a ragged shape\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("kron", "1^1200", "1200", "1^1200"), ("enumerate", "lr", "1^1000", "", "1^1000")],
+    ids=["kron-hook-rule", "enumerate-lr"],
+)
+def test_input_too_deep_for_the_recursion_limit_exits_2(capsys, argv):
+    # RecursionError is a RuntimeError, but the input is at fault, not an engine
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: input too deep for the recursive walkers"
+        f" (recursion limit {sys.getrecursionlimit()})\n"
+    )
 
 
 def test_witness_count_that_differs_from_the_triple_sums_exits_4(capsys, monkeypatch):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from kroncalc import nearhook
+from kroncalc import cli, nearhook, rosas
 from kroncalc.colored import ColoredTableau
 from kroncalc.nearhook import (
     TermCertificate,
@@ -218,6 +218,45 @@ def test_index_sets_reject_nu_of_the_wrong_size():
             index_set()
     with pytest.raises(ValueError, match="^nu must be a partition of 5$"):
         triple3(4, 1, 2, 2, 1, (3, 2, 1, 1))
+
+
+def test_negative_side_with_b_one_has_no_hook():
+    # the negative side's hook is (b - 1, 1^(c+1)), which needs b >= 2
+    for index_set in (
+        lambda: index_set_minus((3, 1), 2, 1, 1),
+        lambda: j_minus(2, (3, 1), 2, 1, 1),
+    ):
+        with pytest.raises(ValueError, match=r"^hook parameters need a >= 1 and c >= 0, got \(0, 1\)$"):
+            index_set()
+
+
+def _clear_closed_form_memos():
+    rosas._xi_case.cache_clear()
+    nearhook._support.cache_clear()
+    nearhook._interval_terms.cache_clear()
+
+
+def test_negative_closed_form_stops_every_near_hook_route(monkeypatch, capsys):
+    # unpatched, the index set and triple3 read a positive closed-form value
+    assert tuples(index_set_plus((4, 2), 2, 2, 2)) == [((3, 2), 0, 2)]
+    assert triple3(4, 2, 2, 2, 2, (4, 2))[0] == 1
+    _clear_closed_form_memos()
+    monkeypatch.setattr(rosas, "phi", lambda *args: -1)
+    try:
+        for route in (
+            lambda: index_set_plus((4, 2), 2, 2, 2),
+            lambda: triple3(4, 2, 2, 2, 2, (4, 2)),
+            lambda: triple1(4, 2, 2, 2, 2, (4, 2)),
+        ):
+            with pytest.raises(ArithmeticError, match="negative branch value"):
+                route()
+        assert cli.main(["kron", "3,3", "2,2,1,1", "4,2", "--method", "nearhook"]) == 4
+    finally:
+        _clear_closed_form_memos()  # no value computed from the patched phi outlives the test
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("internal error: ArithmeticError: negative branch value")
+    assert err.count("\n") == 1
 
 
 def test_triple_values_from_worked_example():
