@@ -349,8 +349,6 @@ def cmd_rosas(args) -> int:
 def cmd_expand(args) -> int:
     lam = _parse_partition_arg(args.partition)
     if args.what == "giambelli":
-        if not lam:
-            raise InputError("the empty partition has no hook expansion")
         for term in symfun.giambelli_leibniz(lam):
             hooks = " * ".join("s[" + format_partition(h) + "]" for h in term.hooks)
             print(("+ " if term.sign > 0 else "- ") + hooks)

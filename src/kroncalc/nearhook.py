@@ -32,8 +32,8 @@ When b = 2 and nu = (a+2, 2^(s-1), 1^(c+2-2s)), the negative side is a
 singleton (d inside an explicit interval) or empty (d outside), so the
 coefficient becomes a count of hook-rule tableaux - minus one in the
 singleton case, realized by removing the lexicographically least witness.
-witnesses is the one entry: it calls witnesses_singleton_case or
-witnesses_null_case, which check J- and triple4 against the interval once.
+witnesses is the one entry; each of its two cases checks the interval
+against J- and its sum, both read from one triple4 call.
 witnesses_for matches a (d, e, a, b, c, nu) query to a family, reading s
 from nu, and returns None when none applies; kron reaches the families
 only through it.
@@ -163,14 +163,21 @@ def _sized(nu, n: int) -> Partition:
     return nu
 
 
+def _side(size: int, p: int, arm: int, a: int, c: int) -> tuple[int, int, int]:
+    """(S, p, arm), once the hooks (a, 1^(c+1)) and (arm, 1^(c+1)) both exist."""
+    if min(a, arm) < 1 or c < 0:
+        raise ValueError(f"hook parameters need a >= 1 and c >= 0, got ({min(a, arm)}, {c})")
+    return size, p, arm
+
+
 def _positive(a: int, b: int, c: int) -> tuple[int, int, int]:
     """(S, p, arm) of the positive side."""
-    return a + c + 1, b - 1, a
+    return _side(a + c + 1, b - 1, a, a, c)
 
 
 def _negative(a: int, b: int, c: int) -> tuple[int, int, int]:
     """(S, p, arm) of the negative side."""
-    return b + c, a, b - 1
+    return _side(b + c, a, b - 1, a, c)
 
 
 @cache
@@ -231,15 +238,11 @@ def _gated(side, d: int, nu, a: int, b: int, c: int) -> frozenset:
     )
 
 
-def _sorted_tuples(index_set) -> list:
-    return sorted(index_set, key=lambda t: (t[2], t[0], t[1]))
-
-
 def _certified_sum(side, d, e, a, b, c, nu) -> tuple[int, list[TermCertificate]]:
     nu = _check_two_row_params(d, e, a, b, c, nu)
     size, p, arm = side(a, b, c)
     certs = []
-    for sigma, k, r in _sorted_tuples(_gated(side, d, nu, a, b, c)):
+    for sigma, k, r in sorted(_gated(side, d, nu, a, b, c), key=lambda t: (t[2], t[0], t[1])):
         coeff = lr_coefficient(nu, sigma, two_rows(p)[k])
         g = rosas_kronecker(size, r, arm, c, sigma)
         cert = TermCertificate(1, (sigma, k, r), coeff, g)
@@ -342,10 +345,10 @@ def _witness_case(a: int, c: int, d: int, e: int, s: int) -> bool:
     inside = _in_interval(a, c, d, s)
     nu = special_nu(a, c, s)
     expected = {(delta_star(c, s), 0, s)} if inside else set()
-    members = j_minus(d, nu, a, 2, c)
+    value, certs = triple4(d, e, a, 2, c, nu)
+    members = {cert.index for cert in certs}
     if members != expected:
         raise ArithmeticError(f"negative index set is not {sorted(expected)}: {sorted(members)}")
-    value, _ = triple4(d, e, a, 2, c, nu)
     if value != len(expected):
         raise ArithmeticError(f"triple4 is {value}, expected {len(expected)}")
     return inside
@@ -400,12 +403,10 @@ def _witness_blocks(a: int, c: int, d: int, s: int, inside: bool) -> tuple[int, 
     n = a + 2 + c
     nu = special_nu(a, c, s)
     members = []
-    for eta, j, r in _sorted_tuples(j_plus(d, nu, a, 2, c)):
-        if j != 0:
-            raise ArithmeticError("positive index set must have j = 0 when b = 2")
+    for eta, _, r in j_plus(d, nu, a, 2, c):
         block = enumerate_blasiak(Partition((n - 1 - r, r)), c + 1, eta)
         if not block:
-            raise ArithmeticError(f"hook-rule block for {(eta, j, r)} is empty")
+            raise ArithmeticError(f"hook-rule block for {(eta, 0, r)} is empty")
         members.extend(WitnessMember(t, (eta, 0, r)) for t in block)
     members.sort(key=_member_key)
     if inside and not members:

@@ -174,6 +174,20 @@ def test_enumerate_lr(capsys):
     assert ". . . . 1" in out
 
 
+def test_enumerate_lr_ytableau_prints_each_grid_as_latex(capsys):
+    code, out, err = run(capsys, "enumerate", "lr", "5,4,2,1", "4,2", "4,1,1", "--ytableau")
+    assert (code, err) == (0, "")
+    assert out == (
+        "count: 2\n"
+        "tableau 1:\n. . . . 1\n. . 1 1\n1 2\n3\n"
+        r"\begin{ytableau} \none & \none & \none & \none & 1 \\ \none & \none & 1 & 1 \\ 1 & 2 \\ 3 \end{ytableau}"
+        "\n"
+        "tableau 2:\n. . . . 1\n. . 1 2\n1 1\n3\n"
+        r"\begin{ytableau} \none & \none & \none & \none & 1 \\ \none & \none & 1 & 2 \\ 1 & 1 \\ 3 \end{ytableau}"
+        "\n"
+    )
+
+
 def test_enumerate_trace(capsys):
     code, out, _ = run(
         capsys, "enumerate", "blasiak", "trace", "2'", "1", "4'", "4", "4'", "3", "1'", "3"
@@ -259,6 +273,21 @@ def test_option_that_would_be_ignored_exits_2(capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("lr", "5,4"), "usage: enumerate lr OUTER INNER WEIGHT"),
+        (("blasiak", "trace"), "usage: enumerate blasiak trace LETTERS"),
+        (("blasiak", "2,1", "1"), "usage: enumerate blasiak CONTENT TOTAL_COLOR SHAPE"),
+        (("blasiak", "2,1", "x", "2,1"), "bad total color 'x'"),
+    ],
+    ids=["lr-arity", "trace-empty", "blasiak-arity", "blasiak-bad-color"],
+)
+def test_enumerate_malformed_arguments_exit_2(capsys, argv, message):
+    code, out, err = run(capsys, "enumerate", *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_rosas_readme_example_bytes(capsys):
     argv = ("rosas", "6,2", "2,1^6", "3,2,1,1,1")
     code, out, _ = run(capsys, *argv)
@@ -292,6 +321,11 @@ def test_expand_outputs(capsys):
     assert "+ h[3] * h[1]" in out and "- h[4]" in out
     code, out, _ = run(capsys, "expand", "coproduct", "2,1")
     assert "s[1] (x) s[1,1]" in out
+
+
+def test_expand_giambelli_of_the_empty_partition_exits_2(capsys):
+    code, out, err = run(capsys, "expand", "giambelli", "")
+    assert (code, out, err) == (2, "", "error: empty partition has no hook expansion\n")
 
 
 def test_module_entry_point_matches_in_process(capsys):

@@ -80,6 +80,8 @@ def test_letter_and_tableau_records():
     with pytest.raises(ValueError):
         ColoredTableau.from_text("2 1")  # unbarred letters decrease along a row
     assert ColoredTableau([[ColoredLetter(1)]]).rows == ((ColoredLetter(1),),)
+    with pytest.raises(ValueError, match="^empty tableau has no southwest entry$"):
+        ColoredTableau(()).southwest()
 
 
 def test_word_statistics():

@@ -230,6 +230,42 @@ def test_negative_side_with_b_one_has_no_hook():
             index_set()
 
 
+@pytest.mark.parametrize(
+    "a,b,c,messages",
+    [
+        (3, 1, 1, {"minus": "(0, 1)"}),
+        (0, 3, 2, {"plus": "(0, 2)", "minus": "(0, 2)"}),
+        (3, 3, -1, {"plus": "(3, -1)", "minus": "(2, -1)"}),
+    ],
+    ids=["b-one", "a-zero", "c-negative"],
+)
+def test_index_sets_check_their_hooks_before_reading_nu(a, b, c, messages):
+    # each side needs the hooks (a, 1^(c+1)) and (arm, 1^(c+1)), whatever nu is
+    n = a + b + c
+    entries = {"plus": (index_set_plus, j_plus), "minus": (index_set_minus, j_minus)}
+    for side, got in messages.items():
+        index_set, gated = entries[side]
+        for nu in partitions_list(n):
+            for entry in (lambda: index_set(nu, a, b, c), lambda: gated(n, nu, a, b, c)):
+                with pytest.raises(ValueError) as error:
+                    entry()
+                assert str(error.value) == f"hook parameters need a >= 1 and c >= 0, got {got}"
+
+
+@pytest.mark.parametrize(
+    "entry,message",
+    [
+        (lambda: triple1(2, 3, 2, 2, 1, (3, 2)), "two-row index needs d >= e >= 0"),
+        (lambda: triple3(4, 1, 3, 2, 0, (5,)), "triple sums need a >= b >= 2 and c >= 1"),
+        (lambda: witnesses_null_case(2, 2, 2, 4, 1), "witness hypotheses not met"),
+    ],
+    ids=["triple1-d-below-e", "triple3-c-zero", "null-case-d-below-e"],
+)
+def test_two_row_entries_reject_arguments_off_their_hypotheses(entry, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        entry()
+
+
 def _clear_closed_form_memos():
     rosas._xi_case.cache_clear()
     nearhook._support.cache_clear()
@@ -553,7 +589,7 @@ def test_witnesses_checks_the_negative_side_once(monkeypatch):
     for n, a, c, s, d, e in witness_args(10):
         calls.clear()
         removed.add(witnesses(a, c, d, e, s)[1].removed_min is not None)
-        assert sorted(calls) == ["j_minus", "triple4"]
+        assert calls == ["triple4"]  # J- is read from triple4's certificates
     assert removed == {False, True}  # both cases were reached
 
 

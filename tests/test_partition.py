@@ -130,12 +130,16 @@ def test_one_conjugation_matches_the_retired_references():
 
 
 @pytest.mark.parametrize(
-    "coords",
-    [FrobeniusCoords((2, 0), (0, 0)), FrobeniusCoords((-1,), (0,))],
-    ids=["legs-not-decreasing", "negative-arm"],
+    "coords,message",
+    [
+        (FrobeniusCoords((2, 0), (0, 0)), r"\(0, 0\) is not a strictly decreasing sequence"),
+        (FrobeniusCoords((-1,), (0,)), r"\(-1,\) is not a strictly decreasing sequence"),
+        (FrobeniusCoords((1,), ()), "arm and leg sequences must have equal length"),
+    ],
+    ids=["legs-not-decreasing", "negative-arm", "unequal-lengths"],
 )
-def test_from_frobenius_rejects_invalid_coordinates(coords):
-    with pytest.raises(ValueError):
+def test_from_frobenius_rejects_invalid_coordinates(coords, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
         from_frobenius(coords)
 
 
@@ -170,6 +174,11 @@ def test_double_hook():
     assert not is_double_hook((3, 3, 3), 9)
     assert is_double_hook((9,), 9)
     assert not is_double_hook((3, 2), 6)  # wrong size
+
+
+def test_partitions_of_a_negative_size_raises():
+    with pytest.raises(ValueError, match="^n must be nonnegative$"):
+        next(partitions_of(-1))
 
 
 def test_partitions_of_order_and_counts():

@@ -38,6 +38,10 @@ def test_skew_validation():
         SkewSSYT(Partition((2,)), Partition(()), ((2, 1),))  # row decreasing
     with pytest.raises(ValueError):
         SkewSSYT(Partition((2,)), Partition(()), ((1,),))  # wrong row length
+    with pytest.raises(ValueError, match="^one label row per outer row required$"):
+        SkewSSYT((2, 1), (), [(1, 1)])
+    with pytest.raises(ValueError, match="^labels must be positive integers$"):
+        SkewSSYT((1,), (), [(0,)])
     assert FIRST_LR.outer == (5, 4, 2, 1) and type(FIRST_LR.inner) is Partition
     with pytest.raises(AttributeError):
         FIRST_LR.rows = ()
