@@ -58,6 +58,7 @@ words as the reference this construction must match.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import lru_cache, reduce
 from itertools import accumulate, zip_longest
 from typing import Iterable, NamedTuple, Optional, Sequence
@@ -418,6 +419,8 @@ class _HookGraph:
         self, lam: Partition, d: Optional[int], target: Optional[Partition], walk: bool = False
     ):
         self.lam = lam
+        # prefix sums of lam, and lam negated (ascending) to bisect for the parts above cu
+        self.sums, self.neg = list(accumulate(lam, initial=0)), [-w for w in lam]
         self.tgt = tuple(target) if target is not None else None
         self.tgt_cols = _conjugate(self.tgt) if target is not None else None
         self.root = (0, (), d, lam[0] if lam else 0, None, None, False)
@@ -434,18 +437,18 @@ class _HookGraph:
         starts unbarred again when the v strip opens one.
         """
         v, lengths, left, cu_prev, bar_below, unb_above, bottom_barred = state
-        lam = self.lam
-        part, later = lam[v], lam[v + 1 :]
+        part, sums = self.lam[v], self.sums
         lo, hi = max(0, part - cu_prev), part
         if left is not None:
-            lo, hi = max(lo, left - sum(later)), min(hi, left)
+            lo, hi = max(lo, left - (sums[-1] - sums[v + 1])), min(hi, left)
         cols = _conjugate(lengths)
         for cb in range(hi, lo - 1, -1):
             cu = part - cb
             rest = None
             if left is not None:
                 rest = left - cb
-                if rest < sum(w - cu for w in later if w > cu):
+                end = bisect_left(self.neg, -cu, v + 1)  # the later parts w > cu end here
+                if rest < sums[end] - sums[v + 1] - cu * (end - v - 1):
                     continue
             bound = [c + cu_prev - cu for c in bar_below] if v else None
             for grown, below in _strips(cols, cb, self.tgt_cols, bound):

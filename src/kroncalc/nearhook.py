@@ -16,7 +16,9 @@ sides are one sum with parameters (S, p, arm): sigma runs over the
 partitions of S, the LR factor is c^nu_{sigma,(p-k,k)}, the two-row gate
 is c^{(d,e)}_{(S-r,r),(p-k,k)}, and the Kronecker factor is
 g((S-r, r), (arm, 1^(c+1)), sigma).  The positive side is
-(n-b+1, b-1, a), the negative side (n-a, a, b-1).
+(n-b+1, b-1, a), the negative side (n-a, a, b-1).  _side derives each
+side and runs its checks (hooks, then p >= 0, then |nu| = n), returning
+the tuple (nu, S, p, arm, c) that every helper below it reads.
 
 Every sum walks only its nonzero LR terms: near_hook_expansion reads the
 cached nonzero-LR supports of ``tableau``, and each side of triple1/triple2
@@ -145,15 +147,15 @@ def _expand(lam, nu, a: int, b: int, c: int, certs=None) -> int:
     return total
 
 
-def _check_two_row_params(d, e, a, b, c, nu) -> Partition:
+def _two_row_side(d, e, a, b, c, nu, positive: bool) -> tuple:
+    """_side, once (d, e) and (a, b, 1^c) meet the triple sums' hypotheses."""
     if not (d >= e >= 0):
         raise ValueError("two-row index needs d >= e >= 0")
     if not (a >= b >= 2 and c >= 1):
         raise ValueError("triple sums need a >= b >= 2 and c >= 1")
-    n = a + b + c
-    if d + e != n:
-        raise ValueError(f"d + e must equal {n}")
-    return _sized(nu, n)
+    if d + e != a + b + c:
+        raise ValueError(f"d + e must equal {a + b + c}")
+    return _side(nu, a, b, c, positive)
 
 
 def _sized(nu, n: int) -> Partition:
@@ -163,21 +165,14 @@ def _sized(nu, n: int) -> Partition:
     return nu
 
 
-def _side(size: int, p: int, arm: int, a: int, c: int) -> tuple[int, int, int]:
-    """(S, p, arm), once the hooks (a, 1^(c+1)) and (arm, 1^(c+1)) both exist."""
+def _side(nu, a: int, b: int, c: int, positive: bool) -> tuple:
+    """(nu, S, p, arm, c) of one side, once its hooks exist, p >= 0 and nu has size a + b + c."""
+    size, p, arm = (a + c + 1, b - 1, a) if positive else (b + c, a, b - 1)
     if min(a, arm) < 1 or c < 0:
         raise ValueError(f"hook parameters need a >= 1 and c >= 0, got ({min(a, arm)}, {c})")
-    return size, p, arm
-
-
-def _positive(a: int, b: int, c: int) -> tuple[int, int, int]:
-    """(S, p, arm) of the positive side."""
-    return _side(a + c + 1, b - 1, a, a, c)
-
-
-def _negative(a: int, b: int, c: int) -> tuple[int, int, int]:
-    """(S, p, arm) of the negative side."""
-    return _side(b + c, a, b - 1, a, c)
+    if p < 0:
+        raise ValueError(f"strip size p = b - 1 must be >= 0, got {p}")
+    return _sized(nu, a + b + c), size, p, arm, c
 
 
 @cache
@@ -201,13 +196,8 @@ def _interval_terms(nu, size: int, p: int, arm: int, c: int) -> tuple:
     return tuple(out)
 
 
-def _interval_sum(side, d, e, a, b, c, nu) -> int:
-    nu = _check_two_row_params(d, e, a, b, c, nu)
-    return sum(
-        term
-        for x, y, u, v, term in _interval_terms(nu, *side(a, b, c), c)
-        if two_row_gate(x, y, u, v, d)
-    )
+def _interval_sum(side: tuple, d: int) -> int:
+    return sum(term for x, y, u, v, term in _interval_terms(*side) if two_row_gate(x, y, u, v, d))
 
 
 @cache
@@ -225,24 +215,23 @@ def _support(nu: Partition, size: int, p: int, arm: int, c: int) -> frozenset:
     return frozenset(out)
 
 
-def _gated(side, d: int, nu, a: int, b: int, c: int) -> frozenset:
-    size, p, arm = side(a, b, c)
+def _gated(side: tuple, d: int) -> frozenset:
+    _, size, p, _, _ = side
     # the gate's other arguments are two-row by construction and balance
     # with e, so d is the one argument left to check
     if not d >= size + p - d >= 0:
         raise ValueError("two-row arguments must be weakly decreasing and nonnegative")
     return frozenset(
         (sigma, k, r)
-        for sigma, k, r in _support(nu, size, p, arm, c)
+        for sigma, k, r in _support(*side)
         if two_row_gate(size - r, r, p - k, k, d)
     )
 
 
-def _certified_sum(side, d, e, a, b, c, nu) -> tuple[int, list[TermCertificate]]:
-    nu = _check_two_row_params(d, e, a, b, c, nu)
-    size, p, arm = side(a, b, c)
+def _certified_sum(side: tuple, d: int) -> tuple[int, list[TermCertificate]]:
+    nu, size, p, arm, c = side
     certs = []
-    for sigma, k, r in sorted(_gated(side, d, nu, a, b, c), key=lambda t: (t[2], t[0], t[1])):
+    for sigma, k, r in sorted(_gated(side, d), key=lambda t: (t[2], t[0], t[1])):
         coeff = lr_coefficient(nu, sigma, two_rows(p)[k])
         g = rosas_kronecker(size, r, arm, c, sigma)
         cert = TermCertificate(1, (sigma, k, r), coeff, g)
@@ -254,42 +243,42 @@ def _certified_sum(side, d, e, a, b, c, nu) -> tuple[int, list[TermCertificate]]
 
 def triple1(d, e, a, b, c, nu) -> int:
     """Positive interval-gated sum over (eta, j, r), of size n - b + 1 terms."""
-    return _interval_sum(_positive, d, e, a, b, c, nu)
+    return _interval_sum(_two_row_side(d, e, a, b, c, nu, True), d)
 
 
 def triple2(d, e, a, b, c, nu) -> int:
     """Negative interval-gated sum over (delta, i, r), of size n - a terms."""
-    return _interval_sum(_negative, d, e, a, b, c, nu)
+    return _interval_sum(_two_row_side(d, e, a, b, c, nu, False), d)
 
 
 def index_set_plus(nu, a: int, b: int, c: int) -> frozenset:
     """Tuples (eta, j, r) whose triple1 summand is strictly positive."""
-    return _support(_sized(nu, a + b + c), *_positive(a, b, c), c)
+    return _support(*_side(nu, a, b, c, True))
 
 
 def index_set_minus(nu, a: int, b: int, c: int) -> frozenset:
     """Tuples (delta, i, r) whose triple2 summand is strictly positive."""
-    return _support(_sized(nu, a + b + c), *_negative(a, b, c), c)
+    return _support(*_side(nu, a, b, c, False))
 
 
 def j_plus(d: int, nu, a: int, b: int, c: int) -> frozenset:
     """index_set_plus filtered by the two-row interval condition at d."""
-    return _gated(_positive, d, _sized(nu, a + b + c), a, b, c)
+    return _gated(_side(nu, a, b, c, True), d)
 
 
 def j_minus(d: int, nu, a: int, b: int, c: int) -> frozenset:
     """index_set_minus filtered by the two-row interval condition at d."""
-    return _gated(_negative, d, _sized(nu, a + b + c), a, b, c)
+    return _gated(_side(nu, a, b, c, False), d)
 
 
 def triple3(d, e, a, b, c, nu) -> tuple[int, list[TermCertificate]]:
     """triple1 restricted to its positive support; certificates all positive."""
-    return _certified_sum(_positive, d, e, a, b, c, nu)
+    return _certified_sum(_two_row_side(d, e, a, b, c, nu, True), d)
 
 
 def triple4(d, e, a, b, c, nu) -> tuple[int, list[TermCertificate]]:
     """triple2 restricted to its positive support; certificates all positive."""
-    return _certified_sum(_negative, d, e, a, b, c, nu)
+    return _certified_sum(_two_row_side(d, e, a, b, c, nu, False), d)
 
 
 def g_two_row_near_hook(d, e, a, b, c, nu) -> int:

@@ -50,6 +50,7 @@ vector is read-only once built, so the memoized vectors of
 
 from __future__ import annotations
 
+import sys
 from functools import cache, reduce
 from itertools import chain
 from math import factorial
@@ -169,8 +170,12 @@ def _leibniz(size: int, entry) -> list[tuple[int, tuple]]:
     built once.  A branch ends as soon as its lowest unused column has a
     nonvanishing entry in no row still to fill, since no permutation
     completes it; the terms and their order stay those of the full
-    expansion.  Size 0 yields the single term (1, ()).
+    expansion.  Size 0 yields the single term (1, ()).  Both callers' diagonals
+    never vanish, so the identity's branch recurses size deep, and a size
+    at the recursion limit raises RecursionError before the matrix is built.
     """
+    if size >= sys.getrecursionlimit():
+        raise RecursionError(f"a Leibniz expansion of size {size} recurses past the limit")
     matrix = [[entry(i, j) for j in range(size)] for i in range(size)]
     # last[j]: the last row with a nonvanishing entry in column j, -1 if none;
     # the sentinel last[size] lets a full set of columns pass the test

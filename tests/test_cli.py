@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -328,15 +329,19 @@ def test_expand_giambelli_of_the_empty_partition_exits_2(capsys):
     assert (code, out, err) == (2, "", "error: empty partition has no hook expansion\n")
 
 
-def test_module_entry_point_matches_in_process(capsys):
-    argv = ["kron", "4,2", "4,2", "4,2"]
+def _run_module(argv, **kwargs):
+    """python -m kroncalc argv in a subprocess that imports this checkout's kroncalc."""
     src = os.path.dirname(os.path.dirname(kroncalc.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
-    proc = subprocess.run(
-        [sys.executable, "-m", "kroncalc", *argv],
-        capture_output=True, text=True, env=env, timeout=60,
+    return subprocess.run(
+        [sys.executable, "-m", "kroncalc", *argv], capture_output=True, text=True, env=env, **kwargs
     )
+
+
+def test_module_entry_point_matches_in_process(capsys):
+    argv = ["kron", "4,2", "4,2", "4,2"]
+    proc = _run_module(argv, timeout=60)
     code, out, _ = run(capsys, *argv)
     assert proc.returncode == code == 0
     assert proc.stdout == out
@@ -492,6 +497,14 @@ def _readme_argvs():
         text = handle.read()
     block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
     return [shlex.split(line, comments=True)[1:] for line in block.splitlines()]
+
+
+def test_readme_command_lines_exit_0(capsys):
+    argvs = _readme_argvs()
+    assert len(argvs) == 12
+    for argv in argvs:
+        code, _, err = run(capsys, *argv)
+        assert (code, err) == (0, ""), argv
 
 
 def _queries():
@@ -669,6 +682,24 @@ def test_input_too_deep_for_the_recursion_limit_exits_2(capsys, argv):
         "error: input too deep for the recursive walkers"
         f" (recursion limit {sys.getrecursionlimit()})\n"
     )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("kron", "1^100000", "100000", "1^100000"), ("expand", "jacobi-trudi", "1^6000")],
+    ids=["kron-hook-rule", "expand-jacobi-trudi"],
+)
+def test_input_too_deep_exits_2_within_512_mib(argv):
+    # a walker that held memory quadratic in its depth ran out of address
+    # space (MemoryError, exit 1) before it reached the recursion limit
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+    proc = _run_module(argv, timeout=120, preexec_fn=limit)
+    assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr[-500:]
+    assert re.fullmatch(r"error: input too deep for the recursive walkers \(recursion limit \d+\)\n", proc.stderr)
 
 
 def test_witness_count_that_differs_from_the_triple_sums_exits_4(capsys, monkeypatch):

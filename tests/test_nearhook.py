@@ -252,14 +252,37 @@ def test_index_sets_check_their_hooks_before_reading_nu(a, b, c, messages):
                 assert str(error.value) == f"hook parameters need a >= 1 and c >= 0, got {got}"
 
 
+@pytest.mark.parametrize("b,c", [(0, 2), (-1, 3)])  # a = 3, n = 5
+def test_positive_side_rejects_b_below_one(b, c):
+    # the positive side's strip has p = b - 1 cells; unchecked, p < 0 leaves
+    # _support no k to try, and the side answered frozenset()
+    for nu in partitions_list(5):
+        for entry in (lambda: index_set_plus(nu, 3, b, c), lambda: j_plus(5, nu, 3, b, c)):
+            with pytest.raises(ValueError) as error:
+                entry()
+            assert str(error.value) == f"strip size p = b - 1 must be >= 0, got {b - 1}"
+
+
+def test_sides_check_hook_and_strip_before_the_size_of_nu():
+    # |(9,)| = 9, not a + b + c = 5, but the side's own checks come first
+    hook = r"^hook parameters need a >= 1 and c >= 0, got \(0, 1\)$"
+    for entry in (lambda: index_set_minus((9,), 3, 1, 1), lambda: j_minus(5, (9,), 3, 1, 1)):
+        with pytest.raises(ValueError, match=hook):
+            entry()
+    for entry in (lambda: index_set_plus((9,), 3, 0, 2), lambda: j_plus(5, (9,), 3, 0, 2)):
+        with pytest.raises(ValueError, match=r"^strip size p = b - 1 must be >= 0, got -1$"):
+            entry()
+
+
 @pytest.mark.parametrize(
     "entry,message",
     [
         (lambda: triple1(2, 3, 2, 2, 1, (3, 2)), "two-row index needs d >= e >= 0"),
         (lambda: triple3(4, 1, 3, 2, 0, (5,)), "triple sums need a >= b >= 2 and c >= 1"),
+        (lambda: triple1(4, 2, 2, 2, 1, (3, 2)), r"d \+ e must equal 5"),
         (lambda: witnesses_null_case(2, 2, 2, 4, 1), "witness hypotheses not met"),
     ],
-    ids=["triple1-d-below-e", "triple3-c-zero", "null-case-d-below-e"],
+    ids=["triple1-d-below-e", "triple3-c-zero", "triple1-d-plus-e", "null-case-d-below-e"],
 )
 def test_two_row_entries_reject_arguments_off_their_hypotheses(entry, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
@@ -598,6 +621,32 @@ def test_singleton_case_with_no_witness_raises(monkeypatch):
     with pytest.raises(ArithmeticError, match=r"^no witness to remove at \(a,c,d,s\)=\(6,6,8,2\)$"):
         witnesses(6, 6, 8, 6, 2)  # d inside the interval
     assert witnesses(3, 3, 4, 4, 2) == (0, WitnessSet((), None))  # d outside: nothing to remove
+
+
+def test_witness_case_raises_when_triple4_disagrees_with_the_interval(monkeypatch):
+    # d = 5 lies inside the interval, so J- must be {(delta*, 0, s)} and triple4 must be 1
+    _, certs = triple4(5, 2, 3, 2, 2, special_nu(3, 2, 2))
+    assert [cert.index for cert in certs] == [(delta_star(2, 2), 0, 2)]
+    monkeypatch.setattr(nearhook, "triple4", lambda *args: (1, []))
+    with pytest.raises(ArithmeticError, match=r"^negative index set is not \[\(Partition\(\(2, 2\)\), 0, 2\)\]: \[\]$"):
+        witnesses(3, 2, 5, 2, 2)
+    monkeypatch.setattr(nearhook, "triple4", lambda *args: (2, certs))
+    with pytest.raises(ArithmeticError, match=r"^triple4 is 2, expected 1$"):
+        witnesses(3, 2, 5, 2, 2)
+
+
+def test_empty_hook_rule_block_raises(monkeypatch):
+    # J+ at d = 5 is {((4,2), 0, 2)}, and its block holds the one witness to remove
+    monkeypatch.setattr(nearhook, "enumerate_blasiak", lambda *args: ())
+    with pytest.raises(ArithmeticError, match=r"^hook-rule block for \(Partition\(\(4, 2\)\), 0, 2\) is empty$"):
+        witnesses(3, 2, 5, 2, 2)
+
+
+def test_certified_sum_rejects_a_non_positive_term(monkeypatch):
+    # the support says every term is positive; a zero LR factor contradicts it
+    monkeypatch.setattr(nearhook, "lr_coefficient", lambda *args: 0)
+    with pytest.raises(ArithmeticError, match=r"^non-positive reduced term at \(Partition\(\(3, 2\)\), 0, 1\)$"):
+        triple3(4, 2, 3, 2, 1, (4, 2))
 
 
 def _witnesses_by_recognizer(lam, mu, nu):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from kroncalc import symfun
 from kroncalc.colored import count_blasiak
 from kroncalc.partition import Partition, partitions_list
 from kroncalc.symfun import (
@@ -267,6 +268,8 @@ def test_character_basics():
     assert character((2, 1), (1, 1, 1)) == 2
     assert character((2, 1), (2, 1)) == 0
     assert character((2, 1), (3,)) == -1
+    with pytest.raises(ValueError, match=r"^\|Partition\(\(2, 1\)\)\| != \|Partition\(\(2,\)\)\|$"):
+        character((2, 1), (2,))
 
 
 def test_character_orthogonality():
@@ -298,6 +301,13 @@ def test_kronecker_oracle_values():
     assert kronecker_coefficient((5, 2, 1), (4, 1, 1, 1, 1), (4, 2, 1, 1)) == 5
     with pytest.raises(ValueError):
         kronecker_coefficient((2,), (1, 1), (1,))
+
+
+def test_kronecker_coefficient_rejects_a_character_sum_off_the_multiples_of_n_factorial(monkeypatch):
+    # three class sums of 1 over 3! = 6 leave a remainder; __wrapped__ skips the memo
+    monkeypatch.setattr(symfun, "_rows", lambda lam: ((1, 1, 1), (1, 1, 1)))
+    with pytest.raises(ArithmeticError, match=r"^character sum is not a Kronecker coefficient: 3/6$"):
+        kronecker_coefficient.__wrapped__((2, 1), (2, 1), (2, 1))
 
 
 def test_kronecker_trivial_and_sign():

@@ -42,6 +42,8 @@ def test_skew_validation():
         SkewSSYT((2, 1), (), [(1, 1)])
     with pytest.raises(ValueError, match="^labels must be positive integers$"):
         SkewSSYT((1,), (), [(0,)])
+    with pytest.raises(ValueError, match=r"^Partition\(\(3,\)\) not contained in Partition\(\(2,\)\)$"):
+        SkewSSYT((2,), (3,), [()])
     assert FIRST_LR.outer == (5, 4, 2, 1) and type(FIRST_LR.inner) is Partition
     with pytest.raises(AttributeError):
         FIRST_LR.rows = ()
