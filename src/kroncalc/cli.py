@@ -9,13 +9,14 @@ or after positionals, as --opt value, --opt=value or a unique prefix of
 
 Exit codes: 0 success, 1 verification failure or method disagreement,
 2 input error, 3 method hypotheses not met, 4 internal error (a failed
-consistency check).  Partitions use the text syntax "6,2,1^6"; colored
-words use space-separated letters with a trailing apostrophe for bars
-("2' 1 4' 4").
+consistency check), 141 stdout closed by its reader.  Partitions use the
+text syntax "6,2,1^6"; colored words use space-separated letters with a
+trailing apostrophe for bars ("2' 1 4' 4").
 """
 
 from __future__ import annotations
 
+import os
 import re
 import sys
 import time
@@ -509,6 +510,9 @@ def main(argv=None) -> int:
     except RecursionError:  # a RuntimeError, but the input is at fault, not an engine
         print(f"error: input too deep for the recursive walkers (recursion limit {sys.getrecursionlimit()})", file=sys.stderr)
         return 2
+    except MemoryError:  # as with RecursionError, the input is at fault
+        print("error: input too large: out of memory", file=sys.stderr)
+        return 2
     except (ArithmeticError, RuntimeError, AssertionError) as exc:
         # a failed consistency check inside an engine, not a user error
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
@@ -516,7 +520,17 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    """Run main; a reader that closes stdout early ends the run with 141 (128 + SIGPIPE)."""
+    try:
+        try:
+            code = main()
+        finally:  # the help of parse_args, too, leaves its lines in the buffer
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # the interpreter flushes stdout again at exit; give it somewhere to write
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    sys.exit(code)
 
 
 if __name__ == "__main__":

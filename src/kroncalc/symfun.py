@@ -40,9 +40,9 @@ expansion (``_leibniz``).  It builds the matrix once and ends a branch
 when the lowest unused column has no nonvanishing entry in the rows still
 to fill, so a banded matrix such as the Jacobi-Trudi one of (1^n), with
 2^(n-1) terms among n! permutations, costs time in its terms rather than
-in n!.  The expansion recurses through a module-level function
-(``_expand``) that takes the matrix and the term list as arguments, so it
-leaves no reference cycle for the garbage collector.  Every linear
+in n!.  The expansion recurses through a module-level generator
+(``_expand``) that takes the matrix as an argument, so it leaves no
+reference cycle, and yields each term as the walk reaches it.  Every linear
 combination is summed in one place, the ``SchurVector`` constructor, and a
 vector is read-only once built, so the memoized vectors of
 ``h_monomial_to_schur`` are safe to share.
@@ -51,6 +51,7 @@ vector is read-only once built, so the memoized vectors of
 from __future__ import annotations
 
 import sys
+from collections.abc import Iterator
 from functools import cache, reduce
 from itertools import chain
 from math import factorial
@@ -162,17 +163,17 @@ def _signed_sum(terms) -> SchurVector:
     return SchurVector((lam, sign * c) for sign, vec in terms for lam, c in vec.items())
 
 
-def _leibniz(size: int, entry) -> list[tuple[int, tuple]]:
+def _leibniz(size: int, entry) -> Iterator[tuple[int, tuple]]:
     """Nonvanishing Leibniz terms (sign, entries) of det(entry(i, j)), 0 <= i, j < size.
 
-    Terms come in lexicographic order of the permutation p; entries[i] is
-    entry(i, p(i)), and None marks a vanishing matrix entry.  The matrix is
-    built once.  A branch ends as soon as its lowest unused column has a
-    nonvanishing entry in no row still to fill, since no permutation
-    completes it; the terms and their order stay those of the full
-    expansion.  Size 0 yields the single term (1, ()).  Both callers' diagonals
-    never vanish, so the identity's branch recurses size deep, and a size
-    at the recursion limit raises RecursionError before the matrix is built.
+    Terms are yielded in lexicographic order of the permutation p; entries[i]
+    is entry(i, p(i)), and None marks a vanishing matrix entry.  The matrix
+    is built once, at the call.  A branch ends as soon as its lowest unused
+    column has a nonvanishing entry in no row still to fill, since no
+    permutation completes it; the terms and their order stay those of the
+    full expansion.  Size 0 yields the single term (1, ()).  The identity's
+    branch, walked first, recurses size deep (both callers' diagonals never
+    vanish), so a size at the recursion limit raises RecursionError at the call.
     """
     if size >= sys.getrecursionlimit():
         raise RecursionError(f"a Leibniz expansion of size {size} recurses past the limit")
@@ -184,19 +185,17 @@ def _leibniz(size: int, entry) -> list[tuple[int, tuple]]:
         for j in range(size)
     ]
     last.append(size)
-    terms = []
-    _expand(0, 0, 1, (), matrix, last, terms)
-    return terms
+    return _expand(0, 0, 1, (), matrix, last)
 
 
-def _expand(i: int, used: int, sign: int, entries: tuple, matrix, last, terms) -> None:
-    """Append to terms each Leibniz term that completes rows 0..i-1 of a permutation.
+def _expand(i: int, used: int, sign: int, entries: tuple, matrix, last) -> Iterator[tuple[int, tuple]]:
+    """Yield each Leibniz term that completes rows 0..i-1 of a permutation.
 
     used has bit j set for each column taken by those rows, sign is the
     sign so far, and entries their matrix entries.
     """
     if i == len(matrix):
-        terms.append((sign, entries))
+        yield sign, entries
         return
     for j, x in enumerate(matrix[i]):
         if x is None or used >> j & 1:
@@ -206,18 +205,18 @@ def _expand(i: int, used: int, sign: int, entries: tuple, matrix, last, terms) -
             continue  # the lowest unused column can no longer be filled
         # each column already used to the right of j is one more inversion
         flips = (used >> (j + 1)).bit_count()
-        _expand(i + 1, now, -sign if flips & 1 else sign, entries + (x,), matrix, last, terms)
+        yield from _expand(i + 1, now, -sign if flips & 1 else sign, entries + (x,), matrix, last)
 
 
-def coproduct(lam) -> list[tuple[Partition, Partition, int]]:
-    """All (mu, nu, c^lam_{mu nu}) with positive coefficient, over all bidegrees."""
+def coproduct(lam) -> Iterator[tuple[Partition, Partition, int]]:
+    """All (mu, nu, c^lam_{mu nu}) with positive coefficient, over all bidegrees, one at a time."""
     lam = Partition(lam)
-    return [
+    return (
         (mu, nu, c)
         for k in range(lam.size + 1)
         for mu in partitions_list(k)
         for nu, c in lr_weight_support(lam, mu)
-    ]
+    )
 
 
 def hall_inner(f: SchurVector, g: SchurVector) -> int:
@@ -234,8 +233,8 @@ class SignedHookProduct(NamedTuple):
     hooks: tuple[Partition, ...]
 
 
-def giambelli_leibniz(lam) -> list[SignedHookProduct]:
-    """Expand the hook determinant for s_lam into d! signed hook products.
+def giambelli_leibniz(lam) -> Iterator[SignedHookProduct]:
+    """Expand the hook determinant for s_lam into d! signed hook products, one at a time.
 
     With Frobenius coordinates (arms | legs) of length d, the term for a
     permutation p of the legs is sgn(p) * prod_i s_(arms[i]+1, 1^legs[p(i)]).
@@ -245,7 +244,7 @@ def giambelli_leibniz(lam) -> list[SignedHookProduct]:
         raise ValueError("empty partition has no hook expansion")
     arms, legs = lam.frobenius()
     terms = _leibniz(len(arms), lambda i, j: hook_partition(arms[i] + 1, legs[j]))
-    return [SignedHookProduct(sign, hooks) for sign, hooks in terms]
+    return (SignedHookProduct(sign, hooks) for sign, hooks in terms)
 
 
 def giambelli_expand(lam) -> SchurVector:
@@ -253,15 +252,15 @@ def giambelli_expand(lam) -> SchurVector:
     return _signed_sum((t.sign, _schur_product_of(t.hooks)) for t in giambelli_leibniz(lam))
 
 
-def jacobi_trudi(lam) -> list[tuple[int, tuple[int, ...]]]:
-    """Signed complete-homogeneous monomials from det(h_{lam_i - i + j}).
+def jacobi_trudi(lam) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """Signed complete-homogeneous monomials from det(h_{lam_i - i + j}), one at a time.
 
     Terms containing any negative index vanish and are dropped; h_0 = 1 is
-    removed from the monomials.  The empty partition yields [(1, ())].
+    removed from the monomials.  The empty partition yields (1, ()).
     """
     lam = Partition(lam)
     terms = _leibniz(len(lam), lambda i, j: lam[i] - i + j if lam[i] + j >= i else None)
-    return [(sign, tuple(sorted(filter(None, mono), reverse=True))) for sign, mono in terms]
+    return ((sign, tuple(sorted(filter(None, mono), reverse=True))) for sign, mono in terms)
 
 
 @cache

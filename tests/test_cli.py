@@ -329,14 +329,17 @@ def test_expand_giambelli_of_the_empty_partition_exits_2(capsys):
     assert (code, out, err) == (2, "", "error: empty partition has no hook expansion\n")
 
 
-def _run_module(argv, **kwargs):
-    """python -m kroncalc argv in a subprocess that imports this checkout's kroncalc."""
+def _module(argv):
+    """The command line and environment of python -m kroncalc argv, importing this checkout's kroncalc."""
     src = os.path.dirname(os.path.dirname(kroncalc.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    return subprocess.run(
-        [sys.executable, "-m", "kroncalc", *argv], capture_output=True, text=True, env=env, **kwargs
-    )
+    return [sys.executable, "-m", "kroncalc", *argv], dict(os.environ, PYTHONPATH=path)
+
+
+def _run_module(argv, **kwargs):
+    """python -m kroncalc argv in a subprocess that imports this checkout's kroncalc."""
+    command, env = _module(argv)
+    return subprocess.run(command, capture_output=True, text=True, env=env, **kwargs)
 
 
 def test_module_entry_point_matches_in_process(capsys):
@@ -700,6 +703,47 @@ def test_input_too_deep_exits_2_within_512_mib(argv):
     proc = _run_module(argv, timeout=120, preexec_fn=limit)
     assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr[-500:]
     assert re.fullmatch(r"error: input too deep for the recursive walkers \(recursion limit \d+\)\n", proc.stderr)
+
+
+def _limit_address_space_to_512_mib():
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+
+def test_input_too_large_for_memory_exits_2():
+    # parse_partition runs out of address space building 10^8 parts
+    argv = ["kron", "1^100000000", "100000000", "1^100000000"]
+    proc = _run_module(argv, timeout=120, preexec_fn=_limit_address_space_to_512_mib)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: input too large: out of memory\n")
+
+
+@pytest.mark.parametrize(
+    "argv, reads",
+    [(["expand", "jacobi-trudi", "1^24"], 3), (["kron", "-h"], 0)],
+    ids=["expand-read-3-lines", "help-unread"],
+)
+def test_closed_stdout_exits_141_without_a_traceback(argv, reads):
+    # 1^24 has 2^23 terms: the expansion streams, so the process stays inside
+    # 512 MiB and ends as soon as its reader closes the pipe.  The help fits in
+    # the stdout buffer, so only the flush at the end meets the closed pipe;
+    # stdout is block-buffered, as from a shell, for that to hold.
+    command, env = _module(argv)
+    env.pop("PYTHONUNBUFFERED", None)
+    proc = subprocess.Popen(
+        command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        preexec_fn=_limit_address_space_to_512_mib,
+    )
+    try:
+        lines = [proc.stdout.readline() for _ in range(reads)]
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 141
+        assert proc.stderr.read() == b""
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
+    assert all(line.endswith(b"\n") for line in lines)
 
 
 def test_witness_count_that_differs_from_the_triple_sums_exits_4(capsys, monkeypatch):

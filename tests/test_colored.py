@@ -577,6 +577,30 @@ def test_blasiak_matches_oracle_sampled_past_exhaustive_range():
         )
 
 
+def test_padded_first_parts_give_weakly_increasing_coefficients():
+    # Murnaghan stability (weak increase: Brion, Manuscripta Math. 80, 1993):
+    # g(lam + (m), mu + (m), nu + (m)) never decreases in m, and a padded hook
+    # stays a hook.  The oracle gives g up to its bound n = 26, the hook rule
+    # past it to n = 34; both run at n <= 14 and must agree there.
+    rng = random.Random(2026)
+    rising = 0
+    for _ in range(12):
+        n0 = rng.randint(5, 7)
+        lam, nu = rng.choice(partitions_list(n0)), rng.choice(partitions_list(n0))
+        d = rng.randrange(n0)
+        values = []
+        for m in range(35 - n0):
+            n = n0 + m
+            lam_m, nu_m = Partition((lam[0] + m,) + lam[1:]), Partition((nu[0] + m,) + nu[1:])
+            g = kronecker_coefficient(lam_m, Partition((n - d,) + (1,) * d), nu_m) if n <= 26 else None
+            count = count_blasiak(lam_m, d, nu_m) if n <= 14 or n > 26 else None
+            assert None in (g, count) or g == count, (lam_m, d, nu_m)
+            values.append(count if g is None else g)
+        assert all(x <= y for x, y in zip(values, values[1:])), (lam, d, nu, values)
+        rising += values[0] < values[-1]
+    assert rising  # the sample holds sequences that are not constant
+
+
 def test_insertion_always_valid():
     # every word over {1, 1', 2, 2'} of length <= 4: the insertion tableau
     # satisfies the colored-tableau conditions (checked at construction)

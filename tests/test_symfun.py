@@ -1,6 +1,7 @@
 import hashlib
 import pickle
 import random
+import sys
 from functools import cache
 from itertools import permutations
 from operator import mul
@@ -87,7 +88,7 @@ def test_coproduct():
         (Partition((1,)), Partition(()), 1),
     }
     n = 4
-    terms = coproduct((n,))
+    terms = list(coproduct((n,)))
     assert terms == [
         (Partition((k,)), Partition((n - k,)), 1) for k in range(n + 1)
     ]
@@ -114,7 +115,7 @@ def test_hall_kronecker_adjunction_spot():
 
 def test_giambelli_leibniz_near_hook():
     # (a, b, 1^c) -> + s_(a,1^(c+1)) s_(b-1)  -  s_(a) s_(b-1,1^(c+1))
-    terms = giambelli_leibniz((4, 3, 1, 1))
+    terms = list(giambelli_leibniz((4, 3, 1, 1)))
     assert len(terms) == 2
     by_sign = {t.sign: t.hooks for t in terms}
     assert by_sign[1] == (Partition((4, 1, 1, 1)), Partition((2,)))
@@ -122,10 +123,10 @@ def test_giambelli_leibniz_near_hook():
 
 
 def test_giambelli_leibniz_hook_and_321():
-    terms = giambelli_leibniz((5, 1, 1))
+    terms = list(giambelli_leibniz((5, 1, 1)))
     assert len(terms) == 1
     assert terms[0].sign == 1 and terms[0].hooks == (Partition((5, 1, 1)),)
-    terms = giambelli_leibniz((3, 2, 1))
+    terms = list(giambelli_leibniz((3, 2, 1)))
     assert sorted(t.sign for t in terms) == [-1, 1]
     assert giambelli_expand((3, 2, 1)) == schur((3, 2, 1))
 
@@ -137,14 +138,14 @@ def test_giambelli_expansion_small():
 
 
 def test_jacobi_trudi_shapes():
-    assert jacobi_trudi((4,)) == [(1, (4,))]
-    terms = jacobi_trudi((4, 2))
+    assert list(jacobi_trudi((4,))) == [(1, (4,))]
+    terms = list(jacobi_trudi((4, 2)))
     assert (1, (4, 2)) in terms and (-1, (5, 1)) in terms
     assert len(terms) == 2
     # (b-1-j, j) with b = 5, j = 1: h3 h1 - h4 (h0 dropped from the monomial)
-    terms = jacobi_trudi((3, 1))
+    terms = list(jacobi_trudi((3, 1)))
     assert (1, (3, 1)) in terms and (-1, (4,)) in terms
-    assert jacobi_trudi(()) == [(1, ())]
+    assert list(jacobi_trudi(())) == [(1, ())]
 
 
 def test_jacobi_trudi_to_schur():
@@ -165,8 +166,8 @@ def test_determinant_expansions_golden_digest():
     for n in range(11):
         for lam in partitions_list(n):
             if lam:
-                h.update(repr(giambelli_leibniz(lam)).encode())
-            h.update(repr(jacobi_trudi(lam)).encode())
+                h.update(repr(list(giambelli_leibniz(lam))).encode())
+            h.update(repr(list(jacobi_trudi(lam))).encode())
     assert h.hexdigest() == DETERMINANT_DIGEST_N10
 
 
@@ -189,7 +190,7 @@ def test_determinant_expansions_match_all_permutations():
                 (sign, tuple(sorted(filter(None, mono), reverse=True)))
                 for sign, mono in _leibniz_reference(len(lam), h)
             ]
-            assert jacobi_trudi(lam) == expected, lam
+            assert list(jacobi_trudi(lam)) == expected, lam
             if not lam:
                 continue
             arms, legs = lam.frobenius()
@@ -202,11 +203,25 @@ def test_jacobi_trudi_of_a_long_column():
     # e_14 = sum over compositions of 14 of (-1)^(14 - parts) h_composition:
     # 2^13 terms, each a composition sorted into a partition; the branches
     # that leave a column unfillable are cut, so this returns at once
-    terms = jacobi_trudi((1,) * 14)
+    terms = list(jacobi_trudi((1,) * 14))
     assert len(terms) == 2**13
     for sign, mono in terms:
         assert sum(mono) == 14 and sign == (-1) ** (14 - len(mono))
     assert terms[0] == (1, (1,) * 14) and terms[-1] == (-1, (14,))
+
+
+def test_expansions_stream_and_check_their_arguments_at_the_call():
+    # each returns an iterator, so next() gives the first term alone
+    assert next(jacobi_trudi((1,) * 16)) == (1, (1,) * 16)
+    assert next(giambelli_leibniz((5,) * 5)) == (1, tuple(Partition((5 - i,) + (1,) * (4 - i)) for i in range(5)))
+    assert next(coproduct((3, 2, 1))) == (Partition(()), Partition((3, 2, 1)), 1)
+    # a bad argument raises before any term is asked for
+    with pytest.raises(ValueError, match="empty partition has no hook expansion"):
+        giambelli_leibniz(())
+    with pytest.raises(RecursionError):
+        jacobi_trudi((1,) * sys.getrecursionlimit())
+    with pytest.raises(ValueError):
+        coproduct((2, 3))
 
 
 def test_schur_vector_arithmetic():
