@@ -23,12 +23,14 @@ parity of the beads strictly between, counted with ``int.bit_count``.
 Beads left at 0, 1, ... are empty last rows and are shifted out, so each
 shape has one key.  The largest part of the cycle type is removed first,
 and each suffix of a cycle type is one node (``_Suffix``): its first part
-k, the bit masks of a strip of size k, the node of the rest, and a dict
-from bead set to chi on that suffix.  A child value is read from the rest
-node's dict by its bead set, one int, and the recursion runs only on a
-miss, so there is one memo state per (shape, suffix).  One cached table
-per n, ``_cycle_types(n)``, holds each cycle type's node and class size
-n!/z_rho in partitions_list order, and ``_rows`` reads it.
+k, the bit masks of a strip of size k, the node of the rest, a dict
+from bead set to chi on that suffix, and the suffix's centralizer order
+z_rho.  A child value is read from the rest node's dict by its bead set,
+one int, and the recursion runs only on a miss, so there is one memo state
+per (shape, suffix).  One cached table per n, ``_cycle_types(n)``, holds
+each cycle type's node and class size n!/z_rho in partitions_list order,
+and ``_rows`` reads it.  The table is built in one pass over (size, first
+part), each node from the nodes of its smaller suffixes.
 ``kronecker_product`` walks a cached table per ordered pair (lam, mu): the
 (nu, g) pairs with g(lam, mu, nu) != 0 in partitions_list order, each g
 read from ``kronecker_coefficient`` with the arguments in that order, so
@@ -309,20 +311,24 @@ class _Suffix:
 
     k is the first part, crossed and high the bit masks of a border strip of
     size k, rest the node of the suffix without its first part, and memo
-    maps a bead set to chi of that shape on this suffix.  The empty suffix
-    has no first part and holds chi = 1 on the empty shape, bead set 0.
+    maps a bead set to chi of that shape on this suffix.  run counts the
+    leading parts equal to k, and z is the suffix's centralizer order z_rho,
+    rest.z * k * run.  The empty suffix has no first part, z = 1, and holds
+    chi = 1 on the empty shape, bead set 0.
     """
 
-    __slots__ = ("k", "crossed", "high", "rest", "memo")
+    __slots__ = ("k", "crossed", "high", "rest", "memo", "run", "z")
 
     def __init__(self, k: int = 0, rest: _Suffix | None = None):
         self.k, self.rest = k, rest
         if rest is None:
-            self.memo = {0: 1}
+            self.memo, self.run, self.z = {0: 1}, 0, 1
         else:
             self.memo = {}
             self.crossed = (1 << (k - 1)) - 1
             self.high = ~((1 << k) - 1)
+            self.run = rest.run + 1 if rest.k == k else 1
+            self.z = rest.z * k * self.run
 
 
 _EMPTY = _Suffix()
@@ -378,9 +384,23 @@ def _char(beads: int, node: _Suffix) -> int:
 
 @cache
 def _cycle_types(n: int) -> tuple[tuple[_Suffix, int], ...]:
-    """(suffix node, n!/z_rho) for every cycle type rho of n, in partitions_list order."""
+    """(suffix node, n!/z_rho) for every cycle type rho of n, in partitions_list order.
+
+    One pass over the size m and the first part k builds the nodes of the
+    partitions of m with first part k, in that order: (k,) + rest for each
+    rest of m - k with first part k, k - 1, ..., in turn.  Only the groups
+    that the suffixes of n reach are built (k <= n - m below m = n), and
+    they are dropped at the return; each node carries its z_rho.
+    """
+    groups = [[[_EMPTY]]]  # groups[m][k]: the nodes of m with first part k
+    for m in range(1, n + 1):
+        row = [[]]
+        for k in range(1, (m if m == n else min(m, n - m)) + 1):
+            rests = groups[m - k]
+            row.append([_node(k, rest) for j in range(min(k, m - k), -1, -1) for rest in rests[j]])
+        groups.append(row)
     nfact = factorial(n)
-    return tuple((_suffix(rho), nfact // centralizer_order(rho)) for rho in partitions_list(n))
+    return tuple((node, nfact // node.z) for group in reversed(groups[n]) for node in group)
 
 
 @cache

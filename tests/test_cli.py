@@ -687,6 +687,12 @@ def test_input_too_deep_for_the_recursion_limit_exits_2(capsys, argv):
     )
 
 
+def _limit_address_space_to_512_mib():
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+
 @pytest.mark.parametrize(
     "argv",
     [("kron", "1^100000", "100000", "1^100000"), ("expand", "jacobi-trudi", "1^6000")],
@@ -695,20 +701,9 @@ def test_input_too_deep_for_the_recursion_limit_exits_2(capsys, argv):
 def test_input_too_deep_exits_2_within_512_mib(argv):
     # a walker that held memory quadratic in its depth ran out of address
     # space (MemoryError, exit 1) before it reached the recursion limit
-    import resource
-
-    def limit():
-        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
-
-    proc = _run_module(argv, timeout=120, preexec_fn=limit)
+    proc = _run_module(argv, timeout=120, preexec_fn=_limit_address_space_to_512_mib)
     assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr[-500:]
     assert re.fullmatch(r"error: input too deep for the recursive walkers \(recursion limit \d+\)\n", proc.stderr)
-
-
-def _limit_address_space_to_512_mib():
-    import resource
-
-    resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
 
 
 def test_input_too_large_for_memory_exits_2():

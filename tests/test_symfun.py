@@ -21,6 +21,7 @@ from kroncalc.symfun import (
     _kronecker_support,
     _node,
     _rows,
+    _suffix,
     centralizer_order,
     character,
     coproduct,
@@ -484,6 +485,35 @@ def test_cold_oracle_query_keeps_the_shared_memo_states():
     _clear_oracle_memos()
     assert kronecker_coefficient((7, 5, 4, 2), (10, 3, 2, 2, 1), (7, 2, 2, 2, 2, 2, 1)) == 736
     assert _memo_states([18]) == 4364
+
+
+def test_cycle_type_table_matches_the_walk_of_each_cycle_type():
+    # the one-pass table holds the nodes that _suffix reaches one cycle type at
+    # a time, each with its z_rho, and the class sizes n!/z_rho
+    from math import factorial
+
+    reached = {}
+    for n in range(23):
+        nfact = factorial(n)
+        parts = partitions_list(n)
+        table = _cycle_types(n)
+        assert len(table) == len(parts)
+        for (node, size), rho in zip(table, parts):
+            assert node is _suffix(rho), rho
+            assert size == nfact // centralizer_order(rho), rho
+            for i in range(len(rho) + 1):
+                reached.setdefault(id(node), (node, rho[i:]))
+                node = node.rest
+        assert sum(size for _, size in table) == nfact
+    for node, suffix in reached.values():
+        assert node.z == centralizer_order(suffix), suffix
+    _clear_oracle_memos()
+    for rho in partitions_list(26):
+        _suffix(rho)
+    walked = _node.cache_info().currsize
+    _clear_oracle_memos()
+    _cycle_types(26)
+    assert _node.cache_info().currsize == walked == 4871
 
 
 def test_conjugate_character_takes_the_sign_of_the_cycle_type():
