@@ -87,8 +87,6 @@ from .nearhook import (
     triple4,
     witnesses,
     witnesses_for,
-    witnesses_null_case,
-    witnesses_singleton_case,
 )
 
 __version__ = "0.1.0"

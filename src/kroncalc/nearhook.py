@@ -34,8 +34,9 @@ When b = 2 and nu = (a+2, 2^(s-1), 1^(c+2-2s)), the negative side is a
 singleton (d inside an explicit interval) or empty (d outside), so the
 coefficient becomes a count of hook-rule tableaux - minus one in the
 singleton case, realized by removing the lexicographically least witness.
-witnesses is the one entry; each of its two cases checks the interval
-against J- and its sum, both read from one triple4 call.
+witnesses is the one entry: it checks the hypotheses, reads the interval
+and builds special_nu once, checks J- and its sum against the interval
+from one triple4 call, and hands the case to _witness_blocks.
 witnesses_for matches a (d, e, a, b, c, nu) query to a family, reading s
 from nu, and returns None when none applies; kron reaches the families
 only through it.
@@ -325,24 +326,6 @@ def _in_interval(a: int, c: int, d: int, s: int) -> bool:
     return lr_two_row(c + 2 - s, s, a, 0, d, a + c + 2 - d) == 1
 
 
-def _witness_case(a: int, c: int, d: int, e: int, s: int) -> bool:
-    """Whether d lies in the interval, once J- and triple4 at special_nu agree with it.
-
-    Inside the interval J- must be exactly {(delta*, 0, s)} and its term 1;
-    outside it J- must be empty and triple4 zero.  A mismatch raises.
-    """
-    inside = _in_interval(a, c, d, s)
-    nu = special_nu(a, c, s)
-    expected = {(delta_star(c, s), 0, s)} if inside else set()
-    value, certs = triple4(d, e, a, 2, c, nu)
-    members = {cert.index for cert in certs}
-    if members != expected:
-        raise ArithmeticError(f"negative index set is not {sorted(expected)}: {sorted(members)}")
-    if value != len(expected):
-        raise ArithmeticError(f"triple4 is {value}, expected {len(expected)}")
-    return inside
-
-
 class WitnessMember(NamedTuple):
     tableau: ColoredTableau
     source: tuple  # (eta, 0, r)
@@ -387,10 +370,9 @@ def _member_key(m: WitnessMember):
     )
 
 
-def _witness_blocks(a: int, c: int, d: int, s: int, inside: bool) -> tuple[int, WitnessSet]:
-    """The witness value and set; the least member is removed when d is inside the interval."""
+def _witness_blocks(a: int, c: int, d: int, s: int, nu: Partition, inside: bool) -> tuple[int, WitnessSet]:
+    """The witness value and set at nu; the least member is removed when d is inside the interval."""
     n = a + 2 + c
-    nu = special_nu(a, c, s)
     members = []
     for eta, _, r in j_plus(d, nu, a, 2, c):
         block = enumerate_blasiak(Partition((n - 1 - r, r)), c + 1, eta)
@@ -405,14 +387,24 @@ def _witness_blocks(a: int, c: int, d: int, s: int, inside: bool) -> tuple[int, 
 
 
 def witnesses(a: int, c: int, d: int, e: int, s: int) -> tuple[int, WitnessSet]:
-    """g((d,e), (a,2,1^c), special_nu) and its witnesses, by whichever case applies.
+    """g((d,e), (a,2,1^c), special_nu): |witnesses|, less one when d is inside the interval.
 
-    Each case is called by its module-level name, so a wrapper bound there sees the call.
+    Inside the interval J- must be exactly {(delta*, 0, s)} and its term 1;
+    outside it J- must be empty and triple4 zero.  Both are read from one
+    triple4 call, and a mismatch raises.
     """
     if not _witness_hypotheses(a, c, d, e, s):
         raise ValueError("witness hypotheses not met")
-    case = witnesses_singleton_case if _in_interval(a, c, d, s) else witnesses_null_case
-    return case(a, c, d, e, s)
+    inside = _in_interval(a, c, d, s)
+    nu = special_nu(a, c, s)
+    expected = {(delta_star(c, s), 0, s)} if inside else set()
+    value, certs = triple4(d, e, a, 2, c, nu)
+    members = {cert.index for cert in certs}
+    if members != expected:
+        raise ArithmeticError(f"negative index set is not {sorted(expected)}: {sorted(members)}")
+    if value != len(expected):
+        raise ArithmeticError(f"triple4 is {value}, expected {len(expected)}")
+    return _witness_blocks(a, c, d, s, nu, inside)
 
 
 def witnesses_for(d: int, e: int, a: int, b: int, c: int, nu) -> Optional[tuple[int, WitnessSet]]:
@@ -422,21 +414,3 @@ def witnesses_for(d: int, e: int, a: int, b: int, c: int, nu) -> Optional[tuple[
     if b != 2 or not _witness_hypotheses(a, c, d, e, s) or nu != special_nu(a, c, s):
         return None
     return witnesses(a, c, d, e, s)
-
-
-def witnesses_singleton_case(a: int, c: int, d: int, e: int, s: int) -> tuple[int, WitnessSet]:
-    """g((d,e), (a,2,1^c), special_nu) = |witnesses| - 1, d inside the interval."""
-    if not (_witness_hypotheses(a, c, d, e, s) and _witness_case(a, c, d, e, s)):
-        raise ValueError(
-            "singleton hypotheses not met; use witnesses_null_case or g_two_row_near_hook"
-        )
-    return _witness_blocks(a, c, d, s, inside=True)
-
-
-def witnesses_null_case(a: int, c: int, d: int, e: int, s: int) -> tuple[int, WitnessSet]:
-    """g((d,e), (a,2,1^c), special_nu) = |witnesses|, d outside the interval."""
-    if not _witness_hypotheses(a, c, d, e, s):
-        raise ValueError("witness hypotheses not met")
-    if _witness_case(a, c, d, e, s):
-        raise ValueError("vanishing-case hypotheses not met; use witnesses_singleton_case")
-    return _witness_blocks(a, c, d, s, inside=False)

@@ -32,8 +32,7 @@ from kroncalc.nearhook import (
     triple2,
     triple3,
     triple4,
-    witnesses_null_case,
-    witnesses_singleton_case,
+    witnesses,
 )
 from kroncalc.partition import Partition
 from kroncalc.rosas import phi, xi
@@ -87,27 +86,29 @@ def test_golden_triple_values():
     check("1.10c g(43,3211,3211)", g_two_row_near_hook(4, 3, 3, 2, 2, (3, 2, 1, 1)), 4)
 
 
+def _witness_value(args, inside: bool) -> int:
+    """witnesses(*args)'s value, once its removal matches whether d is inside the interval."""
+    value, witness_set = witnesses(*args)
+    assert (witness_set.removed_min is not None) == inside, args
+    return value
+
+
 def test_golden_witness_values():
-    value, _ = witnesses_singleton_case(3, 2, 5, 2, 2)
-    check("1.11 g(52,3211,52)", value, 0)
-    value, _ = witnesses_singleton_case(6, 6, 8, 6, 2)
-    check("1.12 g(86,62111111,821111)", value, 1)
+    check("1.11 g(52,3211,52)", _witness_value((3, 2, 5, 2, 2), True), 0)
+    check("1.12 g(86,62111111,821111)", _witness_value((6, 6, 8, 6, 2), True), 1)
     check(
         "1.12o oracle g(86,62111111,821111)",
         kronecker_coefficient((8, 6), (6, 2, 1, 1, 1, 1, 1, 1), (8, 2, 1, 1, 1, 1)),
         1,
     )
-    value, _ = witnesses_null_case(3, 4, 5, 4, 3)
-    check("1.13 g(54,321111,522)", value, 1)
-    value, _ = witnesses_null_case(7, 6, 10, 5, 4)
-    check("1.14 g((10,5),72111111,9222)", value, 1)
+    check("1.13 g(54,321111,522)", _witness_value((3, 4, 5, 4, 3), False), 1)
+    check("1.14 g((10,5),72111111,9222)", _witness_value((7, 6, 10, 5, 4), False), 1)
     check(
         "1.14o oracle g((10,5),72111111,9222)",
         kronecker_coefficient((10, 5), (7, 2, 1, 1, 1, 1, 1, 1), (9, 2, 2, 2)),
         1,
     )
-    value, _ = witnesses_singleton_case(2, 5, 6, 3, 2)
-    check("1.15 g(63,2211111,42111)", value, 1)
+    check("1.15 g(63,2211111,42111)", _witness_value((2, 5, 6, 3, 2), True), 1)
 
 
 def test_golden_piecewise_values():

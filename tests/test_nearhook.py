@@ -27,8 +27,6 @@ from kroncalc.nearhook import (
     WitnessSet,
     witnesses,
     witnesses_for,
-    witnesses_null_case,
-    witnesses_singleton_case,
 )
 from kroncalc.partition import (
     Partition,
@@ -280,9 +278,8 @@ def test_sides_check_hook_and_strip_before_the_size_of_nu():
         (lambda: triple1(2, 3, 2, 2, 1, (3, 2)), "two-row index needs d >= e >= 0"),
         (lambda: triple3(4, 1, 3, 2, 0, (5,)), "triple sums need a >= b >= 2 and c >= 1"),
         (lambda: triple1(4, 2, 2, 2, 1, (3, 2)), r"d \+ e must equal 5"),
-        (lambda: witnesses_null_case(2, 2, 2, 4, 1), "witness hypotheses not met"),
     ],
-    ids=["triple1-d-below-e", "triple3-c-zero", "triple1-d-plus-e", "null-case-d-below-e"],
+    ids=["triple1-d-below-e", "triple3-c-zero", "triple1-d-plus-e"],
 )
 def test_two_row_entries_reject_arguments_off_their_hypotheses(entry, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
@@ -503,7 +500,7 @@ def test_null_case():
 
 def test_witnesses_singleton_beforeinterpret():
     # g((5,2), (3,2,1,1), (5,2)) = -1 + 1 = 0
-    value, witness_set = witnesses_singleton_case(3, 2, 5, 2, 2)
+    value, witness_set = witnesses(3, 2, 5, 2, 2)
     assert value == 0
     assert len(witness_set.members) == 1
     assert witness_set.removed_min is not None
@@ -516,8 +513,9 @@ def test_witnesses_singleton_beforeinterpret():
 
 def test_witnesses_singleton_small_blocks():
     # g((6,3), (2,2,1^5), (4,2,1,1,1)) = -1 + 1 + 1 = 1
-    value, witness_set = witnesses_singleton_case(2, 5, 6, 3, 2)
+    value, witness_set = witnesses(2, 5, 6, 3, 2)
     assert value == 1
+    assert witness_set.removed_min == witness_set.members[0]
     assert [m.source for m in witness_set.members] == [
         (P(3, 2, 1, 1, 1), 0, 2),
         (P(3, 2, 1, 1, 1), 0, 3),
@@ -531,15 +529,16 @@ def test_witnesses_singleton_small_blocks():
 
 def test_witnesses_null_cases():
     # g((4,4), (3,2,1,1,1), (5,2,1)) = 1
-    value, witness_set = witnesses_null_case(3, 3, 4, 4, 2)
+    value, witness_set = witnesses(3, 3, 4, 4, 2)
     assert value == 1
     assert witness_set.removed_min is None
     assert witness_set.members[0].tableau == ColoredTableau.from_text(
         "1' 1 1 2' | 1' 2' | 2"
     )
     # g((5,4), (3,2,1^4), (5,2,2)) = 1
-    value, witness_set = witnesses_null_case(3, 4, 5, 4, 3)
+    value, witness_set = witnesses(3, 4, 5, 4, 3)
     assert value == 1
+    assert witness_set.removed_min is None
     assert witness_set.members[0].tableau == ColoredTableau.from_text(
         "1' 1 1 2' | 1' 2' | 1 2'"
     )
@@ -550,7 +549,7 @@ def test_witnesses_singleton_large():
     # g((8,6), (6,2,1^6), (8,2,1^4)) = -1 + 1 + 1 = 1; the two block tableaux
     # below were confirmed by a full scan over all 2.2M words of content
     # (8,5) resp. (7,6) with seven bars (each block is a singleton).
-    value, witness_set = witnesses_singleton_case(6, 6, 8, 6, 2)
+    value, witness_set = witnesses(6, 6, 8, 6, 2)
     assert value == 1
     assert [m.source for m in witness_set.members] == [
         (P(7, 2, 1, 1, 1, 1), 0, 5),
@@ -567,30 +566,23 @@ def test_witnesses_singleton_large():
 
 def test_witnesses_null_large():
     # g((10,5), (7,2,1^6), (9,2,2,2)) = 1 with a single four-row witness
-    value, witness_set = witnesses_null_case(7, 6, 10, 5, 4)
+    value, witness_set = witnesses(7, 6, 10, 5, 4)
     assert value == 1
+    assert witness_set.removed_min is None
     assert [m.source for m in witness_set.members] == [(P(8, 2, 2, 2), 0, 4)]
     assert witness_set.members[0].tableau == ColoredTableau.from_text(
         "1' 1 1 1 1 1 1 2' | 1' 2' | 1' 2' | 1 2'"
     )
 
 
-def test_witness_routing_errors():
-    with pytest.raises(ValueError):
-        witnesses_singleton_case(3, 3, 4, 4, 2)  # d outside: null case applies
-    with pytest.raises(ValueError):
-        witnesses_null_case(3, 2, 5, 2, 2)  # d inside: singleton case applies
-
-
-def test_witnesses_is_the_case_that_applies():
+def test_witnesses_removes_a_member_exactly_inside_the_interval():
+    tuples = inside = 0
     for n, a, c, s, d, e in witness_args(10):
-        applies = []
-        for case in (witnesses_singleton_case, witnesses_null_case):
-            try:
-                applies.append(case(a, c, d, e, s))
-            except ValueError:
-                pass
-        assert applies == [witnesses(a, c, d, e, s)]
+        removed = witnesses(a, c, d, e, s)[1].removed_min is not None
+        assert removed == nearhook._in_interval(a, c, d, s)
+        tuples += 1
+        inside += removed
+    assert (tuples, inside) == (220, 107)
 
 
 @pytest.mark.parametrize(
@@ -614,6 +606,19 @@ def test_witnesses_checks_the_negative_side_once(monkeypatch):
         removed.add(witnesses(a, c, d, e, s)[1].removed_min is not None)
         assert calls == ["triple4"]  # J- is read from triple4's certificates
     assert removed == {False, True}  # both cases were reached
+
+
+def test_witnesses_reads_the_hypotheses_and_the_interval_once(monkeypatch):
+    calls = []
+    for name in ("_witness_hypotheses", "_in_interval", "special_nu"):
+        original = getattr(nearhook, name)
+        monkeypatch.setattr(
+            nearhook, name, lambda *args, _name=name, _fn=original: calls.append(_name) or _fn(*args)
+        )
+    for n, a, c, s, d, e in witness_args(10):
+        calls.clear()
+        witnesses(a, c, d, e, s)
+        assert calls == ["_witness_hypotheses", "_in_interval", "special_nu"]
 
 
 def test_singleton_case_with_no_witness_raises(monkeypatch):
