@@ -34,12 +34,12 @@ When b = 2 and nu = (a+2, 2^(s-1), 1^(c+2-2s)), the negative side is a
 singleton (d inside an explicit interval) or empty (d outside), so the
 coefficient becomes a count of hook-rule tableaux - minus one in the
 singleton case, realized by removing the lexicographically least witness.
-witnesses is the one entry: it checks the hypotheses, reads the interval
-and builds special_nu once, checks J- and its sum against the interval
-from one triple4 call, and hands the case to _witness_blocks.
-witnesses_for matches a (d, e, a, b, c, nu) query to a family, reading s
-from nu, and returns None when none applies; kron reaches the families
-only through it.
+witnesses checks the hypotheses and builds special_nu once, and
+witnesses_for matches a (d, e, a, b, c, nu) query to a family the same
+way, reading s from nu, and returns None when none applies; kron reaches
+the families only through it.  Both hand s and nu to one family body
+(_witness_family), which reads the interval once, checks J- and its sum
+against it from one triple4 call, and hands the case to _witness_blocks.
 """
 
 from __future__ import annotations
@@ -387,24 +387,10 @@ def _witness_blocks(a: int, c: int, d: int, s: int, nu: Partition, inside: bool)
 
 
 def witnesses(a: int, c: int, d: int, e: int, s: int) -> tuple[int, WitnessSet]:
-    """g((d,e), (a,2,1^c), special_nu): |witnesses|, less one when d is inside the interval.
-
-    Inside the interval J- must be exactly {(delta*, 0, s)} and its term 1;
-    outside it J- must be empty and triple4 zero.  Both are read from one
-    triple4 call, and a mismatch raises.
-    """
+    """g((d,e), (a,2,1^c), special_nu): |witnesses|, less one when d is inside the interval."""
     if not _witness_hypotheses(a, c, d, e, s):
         raise ValueError("witness hypotheses not met")
-    inside = _in_interval(a, c, d, s)
-    nu = special_nu(a, c, s)
-    expected = {(delta_star(c, s), 0, s)} if inside else set()
-    value, certs = triple4(d, e, a, 2, c, nu)
-    members = {cert.index for cert in certs}
-    if members != expected:
-        raise ArithmeticError(f"negative index set is not {sorted(expected)}: {sorted(members)}")
-    if value != len(expected):
-        raise ArithmeticError(f"triple4 is {value}, expected {len(expected)}")
-    return _witness_blocks(a, c, d, s, nu, inside)
+    return _witness_family(a, c, d, e, s, special_nu(a, c, s))
 
 
 def witnesses_for(d: int, e: int, a: int, b: int, c: int, nu) -> Optional[tuple[int, WitnessSet]]:
@@ -413,4 +399,22 @@ def witnesses_for(d: int, e: int, a: int, b: int, c: int, nu) -> Optional[tuple[
     s = nu[1:].count(2) + 1
     if b != 2 or not _witness_hypotheses(a, c, d, e, s) or nu != special_nu(a, c, s):
         return None
-    return witnesses(a, c, d, e, s)
+    return _witness_family(a, c, d, e, s, nu)
+
+
+def _witness_family(a: int, c: int, d: int, e: int, s: int, nu: Partition) -> tuple[int, WitnessSet]:
+    """The body of witnesses, on arguments that meet the hypotheses and nu = special_nu(a, c, s).
+
+    Inside the interval J- must be exactly {(delta*, 0, s)} and its term 1;
+    outside it J- must be empty and triple4 zero.  Both are read from one
+    triple4 call, and a mismatch raises.
+    """
+    inside = _in_interval(a, c, d, s)
+    expected = {(delta_star(c, s), 0, s)} if inside else set()
+    value, certs = triple4(d, e, a, 2, c, nu)
+    members = {cert.index for cert in certs}
+    if members != expected:
+        raise ArithmeticError(f"negative index set is not {sorted(expected)}: {sorted(members)}")
+    if value != len(expected):
+        raise ArithmeticError(f"triple4 is {value}, expected {len(expected)}")
+    return _witness_blocks(a, c, d, s, nu, inside)

@@ -23,11 +23,17 @@ parity of the beads strictly between, counted with ``int.bit_count``.
 Beads left at 0, 1, ... are empty last rows and are shifted out, so each
 shape has one key.  The largest part of the cycle type is removed first,
 and each suffix of a cycle type is one node (``_Suffix``): its first part
-k, the bit masks of a strip of size k, the node of the rest, a dict
-from bead set to chi on that suffix, and the suffix's centralizer order
-z_rho.  A child value is read from the rest node's dict by its bead set,
-one int, and the recursion runs only on a miss, so there is one memo state
-per (shape, suffix).  One cached table per n, ``_cycle_types(n)``, holds
+k, the strip object of size k, the node of the rest, a dict from bead set
+to chi on that suffix, and the suffix's centralizer order z_rho.  The strip
+object (``_Strips``), one per k and shared by every node with first part
+k, holds the bit masks of a strip of size k and a dict from bead set to
+the shape's moves, (bead set after the removal, odd sign) pairs.  Only
+nodes whose moves another node can read store them there: another node
+with first part k and the same size exists exactly when k >= 2 and the
+rest has size >= 2.  A child value is read from the rest node's dict by
+its bead set, one int, and the recursion runs only on a miss, so there is
+one memo state per (shape, suffix) and, on the nodes that share, one entry
+of moves per (shape, k).  One cached table per n, ``_cycle_types(n)``, holds
 each cycle type's node and class size n!/z_rho in partitions_list order,
 and ``_rows`` reads it.  The table is built in one pass over (size, first
 part), each node from the nodes of its smaller suffixes.
@@ -306,28 +312,60 @@ def _beads(lam) -> int:
     return sum(1 << (part + last - i) for i, part in enumerate(lam))
 
 
+class _Strips:
+    """The border strips of size k, one object per k, shared by every node with first part k.
+
+    crossed and high are the bit masks of a strip of size k, and moves maps
+    a bead set to that shape's moves: one (bead set after the removal, odd
+    sign) pair per border strip of size k.  The moves depend only on the
+    shape and k, so ``_char`` stores them once per key, on the first visit
+    of a node that shares them, and every such node with first part k reads
+    them there.
+    """
+
+    __slots__ = ("k", "crossed", "high", "moves")
+
+    def __init__(self, k: int):
+        self.k = k
+        self.crossed = (1 << (k - 1)) - 1
+        self.high = ~((1 << k) - 1)
+        self.moves: dict[int, tuple[tuple[int, int], ...]] = {}
+
+
+@cache
+def _strips(k: int) -> _Strips:
+    """The one strip object of size k."""
+    return _Strips(k)
+
+
 class _Suffix:
     """One suffix of a cycle type, with chi of every shape reached on it.
 
-    k is the first part, crossed and high the bit masks of a border strip of
-    size k, rest the node of the suffix without its first part, and memo
-    maps a bead set to chi of that shape on this suffix.  run counts the
+    k is the first part, strips the strip object of size k, rest the node of
+    the suffix without its first part, memo maps a bead set to chi of that
+    shape on this suffix, and size is the suffix's size.  A shape's moves on
+    this node can be read again only from another node with first part k and
+    the same size, and one exists exactly when k >= 2 and the rest has size
+    >= 2, as (k, 2, ...) and (k, 1, 1, ...); shares says so.  run counts the
     leading parts equal to k, and z is the suffix's centralizer order z_rho,
-    rest.z * k * run.  The empty suffix has no first part, z = 1, and holds
-    chi = 1 on the empty shape, bead set 0.
+    rest.z * k * run.  The empty suffix has no first part and no strips,
+    size 0, z = 1, and holds chi = 1 on the empty shape, bead set 0.
     """
 
-    __slots__ = ("k", "crossed", "high", "rest", "memo", "run", "z")
+    __slots__ = ("k", "strips", "shares", "rest", "memo", "size", "run", "z")
 
     def __init__(self, k: int = 0, rest: _Suffix | None = None):
         self.k, self.rest = k, rest
         if rest is None:
-            self.memo, self.run, self.z = {0: 1}, 0, 1
+            self.memo, self.size, self.run, self.z = {0: 1}, 0, 0, 1
         else:
             self.memo = {}
-            self.crossed = (1 << (k - 1)) - 1
-            self.high = ~((1 << k) - 1)
-            self.run = rest.run + 1 if rest.k == k else 1
+            if rest.k == k:
+                self.strips, self.run = rest.strips, rest.run + 1
+            else:
+                self.strips, self.run = _strips(k), 1
+            self.size = rest.size + k
+            self.shares = k > 1 and rest.size > 1
             self.z = rest.z * k * self.run
 
 
@@ -357,15 +395,29 @@ def _chi(beads: int, node: _Suffix) -> int:
 def _char(beads: int, node: _Suffix) -> int:
     """chi^lam on node's nonempty suffix for the bead set of lam; stores it in node.memo.
 
-    Each child value is read from node.rest.memo by its bead set, and the
-    recursion runs only on a miss.
+    A node that shares its moves reads them from its strip object once they
+    are stored there.  Otherwise they are computed in the loop that sums the
+    terms, and stored when the node shares them, so a node whose moves no
+    other node reads builds no table.  Each child value is read from
+    node.rest.memo by its bead set, and the recursion runs only on a miss.
     """
-    k, rest, crossed = node.k, node.rest, node.crossed
+    strips, rest = node.strips, node.rest
     memo = rest.memo
+    total = 0
+    moves = strips.moves.get(beads) if node.shares else None
+    if moves is not None:
+        for moved, odd in moves:
+            term = memo.get(moved)
+            if term is None:
+                term = _char(moved, rest)
+            total += -term if odd else term
+        node.memo[beads] = total
+        return total
+    k, crossed = strips.k, strips.crossed
+    found = [] if node.shares else None
     # Removing a border strip of size k moves a bead from b to an empty b - k;
     # its sign is the parity of the beads crossed, strictly between b - k and b.
-    movable = beads & ~(beads << k) & node.high  # b >= k and b - k empty
-    total = 0
+    movable = beads & ~(beads << k) & strips.high  # b >= k and b - k empty
     while movable:
         bead = movable & -movable
         movable ^= bead
@@ -373,11 +425,15 @@ def _char(beads: int, node: _Suffix) -> int:
         if moved & 1:
             # beads at 0, 1, ... are empty last rows: shift them out
             moved >>= (moved ^ (moved + 1)).bit_length() - 1
+        odd = (beads >> (bead.bit_length() - k) & crossed).bit_count() & 1
+        if found is not None:
+            found.append((moved, odd))
         term = memo.get(moved)
         if term is None:
             term = _char(moved, rest)
-        low = bead.bit_length() - k
-        total += -term if (beads >> low & crossed).bit_count() & 1 else term
+        total += -term if odd else term
+    if found is not None:
+        strips.moves[beads] = tuple(found)
     node.memo[beads] = total
     return total
 

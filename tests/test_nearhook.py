@@ -617,8 +617,12 @@ def test_witnesses_reads_the_hypotheses_and_the_interval_once(monkeypatch):
         )
     for n, a, c, s, d, e in witness_args(10):
         calls.clear()
-        witnesses(a, c, d, e, s)
-        assert calls == ["_witness_hypotheses", "_in_interval", "special_nu"]
+        value = witnesses(a, c, d, e, s)
+        assert calls == ["_witness_hypotheses", "special_nu", "_in_interval"]
+        # a matched query hands its s and nu to the family body
+        calls.clear()
+        assert witnesses_for(d, e, a, 2, c, special_nu(a, c, s)) == value
+        assert calls == ["_witness_hypotheses", "special_nu", "_in_interval"]
 
 
 def test_singleton_case_with_no_witness_raises(monkeypatch):

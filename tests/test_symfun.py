@@ -2,6 +2,7 @@ import hashlib
 import pickle
 import random
 import sys
+from collections import Counter
 from functools import cache
 from itertools import permutations
 from operator import mul
@@ -21,6 +22,7 @@ from kroncalc.symfun import (
     _kronecker_support,
     _node,
     _rows,
+    _strips,
     _suffix,
     centralizer_order,
     character,
@@ -401,18 +403,14 @@ def test_character_golden_digest():
     assert h.hexdigest() == CHARACTER_DIGEST_N12
 
 
-@cache
-def _char_reference(lam: tuple, mu: tuple) -> int:
-    """chi^lam(mu) by border-strip removal on partition tuples, row by row."""
-    if not mu:
-        return 1
-    k, rest = mu[0], mu[1:]
+def _strip_removals(lam: tuple, k: int) -> list[tuple[tuple, int]]:
+    """(shape, odd) for each border strip of size k of lam, on partition tuples."""
     # Beta numbers lam_i + (L - 1 - i) strictly decrease and encode the shape.
     # Removing a border strip of size k replaces one beta b by nb = b - k; the
     # sign is the parity of the betas crossed, those strictly between nb and b.
     size = len(lam)
     betas = [part + size - 1 - i for i, part in enumerate(lam)]
-    total = 0
+    removals = []
     p = 0  # insertion point of nb: the first beta <= nb; only moves forward
     for i, b in enumerate(betas):
         nb = b - k
@@ -427,8 +425,19 @@ def _char_reference(lam: tuple, mu: tuple) -> int:
         # rows i+1 .. p-1 move up one place and lose a box; nb becomes row p-1.
         # Only nb = 0 leaves empty rows, at the bottom, and they are cut off.
         shape = lam[:i] + tuple(x - 1 for x in lam[i + 1 : p]) + (nb - size + p,) + lam[p:]
-        term = _char_reference(shape[: shape.index(0)] if nb == 0 else shape, rest)
-        total += -term if (p - i - 1) % 2 else term
+        removals.append((shape[: shape.index(0)] if nb == 0 else shape, (p - i - 1) % 2))
+    return removals
+
+
+@cache
+def _char_reference(lam: tuple, mu: tuple) -> int:
+    """chi^lam(mu) by border-strip removal on partition tuples, row by row."""
+    if not mu:
+        return 1
+    total = 0
+    for shape, odd in _strip_removals(lam, mu[0]):
+        term = _char_reference(shape, mu[1:])
+        total += -term if odd else term
     return total
 
 
@@ -448,19 +457,24 @@ def test_bead_kernel_matches_tuple_recursion():
         _char_reference.cache_clear()
 
 
-def _memo_states(sizes) -> int:
-    """Memo entries in every suffix node reached from the cycle types of these sizes."""
+def _reached_nodes(sizes) -> list:
+    """Every suffix node reached from the cycle types of these sizes, the empty one included."""
     nodes = {}
     for n in sizes:
         for node, _ in _cycle_types(n):
             while node is not None and id(node) not in nodes:
                 nodes[id(node)] = node
                 node = node.rest
-    return sum(len(node.memo) for node in nodes.values())
+    return list(nodes.values())
+
+
+def _memo_states(sizes) -> int:
+    """Memo entries in every suffix node reached from the cycle types of these sizes."""
+    return sum(len(node.memo) for node in _reached_nodes(sizes))
 
 
 def _clear_oracle_memos():
-    for memo in (_node, _cycle_types, _rows, kronecker_coefficient):
+    for memo in (_node, _strips, _cycle_types, _rows, kronecker_coefficient):
         memo.cache_clear()
 
 
@@ -485,6 +499,64 @@ def test_cold_oracle_query_keeps_the_shared_memo_states():
     _clear_oracle_memos()
     assert kronecker_coefficient((7, 5, 4, 2), (10, 3, 2, 2, 1), (7, 2, 2, 2, 2, 2, 1)) == 736
     assert _memo_states([18]) == 4364
+
+
+def test_strip_tables_hold_the_border_strips_of_each_shape():
+    # the rows of every lam with n <= 12 reach every shape of size m <= 12 on a
+    # suffix with first part k, for every k <= m; the moves are stored once,
+    # for k >= 2 and m - k >= 2, where more than one node can read them
+    _clear_oracle_memos()
+    for n in range(13):
+        for lam in partitions_list(n):
+            _rows(lam)
+    for k in range(1, 13):
+        moves = _strips(k).moves
+        shapes = [lam for m in range(k + 2, 13) for lam in partitions_list(m)] if k >= 2 else []
+        assert len(moves) == len(shapes), k
+        for lam in shapes:
+            expected = [(_beads(shape), odd) for shape, odd in _strip_removals(tuple(lam), k)]
+            assert sorted(moves[_beads(lam)]) == sorted(expected), (lam, k)
+
+
+def test_nodes_with_one_first_part_share_one_strip_object():
+    # every partition of m <= 14 is a suffix node here, so each group of nodes
+    # with one first part and one size is whole
+    _clear_oracle_memos()
+    nodes = [node for node in _reached_nodes(range(15)) if node.rest is not None]
+    groups = Counter((node.k, node.size) for node in nodes)
+    for node in nodes:
+        assert node.strips is _strips(node.k) and node.strips.k == node.k
+        assert node.shares == (groups[node.k, node.size] > 1), (node.k, node.size)
+    tables = {id(_strips(k).moves) for k in range(1, 15)}
+    assert len(tables) == 14
+    assert _strips.cache_info().currsize == 14
+    assert not hasattr(symfun._EMPTY, "strips")
+
+
+def test_cold_oracle_query_keeps_one_strip_entry_per_shape_and_first_part():
+    # the strip tables hold exactly the (first part, shape) pairs of the memo
+    # states on the nodes that share their moves
+    _clear_oracle_memos()
+    assert kronecker_coefficient((7, 5, 4, 2), (10, 3, 2, 2, 1), (7, 2, 2, 2, 2, 2, 1)) == 736
+    nodes = [node for node in _reached_nodes([18]) if node.rest is not None]
+    states = {(node.k, beads) for node in nodes if node.shares for beads in node.memo}
+    strips = {node.strips for node in nodes}
+    assert _strips.cache_info().currsize == len(strips)
+    entries = {(table.k, beads) for table in strips for beads in table.moves}
+    assert entries == states
+    assert sum(len(table.moves) for table in strips) == len(states) == 445
+
+
+def test_clearing_the_oracle_memos_clears_the_strip_tables():
+    _clear_oracle_memos()
+    kronecker_coefficient((5, 4, 2, 1), (6, 3, 3), (4, 3, 2, 2, 1))
+    old = _strips(3)
+    assert old.moves
+    _clear_oracle_memos()
+    assert _strips.cache_info().currsize == 0
+    assert all(not _strips(k).moves for k in range(1, 13))
+    assert _strips(3) is not old
+    _clear_oracle_memos()
 
 
 def test_cycle_type_table_matches_the_walk_of_each_cycle_type():
