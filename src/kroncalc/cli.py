@@ -62,7 +62,7 @@ def _parse_partition_arg(text: str) -> Partition:
 
 
 # Largest n measured for the oracle: a cold query at n = 26 took at most
-# 0.17 s CPU (median 0.08 s) and 18.3 MB peak RSS for the whole process (four
+# 0.15 s CPU (median 0.09 s) and 17.2 MB peak RSS for the whole process (four
 # triples, 10 runs each: 8,7,5,3,2,1 10,6,4,3,2,1 7,6,5,4,2,1,1 and three
 # drawn by random.Random(26); a shared 2-core machine, Python 3.11.7).  Larger
 # n is unmeasured.

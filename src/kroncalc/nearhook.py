@@ -23,12 +23,15 @@ the tuple (nu, S, p, arm, c) that every helper below it reads.
 Every sum walks only its nonzero LR terms: near_hook_expansion reads the
 cached nonzero-LR supports of ``tableau``, and each side of triple1/triple2
 keeps its nonzero terms once per (nu, S, p, arm, c), so only the two-row
-gate runs per d.  The expansion is one walk (_expand) that returns the
-total and appends a certificate per term only when handed a list:
-near_hook_expansion hands it one, near_hook_value does not and builds no
-certificate.  The per-term gate is tableau.two_row_gate, the closed form
-without lr_two_row's argument checks; its arguments are two-row by
-construction, and j_plus / j_minus check d once per call.
+gate runs per d.  The index sets walk only the sigma inside nu
+(``partitions_inside``), since c^nu_{sigma,(p-k,k)} = 0 for any other;
+the interval terms keep their scan of every sigma of size S, so the two
+routes to J+ / J- share no enumeration.  The expansion is one walk
+(_expand) that returns the total and appends a certificate per term only
+when handed a list: near_hook_expansion hands it one, near_hook_value does
+not and builds no certificate.  The per-term gate is tableau.two_row_gate,
+the closed form without lr_two_row's argument checks; its arguments are
+two-row by construction, and j_plus / j_minus check d once per call.
 
 When b = 2 and nu = (a+2, 2^(s-1), 1^(c+2-2s)), the negative side is a
 singleton (d inside an explicit interval) or empty (d outside), so the
@@ -53,6 +56,7 @@ from .partition import (
     as_partition,
     hook_partition,
     is_double_hook,
+    partitions_inside,
     partitions_list,
     two_rows,
 )
@@ -203,8 +207,9 @@ def _interval_sum(side: tuple, d: int) -> int:
 
 @cache
 def _support(nu: Partition, size: int, p: int, arm: int, c: int) -> frozenset:
+    # c^nu_{sigma,(p-k,k)} = 0 unless sigma lies inside nu
     out = set()
-    for sigma in partitions_list(size):
+    for sigma in partitions_inside(nu, size):
         if not is_double_hook(sigma, size):
             continue
         for k in range(p // 2 + 1):

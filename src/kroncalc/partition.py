@@ -238,6 +238,45 @@ def partitions_of(n: int) -> Iterator[Partition]:
             parts.append(r)
 
 
+def partitions_inside(outer, size: int) -> Iterator[Partition]:
+    """Yield the partitions of size contained in outer, in partitions_list order.
+
+    The rows are filled from the top, each as large as the row above it,
+    outer and what is left allow.  Each next partition lowers by one the
+    last part above 1 whose lowered value still leaves room below it, in
+    the rows of outer each capped by that value, for the cells it and the
+    parts after it held, and refills those rows the same way.  The parts
+    stay positive and weakly decreasing, so each one is wrapped without the
+    constructor's validation.
+    """
+    if size < 0:
+        raise ValueError("size must be nonnegative")
+    outer = as_partition(outer)
+    if size > outer.size:
+        return
+    parts: list[int] = []
+    left = cap = size
+    while True:
+        row = len(parts)
+        while left:
+            cap = min(cap, outer[row], left)
+            parts.append(cap)
+            left -= cap
+            row += 1
+        yield tuple.__new__(Partition, parts)
+        while parts:
+            part = parts.pop()
+            left += part
+            if part > 1:
+                cap = part - 1
+                if left - cap <= sum(min(x, cap) for x in outer[len(parts) + 1 :]):
+                    parts.append(cap)
+                    left -= cap
+                    break
+        else:
+            return
+
+
 @cache
 def partitions_list(n: int) -> tuple[Partition, ...]:
     """Cached tuple of partitions_of(n)."""

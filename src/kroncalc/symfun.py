@@ -21,22 +21,27 @@ beta numbers lam_i + (L - 1 - i) of its L rows.  Removing a border strip
 of size k moves a bead from b to an empty b - k, and its sign is the
 parity of the beads strictly between, counted with ``int.bit_count``.
 Beads left at 0, 1, ... are empty last rows and are shifted out, so each
-shape has one key.  The largest part of the cycle type is removed first,
-and each suffix of a cycle type is one node (``_Suffix``): its first part
-k, the strip object of size k, the node of the rest, a dict from bead set
-to chi on that suffix, and the suffix's centralizer order z_rho.  The strip
-object (``_Strips``), one per k and shared by every node with first part
-k, holds the bit masks of a strip of size k and a dict from bead set to
-the shape's moves, (bead set after the removal, odd sign) pairs.  Only
-nodes whose moves another node can read store them there: another node
-with first part k and the same size exists exactly when k >= 2 and the
-rest has size >= 2.  A child value is read from the rest node's dict by
-its bead set, one int, and the recursion runs only on a miss, so there is
-one memo state per (shape, suffix) and, on the nodes that share, one entry
-of moves per (shape, k).  One cached table per n, ``_cycle_types(n)``, holds
-each cycle type's node and class size n!/z_rho in partitions_list order,
-and ``_rows`` reads it.  The table is built in one pass over (size, first
-part), each node from the nodes of its smaller suffixes.
+shape has one key.  A shape's moves, one (bead set after the removal, odd
+sign) pair per border strip of size k, come from one helper
+(``_moves``).  The largest part of the cycle type is removed first, and
+each suffix of a cycle type is one node (``_Suffix``): its first part k,
+the strip table of size k, the node of the rest, a dict from bead set to
+chi on that suffix, and the suffix's centralizer order z_rho.  The strip
+table, one dict per k shared by every node with first part k, maps a bead
+set to the shape's moves.  Only nodes whose moves another node can read
+store them there: another node with first part k and the same size exists
+exactly when k >= 2 and the rest has size >= 2.  A child value is read
+from the rest node's dict by its bead set, one int, and the recursion runs
+only on a miss, so there is one memo state per (shape, suffix) and, on
+the nodes that share, one entry of moves per (shape, k).  One cached table
+per n, ``_cycle_types(n)``, holds each cycle type's first part k, the node
+of its rest and its class size n!/z_rho in partitions_list order, so it
+lists the cycle types by first part; it builds no node of size n, and it
+is built in one pass over (size, first part), each node from the nodes of
+its smaller suffixes.  ``_rows`` computes lam's moves once per k and sums
+each chi^lam(rho) in place from the rest nodes' dicts, so nothing is
+stored for the cycle types of n themselves; ``character`` builds the node
+of its cycle type on demand.
 ``kronecker_product`` walks a cached table per ordered pair (lam, mu): the
 (nu, g) pairs with g(lam, mu, nu) != 0 in partitions_list order, each g
 read from ``kronecker_coefficient`` with the arguments in that order, so
@@ -312,36 +317,42 @@ def _beads(lam) -> int:
     return sum(1 << (part + last - i) for i, part in enumerate(lam))
 
 
-class _Strips:
-    """The border strips of size k, one object per k, shared by every node with first part k.
-
-    crossed and high are the bit masks of a strip of size k, and moves maps
-    a bead set to that shape's moves: one (bead set after the removal, odd
-    sign) pair per border strip of size k.  The moves depend only on the
-    shape and k, so ``_char`` stores them once per key, on the first visit
-    of a node that shares them, and every such node with first part k reads
-    them there.
-    """
-
-    __slots__ = ("k", "crossed", "high", "moves")
-
-    def __init__(self, k: int):
-        self.k = k
-        self.crossed = (1 << (k - 1)) - 1
-        self.high = ~((1 << k) - 1)
-        self.moves: dict[int, tuple[tuple[int, int], ...]] = {}
-
-
 @cache
-def _strips(k: int) -> _Strips:
-    """The one strip object of size k."""
-    return _Strips(k)
+def _strips(k: int) -> dict[int, tuple[tuple[int, int], ...]]:
+    """The one strip table of size k: a dict from bead set to that shape's moves.
+
+    Every node with first part k points at it.  ``_char`` stores a shape's
+    moves there once, on the first visit of a node that shares them, and
+    every such node with first part k reads them there.
+    """
+    return {}
+
+
+def _moves(beads: int, k: int) -> tuple[tuple[int, int], ...]:
+    """The moves of size k of the shape with this bead set.
+
+    One (bead set after the removal, odd sign) pair per border strip of size k.
+    """
+    crossed = (1 << (k - 1)) - 1
+    found = []
+    # Removing a border strip of size k moves a bead from b to an empty b - k;
+    # its sign is the parity of the beads crossed, strictly between b - k and b.
+    movable = (beads & ~(beads << k)) >> k << k  # b >= k and b - k empty
+    while movable:
+        bead = movable & -movable
+        movable ^= bead
+        moved = beads ^ bead ^ (bead >> k)
+        if moved & 1:
+            # beads at 0, 1, ... are empty last rows: shift them out
+            moved >>= (moved ^ (moved + 1)).bit_length() - 1
+        found.append((moved, (beads >> (bead.bit_length() - k) & crossed).bit_count() & 1))
+    return tuple(found)
 
 
 class _Suffix:
     """One suffix of a cycle type, with chi of every shape reached on it.
 
-    k is the first part, strips the strip object of size k, rest the node of
+    k is the first part, strips the strip table of size k, rest the node of
     the suffix without its first part, memo maps a bead set to chi of that
     shape on this suffix, and size is the suffix's size.  A shape's moves on
     this node can be read again only from another node with first part k and
@@ -395,78 +406,86 @@ def _chi(beads: int, node: _Suffix) -> int:
 def _char(beads: int, node: _Suffix) -> int:
     """chi^lam on node's nonempty suffix for the bead set of lam; stores it in node.memo.
 
-    A node that shares its moves reads them from its strip object once they
-    are stored there.  Otherwise they are computed in the loop that sums the
-    terms, and stored when the node shares them, so a node whose moves no
-    other node reads builds no table.  Each child value is read from
-    node.rest.memo by its bead set, and the recursion runs only on a miss.
+    A node that shares its moves reads them from its strip table, and stores
+    them there on the first visit; any other node computes them and stores
+    nothing but the value.  Each child value is read from node.rest.memo by
+    its bead set, and the recursion runs only on a miss.
     """
-    strips, rest = node.strips, node.rest
+    if node.shares:
+        table = node.strips
+        moves = table.get(beads)
+        if moves is None:
+            moves = table[beads] = _moves(beads, node.k)
+    else:
+        moves = _moves(beads, node.k)
+    rest = node.rest
     memo = rest.memo
     total = 0
-    moves = strips.moves.get(beads) if node.shares else None
-    if moves is not None:
-        for moved, odd in moves:
-            term = memo.get(moved)
-            if term is None:
-                term = _char(moved, rest)
-            total += -term if odd else term
-        node.memo[beads] = total
-        return total
-    k, crossed = strips.k, strips.crossed
-    found = [] if node.shares else None
-    # Removing a border strip of size k moves a bead from b to an empty b - k;
-    # its sign is the parity of the beads crossed, strictly between b - k and b.
-    movable = beads & ~(beads << k) & strips.high  # b >= k and b - k empty
-    while movable:
-        bead = movable & -movable
-        movable ^= bead
-        moved = beads ^ bead ^ (bead >> k)
-        if moved & 1:
-            # beads at 0, 1, ... are empty last rows: shift them out
-            moved >>= (moved ^ (moved + 1)).bit_length() - 1
-        odd = (beads >> (bead.bit_length() - k) & crossed).bit_count() & 1
-        if found is not None:
-            found.append((moved, odd))
+    for moved, odd in moves:
         term = memo.get(moved)
         if term is None:
             term = _char(moved, rest)
         total += -term if odd else term
-    if found is not None:
-        strips.moves[beads] = tuple(found)
     node.memo[beads] = total
     return total
 
 
 @cache
-def _cycle_types(n: int) -> tuple[tuple[_Suffix, int], ...]:
-    """(suffix node, n!/z_rho) for every cycle type rho of n, in partitions_list order.
+def _cycle_types(n: int) -> tuple[tuple[int, _Suffix, int], ...]:
+    """(first part k, node of the rest, n!/z_rho) for every cycle type rho of n >= 1,
+    in partitions_list order.
 
-    One pass over the size m and the first part k builds the nodes of the
-    partitions of m with first part k, in that order: (k,) + rest for each
-    rest of m - k with first part k, k - 1, ..., in turn.  Only the groups
-    that the suffixes of n reach are built (k <= n - m below m = n), and
-    they are dropped at the return; each node carries its z_rho.
+    One pass over the size m < n and the first part k builds the nodes of
+    the partitions of m with first part k, in that order: (k,) + rest for
+    each rest of m - k with first part k, k - 1, ..., in turn.  Only the
+    groups that the suffixes of n reach are built (k <= n - m), and they are
+    dropped at the return.  No node of size n is built: z_rho is read from
+    the rest node, rest.z * k * run, where run counts the leading parts
+    equal to k.
     """
     groups = [[[_EMPTY]]]  # groups[m][k]: the nodes of m with first part k
-    for m in range(1, n + 1):
+    for m in range(1, n):
         row = [[]]
-        for k in range(1, (m if m == n else min(m, n - m)) + 1):
+        for k in range(1, min(m, n - m) + 1):
             rests = groups[m - k]
             row.append([_node(k, rest) for j in range(min(k, m - k), -1, -1) for rest in rests[j]])
         groups.append(row)
     nfact = factorial(n)
-    return tuple((node, nfact // node.z) for group in reversed(groups[n]) for node in group)
+    return tuple(
+        (k, rest, nfact // (rest.z * k * (rest.run + 1 if rest.k == k else 1)))
+        for k in range(n, 0, -1)
+        for j in range(min(k, n - k), -1, -1)
+        for rest in groups[n - k][j]
+    )
 
 
 @cache
 def _rows(lam: Partition) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """chi^lam(rho) and |class(rho)| * chi^lam(rho) on every cycle type rho of |lam|,
-    in partitions_list order."""
+    in partitions_list order.
+
+    The table lists the cycle types by first part k, so lam's moves are
+    computed once per k, and each chi^lam(rho) is summed in place from the
+    rest node's memo; nothing is stored for the cycle types of |lam|.
+    """
+    if not lam:
+        return (1,), (1,)  # the empty cycle type has no first part
     beads = _beads(lam)
-    table = _cycle_types(lam.size)
-    row = tuple(_chi(beads, node) for node, _ in table)
-    return row, tuple(chi * size for chi, (_, size) in zip(row, table))
+    row, weighted = [], []
+    k = 0
+    for part, rest, class_size in _cycle_types(lam.size):
+        if part != k:
+            moves, k = _moves(beads, part), part
+        memo = rest.memo
+        total = 0
+        for moved, odd in moves:
+            term = memo.get(moved)
+            if term is None:
+                term = _char(moved, rest)
+            total += -term if odd else term
+        row.append(total)
+        weighted.append(total * class_size)
+    return tuple(row), tuple(weighted)
 
 
 @cache

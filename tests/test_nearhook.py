@@ -776,6 +776,30 @@ def test_triple_sums_golden_digest():
     assert h.hexdigest() == TRIPLE_SUMS_DIGEST_N9
 
 
+# sha256 over index_set_plus and index_set_minus for every near-hook
+# (a, b, 1^c) with n = 4..10, c >= 0 included, and every nu; computed before
+# the support walked only the sigma inside nu
+INDEX_SETS_DIGEST_N10 = "6fe9dfc539e40bc332b02cc766de359fb27da562e7f86a3e3c72cb3f59b595f2"
+
+
+def test_index_sets_golden_digest():
+    h = hashlib.sha256()
+    sets = members = 0
+    for n in range(4, 11):
+        for mu in partitions_list(n):
+            abc = as_near_hook(mu)
+            if abc is None:
+                continue
+            for nu in partitions_list(n):
+                for index_set in (index_set_plus, index_set_minus):
+                    found = tuples(index_set(nu, *abc))
+                    h.update(repr((abc, tuple(nu), found)).encode())
+                    sets += 1
+                    members += len(found)
+    assert (sets, members) == (2766, 12565)
+    assert h.hexdigest() == INDEX_SETS_DIGEST_N10
+
+
 # sha256 over every b = 2 witness family for n = 4..10, with a, s and d
 # ranging as in the mainresults suite; computed before the singleton and
 # null cases shared one implementation

@@ -16,6 +16,7 @@ from kroncalc.partition import (
     is_horizontal_strip,
     parse_partition,
     partition_count,
+    partitions_inside,
     partitions_list,
     partitions_of,
     tail,
@@ -226,6 +227,22 @@ def test_partitions_of_yields_validated_partitions_in_order():
             assert p == Partition(tuple(p))
         # reverse-lexicographic order is strictly decreasing tuple order
         assert all(a > b for a, b in zip(got, got[1:])), n
+
+
+def test_partitions_inside_match_a_filtered_scan():
+    # every outer with |outer| <= 12 and every size up to one past |outer|
+    cases = 0
+    for m in range(13):
+        for outer in partitions_list(m):
+            for size in range(m + 2):
+                got = list(partitions_inside(outer, size))
+                assert got == [p for p in partitions_list(size) if contains(p, outer)], (outer, size)
+                assert all(type(p) is Partition for p in got)
+                cases += 1
+    assert cases == 3190
+    assert list(partitions_inside((), 0)) == [Partition(())]
+    with pytest.raises(ValueError, match="size must be nonnegative"):
+        next(partitions_inside((3, 1), -1))
 
 
 def test_parse_and_format():

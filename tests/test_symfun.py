@@ -442,7 +442,19 @@ def _char_reference(lam: tuple, mu: tuple) -> int:
 
 
 def _reference_row(lam) -> tuple[int, ...]:
-    return tuple(_char_reference(tuple(lam), rho) for rho in partitions_list(lam.size))
+    """chi^lam on every cycle type of |lam|, summed over the strip removals of
+    the first part, so that only the suffixes below each cycle type are cached."""
+    lam = tuple(lam)
+    return tuple(
+        sum(
+            -term if odd else term
+            for shape, odd in _strip_removals(lam, rho[0])
+            for term in [_char_reference(shape, rho[1:])]
+        )
+        if rho
+        else 1
+        for rho in partitions_list(sum(lam))
+    )
 
 
 def test_bead_kernel_matches_tuple_recursion():
@@ -458,10 +470,10 @@ def test_bead_kernel_matches_tuple_recursion():
 
 
 def _reached_nodes(sizes) -> list:
-    """Every suffix node reached from the cycle types of these sizes, the empty one included."""
+    """Every suffix node below the cycle types of these sizes, the empty one included."""
     nodes = {}
     for n in sizes:
-        for node, _ in _cycle_types(n):
+        for _, node, _ in _cycle_types(n):
             while node is not None and id(node) not in nodes:
                 nodes[id(node)] = node
                 node = node.rest
@@ -469,7 +481,7 @@ def _reached_nodes(sizes) -> list:
 
 
 def _memo_states(sizes) -> int:
-    """Memo entries in every suffix node reached from the cycle types of these sizes."""
+    """Memo entries in every suffix node below the cycle types of these sizes."""
     return sum(len(node.memo) for node in _reached_nodes(sizes))
 
 
@@ -479,17 +491,16 @@ def _clear_oracle_memos():
 
 
 def test_bead_kernel_keeps_one_state_per_shape():
-    # a bead left at 0 would give one shape two keys, and the memo more states
+    # a bead left at 0 would give one shape two keys, and the memo more states;
+    # the rows store nothing on the cycle types themselves, and neither does
+    # the reference row
     _clear_oracle_memos()
     _char_reference.cache_clear()
     try:
         for n in range(13):
-            parts = partitions_list(n)
-            for lam in parts:
-                beads = _beads(lam)
-                for (node, _), rho in zip(_cycle_types(n), parts):
-                    assert _chi(beads, node) == _char_reference(tuple(lam), rho)
-        assert _memo_states(range(13)) == _char_reference.cache_info().currsize == 12648
+            for lam in partitions_list(n):
+                assert _rows(lam)[0] == _reference_row(lam), lam
+        assert _memo_states(range(13)) == _char_reference.cache_info().currsize == 1403
     finally:
         _char_reference.cache_clear()
 
@@ -498,20 +509,21 @@ def test_cold_oracle_query_keeps_the_shared_memo_states():
     # a kernel that stopped sharing states between rows or suffixes would keep more
     _clear_oracle_memos()
     assert kronecker_coefficient((7, 5, 4, 2), (10, 3, 2, 2, 1), (7, 2, 2, 2, 2, 2, 1)) == 736
-    assert _memo_states([18]) == 4364
+    assert _memo_states([18]) == 3209
 
 
 def test_strip_tables_hold_the_border_strips_of_each_shape():
-    # the rows of every lam with n <= 12 reach every shape of size m <= 12 on a
-    # suffix with first part k, for every k <= m; the moves are stored once,
+    # the rows of every lam with n <= 12 reach every shape of size m on each
+    # suffix node of size m with first part k, for every k <= min(m, 12 - m),
+    # since a strip of any size fits on any shape; the moves are stored once,
     # for k >= 2 and m - k >= 2, where more than one node can read them
     _clear_oracle_memos()
     for n in range(13):
         for lam in partitions_list(n):
             _rows(lam)
     for k in range(1, 13):
-        moves = _strips(k).moves
-        shapes = [lam for m in range(k + 2, 13) for lam in partitions_list(m)] if k >= 2 else []
+        moves = _strips(k)
+        shapes = [lam for m in range(k + 2, 13 - k) for lam in partitions_list(m)] if k >= 2 else []
         assert len(moves) == len(shapes), k
         for lam in shapes:
             expected = [(_beads(shape), odd) for shape, odd in _strip_removals(tuple(lam), k)]
@@ -519,15 +531,17 @@ def test_strip_tables_hold_the_border_strips_of_each_shape():
 
 
 def test_nodes_with_one_first_part_share_one_strip_object():
-    # every partition of m <= 14 is a suffix node here, so each group of nodes
-    # with one first part and one size is whole
+    # a partition of m with first part k lies below the cycle types of
+    # n <= 14 exactly when m + k <= 14, so each group of nodes with one first
+    # part and one size reached here is whole
     _clear_oracle_memos()
     nodes = [node for node in _reached_nodes(range(15)) if node.rest is not None]
     groups = Counter((node.k, node.size) for node in nodes)
+    assert len(groups) == sum(min(m, 14 - m) for m in range(1, 14))
     for node in nodes:
-        assert node.strips is _strips(node.k) and node.strips.k == node.k
+        assert node.strips is _strips(node.k)
         assert node.shares == (groups[node.k, node.size] > 1), (node.k, node.size)
-    tables = {id(_strips(k).moves) for k in range(1, 15)}
+    tables = {id(_strips(k)) for k in range(1, 15)}
     assert len(tables) == 14
     assert _strips.cache_info().currsize == 14
     assert not hasattr(symfun._EMPTY, "strips")
@@ -540,52 +554,53 @@ def test_cold_oracle_query_keeps_one_strip_entry_per_shape_and_first_part():
     assert kronecker_coefficient((7, 5, 4, 2), (10, 3, 2, 2, 1), (7, 2, 2, 2, 2, 2, 1)) == 736
     nodes = [node for node in _reached_nodes([18]) if node.rest is not None]
     states = {(node.k, beads) for node in nodes if node.shares for beads in node.memo}
-    strips = {node.strips for node in nodes}
-    assert _strips.cache_info().currsize == len(strips)
-    entries = {(table.k, beads) for table in strips for beads in table.moves}
+    tables = {node.k: node.strips for node in nodes}
+    assert _strips.cache_info().currsize == len(tables)
+    entries = {(k, beads) for k, table in tables.items() for beads in table}
     assert entries == states
-    assert sum(len(table.moves) for table in strips) == len(states) == 445
+    assert sum(map(len, tables.values())) == len(states) == 400
 
 
 def test_clearing_the_oracle_memos_clears_the_strip_tables():
     _clear_oracle_memos()
     kronecker_coefficient((5, 4, 2, 1), (6, 3, 3), (4, 3, 2, 2, 1))
     old = _strips(3)
-    assert old.moves
+    assert old
     _clear_oracle_memos()
     assert _strips.cache_info().currsize == 0
-    assert all(not _strips(k).moves for k in range(1, 13))
+    assert all(not _strips(k) for k in range(1, 13))
     assert _strips(3) is not old
     _clear_oracle_memos()
 
 
 def test_cycle_type_table_matches_the_walk_of_each_cycle_type():
-    # the one-pass table holds the nodes that _suffix reaches one cycle type at
-    # a time, each with its z_rho, and the class sizes n!/z_rho
+    # the one-pass table holds each cycle type's first part and the node that
+    # _suffix reaches for its rest, each node with its z, and the class sizes
+    # n!/z_rho; no node of size n is built
     from math import factorial
 
     reached = {}
-    for n in range(23):
+    for n in range(1, 23):
         nfact = factorial(n)
         parts = partitions_list(n)
         table = _cycle_types(n)
         assert len(table) == len(parts)
-        for (node, size), rho in zip(table, parts):
-            assert node is _suffix(rho), rho
+        for (k, node, size), rho in zip(table, parts):
+            assert k == rho[0] and node is _suffix(rho[1:]), rho
             assert size == nfact // centralizer_order(rho), rho
-            for i in range(len(rho) + 1):
+            for i in range(1, len(rho) + 1):
                 reached.setdefault(id(node), (node, rho[i:]))
                 node = node.rest
-        assert sum(size for _, size in table) == nfact
+        assert sum(size for _, _, size in table) == nfact
     for node, suffix in reached.values():
         assert node.z == centralizer_order(suffix), suffix
     _clear_oracle_memos()
     for rho in partitions_list(26):
-        _suffix(rho)
+        _suffix(rho[1:])
     walked = _node.cache_info().currsize
     _clear_oracle_memos()
     _cycle_types(26)
-    assert _node.cache_info().currsize == walked == 4871
+    assert _node.cache_info().currsize == walked == 2435
 
 
 def test_conjugate_character_takes_the_sign_of_the_cycle_type():
