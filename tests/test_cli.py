@@ -871,3 +871,39 @@ def test_explain_output_bytes_are_pinned(capsys):
         if hashlib.sha256(out.encode()).hexdigest() != digest:
             changed.append(" ".join(argv))
     assert not changed
+
+
+def _dispatch_transcript(capsys) -> str:
+    """(argv, exit code, stdout, stderr) of every `kron` form on the benchmark
+    triples, the csv rows without their runtime, both help texts, and `rosas`."""
+    records = []
+
+    def record(*argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # -h
+            code = exc.code
+        out, err = capsys.readouterr()
+        if "csv" in argv:
+            out = "".join(line.rsplit(",", 1)[0] + "\n" for line in out.splitlines())
+        records.append([argv, code, out, err])
+
+    triples = [tuple(argv[1:4]) for argv in _queries_argvs()]
+    for triple in triples:
+        for method in ("all", "oracle", "blasiak", "rosas", "nearhook"):
+            query = ("kron", *triple, "--method", method)
+            for form in ((), ("--output", "json"), ("--explain",), ("--explain", "--output", "json"),
+                         ("--output", "csv")):
+                record(*query, *form)
+        for form in ((), ("--output", "json")):
+            record("rosas", *triple, *form)
+    record("-h")
+    record("kron", "-h")
+    return json.dumps(records)
+
+
+def test_dispatch_output_bytes_are_pinned(capsys):
+    transcript = _dispatch_transcript(capsys)
+    assert hashlib.sha256(transcript.encode()).hexdigest() == (
+        "7b50184aaec5daa5396761309549cbfcc7dc0c470e95ec34ead72f59ad327d46"
+    )
