@@ -3,9 +3,10 @@
 Subcommands: kron (coefficient queries by any method), enumerate (LR and
 hook-rule tableaux, insertion traces), rosas (two-row x hook closed form
 with branch report), expand (hook determinant / Jacobi-Trudi / coproduct
-printing), verify (exhaustive sweep suites).  Options go before, between
-or after positionals, as --opt value, --opt=value or a unique prefix of
---opt; "--" ends them, and -h prints help.
+printing), verify (exhaustive sweep suites).  kron reads the `METHODS` table:
+one row per method, its hypotheses and its evaluator, so a new method is one
+row.  Options go before, between or after positionals, as --opt value,
+--opt=value or a unique prefix of --opt; "--" ends them, and -h prints help.
 
 Exit codes: 0 success, 1 verification failure or method disagreement,
 2 input error, 3 method hypotheses not met, 4 internal error (a failed
@@ -69,28 +70,54 @@ def _parse_partition_arg(text: str) -> Partition:
 ORACLE_MAX_N = 26
 
 
-def _applicable_methods(lam, mu):
-    """Method -> None if applicable, else the failed hypothesis."""
+def _oracle_applies(lam, mu):
     n = lam.size
-    out = {"oracle": None if n <= ORACLE_MAX_N else f"n = {n} is above the bound {ORACLE_MAX_N}"}
-    hook = as_hook(mu)
-    out["blasiak"] = None if hook else "mu is not a hook (m, 1^d)"
-    if hook and len(mu) >= 2 and as_two_row(lam):
-        out["rosas"] = None
-    elif not hook or len(mu) < 2:
-        out["rosas"] = "mu is not a hook (a, 1^(c+1)) with c >= 0"
-    else:
-        out["rosas"] = "lambda is not a two-row partition"
+    return None if n <= ORACLE_MAX_N else f"n = {n} is above the bound {ORACLE_MAX_N}"
+
+
+def _oracle(lam, mu, nu, explain):
+    return symfun.kronecker_coefficient(lam, mu, nu), [], {}
+
+
+def _blasiak_applies(lam, mu):
+    return None if as_hook(mu) else "mu is not a hook (m, 1^d)"
+
+
+def _blasiak(lam, mu, nu, explain):
+    d = len(mu) - 1
+    if not explain:
+        return colored.count_blasiak(lam, d, nu), [], {}
+    tableaux = colored.enumerate_blasiak(lam, d, nu)
+    lines = []
+    for i, tab in enumerate(tableaux, 1):
+        lines.append(f"tableau {i}:")
+        lines.extend("  " + row for row in tab.to_ascii().splitlines())
+    return len(tableaux), lines, {"tableaux": [tab.to_json() for tab in tableaux]}
+
+
+def _rosas_applies(lam, mu):
+    if not as_hook(mu) or len(mu) < 2:
+        return "mu is not a hook (a, 1^(c+1)) with c >= 0"
+    return None if as_two_row(lam) else "lambda is not a two-row partition"
+
+
+def _rosas(lam, mu, nu, explain):
+    report = rosas.rosas_report(lam.size, lam.part(2), mu[0], len(mu) - 2, nu)
+    if not explain:
+        return report.value, [], {}
+    payload = {"branch": report.case, "arguments": list(report.arguments)}
+    return report.value, [f"branch: {report.describe()}"], payload
+
+
+def _nearhook_applies(lam, mu):
     near_hook = as_near_hook(mu)
-    # the signed expansion, unlike the triple sums, calls the oracle at n - b + 1
-    inner = n - near_hook[1] + 1 if near_hook else 0
     if near_hook is None:
-        out["nearhook"] = "mu is not a near-hook (a, b, 1^c) with a >= b >= 2"
-    elif inner > ORACLE_MAX_N and not _triple_sums(lam, near_hook):
-        out["nearhook"] = f"the signed expansion calls the oracle at n - b + 1 = {inner}, above the bound {ORACLE_MAX_N}"
-    else:
-        out["nearhook"] = None
-    return out
+        return "mu is not a near-hook (a, b, 1^c) with a >= b >= 2"
+    # the signed expansion, unlike the triple sums, calls the oracle at n - b + 1
+    inner = lam.size - near_hook[1] + 1
+    if inner > ORACLE_MAX_N and not _triple_sums(lam, near_hook):
+        return f"the signed expansion calls the oracle at n - b + 1 = {inner}, above the bound {ORACLE_MAX_N}"
+    return None
 
 
 def _triple_sums(lam, near_hook):
@@ -98,31 +125,9 @@ def _triple_sums(lam, near_hook):
     return as_two_row(lam) if near_hook[2] >= 1 else None
 
 
-def _run_method(method: str, lam, mu, nu, explain: bool):
-    """Returns (value, explain lines, explain json payload)."""
+def _nearhook(lam, mu, nu, explain):
     lines: list[str] = []
     payload: dict = {}
-    if method == "oracle":
-        return symfun.kronecker_coefficient(lam, mu, nu), lines, payload
-    if method == "blasiak":
-        d = len(mu) - 1
-        if not explain:
-            return colored.count_blasiak(lam, d, nu), lines, payload
-        tableaux = colored.enumerate_blasiak(lam, d, nu)
-        payload["tableaux"] = [tab.to_json() for tab in tableaux]
-        for i, tab in enumerate(tableaux, 1):
-            lines.append(f"tableau {i}:")
-            lines.extend("  " + row for row in tab.to_ascii().splitlines())
-        return len(tableaux), lines, payload
-    if method == "rosas":
-        n = lam.size
-        report = rosas.rosas_report(n, lam.part(2), mu[0], len(mu) - 2, nu)
-        if explain:
-            payload["branch"] = report.case
-            payload["arguments"] = list(report.arguments)
-            lines.append(f"branch: {report.describe()}")
-        return report.value, lines, payload
-    # method is "nearhook": the applicable methods admit no other
     a, b, c = near_hook = as_near_hook(mu)
     two_row = _triple_sums(lam, near_hook)
     if two_row:
@@ -176,6 +181,22 @@ def _cert_text(cert) -> str:
     return f"[{index}] lr={cert.lr_value} g={cert.g_value}"
 
 
+# name -> (applies(lam, mu): None, or the text of the failed hypothesis;
+# evaluate(lam, mu, nu, explain): the value, the --explain lines and the json
+# payload).  `kron --method all` runs the rows that apply, in this order.
+METHODS = {
+    "oracle": (_oracle_applies, _oracle),
+    "blasiak": (_blasiak_applies, _blasiak),
+    "rosas": (_rosas_applies, _rosas),
+    "nearhook": (_nearhook_applies, _nearhook),
+}
+
+
+def _applicable_methods(lam, mu):
+    """Method -> None if applicable, else the failed hypothesis."""
+    return {name: applies(lam, mu) for name, (applies, _) in METHODS.items()}
+
+
 def _parse_triple(*texts: str) -> tuple[Partition, Partition, Partition]:
     """lambda, mu, nu parsed in turn, then checked to have one size."""
     lam, mu, nu = (_parse_partition_arg(x) for x in texts)
@@ -191,71 +212,49 @@ def cmd_kron(args) -> int:
         raise InputError("--explain has no csv form; use --output text or json")
     lam, mu, nu = _parse_triple(args.lam, args.mu, args.nu)
     applicable = _applicable_methods(lam, mu)
-    if args.method == "all":
-        methods = [m for m, why in applicable.items() if why is None]
-        if not methods:
-            raise HypothesisError(
-                "no method applies: " + "; ".join(f"{m}: {why}" for m, why in applicable.items())
-            )
-    else:
-        why = applicable[args.method]
-        if why is not None:
-            raise HypothesisError(f"method {args.method}: {why}")
-        methods = [args.method]
-    values: dict[str, int] = {}
-    timings: dict[str, float] = {}
-    explains: dict[str, list[str]] = {}
-    payloads: dict[str, dict] = {}
+    methods = [m for m, why in applicable.items() if why is None and args.method in (m, "all")]
+    if not methods and args.method != "all":
+        raise HypothesisError(f"method {args.method}: {applicable[args.method]}")
+    if not methods:
+        raise HypothesisError("no method applies: " + "; ".join(f"{m}: {why}" for m, why in applicable.items()))
+    results = {}  # method -> (value, explain lines, explain json payload, runtime in ms)
     for method in methods:
         start = time.perf_counter()
-        value, lines, payload = _run_method(method, lam, mu, nu, args.explain)
-        timings[method] = (time.perf_counter() - start) * 1000.0
-        values[method] = value
-        explains[method] = lines
-        payloads[method] = payload
-    distinct = set(values.values())
+        value, lines, payload = METHODS[method][1](lam, mu, nu, args.explain)
+        results[method] = value, lines, payload, (time.perf_counter() - start) * 1000.0
+    distinct = {result[0] for result in results.values()}
     value = distinct.pop() if len(distinct) == 1 else None  # None: the methods disagree
-    query = f"{format_partition(lam)} ; {format_partition(mu)} ; {format_partition(nu)}"
+    texts = [format_partition(p) for p in (lam, mu, nu)]
+    query = " ; ".join(texts)
     if args.output == "json":
         payload = {
             "lambda": list(lam),
             "mu": list(mu),
             "nu": list(nu),
             "method": args.method,
-            "methods": {m: values[m] for m in methods},
+            "methods": {m: result[0] for m, result in results.items()},
             "value": value,
         }
         if args.explain:
-            payload["explain"] = {m: payloads[m] for m in methods}
+            payload["explain"] = {m: result[2] for m, result in results.items()}
         _print_json(payload)
     elif args.output == "csv":
         import csv
 
         writer = csv.writer(sys.stdout)
         writer.writerow(["lambda", "mu", "nu", "method", "value", "runtime_ms"])
-        for method in methods:
-            writer.writerow(
-                [
-                    format_partition(lam),
-                    format_partition(mu),
-                    format_partition(nu),
-                    method,
-                    values[method],
-                    f"{timings[method]:.3f}",
-                ]
-            )
+        for method, (method_value, _, _, runtime) in results.items():
+            writer.writerow([*texts, method, method_value, f"{runtime:.3f}"])
     elif value is None:
         print(f"disagreement on g({query}):")
-        for method in methods:
-            print(f"  {method}: {values[method]}")
+        for method, result in results.items():
+            print(f"  {method}: {result[0]}")
     else:
         print(f"g({query}) = {value}   [{', '.join(methods)}]")
         if args.explain:
-            for method in methods:
-                if explains[method]:
-                    print(f"-- {method} --")
-                    for line in explains[method]:
-                        print(line)
+            for method, (_, lines, _, _) in results.items():
+                if lines:
+                    print(f"-- {method} --", *lines, sep="\n")
     return 1 if value is None else 0
 
 
@@ -333,10 +332,11 @@ def cmd_enumerate(args) -> int:
 
 def cmd_rosas(args) -> int:
     lam, mu, nu = _parse_triple(args.two_row, args.hook, args.nu)
-    why = _applicable_methods(lam, mu)["rosas"]
+    applies, evaluate = METHODS["rosas"]
+    why = applies(lam, mu)
     if why is not None:
         raise HypothesisError(why)
-    value, lines, payload = _run_method("rosas", lam, mu, nu, explain=True)
+    value, lines, payload = evaluate(lam, mu, nu, explain=True)
     if args.output == "json":
         _print_json(dict(payload, value=value))
     else:
@@ -405,7 +405,7 @@ def cmd_verify(args) -> int:
 # option maps to (kind, default, help); kind is bool, str, int or the choices.
 COMMANDS = {
     "kron": (cmd_kron, "compute one Kronecker coefficient", {"lam": "LAMBDA", "mu": "MU", "nu": "NU"}, {
-        "--method": (("oracle", "blasiak", "rosas", "nearhook", "all"), "all",
+        "--method": ((*METHODS, "all"), "all",
                      f"the oracle takes n up to {ORACLE_MAX_N}; all runs every method that applies"),
         "--output": (("text", "json", "csv"), "text", ""), "--explain": (bool, False, ""),
         "--cache-file": (str, None, "accepted and ignored; characters are memoized per process"),

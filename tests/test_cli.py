@@ -389,15 +389,13 @@ def test_verify_byte_identical_across_jobs(capsys):
 
 
 def _blasiak_off_by_one(monkeypatch):
-    original = cli._run_method
+    applies, evaluate = cli.METHODS["blasiak"]
 
-    def broken(method, lam, mu, nu, explain):
-        value, lines, payload = original(method, lam, mu, nu, explain)
-        if method == "blasiak":
-            value += 1
-        return value, lines, payload
+    def broken(lam, mu, nu, explain):
+        value, lines, payload = evaluate(lam, mu, nu, explain)
+        return value + 1, lines, payload
 
-    monkeypatch.setattr(cli, "_run_method", broken)
+    monkeypatch.setitem(cli.METHODS, "blasiak", (applies, broken))
 
 
 def test_disagreement_reports_and_exits_1(capsys, monkeypatch):
@@ -907,3 +905,18 @@ def test_dispatch_output_bytes_are_pinned(capsys):
     assert hashlib.sha256(transcript.encode()).hexdigest() == (
         "7b50184aaec5daa5396761309549cbfcc7dc0c470e95ec34ead72f59ad327d46"
     )
+
+
+def test_kron_all_agrees_with_the_oracle_on_every_triple_up_to_n_6(capsys):
+    # every applicable method's row runs on its own arguments, so a row wired
+    # to the wrong ones shows up as a disagreement (exit 1) or a wrong value
+    from kroncalc.partition import partitions_list
+    from kroncalc.symfun import kronecker_coefficient
+
+    triples = [(lam, mu, nu) for n in range(7) for lam in partitions_list(n)
+               for mu in partitions_list(n) for nu in partitions_list(n)]
+    assert len(triples) == 1836
+    for triple in triples:
+        code, out, err = run(capsys, "kron", *(",".join(map(str, p)) or "0" for p in triple))
+        assert (code, err) == (0, ""), triple
+        assert f") = {kronecker_coefficient(*triple)}   [" in out, (triple, out)
