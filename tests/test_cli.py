@@ -14,7 +14,7 @@ import pytest
 import kroncalc
 from kroncalc import cli
 from kroncalc.cli import ORACLE_MAX_N, _applicable_methods, main, parse_args
-from kroncalc.partition import Partition
+from kroncalc.partition import Partition, format_partition
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -763,6 +763,34 @@ def test_singleton_case_with_no_witness_exits_4(capsys, monkeypatch):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (4, "")
     assert err == "internal error: ArithmeticError: no witness to remove at (a,c,d,s)=(6,6,8,2)\n"
+
+
+def test_kron_explains_every_witness_family_up_to_n_10(capsys):
+    from kroncalc.nearhook import special_nu
+    from kroncalc.symfun import kronecker_coefficient
+
+    families = 0
+    for n in range(4, 11):
+        for a in range(2, n - 2):
+            c = n - 2 - a
+            for s in range(1, (c + 2) // 2 + 1):
+                nu = special_nu(a, c, s)
+                for d in range((n + 1) // 2, n + 1):
+                    lam, mu = Partition((d, n - d)), Partition((a, 2) + (1,) * c)
+                    value = kronecker_coefficient(lam, mu, nu)
+                    query = ("kron", *map(format_partition, (lam, mu, nu)), "--method", "all", "--explain")
+                    code, out, err = run(capsys, *query)
+                    assert (code, err) == (0, ""), query
+                    assert out.startswith(f"g({format_partition(lam)} ; ") and f") = {value}   [" in out
+                    assert "\nwitnesses: " in out
+                    code, out, err = run(capsys, *query, "--output", "json")
+                    assert (code, err) == (0, ""), query
+                    report = json.loads(out)
+                    assert report["value"] == value
+                    witness_set = report["explain"]["nearhook"]["witnesses"]
+                    assert len(witness_set["members"]) - (witness_set["removed_min"] is not None) == value
+                    families += 1
+    assert families == 220
 
 
 def test_hook_rule_walk_that_differs_from_its_count_exits_4(capsys, monkeypatch):

@@ -585,6 +585,22 @@ def test_witnesses_removes_a_member_exactly_inside_the_interval():
     assert (tuples, inside) == (220, 107)
 
 
+def test_witness_blocks_are_the_terms_of_triple3():
+    # one hook-rule block per certificate of triple3, as large as its term
+    certificates = 0
+    for n, a, c, s, d, e in witness_args(12):
+        plus, certs = triple3(d, e, a, 2, c, special_nu(a, c, s))
+        members = witnesses(a, c, d, e, s)[1].members
+        blocks = {}
+        for member in members:
+            blocks[member.source] = blocks.get(member.source, 0) + 1
+        assert blocks == {cert.index: cert.contribution for cert in certs}
+        assert len(members) == plus
+        certificates += len(certs)
+        assert all(cert.contribution == 1 for cert in certs)
+    assert certificates == 402
+
+
 @pytest.mark.parametrize(
     "args", [(1, 2, 3, 2, 1), (3, 0, 3, 2, 1), (3, 2, 3, 4, 1), (3, 2, 4, 2, 1), (3, 2, 5, 2, 0), (3, 2, 5, 2, 3)]
 )

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 
 from kroncalc.partition import (
@@ -43,6 +46,14 @@ def test_size_is_read_only():
     with pytest.raises(AttributeError):
         del p.size
     assert p.size == 4 and Partition.size.__doc__
+
+
+def test_pickle_and_copy_round_trip():
+    for p in (Partition(()), Partition((1,)), Partition((5, 2, 2, 1))):
+        copies = [pickle.loads(pickle.dumps(p, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for q in copies + [copy.copy(p), copy.deepcopy(p)]:
+            assert type(q) is Partition
+            assert q == p
 
 
 def test_construction_rejects_bad_parts():
