@@ -147,9 +147,7 @@ def _nearhook(lam, mu, nu, explain):
             lines.extend("  -" + _cert_text(cert) for cert in certs4)
             witnessed = nearhook.witnesses_for(d, e, a, b, c, nu)
             if witnessed is not None:
-                value, witness_set = witnessed
-                if value != plus - minus:
-                    raise ArithmeticError(f"witness count {value} differs from triple3 - triple4 = {plus - minus}")
+                witness_set = witnessed[1]
                 payload["witnesses"] = witness_set.to_json()
                 removed = witness_set.removed_min
                 lines.append(

@@ -42,7 +42,8 @@ witnesses_for matches a (d, e, a, b, c, nu) query to a family the same
 way, reading s from nu, and returns None when none applies; kron reaches
 the families only through it.  Both hand s and nu to one family body
 (_witness_family), which reads the interval once, checks J- and its sum
-against it from one triple4 call, and hands the case to _witness_blocks.
+against it from one triple4 call, and builds one hook-rule block per
+certificate of triple3, which must hold exactly that certificate's term.
 """
 
 from __future__ import annotations
@@ -375,22 +376,6 @@ def _member_key(m: WitnessMember):
     )
 
 
-def _witness_blocks(a: int, c: int, d: int, s: int, nu: Partition, inside: bool) -> tuple[int, WitnessSet]:
-    """The witness value and set at nu; the least member is removed when d is inside the interval."""
-    n = a + 2 + c
-    members = []
-    for eta, _, r in j_plus(d, nu, a, 2, c):
-        block = enumerate_blasiak(Partition((n - 1 - r, r)), c + 1, eta)
-        if not block:
-            raise ArithmeticError(f"hook-rule block for {(eta, 0, r)} is empty")
-        members.extend(WitnessMember(t, (eta, 0, r)) for t in block)
-    members.sort(key=_member_key)
-    if inside and not members:
-        raise ArithmeticError(f"no witness to remove at (a,c,d,s)=({a},{c},{d},{s})")
-    witness_set = WitnessSet(tuple(members), removed_min=members[0] if inside else None)
-    return len(members) - inside, witness_set
-
-
 def witnesses(a: int, c: int, d: int, e: int, s: int) -> tuple[int, WitnessSet]:
     """g((d,e), (a,2,1^c), special_nu): |witnesses|, less one when d is inside the interval."""
     if not _witness_hypotheses(a, c, d, e, s):
@@ -412,14 +397,27 @@ def _witness_family(a: int, c: int, d: int, e: int, s: int, nu: Partition) -> tu
 
     Inside the interval J- must be exactly {(delta*, 0, s)} and its term 1;
     outside it J- must be empty and triple4 zero.  Both are read from one
-    triple4 call, and a mismatch raises.
+    triple4 call, and a mismatch raises.  Each certificate of triple3 gives
+    a hook-rule block as large as its term, so the value is triple3 - triple4.
     """
     inside = _in_interval(a, c, d, s)
     expected = {(delta_star(c, s), 0, s)} if inside else set()
     value, certs = triple4(d, e, a, 2, c, nu)
-    members = {cert.index for cert in certs}
-    if members != expected:
-        raise ArithmeticError(f"negative index set is not {sorted(expected)}: {sorted(members)}")
+    indices = {cert.index for cert in certs}
+    if indices != expected:
+        raise ArithmeticError(f"negative index set is not {sorted(expected)}: {sorted(indices)}")
     if value != len(expected):
         raise ArithmeticError(f"triple4 is {value}, expected {len(expected)}")
-    return _witness_blocks(a, c, d, s, nu, inside)
+    members = []
+    for cert in triple3(d, e, a, 2, c, nu)[1]:
+        eta, _, r = cert.index
+        block = enumerate_blasiak(Partition((d + e - 1 - r, r)), c + 1, eta)
+        if len(block) != cert.contribution:
+            raise ArithmeticError(
+                f"hook-rule block for {cert.index} holds {len(block)} tableaux, its term is {cert.contribution}"
+            )
+        members.extend(WitnessMember(t, cert.index) for t in block)
+    members.sort(key=_member_key)
+    if inside and not members:
+        raise ArithmeticError(f"no witness to remove at (a,c,d,s)=({a},{c},{d},{s})")
+    return len(members) - inside, WitnessSet(tuple(members), removed_min=members[0] if inside else None)

@@ -50,9 +50,6 @@ class Partition(tuple):
             raise ValueError(f"parts must be positive: {parts!r}")
         return super().__new__(cls, tup)
 
-    def __getnewargs__(self):
-        return (tuple(self),)
-
     def __repr__(self) -> str:
         return f"Partition({tuple(self)})"
 

@@ -742,23 +742,27 @@ def test_closed_stdout_exits_141_without_a_traceback(argv, reads):
 def test_witness_count_that_differs_from_the_triple_sums_exits_4(capsys, monkeypatch):
     from kroncalc import nearhook
 
-    original = nearhook.witnesses_for
+    original = nearhook.enumerate_blasiak
 
-    def broken(*args):
-        value, witness_set = original(*args)
-        return value + 1, witness_set
+    def one_too_many(*args):
+        block = original(*args)
+        return (*block, block[0])
 
-    monkeypatch.setattr(nearhook, "witnesses_for", broken)
+    # the first block, of (7,2,1^4) at r = 5, gains a duplicate of its one tableau
+    monkeypatch.setattr(nearhook, "enumerate_blasiak", one_too_many)
     argv = ("kron", "8,6", "6,2,1^6", "8,2,1^4", "--method", "nearhook", "--explain")
     code, out, err = run(capsys, *argv)
     assert (code, out) == (4, "")
-    assert err == "internal error: ArithmeticError: witness count 2 differs from triple3 - triple4 = 1\n"
+    assert err == (
+        "internal error: ArithmeticError: hook-rule block for"
+        " (Partition((7, 2, 1, 1, 1, 1)), 0, 5) holds 2 tableaux, its term is 1\n"
+    )
 
 
 def test_singleton_case_with_no_witness_exits_4(capsys, monkeypatch):
     from kroncalc import nearhook
 
-    monkeypatch.setattr(nearhook, "j_plus", lambda *args: frozenset())
+    monkeypatch.setattr(nearhook, "triple3", lambda *args: (0, []))
     argv = ("kron", "8,6", "6,2,1^6", "8,2,1^4", "--method", "nearhook", "--explain")
     code, out, err = run(capsys, *argv)
     assert (code, out) == (4, "")

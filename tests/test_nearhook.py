@@ -642,7 +642,7 @@ def test_witnesses_reads_the_hypotheses_and_the_interval_once(monkeypatch):
 
 
 def test_singleton_case_with_no_witness_raises(monkeypatch):
-    monkeypatch.setattr(nearhook, "j_plus", lambda *args: frozenset())
+    monkeypatch.setattr(nearhook, "triple3", lambda *args: (0, []))
     with pytest.raises(ArithmeticError, match=r"^no witness to remove at \(a,c,d,s\)=\(6,6,8,2\)$"):
         witnesses(6, 6, 8, 6, 2)  # d inside the interval
     assert witnesses(3, 3, 4, 4, 2) == (0, WitnessSet((), None))  # d outside: nothing to remove
@@ -663,7 +663,24 @@ def test_witness_case_raises_when_triple4_disagrees_with_the_interval(monkeypatc
 def test_empty_hook_rule_block_raises(monkeypatch):
     # J+ at d = 5 is {((4,2), 0, 2)}, and its block holds the one witness to remove
     monkeypatch.setattr(nearhook, "enumerate_blasiak", lambda *args: ())
-    with pytest.raises(ArithmeticError, match=r"^hook-rule block for \(Partition\(\(4, 2\)\), 0, 2\) is empty$"):
+    with pytest.raises(
+        ArithmeticError, match=r"^hook-rule block for \(Partition\(\(4, 2\)\), 0, 2\) holds 0 tableaux, its term is 1$"
+    ):
+        witnesses(3, 2, 5, 2, 2)
+
+
+def test_hook_rule_block_larger_than_its_term_raises(monkeypatch):
+    # a duplicate tableau in the one block would leave g = 1 where the oracle reads 0
+    original = nearhook.enumerate_blasiak
+
+    def one_too_many(*args):
+        block = original(*args)
+        return (*block, block[0])
+
+    monkeypatch.setattr(nearhook, "enumerate_blasiak", one_too_many)
+    with pytest.raises(
+        ArithmeticError, match=r"^hook-rule block for \(Partition\(\(4, 2\)\), 0, 2\) holds 2 tableaux, its term is 1$"
+    ):
         witnesses(3, 2, 5, 2, 2)
 
 
