@@ -420,4 +420,5 @@ def _witness_family(a: int, c: int, d: int, e: int, s: int, nu: Partition) -> tu
     members.sort(key=_member_key)
     if inside and not members:
         raise ArithmeticError(f"no witness to remove at (a,c,d,s)=({a},{c},{d},{s})")
-    return len(members) - inside, WitnessSet(tuple(members), removed_min=members[0] if inside else None)
+    witness_set = WitnessSet(tuple(members), removed_min=members[0] if inside else None)
+    return len(members) - inside, witness_set
