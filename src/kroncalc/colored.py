@@ -46,11 +46,11 @@ same graph, enters only states with a nonzero count, and records the shape
 after each key; the rows of a finished tableau are read off that chain of
 shapes.  Each walk is checked against the graph's count: if the tableaux
 it finds for some shape differ in number from that count, it raises
-ArithmeticError.  The strip listing comes from ``tableau`` (``_strips``)
-and the conjugation from ``partition`` (``_conjugate``).
-The tableau walk (``_walk``) is a module-level recursion that takes its
-state as arguments, so a call leaves no reference cycle and its lists are
-freed by reference counting when it returns.
+ArithmeticError.  The conjugation comes from ``partition``
+(``_conjugate``).  The strip lister's walk (``_grow``) and the tableau
+walk (``_walk``) are module-level recursions that take their state as
+arguments, so a call leaves no reference cycle and its lists are freed by
+reference counting when it returns.
 
 The tests keep a search over mixed-insertion states of the admissible
 words as the reference this construction must match.
@@ -64,7 +64,7 @@ from itertools import accumulate, zip_longest
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .partition import Partition, _conjugate, format_partition
-from .tableau import _strips, is_yamanouchi, reading_word, value_counts
+from .tableau import is_yamanouchi, reading_word, value_counts
 
 
 class _Letter(NamedTuple):
@@ -323,6 +323,60 @@ def mixed_insertion_trace(word: Sequence[ColoredLetter]) -> list[ColoredTableau]
 
 # ---------------------------------------------------------------------------
 # tableau enumeration behind the hook rule
+
+
+def _strips(lines: Sequence[int], s: int, limit, bound) -> list:
+    """Ways to add a horizontal strip of s cells to a shape's lines.
+
+    lines are the weakly decreasing line lengths (rows, or the columns of
+    the conjugate shape for a vertical strip); line i takes at most
+    lines[i-1] - lines[i] cells, line 0 any number, and one empty line
+    after the last may open.  No line may grow past limit (a shape), and
+    bound[i] (the last entry for i past the end) caps the strip's cells in
+    lines 0..i.  Each way is (grown line lengths, prefix sums), the prefix
+    sums being accumulate(cells per line, initial=0); an empty strip is
+    (tuple(lines), (0,)).
+    """
+    if s == 0:
+        return [(tuple(lines), (0,))]
+    padded = list(lines) + [0]
+    caps = [s] + [a - b for a, b in zip(padded, padded[1:])]
+    if limit is not None:
+        caps = [
+            min(cap, limit[i] - length) if i < len(limit) else 0
+            for i, (cap, length) in enumerate(zip(caps, padded))
+        ]
+    if bound is not None:
+        bound = [bound[i] if i < len(bound) else bound[-1] for i in range(len(caps))]
+    room = list(accumulate(reversed(caps)))[::-1]
+    out = []
+    _grow(0, 0, s, padded, caps, room, bound, [0] * len(caps), out)
+    return out
+
+
+def _grow(start, placed, s, padded, caps, room, bound, picks, out) -> None:
+    """Append to out each way to place the s - placed cells left in lines start..
+
+    picks[i] holds the cells line i takes; lines from start on take none
+    yet.  Lines are tried in order and, within a line, the larger count
+    first, so the ways come in decreasing lexicographic order of picks.
+    """
+    if placed == s:
+        grown = tuple(a + t for a, t in zip(padded, picks))
+        prefix = tuple(accumulate(picks, initial=0))
+        out.append((grown if picks[-1] else grown[:-1], prefix))
+        return
+    left = s - placed
+    for j in range(start, len(caps)):
+        if room[j] < left:
+            break
+        hi = min(caps[j], left)
+        if bound is not None:
+            hi = min(hi, bound[j] - placed)
+        for t in range(hi, 0, -1):
+            picks[j] = t
+            _grow(j + 1, placed + t, s, padded, caps, room, bound, picks, out)
+        picks[j] = 0
 
 
 def _search(lam: Partition, d: int, target: Optional[Partition]):

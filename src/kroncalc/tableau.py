@@ -6,30 +6,33 @@ Yamanouchi condition: every prefix contains at least as many i's as
 (i+1)'s.  The number of such fillings is the LR coefficient
 c^{outer}_{inner, w}.
 
-Enumeration fills cells in reading order so the Yamanouchi prefix counts,
-the semistandard constraints, and the weight budget can all be checked
-incrementally; this keeps exhaustive sweeps through n <= 12 interactive.
-One walk serves both uses: it returns the number of fillings, which is
-all ``lr_coefficient`` reads, and only ``lr_tableaux`` asks it to record
-each filling's label rows as well.  The fillings walk (``_fill``) and the
-strip lister's walk (``_grow``), shared with the hook rule in ``colored``,
-are module-level recursions that take their state as arguments, so a call
-leaves no reference cycle behind and its lists are freed by reference
-counting as soon as it returns.
+One walk per skew shape serves every weight.  It fills cells in reading
+order, so the Yamanouchi prefix counts and the semistandard constraints are
+checked incrementally; it needs no weight budget, since the rightmost cell
+of row r (counted from 0) takes labels up to r + 1 and the Yamanouchi test
+prunes the rest.  ``_lr_table`` tallies the fillings by weight, once per
+(outer, inner), and ``lr_coefficient`` reads one entry of that table; only
+``lr_tableaux`` asks the walk to record the label rows of its weight as
+well, in the same order.  The walk (``_fill``) is a module-level recursion
+that takes its state as arguments, so a call leaves no reference cycle
+behind and its lists are freed by reference counting as soon as it returns.
 
 Sums weighted by LR coefficients walk the cached supports instead of
 probing every partition: ``lr_weight_support`` fixes (outer, inner) and
 ``lr_outer_support`` fixes (inner, weight), and each lists the third with
 its nonzero coefficient, in partitions_list order.  By the symmetry
 c^lam_{inner, weight} = c^lam_{weight, inner}, ``lr_weight_support`` also
-lists the inner shapes for a fixed weight.  That symmetry also puts every
-weight with a nonzero coefficient inside lam, so only those are searched.
+lists the inner shapes for a fixed weight.  It takes its weights from the
+keys of the shape's table and reads each value through ``lr_coefficient``.
+
+Strip-chain counts need no search: kappa/eta and nu/kappa are horizontal
+strips exactly when every row lies in its own interval, so the counts by
+|kappa/eta| are the coefficients of a product of one interval per row.
 """
 
 from __future__ import annotations
 
 from functools import cache
-from itertools import accumulate
 from typing import Iterable, NamedTuple, Sequence
 
 from .partition import Partition, as_partition, contains, partitions_list
@@ -114,82 +117,84 @@ def is_yamanouchi(word: Sequence[int]) -> bool:
     return True
 
 
-def _lr_fillings(outer: Partition, inner: Partition, weight: Sequence[int], found=None) -> int:
-    """Count the LR fillings of outer/inner with the given weight.
+def _lr_walk(outer: Partition, inner: Partition, found=None) -> dict[tuple, int]:
+    """Tally the LR fillings of outer/inner by their label counts.
 
-    When ``found`` is a list, each filling's label rows are appended to it
-    as well, in the order the walk finishes them.  Cells are filled in
-    reading order; a label v is admissible when it keeps the row weakly
-    increasing (right neighbour bound), the column strictly increasing
-    (cell above), the weight within budget, and the Yamanouchi prefix
-    inequality counts[v] < counts[v-1].  Both bounds come from cells filled
-    earlier in reading order, so a cell is never cleared on the way back.
-    Degenerate input (inner not contained in outer, or sizes that do not
-    balance) has no filling.
+    The keys are (0, m_1, m_2, ..., m_len(outer)), m_v the number of labels
+    v.  When ``found`` is a pair (key, list), the label grid of each filling
+    with that key is appended to the list, in the order the walk finishes
+    them.  Cells are filled in reading order; a label v is admissible when
+    it keeps the row weakly increasing (right neighbour bound, or r + 1 in
+    the rightmost cell of row r, counted from 0), the column strictly
+    increasing (cell above), and the Yamanouchi prefix inequality
+    counts[v] < counts[v-1].  Both bounds come from cells filled earlier in
+    reading order, so a cell is never cleared on the way back.  An inner
+    shape not contained in outer has no filling.
     """
-    if inner.size + sum(weight) != outer.size or not contains(inner, outer):
-        return 0
+    tally: dict[tuple, int] = {}
+    if not contains(inner, outer):
+        return tally
+    grid = [[0] * part for part in outer]
     cells = []
-    for r in range(len(outer)):
-        lo = inner.part(r + 1)
-        for c in range(outer[r] - 1, lo - 1, -1):
-            cells.append((r, c))
-    grid = [[0] * outer[r] for r in range(len(outer))]
-    return _fill(0, cells, grid, [0] * (len(weight) + 1), weight, outer, inner, found)
+    for r, part in enumerate(outer):
+        for c in range(part - 1, inner.part(r + 1) - 1, -1):
+            above = grid[r - 1] if r and c < outer[r - 1] else None
+            cells.append((grid[r], c, r + 1 if c + 1 == part else 0, above))
+    _fill(0, cells, grid, [0] * (len(outer) + 1), tally, found)
+    return tally
 
 
-def _fill(k, cells, grid, counts, weight, outer, inner, found) -> int:
-    """Fillings that complete grid from cell k on, with counts[v] labels v placed."""
+def _fill(k, cells, grid, counts, tally, found) -> None:
+    """Tally the fillings that complete grid from cell k on, counts[v] labels v placed."""
     if k == len(cells):
-        if found is not None:
-            found.append(tuple(tuple(row[inner.part(r + 1) :]) for r, row in enumerate(grid)))
-        return 1
-    r, c = cells[k]
-    row = grid[r]
-    hi = row[c + 1] if c + 1 < outer[r] else len(weight)
-    lo = grid[r - 1][c] if r > 0 and c < outer[r - 1] else 0
-    total = 0
-    for v in range(lo + 1, hi + 1):
-        if counts[v] >= weight[v - 1]:
-            continue
+        key = tuple(counts)
+        tally[key] = tally.get(key, 0) + 1
+        if found is not None and key == found[0]:
+            found[1].append(tuple(map(tuple, grid)))
+        return
+    row, c, top, above = cells[k]
+    hi = top or row[c + 1]
+    for v in range(above[c] + 1 if above is not None else 1, hi + 1):
         if v > 1 and counts[v] >= counts[v - 1]:
             continue
         row[c] = v
         counts[v] += 1
-        total += _fill(k + 1, cells, grid, counts, weight, outer, inner, found)
+        _fill(k + 1, cells, grid, counts, tally, found)
         counts[v] -= 1
-    return total
+
+
+@cache
+def _lr_table(outer: Partition, inner: Partition) -> dict[Partition, int]:
+    """weight -> c^outer_{inner, weight} for every weight with a nonzero coefficient."""
+    return {Partition(key[1:]): count for key, count in _lr_walk(outer, inner).items()}
 
 
 def lr_tableaux(lam, mu, nu) -> list[SkewSSYT]:
     """All LR tableaux of shape lam/mu and weight nu."""
     lam, mu, nu = Partition(lam), Partition(mu), Partition(nu)
-    found: list[tuple[tuple[int, ...], ...]] = []
-    _lr_fillings(lam, mu, nu, found)
-    return [SkewSSYT(lam, mu, rows) for rows in found]
+    found: tuple[tuple, list] = ((0, *nu) + (0,) * (len(lam) - len(nu)), [])
+    _lr_walk(lam, mu, found)
+    return [
+        SkewSSYT(lam, mu, [row[mu.part(r + 1) :] for r, row in enumerate(grid)])
+        for grid in found[1]
+    ]
 
 
 @cache
 def lr_coefficient(lam, mu, nu) -> int:
     """c^lam_{mu nu}: LR tableaux of shape lam/mu, weight nu (0 on degenerate input)."""
     lam, mu, nu = as_partition(lam), as_partition(mu), as_partition(nu)
-    return _lr_fillings(lam, mu, nu)
-
-
-def _nonzero(size: int, coefficient) -> tuple[tuple[Partition, int], ...]:
-    """(p, coefficient(p)) for every partition p of size with a nonzero value."""
-    if size < 0:
-        return ()
-    return tuple((p, c) for p in partitions_list(size) if (c := coefficient(p)))
+    return _lr_table(lam, mu).get(nu, 0)
 
 
 @cache
 def lr_weight_support(lam, inner) -> tuple[tuple[Partition, int], ...]:
     """(weight, c^lam_{inner, weight}) for every weight with a nonzero coefficient."""
     lam, inner = Partition(lam), Partition(inner)
-    return _nonzero(
-        lam.size - inner.size,
-        lambda weight: contains(weight, lam) and lr_coefficient(lam, inner, weight),
+    # reverse lexicographic order is partitions_list order
+    return tuple(
+        (weight, lr_coefficient(lam, inner, weight))
+        for weight in sorted(_lr_table(lam, inner), reverse=True)
     )
 
 
@@ -197,7 +202,11 @@ def lr_weight_support(lam, inner) -> tuple[tuple[Partition, int], ...]:
 def lr_outer_support(inner, weight) -> tuple[tuple[Partition, int], ...]:
     """(lam, c^lam_{inner, weight}) for every lam with a nonzero coefficient."""
     inner, weight = Partition(inner), Partition(weight)
-    return _nonzero(inner.size + weight.size, lambda lam: lr_coefficient(lam, inner, weight))
+    return tuple(
+        (lam, c)
+        for lam in partitions_list(inner.size + weight.size)
+        if (c := lr_coefficient(lam, inner, weight))
+    )
 
 
 def lr_two_row(x: int, y: int, u: int, v: int, d: int, e: int) -> int:
@@ -223,25 +232,41 @@ def strip_chain_count(nu, eta, size1: int, size2: int) -> int:
     """Number of kappa with eta <= kappa <= nu forming two horizontal strips.
 
     kappa/eta must be a horizontal strip of size1 cells and nu/kappa one of
-    size2 cells.  Negative sizes count as zero by convention.  kappa runs
-    over the strips _strips lists on eta inside nu; nu/kappa is a
-    horizontal strip when kappa has at least len(nu) - 1 rows and
-    kappa_i >= nu_{i+1} for every row i.  Since kappa_i <= eta_{i-1} as
-    well, the count is 0 when some row i >= 2 has eta_{i-1} < nu_{i+1}.
+    size2 cells.  Negative sizes count as zero by convention.
     """
     nu, eta = as_partition(nu), as_partition(eta)
-    if size1 < 0 or size2 < 0:
+    if size1 < 0 or size2 < 0 or eta.size + size1 + size2 != nu.size:
         return 0
-    if eta.size + size1 + size2 != nu.size:
-        return 0
-    if not contains(eta, nu):
-        return 0
-    if any(eta.part(i - 1) < nu.part(i + 1) for i in range(2, len(nu))):
-        return 0
-    return sum(
-        len(kappa) >= len(nu) - 1 and all(k >= nu.part(i + 2) for i, k in enumerate(kappa))
-        for kappa, _ in _strips(eta, size1, nu, None)
-    )
+    chains = _strip_chains(nu, eta)
+    return chains[size1] if size1 < len(chains) else 0
+
+
+@cache
+def _strip_chains(nu: Partition, eta: Partition) -> tuple[int, ...]:
+    """strip_chain_count(nu, eta, s, |nu/eta| - s) for s = 0, 1, ...; () when all are 0.
+
+    The two strips bound each row on its own:
+    max(eta_i, nu_{i+1}) <= kappa_i <= min(nu_i, eta_{i-1}), with no upper
+    bound from eta in row 1, and the lower bounds keep kappa a partition.
+    So the counts are the coefficients of the product over the rows of
+    x^(lo - eta_i) + ... + x^(hi - eta_i).
+    """
+    if len(eta) > len(nu):
+        return ()
+    inner = (*eta, *(0,) * (len(nu) - len(eta)))
+    low, counts = 0, [1]
+    for top, below, base, above in zip(nu, (*nu[1:], 0), inner, (*nu[:1], *inner)):
+        lo, hi = max(base, below), min(top, above)
+        if lo > hi:
+            return ()
+        low += lo - base
+        if hi > lo:
+            grown = [0] * (len(counts) + hi - lo)
+            for s, count in enumerate(counts):
+                for t in range(s, s + hi - lo + 1):
+                    grown[t] += count
+            counts = grown
+    return (0,) * low + tuple(counts)
 
 
 def lr_via_strip_difference(nu, eta, b: int, j: int) -> int:
@@ -249,60 +274,6 @@ def lr_via_strip_difference(nu, eta, b: int, j: int) -> int:
     return strip_chain_count(nu, eta, j, b - 1 - j) - strip_chain_count(
         nu, eta, j - 1, b - j
     )
-
-
-def _strips(lines: Sequence[int], s: int, limit, bound) -> list:
-    """Ways to add a horizontal strip of s cells to a shape's lines.
-
-    lines are the weakly decreasing line lengths (rows, or the columns of
-    the conjugate shape for a vertical strip); line i takes at most
-    lines[i-1] - lines[i] cells, line 0 any number, and one empty line
-    after the last may open.  No line may grow past limit (a shape), and
-    bound[i] (the last entry for i past the end) caps the strip's cells in
-    lines 0..i.  Each way is (grown line lengths, prefix sums), the prefix
-    sums being accumulate(cells per line, initial=0); an empty strip is
-    (tuple(lines), (0,)).
-    """
-    if s == 0:
-        return [(tuple(lines), (0,))]
-    padded = list(lines) + [0]
-    caps = [s] + [a - b for a, b in zip(padded, padded[1:])]
-    if limit is not None:
-        caps = [
-            min(cap, limit[i] - length) if i < len(limit) else 0
-            for i, (cap, length) in enumerate(zip(caps, padded))
-        ]
-    if bound is not None:
-        bound = [bound[i] if i < len(bound) else bound[-1] for i in range(len(caps))]
-    room = list(accumulate(reversed(caps)))[::-1]
-    out = []
-    _grow(0, 0, s, padded, caps, room, bound, [0] * len(caps), out)
-    return out
-
-
-def _grow(start, placed, s, padded, caps, room, bound, picks, out) -> None:
-    """Append to out each way to place the s - placed cells left in lines start..
-
-    picks[i] holds the cells line i takes; lines from start on take none
-    yet.  Lines are tried in order and, within a line, the larger count
-    first, so the ways come in decreasing lexicographic order of picks.
-    """
-    if placed == s:
-        grown = tuple(a + t for a, t in zip(padded, picks))
-        prefix = tuple(accumulate(picks, initial=0))
-        out.append((grown if picks[-1] else grown[:-1], prefix))
-        return
-    left = s - placed
-    for j in range(start, len(caps)):
-        if room[j] < left:
-            break
-        hi = min(caps[j], left)
-        if bound is not None:
-            hi = min(hi, bound[j] - placed)
-        for t in range(hi, 0, -1):
-            picks[j] = t
-            _grow(j + 1, placed + t, s, padded, caps, room, bound, picks, out)
-        picks[j] = 0
 
 
 def dimension(lam) -> int:

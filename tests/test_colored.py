@@ -13,6 +13,7 @@ from kroncalc.colored import (
     _finalize,
     _inserted,
     _search,
+    _strips,
     blasiak_counts,
     blft,
     content,
@@ -35,7 +36,6 @@ from kroncalc.partition import (
     partitions_list,
 )
 from kroncalc.symfun import kronecker_coefficient
-from kroncalc.tableau import _strips
 
 # the 3x3 colored tableau used by the single-letter insertion examples
 BASE = ColoredTableau.from_text("1' 1 2' | 1' 2' 2 | 2' 2 3")

@@ -5,6 +5,7 @@ import pytest
 from kroncalc.partition import Partition, contains, is_horizontal_strip, partitions_list
 from kroncalc.tableau import (
     SkewSSYT,
+    _lr_table,
     dimension,
     is_yamanouchi,
     lr_coefficient,
@@ -170,7 +171,7 @@ def test_strip_chain_counts():
 
 def test_strip_chain_count_matches_brute_force():
     cases = 0
-    for n in range(9):
+    for n in range(10):
         for nu in partitions_list(n):
             for m in range(n + 1):
                 for eta in partitions_list(m):
@@ -187,7 +188,7 @@ def test_strip_chain_count_matches_brute_force():
                         got = strip_chain_count.__wrapped__(nu, eta, size1, n - m - size1)
                         assert got == expected, (nu, eta, size1)
                         cases += 1
-    assert cases == 3650
+    assert cases == 7367
 
 
 def test_lr_via_strip_difference():
@@ -220,6 +221,62 @@ def test_dimension():
     assert dimension((4, 2, 1, 1)) == 90  # 8! / (7*4*2*1*4*1*2*1)
 
 
+def _lr_reference(outer: Partition, inner: Partition, weight) -> int:
+    """c^outer_{inner, weight} by a walk over the fillings of that one weight.
+
+    Cells are filled in reading order; a label v is admissible when it keeps
+    the row weakly increasing, the column strictly increasing, the weight
+    within budget, and the Yamanouchi prefix inequality counts[v] < counts[v-1].
+    """
+    if inner.size + sum(weight) != outer.size or not contains(inner, outer):
+        return 0
+    cells = []
+    for r in range(len(outer)):
+        lo = inner.part(r + 1)
+        for c in range(outer[r] - 1, lo - 1, -1):
+            cells.append((r, c))
+    grid = [[0] * outer[r] for r in range(len(outer))]
+    return _reference_fill(0, cells, grid, [0] * (len(weight) + 1), weight, outer)
+
+
+def _reference_fill(k, cells, grid, counts, weight, outer) -> int:
+    """Fillings that complete grid from cell k on, with counts[v] labels v placed."""
+    if k == len(cells):
+        return 1
+    r, c = cells[k]
+    row = grid[r]
+    hi = row[c + 1] if c + 1 < outer[r] else len(weight)
+    lo = grid[r - 1][c] if r > 0 and c < outer[r - 1] else 0
+    total = 0
+    for v in range(lo + 1, hi + 1):
+        if counts[v] >= weight[v - 1]:
+            continue
+        if v > 1 and counts[v] >= counts[v - 1]:
+            continue
+        row[c] = v
+        counts[v] += 1
+        total += _reference_fill(k + 1, cells, grid, counts, weight, outer)
+        counts[v] -= 1
+    return total
+
+
+def test_lr_tables_match_the_weight_budgeted_walk():
+    shapes = [lam for n in range(10) for lam in partitions_list(n)]
+    pairs = fillings = 0
+    for lam in shapes:
+        for mu in shapes:
+            if mu.size > lam.size:
+                continue
+            expected = {}
+            for weight in partitions_list(lam.size - mu.size):
+                if count := _lr_reference(lam, mu, weight):
+                    expected[weight] = count
+            assert _lr_table(lam, mu) == expected, (lam, mu)
+            pairs += 1
+            fillings += sum(expected.values())
+    assert (pairs, fillings) == (5614, 2793)
+
+
 def _scan(size, coefficient):
     """(p, coefficient(p)) over every partition p of size, zeros dropped."""
     return tuple((p, coefficient(p)) for p in partitions_list(size) if coefficient(p))
@@ -239,7 +296,7 @@ def test_support_tables_match_full_scans():
                 rest, lambda inner: lr_coefficient(lam, inner, fixed)
             )
             assert lr_weight_support(lam, fixed) == _scan(
-                rest, lambda weight: lr_coefficient(lam, fixed, weight)
+                rest, lambda weight: _lr_reference(lam, fixed, weight)
             )
     for inner in shapes:
         for weight in shapes:
