@@ -20,18 +20,28 @@ g((S-r, r), (arm, 1^(c+1)), sigma).  The positive side is
 side and runs its checks (hooks, then p >= 0, then |nu| = n), returning
 the tuple (nu, S, p, arm, c) that every helper below it reads.
 
-Every sum walks only its nonzero LR terms: near_hook_expansion reads the
-cached nonzero-LR supports of ``tableau``, and each side of triple1/triple2
-keeps its nonzero terms once per (nu, S, p, arm, c), so only the two-row
-gate runs per d.  The index sets walk only the sigma inside nu
-(``partitions_inside``), since c^nu_{sigma,(p-k,k)} = 0 for any other;
-the interval terms keep their scan of every sigma of size S, so the two
-routes to J+ / J- share no enumeration.  The expansion is one walk
-(_expand) that returns the total and appends a certificate per term only
-when handed a list: near_hook_expansion hands it one, near_hook_value does
-not and builds no certificate.  The per-term gate is tableau.two_row_gate,
-the closed form without lr_two_row's argument checks; its arguments are
-two-row by construction, and j_plus / j_minus check d once per call.
+Every sum walks only its nonzero terms, and what depends on the side alone
+is built once per (nu, S, p, arm, c).  near_hook_expansion reads the cached
+nonzero-LR supports of ``tableau``.  The two-row gate holds exactly for d
+in an interval [lo, hi] (tableau.two_row_interval, the closed form that
+tableau.two_row_gate also reads).  Each side of triple1/triple2 keeps its
+nonzero terms as (lo, hi, term), so a d compares two ints per term.  The
+index sets and triple3/triple4 read one table per side (_side_table): the
+positive terms sorted by (r, sigma, k), each with its interval and its
+certificate, which is checked positive once, when the table is built.
+index_set_plus/minus list its indices; j_plus/j_minus and triple3/triple4
+check d once per call and keep the rows whose interval holds d.  The table
+reads its (sigma, k) from _strip_factors, once per (nu, S, p) and so shared
+by every hook: it walks only the sigma inside nu (``partitions_inside``),
+since c^nu_{sigma,(p-k,k)} = 0 for any other, and tests them by the
+double-hook and strip-difference predicates.  The interval terms keep their
+scan of every sigma of size S with lr_coefficient, so the two routes to
+J+ / J- share no enumeration or predicate.  Both read the closed form
+g((S-r, r), (arm, 1^(c+1)), sigma) from one memoized row per
+(S, arm, c, sigma), which does not depend on nu.  The expansion is one
+walk (_expand) that returns the total and appends a certificate per term
+only when handed a list: near_hook_expansion hands it one, near_hook_value
+does not and builds no certificate.
 
 When b = 2 and nu = (a+2, 2^(s-1), 1^(c+2-2s)), the negative side is a
 singleton (d inside an explicit interval) or empty (d outside), so the
@@ -68,7 +78,7 @@ from .tableau import (
     lr_two_row,
     lr_via_strip_difference,
     lr_weight_support,
-    two_row_gate,
+    two_row_interval,
 )
 
 
@@ -182,70 +192,96 @@ def _side(nu, a: int, b: int, c: int, positive: bool) -> tuple:
 
 
 @cache
+def _closed_form_row(size: int, arm: int, c: int, sigma: Partition) -> tuple[int, ...]:
+    """g((size - r, r), (arm, 1^(c+1)), sigma) for r = 0 .. size // 2, read through rosas_kronecker.
+
+    The row does not depend on nu, so one row serves every nu and both
+    routes to the support.
+    """
+    return tuple(rosas_kronecker(size, r, arm, c, sigma) for r in range(size // 2 + 1))
+
+
+@cache
 def _interval_terms(nu, size: int, p: int, arm: int, c: int) -> tuple:
-    """(S - r, r, p - k, k, term) for every nonzero term of a side's sum, before the gate.
+    """(lo, hi, term) for every nonzero term of a side's sum; the two-row gate holds at d iff lo <= d <= hi.
 
     term = c^nu_{sigma,(p-k,k)} * g((S-r, r), (arm, 1^(c+1)), sigma), computed
-    from the LR coefficient and the closed form, not from _support's
+    from the LR coefficient and the closed form, not from _strip_factors'
     predicates, so the two routes to the support stay independent.
     """
     out = []
+    strips = two_rows(p)
     for sigma in partitions_list(size):
-        for k, strip in enumerate(two_rows(p)):
+        for k, strip in enumerate(strips):
             coeff = lr_coefficient(nu, sigma, strip)
             if not coeff:
                 continue
-            for r in range(size // 2 + 1):
-                term = coeff * rosas_kronecker(size, r, arm, c, sigma)
-                if term:
-                    out.append((size - r, r, p - k, k, term))
+            for r, g in enumerate(_closed_form_row(size, arm, c, sigma)):
+                if g:
+                    out.append((*two_row_interval(size - r, r, p - k, k), coeff * g))
     return tuple(out)
 
 
 def _interval_sum(side: tuple, d: int) -> int:
-    return sum(term for x, y, u, v, term in _interval_terms(*side) if two_row_gate(x, y, u, v, d))
+    return sum(term for lo, hi, term in _interval_terms(*side) if lo <= d <= hi)
 
 
 @cache
-def _support(nu: Partition, size: int, p: int, arm: int, c: int) -> frozenset:
+def _strip_factors(nu: Partition, size: int, p: int) -> tuple:
+    """(sigma, k) for every double hook sigma of size with c^nu_{sigma,(p-k,k)} > 0, by strip-chain counts.
+
+    The pairs do not depend on the hook, so every side with this (nu, size)
+    reads one tuple.
+    """
+    out = []
     # c^nu_{sigma,(p-k,k)} = 0 unless sigma lies inside nu
-    out = set()
     for sigma in partitions_inside(nu, size):
         if not is_double_hook(sigma, size):
             continue
         for k in range(p // 2 + 1):
-            if lr_via_strip_difference(nu, sigma, p + 1, k) <= 0:
-                continue
-            for r in range(size // 2 + 1):
-                if rosas_kronecker(size, r, arm, c, sigma) > 0:
-                    out.add((sigma, k, r))
-    return frozenset(out)
+            if lr_via_strip_difference(nu, sigma, p + 1, k) > 0:
+                out.append((sigma, k))
+    return tuple(out)
 
 
-def _gated(side: tuple, d: int) -> frozenset:
+@cache
+def _side_table(nu: Partition, size: int, p: int, arm: int, c: int) -> tuple:
+    """(lo, hi, certificate) for every positive term of a side, sorted by (r, sigma, k).
+
+    The two-row gate holds at d iff lo <= d <= hi.  Every certificate is
+    checked positive here, once, so no d can gate a term that was not.
+    """
+    terms = []
+    for sigma, k in _strip_factors(nu, size, p):
+        for r, g in enumerate(_closed_form_row(size, arm, c, sigma)):
+            if g > 0:
+                terms.append((r, sigma, k, g))
+    out = []
+    strips = two_rows(p)
+    for r, sigma, k, g in sorted(terms):
+        cert = TermCertificate(1, (sigma, k, r), lr_coefficient(nu, sigma, strips[k]), g)
+        if cert.contribution <= 0:
+            raise ArithmeticError(f"non-positive reduced term at {cert.index}")
+        out.append((*two_row_interval(size - r, r, p - k, k), cert))
+    return tuple(out)
+
+
+def _support(nu: Partition, size: int, p: int, arm: int, c: int) -> frozenset:
+    return frozenset(cert.index for _, _, cert in _side_table(nu, size, p, arm, c))
+
+
+def _gated(side: tuple, d: int) -> list[TermCertificate]:
     _, size, p, _, _ = side
-    # the gate's other arguments are two-row by construction and balance
-    # with e, so d is the one argument left to check
+    # the table's intervals assume the gate's other arguments, which are
+    # two-row by construction and balance with e, so d is the one left to check
     if not d >= size + p - d >= 0:
         raise ValueError("two-row arguments must be weakly decreasing and nonnegative")
-    return frozenset(
-        (sigma, k, r)
-        for sigma, k, r in _support(*side)
-        if two_row_gate(size - r, r, p - k, k, d)
-    )
+    return [cert for lo, hi, cert in _side_table(*side) if lo <= d <= hi]
 
 
 def _certified_sum(side: tuple, d: int) -> tuple[int, list[TermCertificate]]:
-    nu, size, p, arm, c = side
-    certs = []
-    for sigma, k, r in sorted(_gated(side, d), key=lambda t: (t[2], t[0], t[1])):
-        coeff = lr_coefficient(nu, sigma, two_rows(p)[k])
-        g = rosas_kronecker(size, r, arm, c, sigma)
-        cert = TermCertificate(1, (sigma, k, r), coeff, g)
-        if cert.contribution <= 0:
-            raise ArithmeticError(f"non-positive reduced term at {(sigma, k, r)}")
-        certs.append(cert)
-    return sum(t.contribution for t in certs), certs
+    certs = _gated(side, d)
+    return sum(cert.contribution for cert in certs), certs
 
 
 def triple1(d, e, a, b, c, nu) -> int:
@@ -270,12 +306,12 @@ def index_set_minus(nu, a: int, b: int, c: int) -> frozenset:
 
 def j_plus(d: int, nu, a: int, b: int, c: int) -> frozenset:
     """index_set_plus filtered by the two-row interval condition at d."""
-    return _gated(_side(nu, a, b, c, True), d)
+    return frozenset(cert.index for cert in _gated(_side(nu, a, b, c, True), d))
 
 
 def j_minus(d: int, nu, a: int, b: int, c: int) -> frozenset:
     """index_set_minus filtered by the two-row interval condition at d."""
-    return _gated(_side(nu, a, b, c, False), d)
+    return frozenset(cert.index for cert in _gated(_side(nu, a, b, c, False), d))
 
 
 def triple3(d, e, a, b, c, nu) -> tuple[int, list[TermCertificate]]:

@@ -224,7 +224,13 @@ def two_row_gate(x: int, y: int, u: int, v: int, d: int) -> bool:
     The caller guarantees x >= y >= 0, u >= v >= 0 and d >= e >= 0, where
     e = x + y + u + v - d.
     """
-    return max(x + v, y + u) <= d <= x + u
+    lo, hi = two_row_interval(x, y, u, v)
+    return lo <= d <= hi
+
+
+def two_row_interval(x: int, y: int, u: int, v: int) -> tuple[int, int]:
+    """(lo, hi): c^{(d,e)}_{(x,y),(u,v)} = 1 exactly when lo <= d <= hi, under two_row_gate's hypotheses."""
+    return max(x + v, y + u), x + u
 
 
 @cache

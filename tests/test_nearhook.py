@@ -33,12 +33,14 @@ from kroncalc.partition import (
     as_near_hook,
     as_two_row,
     hook_partition,
+    is_double_hook,
+    partitions_inside,
     partitions_list,
     two_rows,
 )
 from kroncalc.rosas import rosas_kronecker
 from kroncalc.symfun import kronecker_coefficient
-from kroncalc.tableau import lr_coefficient, lr_two_row
+from kroncalc.tableau import lr_coefficient, lr_two_row, lr_via_strip_difference, two_row_gate
 
 
 def P(*parts) -> Partition:
@@ -288,7 +290,8 @@ def test_two_row_entries_reject_arguments_off_their_hypotheses(entry, message):
 
 def _clear_closed_form_memos():
     rosas._xi_case.cache_clear()
-    nearhook._support.cache_clear()
+    nearhook._closed_form_row.cache_clear()
+    nearhook._side_table.cache_clear()
     nearhook._interval_terms.cache_clear()
 
 
@@ -357,10 +360,80 @@ def test_triple_sums_match_full_scan():
     assert cases == 1009
 
 
+def _support_reference(nu, size, p, arm, c) -> frozenset:
+    """(sigma, k, r) with c^nu_{sigma,(p-k,k)} * g((size-r, r), (arm, 1^(c+1)), sigma) > 0, walked afresh.
+
+    One walk per call, with no table: sigma inside nu and a double hook, the
+    strip-difference LR count, and the closed form for each r.
+    """
+    out = set()
+    for sigma in partitions_inside(nu, size):
+        if not is_double_hook(sigma, size):
+            continue
+        for k in range(p // 2 + 1):
+            if lr_via_strip_difference(nu, sigma, p + 1, k) <= 0:
+                continue
+            for r in range(size // 2 + 1):
+                if rosas_kronecker(size, r, arm, c, sigma) > 0:
+                    out.add((sigma, k, r))
+    return frozenset(out)
+
+
+def _certified_reference(side, d, support) -> tuple[int, list[TermCertificate]]:
+    """triple3 / triple4 computed at one d from the support alone.
+
+    The support is gated by two_row_gate at d and sorted by (r, sigma, k),
+    and each certificate is built from lr_coefficient and rosas_kronecker
+    and checked positive.
+    """
+    nu, size, p, arm, c = side
+    if not d >= size + p - d >= 0:
+        raise ValueError("two-row arguments must be weakly decreasing and nonnegative")
+    gated = frozenset(
+        (sigma, k, r) for sigma, k, r in support if two_row_gate(size - r, r, p - k, k, d)
+    )
+    certs = []
+    for sigma, k, r in sorted(gated, key=lambda t: (t[2], t[0], t[1])):
+        coeff = lr_coefficient(nu, sigma, two_rows(p)[k])
+        g = rosas_kronecker(size, r, arm, c, sigma)
+        cert = TermCertificate(1, (sigma, k, r), coeff, g)
+        if cert.contribution <= 0:
+            raise ArithmeticError(f"non-positive reduced term at {(sigma, k, r)}")
+        certs.append(cert)
+    return sum(t.contribution for t in certs), certs
+
+
+def test_side_tables_match_the_per_d_reference():
+    # every near-hook side with n <= 10 under the triple sums' hypotheses, at
+    # every admissible d; the interval sums have no terms outside the positive
+    # support, so triple1 / triple2 are the two_row_gate filter of its terms
+    cases = certificates = 0
+    for n in range(5, 11):
+        for b in range(2, n - 2):
+            for a in range(b, n - b):
+                c = n - a - b
+                for nu in partitions_list(n):
+                    sides = [
+                        (triple1, triple3, j_plus, (nu, a + c + 1, b - 1, a, c)),
+                        (triple2, triple4, j_minus, (nu, b + c, a, b - 1, c)),
+                    ]
+                    for interval, reduced, gated, side in sides:
+                        support = _support_reference(*side)
+                        for d in range((n + 1) // 2, n + 1):
+                            e = n - d
+                            value, certs = _certified_reference(side, d, support)
+                            assert reduced(d, e, a, b, c, nu) == (value, certs), (d, a, b, nu)
+                            assert interval(d, e, a, b, c, nu) == value, (d, a, b, nu)
+                            assert gated(d, nu, a, b, c) == frozenset(t.index for t in certs)
+                            cases += 1
+                            certificates += len(certs)
+    assert (cases, certificates) == (10766, 19455)
+
+
 def test_interval_terms_are_immutable():
     terms = _interval_terms(P(4, 2), 5, 1, 3, 1)  # positive side of (a, b, c) = (3, 2, 1)
     assert terms and type(terms) is tuple
-    assert all(type(t) is tuple and t[4] != 0 for t in terms)
+    assert all(type(t) is tuple and len(t) == 3 and t[2] != 0 for t in terms)
 
 
 def test_index_sets_worked_example():
@@ -685,7 +758,9 @@ def test_hook_rule_block_larger_than_its_term_raises(monkeypatch):
 
 
 def test_certified_sum_rejects_a_non_positive_term(monkeypatch):
-    # the support says every term is positive; a zero LR factor contradicts it
+    # the support says every term is positive; a zero LR factor contradicts it.
+    # A side table built before the patch would hide it, so the test clears it
+    nearhook._side_table.cache_clear()
     monkeypatch.setattr(nearhook, "lr_coefficient", lambda *args: 0)
     with pytest.raises(ArithmeticError, match=r"^non-positive reduced term at \(Partition\(\(3, 2\)\), 0, 1\)$"):
         triple3(4, 2, 3, 2, 1, (4, 2))

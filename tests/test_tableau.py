@@ -17,6 +17,7 @@ from kroncalc.tableau import (
     schur_expand_product,
     strip_chain_count,
     two_row_gate,
+    two_row_interval,
 )
 
 # the two fillings of shape 5421/42 and weight 411
@@ -125,10 +126,11 @@ def test_two_row_gate_matches_the_checked_closed_form():
                     v = total - x - y - u
                     if v > u:
                         continue
+                    lo, hi = two_row_interval(x, y, u, v)
                     for d in range((total + 1) // 2, total + 1):
-                        assert two_row_gate(x, y, u, v, d) == lr_two_row(
-                            x, y, u, v, d, total - d
-                        ), (x, y, u, v, d)
+                        expected = lr_two_row(x, y, u, v, d, total - d)
+                        assert two_row_gate(x, y, u, v, d) == expected, (x, y, u, v, d)
+                        assert (lo <= d <= hi) == expected, (x, y, u, v, d)
                         cases += 1
     assert cases == 6042
 
