@@ -24,7 +24,7 @@ Every sum walks only its nonzero terms, and what depends on the side alone
 is built once per (nu, S, p, arm, c).  near_hook_expansion reads the cached
 nonzero-LR supports of ``tableau``.  The two-row gate holds exactly for d
 in an interval [lo, hi] (tableau.two_row_interval, the closed form that
-tableau.two_row_gate also reads).  Each side of triple1/triple2 keeps its
+tableau.lr_two_row also reads).  Each side of triple1/triple2 keeps its
 nonzero terms as (lo, hi, term), so a d compares two ints per term.  The
 index sets and triple3/triple4 read one table per side (_side_table): the
 positive terms sorted by (r, sigma, k), each with its interval and its
@@ -38,10 +38,10 @@ double-hook and strip-difference predicates.  The interval terms keep their
 scan of every sigma of size S with lr_coefficient, so the two routes to
 J+ / J- share no enumeration or predicate.  Both read the closed form
 g((S-r, r), (arm, 1^(c+1)), sigma) from one memoized row per
-(S, arm, c, sigma), which does not depend on nu.  The expansion is one
-walk (_expand) that returns the total and appends a certificate per term
-only when handed a list: near_hook_expansion hands it one, near_hook_value
-does not and builds no certificate.
+(S, arm, c, sigma), which does not depend on nu; rosas keeps no memo of
+its own.  The expansion is one walk (_expand) that returns the total and
+appends a certificate per term only when handed a list: near_hook_expansion
+hands it one, near_hook_value does not and builds no certificate.
 
 When b = 2 and nu = (a+2, 2^(s-1), 1^(c+2-2s)), the negative side is a
 singleton (d inside an explicit interval) or empty (d outside), so the

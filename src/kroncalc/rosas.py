@@ -6,16 +6,13 @@ base case is the trivial-character identity; for r >= 1 the branches are
 tested strictly in order: one-row nu, one-column nu, proper hook nu, double
 hook with second part >= 2, and zero otherwise.  Each evaluation can report
 which branch fired and with which arguments, so sweep failures localize to
-a branch.  The branch reports are held once, in one memo keyed on
-(eta, a, r, c) that also runs xi_report's r-range check; a tuple that
-raises is not memoized and raises again on every call.  rosas_report checks
-its other arguments and raises the negative-value ArithmeticError on every
-call, in front of that memo; rosas_kronecker reads rosas_report.
+a branch.  rosas_report checks its other arguments, reads xi_report and
+raises the negative-value ArithmeticError; rosas_kronecker reads
+rosas_report.
 """
 
 from __future__ import annotations
 
-from functools import cache
 from typing import NamedTuple
 
 from .partition import (
@@ -105,12 +102,7 @@ class XiCaseReport(NamedTuple):
 
 def xi_report(eta, a: int, r: int, c: int) -> XiCaseReport:
     """Piecewise evaluation with branch provenance; branches tested in order."""
-    return _xi_case(as_partition(eta), a, r, c)
-
-
-@cache
-def _xi_case(eta: Partition, a: int, r: int, c: int) -> XiCaseReport:
-    """xi_report's r-range check and branches, once per argument tuple."""
+    eta = as_partition(eta)
     n = eta.size
     if not 0 <= r <= n // 2:
         raise ValueError(f"r must satisfy 0 <= r <= {n // 2}, got {r}")
@@ -146,7 +138,7 @@ def rosas_report(n: int, r: int, a: int, c: int, nu) -> XiCaseReport:
         raise ValueError(f"hook parameters need a >= 1 and c >= 0, got ({a}, {c})")
     if a + c + 1 != n:
         raise ValueError(f"hook (a, 1^(c+1)) must have size {n}")
-    report = _xi_case(nu, a, r, c)
+    report = xi_report(nu, a, r, c)
     if report.value < 0:
         raise ArithmeticError(f"negative branch value for nu={nu!r}: {report}")
     return report

@@ -28,6 +28,8 @@ keys of the shape's table and reads each value through ``lr_coefficient``.
 Strip-chain counts need no search: kappa/eta and nu/kappa are horizontal
 strips exactly when every row lies in its own interval, so the counts by
 |kappa/eta| are the coefficients of a product of one interval per row.
+``_strip_chains`` holds them once per (nu, eta); ``strip_chain_count``
+converts its arguments and reads one entry, with no memo of its own.
 """
 
 from __future__ import annotations
@@ -215,25 +217,15 @@ def lr_two_row(x: int, y: int, u: int, v: int, d: int, e: int) -> int:
         raise ValueError("two-row arguments must be weakly decreasing and nonnegative")
     if d + e != x + y + u + v:
         raise ValueError("sizes must balance: d+e == x+y+u+v")
-    return int(two_row_gate(x, y, u, v, d))
-
-
-def two_row_gate(x: int, y: int, u: int, v: int, d: int) -> bool:
-    """lr_two_row's closed form without its checks.
-
-    The caller guarantees x >= y >= 0, u >= v >= 0 and d >= e >= 0, where
-    e = x + y + u + v - d.
-    """
     lo, hi = two_row_interval(x, y, u, v)
-    return lo <= d <= hi
+    return int(lo <= d <= hi)
 
 
 def two_row_interval(x: int, y: int, u: int, v: int) -> tuple[int, int]:
-    """(lo, hi): c^{(d,e)}_{(x,y),(u,v)} = 1 exactly when lo <= d <= hi, under two_row_gate's hypotheses."""
+    """(lo, hi): c^{(d,e)}_{(x,y),(u,v)} = 1 exactly when lo <= d <= hi, under lr_two_row's checks."""
     return max(x + v, y + u), x + u
 
 
-@cache
 def strip_chain_count(nu, eta, size1: int, size2: int) -> int:
     """Number of kappa with eta <= kappa <= nu forming two horizontal strips.
 

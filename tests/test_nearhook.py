@@ -40,7 +40,7 @@ from kroncalc.partition import (
 )
 from kroncalc.rosas import rosas_kronecker
 from kroncalc.symfun import kronecker_coefficient
-from kroncalc.tableau import lr_coefficient, lr_two_row, lr_via_strip_difference, two_row_gate
+from kroncalc.tableau import lr_coefficient, lr_two_row, lr_via_strip_difference
 
 
 def P(*parts) -> Partition:
@@ -289,7 +289,6 @@ def test_two_row_entries_reject_arguments_off_their_hypotheses(entry, message):
 
 
 def _clear_closed_form_memos():
-    rosas._xi_case.cache_clear()
     nearhook._closed_form_row.cache_clear()
     nearhook._side_table.cache_clear()
     nearhook._interval_terms.cache_clear()
@@ -382,15 +381,18 @@ def _support_reference(nu, size, p, arm, c) -> frozenset:
 def _certified_reference(side, d, support) -> tuple[int, list[TermCertificate]]:
     """triple3 / triple4 computed at one d from the support alone.
 
-    The support is gated by two_row_gate at d and sorted by (r, sigma, k),
-    and each certificate is built from lr_coefficient and rosas_kronecker
-    and checked positive.
+    The support is gated at d by the LR coefficient
+    c^{(d, S+p-d)}_{(S-r, r),(p-k, k)}, not by the two-row closed form, and
+    sorted by (r, sigma, k), and each certificate is built from
+    lr_coefficient and rosas_kronecker and checked positive.
     """
     nu, size, p, arm, c = side
     if not d >= size + p - d >= 0:
         raise ValueError("two-row arguments must be weakly decreasing and nonnegative")
     gated = frozenset(
-        (sigma, k, r) for sigma, k, r in support if two_row_gate(size - r, r, p - k, k, d)
+        (sigma, k, r)
+        for sigma, k, r in support
+        if lr_coefficient((d, size + p - d), (size - r, r), (p - k, k))
     )
     certs = []
     for sigma, k, r in sorted(gated, key=lambda t: (t[2], t[0], t[1])):
@@ -406,7 +408,7 @@ def _certified_reference(side, d, support) -> tuple[int, list[TermCertificate]]:
 def test_side_tables_match_the_per_d_reference():
     # every near-hook side with n <= 10 under the triple sums' hypotheses, at
     # every admissible d; the interval sums have no terms outside the positive
-    # support, so triple1 / triple2 are the two_row_gate filter of its terms
+    # support, so triple1 / triple2 are the two-row gate filter of its terms
     cases = certificates = 0
     for n in range(5, 11):
         for b in range(2, n - 2):

@@ -367,7 +367,7 @@ COERCING_CALLS = [
 ]
 
 # entry points whose partition arguments may also be lists
-LIST_CALLS = (index_set_plus, index_set_minus)
+LIST_CALLS = (strip_chain_count, index_set_plus, index_set_minus)
 
 
 COERCING_NAMES = [

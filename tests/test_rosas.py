@@ -124,14 +124,10 @@ def test_rosas_kronecker_takes_nu_as_list_tuple_or_partition():
 def test_negative_branch_value_raises_cold_and_repeated(monkeypatch):
     from kroncalc import rosas
 
-    rosas._xi_case.cache_clear()
     monkeypatch.setattr(rosas, "phi", lambda *args: -1)
-    try:
-        for _ in range(2):
-            with pytest.raises(ArithmeticError, match="negative branch value"):
-                rosas_kronecker(8, 2, 2, 5, (3, 2, 1, 1, 1))
-    finally:
-        rosas._xi_case.cache_clear()  # no report computed from the patched phi outlives the test
+    for _ in range(2):
+        with pytest.raises(ArithmeticError, match="negative branch value"):
+            rosas_kronecker(8, 2, 2, 5, (3, 2, 1, 1, 1))
 
 
 def test_xi_report_validates_before_its_memo():

@@ -16,7 +16,6 @@ from kroncalc.tableau import (
     lr_weight_support,
     schur_expand_product,
     strip_chain_count,
-    two_row_gate,
     two_row_interval,
 )
 
@@ -128,9 +127,10 @@ def test_two_row_gate_matches_the_checked_closed_form():
                         continue
                     lo, hi = two_row_interval(x, y, u, v)
                     for d in range((total + 1) // 2, total + 1):
-                        expected = lr_two_row(x, y, u, v, d, total - d)
-                        assert two_row_gate(x, y, u, v, d) == expected, (x, y, u, v, d)
+                        e = total - d
+                        expected = lr_coefficient((d, e), (x, y), (u, v))
                         assert (lo <= d <= hi) == expected, (x, y, u, v, d)
+                        assert lr_two_row(x, y, u, v, d, e) == expected, (x, y, u, v, d)
                         cases += 1
     assert cases == 6042
 
@@ -187,7 +187,7 @@ def test_strip_chain_count_matches_brute_force():
                             and is_horizontal_strip(kappa, nu)
                             for kappa in partitions_list(m + size1)
                         )
-                        got = strip_chain_count.__wrapped__(nu, eta, size1, n - m - size1)
+                        got = strip_chain_count(nu, eta, size1, n - m - size1)
                         assert got == expected, (nu, eta, size1)
                         cases += 1
     assert cases == 7367
