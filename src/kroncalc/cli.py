@@ -368,7 +368,7 @@ def cmd_expand(args) -> int:
 # ---------------------------------------------------------------------------
 # verify
 
-MAX_JOBS = 64  # verify opens one pool of this many workers per suite
+MAX_JOBS = 64  # verify runs every selected suite on one pool of at most this many workers
 
 
 def cmd_verify(args) -> int:
@@ -384,14 +384,9 @@ def cmd_verify(args) -> int:
         raise InputError(
             f"unknown suite {args.suite!r}; choose from {', '.join(sorted(verify.SUITES))} or all"
         )
-    failed = False
-    reports = []
-    for name in names:
-        checks, failures = verify.run_suite(name, args.n, jobs=args.jobs)
-        reports.append(verify.report(name, args.n, checks, failures))
-        failed = failed or bool(failures)
-    print("\n\n".join(reports))
-    return 1 if failed else 0
+    results = verify.run_suites(names, args.n, jobs=args.jobs)
+    print("\n\n".join(verify.report(name, args.n, *result) for name, result in zip(names, results)))
+    return 1 if any(failures for _, failures in results) else 0
 
 
 # ---------------------------------------------------------------------------

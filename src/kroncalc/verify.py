@@ -1,9 +1,9 @@
 """Exhaustive small-case verification sweeps.
 
 Each suite is a list of independent work units plus a pure runner mapping a
-unit to (number of checks, failure messages).  Units can be fanned across
-worker processes; reports are assembled in unit order, so output is byte
-identical regardless of worker count.
+unit to (number of checks, failure messages).  The units of every selected
+suite run in order on one pool of worker processes; reports are assembled in
+unit order, so output is byte identical regardless of worker count.
 """
 
 from __future__ import annotations
@@ -549,27 +549,31 @@ SUITES = {
 }
 
 
-def _run_unit(task):
-    suite, unit = task
+def _run_unit(suite, unit):
     _, _, runner = SUITES[suite]
     return runner(unit)
 
 
-def run_suite(name: str, limit: int | None = None, jobs: int = 1):
-    """Run one suite; returns (checks, failures) with deterministic ordering."""
-    default_limit, unit_maker, _ = SUITES[name]
-    units = unit_maker(default_limit if limit is None else limit)
-    tasks = [(name, unit) for unit in units]
+def run_suites(names, limit: int | None = None, jobs: int = 1) -> list[tuple[int, list[str]]]:
+    """One (checks, failures) per name, in order; a suite without units gets (0, [])."""
+    tasks = []
+    for name in names:
+        default_limit, unit_maker, _ = SUITES[name]
+        tasks += [(name, unit) for unit in unit_maker(default_limit if limit is None else limit)]
+    results = (_run_unit(*task) for task in tasks)  # in process, unless a pool maps them below
     if jobs > 1 and len(tasks) > 1:
         from multiprocessing import get_context
 
-        with get_context("fork").Pool(jobs) as pool:
-            results = pool.map(_run_unit, tasks, chunksize=1)
-    else:
-        results = [_run_unit(task) for task in tasks]
-    checks = sum(r[0] for r in results)
-    failures = [msg for r in results for msg in r[1]]
-    return checks, failures
+        with get_context("fork").Pool(min(jobs, len(tasks))) as pool:
+            results = pool.starmap(_run_unit, tasks, chunksize=1)
+    totals = {name: (0, []) for name in names}
+    for (name, _), (checks, failures) in zip(tasks, results):
+        totals[name] = (totals[name][0] + checks, totals[name][1] + failures)
+    return [totals[name] for name in names]
+
+
+def run_suite(name: str, limit: int | None = None, jobs: int = 1):
+    return run_suites([name], limit, jobs)[0]  # one suite; perfbench/tracer.py binds this name
 
 
 def report(name: str, limit: int | None, checks: int, failures: list[str]) -> str:

@@ -223,7 +223,7 @@ EXPECTED_CHECKS = {
     ],
 )
 def test_oracle_equivalence(suite, limit):
-    checks, failures = verify.run_suite(suite, limit)
+    checks, failures = verify.run_suites([suite], limit)[0]
     for message in failures[:10]:
         print("   ", message)
     report(f"3 {suite} (n <= {limit}, {checks} checks)", not failures)
@@ -246,7 +246,7 @@ def test_oracle_equivalence(suite, limit):
     ],
 )
 def test_identity_suites(suite, limit):
-    checks, failures = verify.run_suite(suite, limit)
+    checks, failures = verify.run_suites([suite], limit)[0]
     for message in failures[:10]:
         print("   ", message)
     report(f"4 {suite} (limit {limit}, {checks} checks)", not failures)
@@ -259,12 +259,18 @@ def test_identity_suites(suite, limit):
 
 def test_determinism_across_jobs(capsys):
     identical = True
-    for suite, limit in (("littlewood", "5"), ("rosas-vs-oracle", "6"), ("lr", "5")):
+    # at --n 3, fundamental-vs-oracle and mainresults have no units and still
+    # get a report each
+    cases = (("littlewood", "5"), ("rosas-vs-oracle", "6"), ("lr", "5"), ("all", "3"))
+    for suite, limit in cases:
         outputs = []
         for jobs in ("1", "3"):
             code = cli_main(["verify", suite, "--n", limit, "--jobs", jobs])
             captured = capsys.readouterr()
             assert code == 0
+            assert re.findall(r"^suite: (.+)$", captured.out, re.M) == (
+                sorted(verify.SUITES) if suite == "all" else [suite]
+            )
             outputs.append(captured.out)
         identical = identical and outputs[0] == outputs[1]
     with capsys.disabled():

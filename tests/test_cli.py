@@ -3,6 +3,7 @@ import csv
 import hashlib
 import io
 import json
+import multiprocessing
 import os
 import re
 import shlex
@@ -386,6 +387,33 @@ def test_verify_byte_identical_across_jobs(capsys):
     code2, out2, _ = run(capsys, "verify", "littlewood", "--n", "4", "--jobs", "2")
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+def test_verify_starts_no_more_workers_than_units(capsys, monkeypatch):
+    requested = []
+
+    class InProcessPool:
+        def __init__(self, processes):
+            requested.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def starmap(self, fn, tasks, chunksize=1):
+            return [fn(*task) for task in tasks]
+
+    class Context:
+        Pool = InProcessPool
+
+    # the fake context maps in this process, so no worker is started
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: Context)
+    code, out, _ = run(capsys, "verify", "giambelli", "--n", "2", "--jobs", "64")
+    assert code == 0
+    assert "checks: 3" in out and out.strip().endswith("PASS")
+    assert requested == [2]  # giambelli has one unit per n from 1 to 2
 
 
 def _blasiak_off_by_one(monkeypatch):

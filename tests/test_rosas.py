@@ -130,7 +130,7 @@ def test_negative_branch_value_raises_cold_and_repeated(monkeypatch):
             rosas_kronecker(8, 2, 2, 5, (3, 2, 1, 1, 1))
 
 
-def test_xi_report_validates_before_its_memo():
+def test_xi_report_validates_its_arguments():
     eta = Partition((3, 2, 1))
     first = xi_report(eta, 2, 1, 2)
     assert xi_report((3, 2, 1), 2, 1, 2) == first

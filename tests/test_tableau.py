@@ -116,7 +116,7 @@ def test_lr_two_row_matches_enumeration():
                         ), (x, y, u, v, d, e)
 
 
-def test_two_row_gate_matches_the_checked_closed_form():
+def test_two_row_interval_and_lr_two_row_match_lr_coefficient():
     cases = 0
     for total in range(15):
         for x in range(total + 1):
