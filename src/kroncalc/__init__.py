@@ -50,6 +50,7 @@ from .symfun import (
     jacobi_trudi_to_schur,
     kronecker_coefficient,
     kronecker_product,
+    kronecker_row,
     schur,
     schur_product,
 )

@@ -42,10 +42,17 @@ its smaller suffixes.  ``_rows`` computes lam's moves once per k and sums
 each chi^lam(rho) in place from the rest nodes' dicts, so nothing is
 stored for the cycle types of n themselves; ``character`` builds the node
 of its cycle type on demand.
-``kronecker_product`` walks a cached table per ordered pair (lam, mu): the
-(nu, g) pairs with g(lam, mu, nu) != 0 in partitions_list order, each g
-read from ``kronecker_coefficient`` with the arguments in that order, so
-no zero term is generated and every triple still passes its checks.
+``kronecker_row(lam, mu)`` is one cached tuple per ordered pair: g(lam,
+mu, nu) for every nu in partitions_list order, each entry the weight
+vector |class(rho)| chi^lam chi^mu, built once per row, times chi^nu, so
+it takes one product per cycle type and no call per triple.  Every entry
+passes the divisibility and sign check of ``kronecker_coefficient``
+(``_coefficient``, one helper for both).  ``kronecker_coefficient`` keeps
+its own memo per triple: a single query builds three character rows,
+where a row of g needs every row of n.  ``kronecker_product`` walks a
+cached table per ordered pair (lam, mu), the (nu, g) pairs of its oracle
+row with g != 0, so no zero term is generated and every triple still
+passes its checks.
 The h-basis appears only as formal monomial lists inside the Jacobi-Trudi
 expansion; the public algebra is Schur-basis only.  Giambelli's hook
 determinant and the Jacobi-Trudi determinant both go through one Leibniz
@@ -496,11 +503,38 @@ def kronecker_coefficient(lam, mu, nu) -> int:
     if mu.size != n or nu.size != n:
         raise ValueError("all three partitions must have the same size")
     total = sum(map(mul, _rows(lam)[1], map(mul, _rows(mu)[0], _rows(nu)[0])))
-    nfact = factorial(n)
+    return _coefficient(total, factorial(n))
+
+
+def _coefficient(total: int, nfact: int) -> int:
+    """total / n!, checked to be a nonnegative integer, as every Kronecker coefficient is."""
     value, remainder = divmod(total, nfact)
     if remainder or value < 0:
         raise ArithmeticError(f"character sum is not a Kronecker coefficient: {total}/{nfact}")
     return value
+
+
+def kronecker_row(lam, mu) -> tuple[int, ...]:
+    """g(lam, mu, nu) for every nu of |lam|, in partitions_list order."""
+    lam, mu = as_partition(lam), as_partition(mu)
+    if mu.size != lam.size:
+        raise ValueError("both partitions must have the same size")
+    return _kronecker_row(lam, mu)
+
+
+@cache
+def _kronecker_row(lam: Partition, mu: Partition) -> tuple[int, ...]:
+    """The row of ``kronecker_row``, from one weight vector |class(rho)| chi^lam chi^mu.
+
+    Each entry is that vector times chi^nu, checked as ``kronecker_coefficient``
+    checks its sum, so a row entry and the single triple agree in value and error.
+    """
+    weights = tuple(map(mul, _rows(lam)[1], _rows(mu)[0]))
+    nfact = factorial(lam.size)
+    return tuple(
+        _coefficient(sum(map(mul, weights, _rows(nu)[0])), nfact)
+        for nu in partitions_list(lam.size)
+    )
 
 
 def kronecker_product(f: SchurVector, g: SchurVector) -> SchurVector:
@@ -520,10 +554,6 @@ def kronecker_product(f: SchurVector, g: SchurVector) -> SchurVector:
 
 @cache
 def _kronecker_support(lam: Partition, mu: Partition) -> tuple[tuple[Partition, int], ...]:
-    """The (nu, g(lam, mu, nu)) pairs with g != 0, in partitions_list order.
-
-    Each value comes from ``kronecker_coefficient(lam, mu, nu)`` in this
-    argument order, so its checks run for every triple of the table.
-    """
-    pairs = ((nu, kronecker_coefficient(lam, mu, nu)) for nu in partitions_list(lam.size))
+    """The (nu, g(lam, mu, nu)) pairs with g != 0, in partitions_list order, from the row."""
+    pairs = zip(partitions_list(lam.size), _kronecker_row(lam, mu))
     return tuple((nu, c) for nu, c in pairs if c)

@@ -3,11 +3,16 @@
 Each suite is a list of independent work units plus a pure runner mapping a
 unit to (number of checks, failure messages).  The units of every selected
 suite run in order on one pool of worker processes; reports are assembled in
-unit order, so output is byte identical regardless of worker count.
+unit order, so output is byte identical regardless of worker count.  A suite
+that reads g(lam, mu, nu) for every nu of a fixed pair reads the oracle's row
+``symfun.kronecker_row(lam, mu)`` beside ``partitions_list(n)``; kron-basics
+compares whole rows and writes per-triple lines only for a block whose
+comparison fails.
 """
 
 from __future__ import annotations
 
+from itertools import permutations
 from math import comb
 
 from . import colored, nearhook, rosas, symfun, tableau
@@ -231,47 +236,64 @@ def units_kron_basics(limit: int):
 
 
 def run_kron_basics(unit) -> tuple[int, list[str]]:
+    """The s3, conjugation and trivial-sign rules compare whole rows g(lam, mu, .).
+
+    Only a block whose comparison fails is written out triple by triple,
+    from the same rows, so the failure lines are those of a per-triple loop.
+    """
     kind, n = unit
     checks, fails = 0, []
     parts = partitions_list(n)
     if kind == "s3":
-        from itertools import permutations
-
-        for lam in parts:
-            for mu in parts:
-                for nu in parts:
-                    base = symfun.kronecker_coefficient(lam, mu, nu)
-                    for order in permutations((lam, mu, nu)):
-                        checks += 1
-                        if symfun.kronecker_coefficient(*order) != base:
-                            fails.append(
-                                f"index permutation changed g at {_fmt(lam)},{_fmt(mu)},{_fmt(nu)}"
-                            )
+        # tables[i][j][k] = g(parts[i], parts[j], parts[k]); the transpositions
+        # j <-> k and i <-> j generate S3.  One failing table touches triples
+        # of every first argument, so the block is the whole unit.
+        tables = [[symfun.kronecker_row(lam, mu) for mu in parts] for lam in parts]
+        checks += 6 * len(parts) ** 3
+        if any(table != list(zip(*table)) for table in tables) or tables != [
+            list(column) for column in zip(*tables)
+        ]:
+            for i, lam in enumerate(parts):
+                for j, mu in enumerate(parts):
+                    for k, nu in enumerate(parts):
+                        base = tables[i][j][k]
+                        for a, b, c in permutations((i, j, k)):
+                            if tables[a][b][c] != base:
+                                fails.append(
+                                    f"index permutation changed g at {_fmt(lam)},{_fmt(mu)},{_fmt(nu)}"
+                                )
     elif kind == "conjugation":
+        # g(lam, mu, nu) = g(lam, mu', nu'): the row (lam, mu') read at nu'
+        index = {nu: k for k, nu in enumerate(parts)}
+        conjugates = [index[nu.transpose()] for nu in parts]
         for lam in parts:
             for mu in parts:
-                for nu in parts:
-                    checks += 1
-                    if symfun.kronecker_coefficient(
-                        lam, mu, nu
-                    ) != symfun.kronecker_coefficient(
-                        lam, mu.transpose(), nu.transpose()
-                    ):
-                        fails.append(
-                            f"conjugation invariance broke at {_fmt(lam)},{_fmt(mu)},{_fmt(nu)}"
-                        )
+                checks += len(parts)
+                row = symfun.kronecker_row(lam, mu)
+                other = symfun.kronecker_row(lam, mu.transpose())
+                flipped = tuple(other[k] for k in conjugates)
+                if row != flipped:
+                    for nu, g, h in zip(parts, row, flipped):
+                        if g != h:
+                            fails.append(
+                                f"conjugation invariance broke at {_fmt(lam)},{_fmt(mu)},{_fmt(nu)}"
+                            )
     elif kind == "trivial-sign":
-        row = Partition((n,)) if n else Partition()
+        # the rows of (n) and (1^n) at lam are the unit vectors of lam and lam'
+        one_row = Partition((n,)) if n else Partition()
         column = Partition((1,) * n)
         for lam in parts:
-            for mu in parts:
-                checks += 2
-                expected = 1 if lam == mu else 0
-                if symfun.kronecker_coefficient(row, lam, mu) != expected:
-                    fails.append(f"trivial row rule broke at {_fmt(lam)},{_fmt(mu)}")
-                expected = 1 if lam == mu.transpose() else 0
-                if symfun.kronecker_coefficient(column, lam, mu) != expected:
-                    fails.append(f"sign column rule broke at {_fmt(lam)},{_fmt(mu)}")
+            checks += 2 * len(parts)
+            trivial = symfun.kronecker_row(one_row, lam)
+            sign = symfun.kronecker_row(column, lam)
+            conjugate = lam.transpose()
+            expected = [(int(mu == lam), int(mu == conjugate)) for mu in parts]
+            if list(zip(trivial, sign)) != expected:
+                for mu, t, s, (want_t, want_s) in zip(parts, trivial, sign, expected):
+                    if t != want_t:
+                        fails.append(f"trivial row rule broke at {_fmt(lam)},{_fmt(mu)}")
+                    if s != want_s:
+                        fails.append(f"sign column rule broke at {_fmt(lam)},{_fmt(mu)}")
     else:  # hall: <f*g, h> == <f, g*h> on basis elements
         for lam in parts:
             for mu in parts:
@@ -308,10 +330,9 @@ def run_rosas(unit) -> tuple[int, list[str]]:
     for a in range(1, n):
         c = n - a - 1
         hook = Partition((a,) + (1,) * (c + 1))
-        for nu in partitions_list(n):
+        for nu, oracle in zip(partitions_list(n), symfun.kronecker_row(two_row, hook)):
             checks += 1
             branch = rosas.rosas_report(n, r, a, c, nu)
-            oracle = symfun.kronecker_coefficient(two_row, hook, nu)
             if branch.value != oracle:
                 fails.append(
                     f"closed form != oracle at n={n} r={r} a={a} nu={_fmt(nu)}: {branch.value} vs {oracle}"
@@ -348,10 +369,9 @@ def run_blasiak(lam) -> tuple[int, list[str]]:
     counts = colored.blasiak_counts(lam)
     for d in range(n):
         hook = Partition((n - d,) + (1,) * d)
-        for nu in partitions_list(n):
+        for nu, oracle in zip(partitions_list(n), symfun.kronecker_row(lam, hook)):
             checks += 1
             count = counts.get((d, nu), 0)
-            oracle = symfun.kronecker_coefficient(lam, hook, nu)
             if count != oracle:
                 fails.append(
                     f"tableau count != oracle at lam={_fmt(lam)} d={d} nu={_fmt(nu)}: {count} vs {oracle}"
@@ -378,10 +398,9 @@ def run_fundamental(unit) -> tuple[int, list[str]]:
     near_hook = Partition((a, b) + (1,) * c)
     checks, fails = 0, []
     for lam in partitions_list(n):
-        for nu in partitions_list(n):
+        for nu, oracle in zip(partitions_list(n), symfun.kronecker_row(lam, near_hook)):
             checks += 1
             value = nearhook.near_hook_value(lam, nu, a, b, c)
-            oracle = symfun.kronecker_coefficient(lam, near_hook, nu)
             if value != oracle:
                 fails.append(
                     f"expansion != oracle at lam={_fmt(lam)} (a,b,c)=({a},{b},{c}) nu={_fmt(nu)}: {value} vs {oracle}"
@@ -410,10 +429,11 @@ def run_triples(unit) -> tuple[int, list[str]]:
     if kind == "value":
         c = n - a - b
         near_hook = Partition((a, b) + (1,) * c)
-        for nu in partitions_list(n):
-            for d in range((n + 1) // 2, n + 1):
+        ds = range((n + 1) // 2, n + 1)
+        rows = [symfun.kronecker_row(Partition((d, n - d)), near_hook) for d in ds]
+        for nu, oracles in zip(partitions_list(n), zip(*rows)):
+            for d, oracle in zip(ds, oracles):
                 e = n - d
-                oracle = symfun.kronecker_coefficient(Partition((d, e)), near_hook, nu)
                 t1 = nearhook.triple1(d, e, a, b, c, nu)
                 t2 = nearhook.triple2(d, e, a, b, c, nu)
                 checks += 1
@@ -470,12 +490,9 @@ def run_triples(unit) -> tuple[int, list[str]]:
 
 
 def _g_rows(size: int, hook: Partition) -> list:
-    """(sigma, [g((size-r, r), hook, sigma) for each r]) for every sigma of size."""
-    two_row_shapes = two_rows(size)
-    return [
-        (sigma, [symfun.kronecker_coefficient(two_row, hook, sigma) for two_row in two_row_shapes])
-        for sigma in partitions_list(size)
-    ]
+    """(sigma, (g((size-r, r), hook, sigma) for each r)) for every sigma of size."""
+    rows = [symfun.kronecker_row(two_row, hook) for two_row in two_rows(size)]
+    return list(zip(partitions_list(size), zip(*rows)))
 
 
 # ---------------------------------------------------------------------------

@@ -8,11 +8,12 @@ import gc
 import hashlib
 import json
 import re
+from itertools import permutations
 from pathlib import Path
 
 import pytest
 
-from kroncalc import verify
+from kroncalc import colored, symfun, tableau, verify
 from kroncalc.cli import main as cli_main
 from kroncalc.colored import (
     ColoredTableau,
@@ -34,7 +35,7 @@ from kroncalc.nearhook import (
     triple4,
     witnesses,
 )
-from kroncalc.partition import Partition
+from kroncalc.partition import Partition, partitions_list
 from kroncalc.rosas import phi, xi
 from kroncalc.symfun import giambelli_leibniz, jacobi_trudi, kronecker_coefficient
 from kroncalc.tableau import lr_coefficient, lr_tableaux, strip_chain_count
@@ -253,6 +254,71 @@ def test_identity_suites(suite, limit):
     check(f"4 {suite} check count", checks, EXPECTED_CHECKS[suite])
 
 
+def _kron_basics_per_triple(kind: str, n: int, g) -> tuple[int, list[str]]:
+    """The per-triple loops that kron-basics ran before it compared rows, reading g."""
+    checks, fails = 0, []
+    parts = partitions_list(n)
+    fmt = verify._fmt
+    if kind == "s3":
+        for lam in parts:
+            for mu in parts:
+                for nu in parts:
+                    base = g(lam, mu, nu)
+                    for order in permutations((lam, mu, nu)):
+                        checks += 1
+                        if g(*order) != base:
+                            fails.append(
+                                f"index permutation changed g at {fmt(lam)},{fmt(mu)},{fmt(nu)}"
+                            )
+    elif kind == "conjugation":
+        for lam in parts:
+            for mu in parts:
+                for nu in parts:
+                    checks += 1
+                    if g(lam, mu, nu) != g(lam, mu.transpose(), nu.transpose()):
+                        fails.append(
+                            f"conjugation invariance broke at {fmt(lam)},{fmt(mu)},{fmt(nu)}"
+                        )
+    else:  # trivial-sign
+        row = Partition((n,)) if n else Partition()
+        column = Partition((1,) * n)
+        for lam in parts:
+            for mu in parts:
+                checks += 2
+                expected = 1 if lam == mu else 0
+                if g(row, lam, mu) != expected:
+                    fails.append(f"trivial row rule broke at {fmt(lam)},{fmt(mu)}")
+                expected = 1 if lam == mu.transpose() else 0
+                if g(column, lam, mu) != expected:
+                    fails.append(f"sign column rule broke at {fmt(lam)},{fmt(mu)}")
+    return checks, fails
+
+
+@pytest.mark.parametrize("kind", ["s3", "conjugation", "trivial-sign"])
+def test_kron_basics_failures_match_the_per_triple_loop(monkeypatch, kind):
+    # each entry of each row at n = 3 is perturbed in turn; the row comparisons
+    # must then report exactly the checks and lines of the per-triple loop
+    parts = partitions_list(3)
+    index = {nu: k for k, nu in enumerate(parts)}
+    true_row = symfun.kronecker_row
+    seen = 0
+    for lam in parts:
+        for mu in parts:
+            for k in range(len(parts)):
+
+                def row(x, y, target=(lam, mu), at=k):
+                    values = list(true_row(x, y))
+                    if (x, y) == target:
+                        values[at] += 1
+                    return tuple(values)
+
+                monkeypatch.setattr(symfun, "kronecker_row", row)
+                expected = _kron_basics_per_triple(kind, 3, lambda x, y, z: row(x, y)[index[z]])
+                assert verify.run_kron_basics((kind, 3)) == expected, (lam, mu, k)
+                seen += bool(expected[1])
+    assert seen >= 2  # perturbations that the rule sees, and the loop reports
+
+
 # ---------------------------------------------------------------------------
 # criterion 5: determinism across worker counts
 
@@ -318,3 +384,17 @@ def test_walkers_leave_no_cyclic_garbage():
     finally:
         gc.enable()
     check("7 unreachable objects left by the walkers", unreachable, 0)
+
+
+# ---------------------------------------------------------------------------
+# the names that perfbench/tracer.py reads
+
+
+def test_the_benchmark_tracer_finds_its_memos_and_its_suite_runner():
+    # A traced benchmark pass reads each layer's misses from cache_info(); a
+    # layer whose last memo is gone reports null and the pass has no result.
+    # install() binds verify.run_suite.  Remove this test with the tracer
+    # (ROADMAP item 1).
+    for fn in (symfun.kronecker_coefficient, tableau.lr_coefficient, colored.enumerate_blasiak):
+        assert callable(getattr(fn, "cache_info", None)), fn.__name__
+    assert callable(verify.run_suite)

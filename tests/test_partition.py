@@ -28,7 +28,7 @@ from kroncalc.partition import (
 )
 from kroncalc.nearhook import index_set_minus, index_set_plus, near_hook_expansion
 from kroncalc.rosas import rosas_report, xi_report
-from kroncalc.symfun import SchurVector, kronecker_coefficient
+from kroncalc.symfun import SchurVector, kronecker_coefficient, kronecker_row
 from kroncalc.tableau import lr_coefficient, schur_expand_product, strip_chain_count
 
 
@@ -352,6 +352,7 @@ def test_as_partition_returns_partitions_unchanged():
 # (function, arguments, positions of the partition arguments), all given as tuples
 COERCING_CALLS = [
     (kronecker_coefficient, ((3, 1), (2, 2), (2, 1, 1)), (0, 1, 2)),
+    (kronecker_row, ((3, 1), (2, 2)), (0, 1)),
     (lr_coefficient, ((3, 2, 1), (2, 1), (2, 1)), (0, 1, 2)),
     (strip_chain_count, ((4, 2, 1), (2, 1), 2, 2), (0, 1)),
     (contains, ((2, 1), (3, 1)), (0, 1)),
@@ -367,11 +368,11 @@ COERCING_CALLS = [
 ]
 
 # entry points whose partition arguments may also be lists
-LIST_CALLS = (strip_chain_count, index_set_plus, index_set_minus)
+LIST_CALLS = (kronecker_row, strip_chain_count, index_set_plus, index_set_minus)
 
 
 COERCING_NAMES = [
-    "kronecker_coefficient", "lr_coefficient", "strip_chain_count", "contains",
+    "kronecker_coefficient", "kronecker_row", "lr_coefficient", "strip_chain_count", "contains",
     "is_double_hook", "xi_report", "rosas_report", "SchurVector", "SchurVector_getitem",
     "near_hook_expansion", "schur_expand_product", "index_set_plus", "index_set_minus",
 ]

@@ -35,6 +35,7 @@ from kroncalc.symfun import (
     jacobi_trudi_to_schur,
     kronecker_coefficient,
     kronecker_product,
+    kronecker_row,
     schur,
     schur_product,
 )
@@ -326,6 +327,24 @@ def test_kronecker_coefficient_rejects_a_character_sum_off_the_multiples_of_n_fa
     monkeypatch.setattr(symfun, "_rows", lambda lam: ((1, 1, 1), (1, 1, 1)))
     with pytest.raises(ArithmeticError, match=r"^character sum is not a Kronecker coefficient: 3/6$"):
         kronecker_coefficient.__wrapped__((2, 1), (2, 1), (2, 1))
+
+
+def test_kronecker_row_matches_the_single_triple_sums():
+    for n in range(9):
+        parts = partitions_list(n)
+        for lam in parts:
+            for mu in parts:
+                expected = tuple(kronecker_coefficient.__wrapped__(lam, mu, nu) for nu in parts)
+                assert kronecker_row(lam, mu) == expected, (lam, mu)
+    with pytest.raises(ValueError):
+        kronecker_row((2,), (1, 1, 1))
+
+
+def test_kronecker_row_rejects_a_character_sum_off_the_multiples_of_n_factorial(monkeypatch):
+    # the row checks each entry as kronecker_coefficient checks its sum
+    monkeypatch.setattr(symfun, "_rows", lambda lam: ((1, 1, 1), (1, 1, 1)))
+    with pytest.raises(ArithmeticError, match=r"^character sum is not a Kronecker coefficient: 3/6$"):
+        symfun._kronecker_row.__wrapped__(Partition((2, 1)), Partition((2, 1)))
 
 
 def test_kronecker_trivial_and_sign():
