@@ -39,7 +39,7 @@ from kroncalc.partition import (
     two_rows,
 )
 from kroncalc.rosas import rosas_kronecker
-from kroncalc.symfun import kronecker_coefficient
+from kroncalc.symfun import kronecker_coefficient, kronecker_row
 from kroncalc.tableau import lr_coefficient, lr_two_row, lr_via_strip_difference
 
 
@@ -528,6 +528,43 @@ def test_two_row_near_hook_matches_oracle_small():
                         assert triple1(d, e, a, b, c, nu) - triple2(
                             d, e, a, b, c, nu
                         ) == expected
+
+
+def test_padded_first_parts_give_weakly_increasing_triple_sums():
+    # Murnaghan stability: g(lam + (m), mu + (m), nu + (m)) never decreases
+    # in m (Brion, Manuscripta Math. 80, 1993), and it is constant once
+    # n >= |x| + |y| + x_1 + y_1 for any two of the three shapes with their
+    # first parts removed (Briand, Orellana and Rosas, J. Algebra 331, 2011).
+    # Padding the first parts keeps lam two-row and mu a near-hook.  The
+    # triple sums give g at every n up to 34, past the oracle's bound 26; the
+    # oracle checks them at n <= 14.  nu is drawn from the support at the
+    # start size, so no sequence is all zeros.
+    rng = random.Random(2026)
+    rising = 0
+    for _ in range(10):
+        n0 = rng.randint(6, 8)
+        b = rng.randint(2, (n0 - 1) // 2)
+        a = rng.randint(b, n0 - b - 1)
+        c = n0 - a - b
+        d = rng.randint((n0 + 1) // 2, n0 - 1)
+        e = n0 - d
+        mu = P(a, b, *(1,) * c)
+        row = kronecker_row(P(d, e), mu)
+        nu = rng.choice([nu for nu, g in zip(partitions_list(n0), row) if g])
+        values = []
+        for m in range(35 - n0):
+            nu_m = Partition((nu[0] + m,) + nu[1:])
+            value = g_two_row_near_hook(d + m, e, a + m, b, c, nu_m)
+            if n0 + m <= 14:
+                oracle = kronecker_coefficient(P(d + m, e), P(a + m, b, *(1,) * c), nu_m)
+                assert value == oracle, (d + m, e, a + m, b, c, nu_m)
+            values.append(value)
+        assert all(x <= y for x, y in zip(values, values[1:])), (d, e, a, b, c, nu, values)
+        weights = [sum(bar) + max(bar, default=0) for bar in ((e,), (b,) + (1,) * c, nu[1:])]
+        stable = sum(weights) - max(weights)  # the least bound over the three pairs
+        assert stable <= 26 and len(set(values[max(stable - n0, 0) :])) == 1, (stable, values)
+        rising += values[0] < values[-1]
+    assert rising  # the sample holds sequences that are not constant
 
 
 def test_special_shapes():
