@@ -34,9 +34,10 @@ check d once per call and keep the rows whose interval holds d.  The table
 reads its (sigma, k) from _strip_factors, once per (nu, S, p) and so shared
 by every hook: it walks only the sigma inside nu (``partitions_inside``),
 since c^nu_{sigma,(p-k,k)} = 0 for any other, and tests them by the
-double-hook and strip-difference predicates.  The interval terms keep their
-scan of every sigma of size S with lr_coefficient, so the two routes to
-J+ / J- share no enumeration or predicate.  Both read the closed form
+double-hook and strip-difference predicates, and reads each certificate's
+LR value from the table of nu/sigma.  The interval terms walk the table of
+nu/(p-k,k) instead (lr_weight_support), so the two routes to J+ / J- share
+no enumeration, predicate or LR table.  Both read the closed form
 g((S-r, r), (arm, 1^(c+1)), sigma) from one memoized row per
 (S, arm, c, sigma), which does not depend on nu; rosas keeps no memo of
 its own.  The expansion is one walk (_expand) that returns the total and
@@ -205,17 +206,13 @@ def _closed_form_row(size: int, arm: int, c: int, sigma: Partition) -> tuple[int
 def _interval_terms(nu, size: int, p: int, arm: int, c: int) -> tuple:
     """(lo, hi, term) for every nonzero term of a side's sum; the two-row gate holds at d iff lo <= d <= hi.
 
-    term = c^nu_{sigma,(p-k,k)} * g((S-r, r), (arm, 1^(c+1)), sigma), computed
-    from the LR coefficient and the closed form, not from _strip_factors'
-    predicates, so the two routes to the support stay independent.
+    term = c^nu_{sigma,(p-k,k)} * g((S-r, r), (arm, 1^(c+1)), sigma), with sigma
+    and its LR factor read from lr_weight_support(nu, (p-k,k)), so this route
+    shares no enumeration, predicate or LR table with _side_table.
     """
     out = []
-    strips = two_rows(p)
-    for sigma in partitions_list(size):
-        for k, strip in enumerate(strips):
-            coeff = lr_coefficient(nu, sigma, strip)
-            if not coeff:
-                continue
+    for k, strip in enumerate(two_rows(p)):
+        for sigma, coeff in lr_weight_support(nu, strip):
             for r, g in enumerate(_closed_form_row(size, arm, c, sigma)):
                 if g:
                     out.append((*two_row_interval(size - r, r, p - k, k), coeff * g))

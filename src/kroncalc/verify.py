@@ -279,7 +279,7 @@ def run_kron_basics(unit) -> tuple[int, list[str]]:
                         )
     elif kind == "trivial-sign":
         # the rows of (n) and (1^n) at lam are the unit vectors of lam and lam'
-        one_row = Partition((n,)) if n else Partition()
+        one_row = Partition((n,))
         column = Partition((1,) * n)
         for lam in parts:
             checks += 2 * len(parts)

@@ -35,7 +35,7 @@ from kroncalc.partition import (
     is_horizontal_strip,
     partitions_list,
 )
-from kroncalc.symfun import kronecker_coefficient
+from kroncalc.symfun import kronecker_coefficient, kronecker_row
 
 # the 3x3 colored tableau used by the single-letter insertion examples
 BASE = ColoredTableau.from_text("1' 1 2' | 1' 2' 2 | 2' 2 3")
@@ -599,6 +599,27 @@ def test_padded_first_parts_give_weakly_increasing_coefficients():
         assert all(x <= y for x, y in zip(values, values[1:])), (lam, d, nu, values)
         rising += values[0] < values[-1]
     assert rising  # the sample holds sequences that are not constant
+
+
+def test_hook_orientations_agree_past_the_oracle_bound():
+    # g(lam, (n-d, 1^d), nu) = g(lam', (d+1, 1^(n-1-d)), nu) = g(lam, (d+1, 1^(n-1-d)), nu'):
+    # the hook rule is not manifestly symmetric, so each orientation counts
+    # through a different graph, and past n = 26 they check each other with
+    # no oracle.  nu is drawn from the support at the start size, so padding
+    # the first parts (which never lowers g) keeps every count positive.
+    rng = random.Random(2028)
+    for _ in range(10):
+        n0, d = rng.randint(5, 7), rng.randint(0, 3)
+        lam = rng.choice(partitions_list(n0))
+        row = kronecker_row(lam, Partition((n0 - d,) + (1,) * d))
+        nu = rng.choice([nu for nu, g in zip(partitions_list(n0), row) if g])
+        n = rng.randint(27, 34)
+        m = n - n0
+        lam, nu = Partition((lam[0] + m,) + lam[1:]), Partition((nu[0] + m,) + nu[1:])
+        count = count_blasiak(lam, d, nu)
+        assert count > 0, (lam, d, nu)
+        assert count_blasiak(lam.transpose(), n - 1 - d, nu) == count, (lam, d, nu)
+        assert count_blasiak(lam, n - 1 - d, nu.transpose()) == count, (lam, d, nu)
 
 
 def test_insertion_always_valid():

@@ -567,6 +567,31 @@ def test_padded_first_parts_give_weakly_increasing_triple_sums():
     assert rising  # the sample holds sequences that are not constant
 
 
+def test_interval_and_support_routes_agree_past_the_oracle_bound():
+    # triple1/triple2 read each LR factor from the table of nu/(p-k,k), the
+    # reduced sums triple3/triple4 from the table of nu/sigma, so past n = 26,
+    # where no oracle runs, the two routes still check each other's LR walks.
+    # Labels above 5 fill cells only in shapes with many rows: c >= 3 and nu
+    # of at least 6 rows, drawn from the support at the start size.
+    triples = []
+    for n0 in range(8, 11):
+        for b in (2, 3):
+            for a in range(b, n0 - b - 2):
+                c = n0 - a - b
+                for d in range((n0 + 1) // 2, n0):
+                    row = kronecker_row(P(d, n0 - d), P(a, b, *(1,) * c))
+                    for nu, g in zip(partitions_list(n0), row):
+                        if g and len(nu) >= 6:
+                            triples.append((n0, d, a, b, c, nu))
+    for n0, d, a, b, c, nu in random.Random(2027).sample(triples, 8):
+        e = n0 - d
+        for n in (27, 30, 34):
+            m = n - n0
+            args = (d + m, e, a + m, b, c, Partition((nu[0] + m,) + nu[1:]))
+            assert triple1(*args) == triple3(*args)[0], args
+            assert triple2(*args) == triple4(*args)[0], args
+
+
 def test_special_shapes():
     assert special_nu(3, 2, 2) == P(5, 2)
     assert special_nu(2, 5, 2) == P(4, 2, 1, 1, 1)

@@ -1,4 +1,5 @@
 import hashlib
+import random
 
 import pytest
 
@@ -144,6 +145,34 @@ def test_lr_symmetry_small():
                         assert lr_coefficient(lam, mu, nu) == lr_coefficient(
                             lam, nu, mu
                         )
+
+
+def _random_skew(rng, n: int, cells: int) -> tuple[Partition, Partition]:
+    """outer of size n with 6-10 rows, and inner left by removing cells random corners."""
+    cuts = sorted(rng.sample(range(1, n), rng.randint(6, 10) - 1))
+    outer = Partition(sorted((y - x for x, y in zip([0] + cuts, cuts + [n])), reverse=True))
+    rows = list(outer)
+    for _ in range(cells):
+        corners = [r for r, part in enumerate(rows) if part and (r + 1 == len(rows) or rows[r + 1] < part)]
+        rows[rng.choice(corners)] -= 1
+    return outer, Partition(rows)
+
+
+def test_lr_symmetries_past_the_oracle_bound():
+    # every answer past n = 26 but the hook rule's reads the LR walk, and no
+    # oracle checks it there; c^nu_{lam mu} = c^nu_{mu lam} reads the table
+    # of a second skew shape, c^nu_{lam mu} = c^nu'_{lam' mu'} a conjugate walk
+    rng = random.Random(2026)
+    entries = 0
+    for _ in range(30):
+        nu, lam = _random_skew(rng, rng.randint(27, 40), rng.randint(5, 9))
+        for mu, coeff in lr_weight_support(nu, lam):
+            assert lr_coefficient(nu, mu, lam) == coeff, (nu, lam, mu)
+            assert lr_coefficient(nu.transpose(), lam.transpose(), mu.transpose()) == coeff, (
+                nu, lam, mu
+            )
+            entries += 1
+    assert entries == 356
 
 
 def test_pieri_specialization():
