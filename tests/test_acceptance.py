@@ -319,6 +319,65 @@ def test_kron_basics_failures_match_the_per_triple_loop(monkeypatch, kind):
     assert seen >= 2  # perturbations that the rule sees, and the loop reports
 
 
+def _littlewood_schur_vectors(unit) -> tuple[int, list[str]]:
+    """The littlewood loop that summed SchurVectors before it summed dense lists (each term rebuilt per nu)."""
+    lam, mu = unit
+    checks, fails = 0, []
+    product = symfun.schur_product(symfun.schur(lam), symfun.schur(mu))
+    lefts = {
+        tau: symfun.kronecker_product(symfun.schur(tau), symfun.schur(lam))
+        for tau in partitions_list(lam.size)
+    }
+    rights = {
+        eta: symfun.kronecker_product(symfun.schur(eta), symfun.schur(mu))
+        for eta in partitions_list(mu.size)
+    }
+    for nu in partitions_list(lam.size + mu.size):
+        checks += 1
+        lhs = symfun.kronecker_product(product, symfun.schur(nu))
+        rhs_terms = []
+        for tau in partitions_list(lam.size):
+            for eta, coeff in tableau.lr_weight_support(nu, tau):
+                term = symfun.schur_product(lefts[tau], rights[eta])
+                rhs_terms.extend((p, coeff * c) for p, c in term.items())
+        if lhs != symfun.SchurVector(rhs_terms):
+            fails.append(
+                f"coproduct compatibility broke at lam={verify._fmt(lam)} mu={verify._fmt(mu)} nu={verify._fmt(nu)}"
+            )
+    return checks, fails
+
+
+def test_littlewood_failures_match_the_vector_formulation(monkeypatch):
+    # each entry of each oracle row at n = 3 is perturbed in turn; the dense
+    # lists must then report exactly the checks and lines of the SchurVector loop
+    parts = partitions_list(3)
+    units = verify.units_littlewood(4)
+    true_row = symfun._kronecker_row
+    reported = 0
+    try:
+        for lam in parts:
+            for mu in parts:
+                for k in range(len(parts)):
+
+                    def row(x, y, target=(lam, mu), at=k):
+                        values = list(true_row(x, y))
+                        if (x, y) == target:
+                            values[at] += 1
+                        return tuple(values)
+
+                    monkeypatch.setattr(symfun, "_kronecker_row", row)
+                    symfun._kronecker_support.cache_clear()
+                    failures = 0
+                    for unit in units:
+                        expected = _littlewood_schur_vectors(unit)
+                        assert verify.run_littlewood(unit) == expected, (lam, mu, k, unit)
+                        failures += len(expected[1])
+                    reported += failures > 0
+    finally:
+        symfun._kronecker_support.cache_clear()  # no perturbed support outlives the test
+    assert reported == len(parts) ** 3  # every perturbation is seen, and reported
+
+
 # ---------------------------------------------------------------------------
 # criterion 5: determinism across worker counts
 

@@ -1,5 +1,6 @@
 import hashlib
 import random
+from functools import cache
 
 import pytest
 
@@ -173,6 +174,33 @@ def test_lr_symmetries_past_the_oracle_bound():
             )
             entries += 1
     assert entries == 356
+
+
+@cache
+def _skew_standard_count(outer: tuple, inner: tuple) -> int:
+    """f^{outer/inner}: standard fillings, counted by removing the cell of the largest label."""
+    if sum(outer) == sum(inner):
+        return 1
+    total = 0
+    for r, part in enumerate(outer):
+        below = outer[r + 1] if r + 1 < len(outer) else 0
+        if part > max(below, inner[r] if r < len(inner) else 0):
+            total += _skew_standard_count(outer[:r] + (part - 1,) + outer[r + 1 :], inner)
+    return total
+
+
+def test_lr_skew_dimension_identity_past_the_oracle_bound():
+    # sum_mu c^nu_{lam mu} f^mu = f^{nu/lam}: the left side reads the LR walk,
+    # the right side counts standard fillings of nu/lam with no LR code
+    rng = random.Random(47)
+    entries = 0
+    for _ in range(30):
+        nu, lam = _random_skew(rng, rng.randint(27, 40), rng.randint(5, 9))
+        support = lr_weight_support(nu, lam)
+        total = sum(coeff * dimension(mu) for mu, coeff in support)
+        assert total == _skew_standard_count(tuple(nu), tuple(lam)), (nu, lam)
+        entries += len(support)
+    assert entries == 340
 
 
 def test_pieri_specialization():
