@@ -44,6 +44,14 @@ its own.  The expansion is one walk (_expand) that returns the total and
 appends a certificate per term only when handed a list: near_hook_expansion
 hands it one, near_hook_value does not and builds no certificate.
 
+near_hook_row reads the same signed sum for every nu of a fixed lam at once.
+The theta sums of both sides do not depend on nu, so it sums them once per
+row from oracle rows of the hook factors, where the single-triple walk reads
+every hook factor again for each nu.  The two readers split as
+kronecker_coefficient and kronecker_row do: a single query (kron) keeps the
+walk, which reads single coefficients and can certify each term, and a sweep
+over every nu (verify fundamental-vs-oracle) reads the row.
+
 When b = 2 and nu = (a+2, 2^(s-1), 1^(c+2-2s)), the negative side is a
 singleton (d inside an explicit interval) or empty (d outside), so the
 coefficient becomes a count of hook-rule tableaux - minus one in the
@@ -60,6 +68,8 @@ certificate of triple3, which must hold exactly that certificate's term.
 from __future__ import annotations
 
 from functools import cache
+from itertools import repeat
+from operator import add, mul, neg
 from typing import NamedTuple, Optional
 
 from .colored import ColoredTableau, enumerate_blasiak
@@ -73,7 +83,7 @@ from .partition import (
     two_rows,
 )
 from .rosas import rosas_kronecker
-from .symfun import kronecker_coefficient
+from .symfun import kronecker_coefficient, kronecker_row
 from .tableau import (
     lr_coefficient,
     lr_two_row,
@@ -134,16 +144,60 @@ def near_hook_value(lam, nu, a: int, b: int, c: int) -> int:
     return _expand(lam, nu, a, b, c)
 
 
-def _expand(lam, nu, a: int, b: int, c: int, certs=None) -> int:
-    """The signed expansion's total; each term's certificate is appended to certs when it is a list."""
-    lam, nu = as_partition(lam), as_partition(nu)
+def near_hook_row(lam, a: int, b: int, c: int) -> tuple[int, ...]:
+    """g(lam, (a,b,1^c), nu) for every nu of |lam|, in partitions_list order.
+
+    The terms of near_hook_value, grouped so that the theta sums, which do
+    not depend on nu, run once per row instead of once per nu.  For each
+    delta of b-1, A_delta = sum_theta c^lam_{theta,delta} g(theta, (a, 1^(c+1)), .)
+    over the eta of n-b+1; for each eta of a, B_eta =
+    sum_theta c^lam_{theta,eta} g(theta, (b-1, 1^(c+1)), .) over the delta
+    of n-a; each is summed from oracle rows.  The entry at nu is
+    sum c^nu_{eta,delta} A_delta[eta] - sum c^nu_{eta,delta} B_eta[delta],
+    both over lr_weight_support(nu, delta), and a delta whose factors are
+    all zero is skipped.
+    """
+    lam = as_partition(lam)
+    first_hook, second_hook = _hooks(a, b, c, lam)
+    n = lam.size
+    terms = []  # (delta, {eta: signed theta sum}) of both sides
+    for delta in partitions_list(b - 1):
+        factors = _theta_sum(lam, delta, first_hook)
+        if any(factors):
+            terms.append((delta, dict(zip(partitions_list(n - b + 1), factors))))
+    columns = zip(*(_theta_sum(lam, eta, second_hook) for eta in partitions_list(a)))
+    for delta, factors in zip(partitions_list(n - a), columns):
+        if any(factors):
+            terms.append((delta, dict(zip(partitions_list(a), map(neg, factors)))))
+    return tuple(
+        sum(lr * factors[eta] for delta, factors in terms for eta, lr in lr_weight_support(nu, delta))
+        for nu in partitions_list(n)
+    )
+
+
+def _theta_sum(lam: Partition, inner: Partition, hook: Partition) -> list[int]:
+    """sum over theta of c^lam_{theta,inner} g(theta, hook, .), over the partitions of |hook|."""
+    total = [0] * len(partitions_list(hook.size))
+    for theta, lr in lr_weight_support(lam, inner):
+        total = list(map(add, total, map(mul, repeat(lr), kronecker_row(theta, hook))))
+    return total
+
+
+def _hooks(a: int, b: int, c: int, *shapes: Partition) -> tuple[Partition, Partition]:
+    """The hooks (a, 1^(c+1)) and (b-1, 1^(c+1)), once a >= b >= 2, c >= 0 and every shape has size a + b + c."""
     if not (a >= b >= 2 and c >= 0):
         raise ValueError("near-hook parameters need a >= b >= 2 and c >= 0")
     n = a + b + c
-    if lam.size != n or nu.size != n:
+    if any(shape.size != n for shape in shapes):
         raise ValueError(f"lam and nu must be partitions of {n}")
-    first_hook = hook_partition(a, c + 1)
-    second_hook = hook_partition(b - 1, c + 1)
+    return hook_partition(a, c + 1), hook_partition(b - 1, c + 1)
+
+
+def _expand(lam, nu, a: int, b: int, c: int, certs=None) -> int:
+    """The signed expansion's total; each term's certificate is appended to certs when it is a list."""
+    lam, nu = as_partition(lam), as_partition(nu)
+    first_hook, second_hook = _hooks(a, b, c, lam, nu)
+    n = lam.size
     total = 0
     for delta in partitions_list(b - 1):
         for eta, outer_lr in lr_weight_support(nu, delta):

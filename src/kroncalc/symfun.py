@@ -49,10 +49,9 @@ it takes one product per cycle type and no call per triple.  Every entry
 passes the divisibility and sign check of ``kronecker_coefficient``
 (``_coefficient``, one helper for both).  ``kronecker_coefficient`` keeps
 its own memo per triple: a single query builds three character rows,
-where a row of g needs every row of n.  ``kronecker_product`` walks a
-cached table per ordered pair (lam, mu), the (nu, g) pairs of its oracle
-row with g != 0, so no zero term is generated and every triple still
-passes its checks.
+where a row of g needs every row of n.  ``kronecker_product`` reads the
+oracle row of each ordered pair (lam, mu) and skips its zero entries, so
+no zero term is generated and every triple still passes its checks.
 The h-basis appears only as formal monomial lists inside the Jacobi-Trudi
 expansion; the public algebra is Schur-basis only.  Giambelli's hook
 determinant and the Jacobi-Trudi determinant both go through one Leibniz
@@ -548,12 +547,6 @@ def kronecker_product(f: SchurVector, g: SchurVector) -> SchurVector:
         (nu, a * b * c)
         for lam, a in f.items()
         for mu, b in g.items()
-        for nu, c in _kronecker_support(lam, mu)
+        for nu, c in zip(partitions_list(n), _kronecker_row(lam, mu))
+        if c
     )
-
-
-@cache
-def _kronecker_support(lam: Partition, mu: Partition) -> tuple[tuple[Partition, int], ...]:
-    """The (nu, g(lam, mu, nu)) pairs with g != 0, in partitions_list order, from the row."""
-    pairs = zip(partitions_list(lam.size), _kronecker_row(lam, mu))
-    return tuple((nu, c) for nu, c in pairs if c)

@@ -10,7 +10,9 @@ scans those rows entry by entry for conjugation and the trivial/sign rules,
 and compares whole tables for S3 symmetry.  littlewood compares both sides
 of its identity as dense integer lists over ``partitions_list(n)``, summed
 from those rows and from LR supports, so no sum builds a dictionary of
-partitions.
+partitions.  fundamental-vs-oracle zips each oracle row with the near-hook
+expansion's row ``nearhook.near_hook_row``, as blasiak-vs-oracle zips it with
+the hook rule's counts.
 """
 
 from __future__ import annotations
@@ -98,9 +100,10 @@ def run_lr(unit) -> tuple[int, list[str]]:
         n, kmax = n
         for mu in partitions_list(n):
             for k in range(kmax + 1):
+                row = Partition((k,))
                 for lam in partitions_list(n + k):
                     checks += 1
-                    coeff = tableau.lr_coefficient(lam, mu, Partition((k,)))
+                    coeff = tableau.lr_coefficient(lam, mu, row)
                     strip = (
                         1
                         if contains(mu, lam) and is_horizontal_strip(mu, lam)
@@ -110,20 +113,19 @@ def run_lr(unit) -> tuple[int, list[str]]:
                         fails.append(f"pieri mismatch at mu={_fmt(mu)} k={k} lam={_fmt(lam)}")
     elif kind == "two-row":
         total = n
+        outers = two_rows(total)  # (total - e, e) at index e
         for x in range(total + 1):
             for y in range(min(x, total - x) + 1):
+                inner = Partition((x, y))
                 for u in range(total - x - y + 1):
                     v = total - x - y - u
                     if v > u:
                         continue
+                    weight = Partition((u, v))
                     for d in range((total + 1) // 2, total + 1):
                         checks += 1
                         closed = tableau.lr_two_row(x, y, u, v, d, total - d)
-                        direct = tableau.lr_coefficient(
-                            Partition((d, total - d)),
-                            Partition((x, y)),
-                            Partition((u, v)),
-                        )
+                        direct = tableau.lr_coefficient(outers[total - d], inner, weight)
                         if closed != direct:
                             fails.append(
                                 f"two-row closed form broke at {(x, y, u, v, d, total - d)}"
@@ -131,13 +133,12 @@ def run_lr(unit) -> tuple[int, list[str]]:
     elif kind == "strip-diff":
         for nu in partitions_list(n):
             for b in range(1, n + 2):
+                strips = two_rows(b - 1)  # (b - 1 - j, j) at index j
                 for eta in partitions_list(n - b + 1):
-                    for j in range((b - 1) // 2 + 1):
+                    for j, strip in enumerate(strips):
                         checks += 1
                         via = tableau.lr_via_strip_difference(nu, eta, b, j)
-                        direct = tableau.lr_coefficient(
-                            nu, eta, Partition((b - 1 - j, j))
-                        )
+                        direct = tableau.lr_coefficient(nu, eta, strip)
                         if via != direct:
                             fails.append(
                                 f"strip-difference broke at nu={_fmt(nu)} eta={_fmt(eta)} b={b} j={j}"
@@ -432,9 +433,9 @@ def run_fundamental(unit) -> tuple[int, list[str]]:
     near_hook = Partition((a, b) + (1,) * c)
     checks, fails = 0, []
     for lam in partitions_list(n):
-        for nu, oracle in zip(partitions_list(n), symfun.kronecker_row(lam, near_hook)):
+        values = nearhook.near_hook_row(lam, a, b, c)
+        for nu, value, oracle in zip(partitions_list(n), values, symfun.kronecker_row(lam, near_hook)):
             checks += 1
-            value = nearhook.near_hook_value(lam, nu, a, b, c)
             if value != oracle:
                 fails.append(
                     f"expansion != oracle at lam={_fmt(lam)} (a,b,c)=({a},{b},{c}) nu={_fmt(nu)}: {value} vs {oracle}"

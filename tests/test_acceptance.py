@@ -28,6 +28,7 @@ from kroncalc.nearhook import (
     g_two_row_near_hook,
     j_minus,
     j_plus,
+    near_hook_value,
     special_nu,
     triple1,
     triple2,
@@ -354,28 +355,68 @@ def test_littlewood_failures_match_the_vector_formulation(monkeypatch):
     units = verify.units_littlewood(4)
     true_row = symfun._kronecker_row
     reported = 0
-    try:
-        for lam in parts:
-            for mu in parts:
-                for k in range(len(parts)):
+    for lam in parts:
+        for mu in parts:
+            for k in range(len(parts)):
 
-                    def row(x, y, target=(lam, mu), at=k):
-                        values = list(true_row(x, y))
-                        if (x, y) == target:
-                            values[at] += 1
-                        return tuple(values)
+                def row(x, y, target=(lam, mu), at=k):
+                    values = list(true_row(x, y))
+                    if (x, y) == target:
+                        values[at] += 1
+                    return tuple(values)
 
-                    monkeypatch.setattr(symfun, "_kronecker_row", row)
-                    symfun._kronecker_support.cache_clear()
-                    failures = 0
-                    for unit in units:
-                        expected = _littlewood_schur_vectors(unit)
-                        assert verify.run_littlewood(unit) == expected, (lam, mu, k, unit)
-                        failures += len(expected[1])
-                    reported += failures > 0
-    finally:
-        symfun._kronecker_support.cache_clear()  # no perturbed support outlives the test
+                monkeypatch.setattr(symfun, "_kronecker_row", row)
+                failures = 0
+                for unit in units:
+                    expected = _littlewood_schur_vectors(unit)
+                    assert verify.run_littlewood(unit) == expected, (lam, mu, k, unit)
+                    failures += len(expected[1])
+                reported += failures > 0
     assert reported == len(parts) ** 3  # every perturbation is seen, and reported
+
+
+def _fundamental_per_triple(unit) -> tuple[int, list[str]]:
+    """The fundamental-vs-oracle loop that called near_hook_value once per triple before it read rows."""
+    n, a, b = unit
+    c = n - a - b
+    near_hook = Partition((a, b) + (1,) * c)
+    checks, fails = 0, []
+    for lam in partitions_list(n):
+        for nu, oracle in zip(partitions_list(n), symfun.kronecker_row(lam, near_hook)):
+            checks += 1
+            value = near_hook_value(lam, nu, a, b, c)
+            if value != oracle:
+                fails.append(
+                    f"expansion != oracle at lam={verify._fmt(lam)} (a,b,c)=({a},{b},{c}) nu={verify._fmt(nu)}: {value} vs {oracle}"
+                )
+    return checks, fails
+
+
+def test_fundamental_failures_match_the_per_triple_loop(monkeypatch):
+    # each entry of the oracle row g((3,1,1), (3,2), .) is perturbed in turn;
+    # the expansion rows must then report exactly the checks and lines of the
+    # per-triple loop.  Their hook factors are rows of smaller n, so the
+    # perturbation reaches only the oracle side, as it does in the loop.
+    target = (Partition((3, 1, 1)), Partition((3, 2)))
+    units = verify.units_fundamental(5)
+    true_row = symfun._kronecker_row
+    reported = 0
+    for k in range(len(partitions_list(5))):
+
+        def row(x, y, at=k):
+            values = list(true_row(x, y))
+            if (x, y) == target:
+                values[at] += 1
+            return tuple(values)
+
+        monkeypatch.setattr(symfun, "_kronecker_row", row)
+        failures = 0
+        for unit in units:
+            expected = _fundamental_per_triple(unit)
+            assert verify.run_fundamental(unit) == expected, (k, unit)
+            failures += len(expected[1])
+        reported += failures == 1
+    assert reported == len(partitions_list(5))  # every perturbation is seen once, and reported
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from kroncalc.nearhook import (
     j_minus,
     j_plus,
     near_hook_expansion,
+    near_hook_row,
     near_hook_value,
     special_nu,
     triple1,
@@ -176,6 +177,12 @@ def test_value_is_the_expansion_total_without_certificates(monkeypatch):
     monkeypatch.setattr("kroncalc.nearhook.TermCertificate", no_certificate)
     for lam, nu, a, b, c, total in cases:
         assert near_hook_value(lam, nu, a, b, c) == total, (lam, nu, a, b, c)
+    # the row holds the same totals, nu in partitions_list order
+    totals = {}
+    for lam, nu, a, b, c, total in cases:
+        totals.setdefault((lam, a, b, c), []).append(total)
+    for (lam, a, b, c), row in totals.items():
+        assert near_hook_row(lam, a, b, c) == tuple(row), (lam, a, b, c)
 
 
 @pytest.mark.parametrize(
@@ -196,6 +203,12 @@ def test_value_and_expansion_reject_bad_arguments_alike(args):
     with pytest.raises(ValueError) as value_error:
         near_hook_value(*args)
     assert str(value_error.value) == str(expansion_error.value)
+    lam, nu, a, b, c = args
+    if a >= b >= 2 and c >= 0 and sum(lam) == a + b + c:
+        return  # only nu is bad, and a row takes no nu
+    with pytest.raises(ValueError) as row_error:
+        near_hook_row(lam, a, b, c)
+    assert str(row_error.value) == str(expansion_error.value)
 
 
 @pytest.mark.parametrize("d", [2, 3, 8, 9])  # n = 7: d < e, or e < 0
@@ -911,6 +924,8 @@ def test_near_hook_value_matches_oracle_on_seeded_triples():
         lam, nu = rng.choice(partitions_list(n)), rng.choice(partitions_list(n))
         oracle = kronecker_coefficient(lam, Partition((a, b) + (1,) * c), nu)
         assert near_hook_value(lam, nu, a, b, c) == oracle, (lam, a, b, c, nu)
+        row = near_hook_row(lam, a, b, c)
+        assert row[partitions_list(n).index(nu)] == oracle, (lam, a, b, c, nu)
         nonzero += oracle != 0
     assert nonzero == 27
 
