@@ -50,7 +50,12 @@ row from oracle rows of the hook factors, where the single-triple walk reads
 every hook factor again for each nu.  The two readers split as
 kronecker_coefficient and kronecker_row do: a single query (kron) keeps the
 walk, which reads single coefficients and can certify each term, and a sweep
-over every nu (verify fundamental-vs-oracle) reads the row.
+over every nu (verify fundamental-vs-oracle) reads the row.  triple_row
+splits from triple1 .. triple4 the same way, along d: it checks its
+arguments once and sums each side's (lo, hi, value) terms over every d of
+the two-rows (d, n-d) in one pass (verify triples-vs-oracle), where the
+single-d entries, which kron and the witness families call, derive the
+side and scan its terms again for each d.
 
 When b = 2 and nu = (a+2, 2^(s-1), 1^(c+2-2s)), the negative side is a
 singleton (d inside an explicit interval) or empty (d outside), so the
@@ -68,7 +73,7 @@ certificate of triple3, which must hold exactly that certificate's term.
 from __future__ import annotations
 
 from functools import cache
-from itertools import repeat
+from itertools import accumulate, repeat
 from operator import add, mul, neg
 from typing import NamedTuple, Optional
 
@@ -380,6 +385,47 @@ def g_two_row_near_hook(d, e, a, b, c, nu) -> int:
     plus, _ = triple3(d, e, a, b, c, nu)
     minus, _ = triple4(d, e, a, b, c, nu)
     return plus - minus
+
+
+def triple_row(a: int, b: int, c: int, nu) -> tuple[tuple[int, int, int, int, int], ...]:
+    """(triple1, triple2, triple3, triple4, non-positive certificates) for d = ceil(n/2) .. n.
+
+    The four sums of every two-row (d, n-d) at once, with the number of
+    certificates of triple3 and triple4 that are <= 0 (none, since
+    _side_table refuses them, but a sweep counts them).  (a, b, c) and nu
+    are checked once, as triple1 .. triple4 check them, and each side's
+    (lo, hi, value) terms are summed over the d range in one pass, where
+    the single-d calls read every term again for each d.  The readers split
+    as near_hook_row and near_hook_value do: a query at one d (kron, the
+    witnesses) keeps triple1 .. triple4, and a sweep over every d (verify
+    triples-vs-oracle) reads the row.
+    """
+    if not (a >= b >= 2 and c >= 1):
+        raise ValueError("triple sums need a >= b >= 2 and c >= 1")
+    n = a + b + c
+    first = (n + 1) // 2
+    sides = []  # per side: the interval sums, the certified sums, the non-positive certificates
+    for positive in (True, False):
+        side = _side(nu, a, b, c, positive)
+        table = [(lo, hi, cert.contribution) for lo, hi, cert in _side_table(*side)]
+        sides.append((
+            _over_d(_interval_terms(*side), first, n),
+            _over_d(table, first, n),
+            _over_d(((lo, hi, 1) for lo, hi, value in table if value <= 0), first, n),
+        ))
+    (t1, t3, bad3), (t2, t4, bad4) = sides
+    return tuple(zip(t1, t2, t3, t4, map(add, bad3, bad4)))
+
+
+def _over_d(terms, first: int, n: int) -> list[int]:
+    """For d = first .. n, the sum of value over the (lo, hi, value) terms with lo <= d <= hi."""
+    steps = [0] * (n - first + 2)
+    for lo, hi, value in terms:
+        lo, hi = max(lo, first), min(hi, n)
+        if lo <= hi:
+            steps[lo - first] += value
+            steps[hi - first + 1] -= value
+    return list(accumulate(steps[:-1]))
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,8 @@ the same partition and the empty tuple is the unique partition of 0.
 
 The text syntax shared with the command line accepts exponent tokens:
 ``"6,2,1^6"`` parses to ``(6, 2, 1, 1, 1, 1, 1, 1)``.  Enumeration of all
-partitions of n is reverse-lexicographic and stable, so sweep output is
-reproducible byte for byte.
+partitions of n (Knuth's Algorithm P) is reverse-lexicographic and stable,
+so sweep output is reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -212,27 +212,38 @@ def two_rows(m: int) -> tuple[Partition, ...]:
 def partitions_of(n: int) -> Iterator[Partition]:
     """Yield the partitions of n in reverse-lexicographic order.
 
-    Each next partition lowers the last part above 1 by one and refills
-    what it and the trailing 1s held with parts as large as that allows.
-    That keeps the parts positive and weakly decreasing, so each one is
-    wrapped without the constructor's validation.
+    Knuth's Algorithm P (TAOCP 4A, 7.2.1.4), on a list that holds exactly
+    the parts: q is the index of the last part above 1 (-1 when there is
+    none), so the trailing 1s are never scanned.  A 2 at q becomes 1 + 1
+    in place; a larger part is lowered by one, and the cells it and the 1s
+    after it held are refilled with parts as large as that allows.  The
+    parts stay positive and weakly decreasing, so each one is wrapped
+    without the constructor's validation.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
+    new = tuple.__new__
     parts = [n] if n else []
+    q = len(parts) - 1 - (n == 1)
     while True:
-        yield tuple.__new__(Partition, parts)
-        ones = 0
-        while parts and parts[-1] == 1:
-            parts.pop()
-            ones += 1
-        if not parts:
+        yield new(Partition, parts)
+        if q < 0:
             return
-        last = parts.pop()
-        q, r = divmod(last + ones, last - 1)
-        parts.extend([last - 1] * q)
-        if r:
-            parts.append(r)
+        x = parts[q]
+        if x == 2:
+            parts[q] = 1
+            parts.append(1)
+            q -= 1
+            continue
+        x -= 1
+        left = len(parts) - q  # the cells after q, once q holds x
+        del parts[q + 1 :]
+        parts[q] = x
+        while left > x:
+            parts.append(x)
+            left -= x
+        parts.append(left)
+        q = len(parts) - 1 - (left == 1)
 
 
 def partitions_inside(outer, size: int) -> Iterator[Partition]:

@@ -12,11 +12,21 @@ of its identity as dense integer lists over ``partitions_list(n)``, summed
 from those rows and from LR supports, so no sum builds a dictionary of
 partitions.  fundamental-vs-oracle zips each oracle row with the near-hook
 expansion's row ``nearhook.near_hook_row``, as blasiak-vs-oracle zips it with
-the hook rule's counts.
+the hook rule's counts.  triples-vs-oracle reads the four triple sums of every
+d at once (``nearhook.triple_row``), and its membership units compare each
+index set with the set of positive grid points, built from the sigma whose
+g row is nonzero, reporting the points where they differ in grid order.
+
+What a unit leaves alive is memo entries, which hold no reference cycle
+(tests/test_acceptance.py runs every suite with the collector off to check
+it).  So after each unit, in process and in each pool worker, the survivors
+are frozen (``gc.freeze``) and later collections do not rescan the memo
+tables; ``run_suites`` unfreezes them before it returns.
 """
 
 from __future__ import annotations
 
+import gc
 from itertools import permutations, repeat
 from math import comb
 from operator import add, mul
@@ -467,29 +477,24 @@ def run_triples(unit) -> tuple[int, list[str]]:
         ds = range((n + 1) // 2, n + 1)
         rows = [symfun.kronecker_row(Partition((d, n - d)), near_hook) for d in ds]
         for nu, oracles in zip(partitions_list(n), zip(*rows)):
-            for d, oracle in zip(ds, oracles):
+            for d, oracle, (t1, t2, t3, t4, nonpositive) in zip(
+                ds, oracles, nearhook.triple_row(a, b, c, nu)
+            ):
                 e = n - d
-                t1 = nearhook.triple1(d, e, a, b, c, nu)
-                t2 = nearhook.triple2(d, e, a, b, c, nu)
-                checks += 1
+                checks += 4
                 if t1 - t2 != oracle:
                     fails.append(
                         f"triple1-triple2 != oracle at (d,e)=({d},{e}) (a,b,c)=({a},{b},{c}) nu={_fmt(nu)}"
                     )
-                t3, certs3 = nearhook.triple3(d, e, a, b, c, nu)
-                t4, certs4 = nearhook.triple4(d, e, a, b, c, nu)
-                checks += 1
                 if t3 - t4 != oracle:
                     fails.append(
                         f"triple3-triple4 != oracle at (d,e)=({d},{e}) (a,b,c)=({a},{b},{c}) nu={_fmt(nu)}"
                     )
-                checks += 1
                 if t3 != t1 or t4 != t2:
                     fails.append(
                         f"positive support lost terms at (d,e)=({d},{e}) (a,b,c)=({a},{b},{c}) nu={_fmt(nu)}"
                     )
-                checks += 1
-                if any(cert.contribution <= 0 for cert in certs3 + certs4):
+                if nonpositive:
                     fails.append(f"non-positive reduced certificate at nu={_fmt(nu)}")
     else:
         # membership <=> strict positivity of the product, via the oracle route
@@ -510,17 +515,32 @@ def run_triples(unit) -> tuple[int, list[str]]:
                     )
                 for nu in partitions_list(n):
                     for strips, g_rows, index_set, (side, sigma_name, k_name) in sides:
-                        members = index_set(nu, aa, bb, cc)
+                        # the grid is every (sigma, k, r); only a sigma with a
+                        # nonzero g row can be positive, so the set
+                        # {(sigma, k, r): c * g > 0} is built from those alone
+                        width = len(g_rows[0][1])
+                        checks += len(g_rows) * len(strips) * width
+                        positive = set()
                         for sigma, g_row in g_rows:
+                            if not any(g_row):
+                                continue
                             for k, strip in enumerate(strips):
                                 # c^nu_{strip, delta} is read as c^nu_{delta, strip} (LR symmetry)
                                 coeff = tableau.lr_coefficient(nu, sigma, strip)
-                                for r, g in enumerate(g_row):
-                                    checks += 1
-                                    if ((sigma, k, r) in members) != (coeff * g > 0):
-                                        fails.append(
-                                            f"{side}-support membership broke at nu={_fmt(nu)} {sigma_name}={_fmt(sigma)} {k_name}={k} r={r}"
-                                        )
+                                if coeff:
+                                    positive.update((sigma, k, r) for r, g in enumerate(g_row) if coeff * g > 0)
+                        broken = positive.symmetric_difference(index_set(nu, aa, bb, cc))
+                        if broken:  # reported in grid order, as a probe of every point would
+                            order = {sigma: i for i, (sigma, _) in enumerate(g_rows)}
+                            broken = [
+                                (order[sigma], k, r, sigma)
+                                for sigma, k, r in broken
+                                if sigma in order and 0 <= k < len(strips) and 0 <= r < width
+                            ]
+                        for _, k, r, sigma in sorted(broken):
+                            fails.append(
+                                f"{side}-support membership broke at nu={_fmt(nu)} {sigma_name}={_fmt(sigma)} {k_name}={k} r={r}"
+                            )
     return checks, fails
 
 
@@ -603,7 +623,9 @@ SUITES = {
 
 def _run_unit(suite, unit):
     _, _, runner = SUITES[suite]
-    return runner(unit)
+    result = runner(unit)
+    gc.freeze()  # the survivors are memo entries, which hold no cycles (module docstring)
+    return result
 
 
 def run_suites(names, limit: int | None = None, jobs: int = 1) -> list[tuple[int, list[str]]]:
@@ -619,8 +641,11 @@ def run_suites(names, limit: int | None = None, jobs: int = 1) -> list[tuple[int
         with get_context("fork").Pool(min(jobs, len(tasks))) as pool:
             results = pool.starmap(_run_unit, tasks, chunksize=1)
     totals = {name: (0, []) for name in names}
-    for (name, _), (checks, failures) in zip(tasks, results):
-        totals[name] = (totals[name][0] + checks, totals[name][1] + failures)
+    try:
+        for (name, _), (checks, failures) in zip(tasks, results):
+            totals[name] = (totals[name][0] + checks, totals[name][1] + failures)
+    finally:
+        gc.unfreeze()  # an in-process caller gets its normal collections back
     return [totals[name] for name in names]
 
 

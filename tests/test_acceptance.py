@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from kroncalc import colored, symfun, tableau, verify
+from kroncalc import colored, nearhook, symfun, tableau, verify
 from kroncalc.cli import main as cli_main
 from kroncalc.colored import (
     ColoredTableau,
@@ -36,7 +36,7 @@ from kroncalc.nearhook import (
     triple4,
     witnesses,
 )
-from kroncalc.partition import Partition, partitions_list
+from kroncalc.partition import Partition, hook_partition, partitions_list, two_rows
 from kroncalc.rosas import phi, xi
 from kroncalc.symfun import giambelli_leibniz, jacobi_trudi, kronecker_coefficient
 from kroncalc.tableau import lr_coefficient, lr_tableaux, strip_chain_count
@@ -419,6 +419,120 @@ def test_fundamental_failures_match_the_per_triple_loop(monkeypatch):
     assert reported == len(partitions_list(5))  # every perturbation is seen once, and reported
 
 
+def _triples_per_point(unit) -> tuple[int, list[str]]:
+    """The triples-vs-oracle loops that called triple1 .. triple4 per (nu, d) and probed every membership point."""
+    kind, n, a, b = unit
+    checks, fails = 0, []
+    if kind == "value":
+        c = n - a - b
+        near_hook = Partition((a, b) + (1,) * c)
+        ds = range((n + 1) // 2, n + 1)
+        rows = [symfun.kronecker_row(Partition((d, n - d)), near_hook) for d in ds]
+        for nu, oracles in zip(partitions_list(n), zip(*rows)):
+            for d, oracle in zip(ds, oracles):
+                e = n - d
+                t1 = triple1(d, e, a, b, c, nu)
+                t2 = triple2(d, e, a, b, c, nu)
+                checks += 1
+                if t1 - t2 != oracle:
+                    fails.append(
+                        f"triple1-triple2 != oracle at (d,e)=({d},{e}) (a,b,c)=({a},{b},{c}) nu={verify._fmt(nu)}"
+                    )
+                t3, certs3 = triple3(d, e, a, b, c, nu)
+                t4, certs4 = triple4(d, e, a, b, c, nu)
+                checks += 1
+                if t3 - t4 != oracle:
+                    fails.append(
+                        f"triple3-triple4 != oracle at (d,e)=({d},{e}) (a,b,c)=({a},{b},{c}) nu={verify._fmt(nu)}"
+                    )
+                checks += 1
+                if t3 != t1 or t4 != t2:
+                    fails.append(
+                        f"positive support lost terms at (d,e)=({d},{e}) (a,b,c)=({a},{b},{c}) nu={verify._fmt(nu)}"
+                    )
+                checks += 1
+                if any(cert.contribution <= 0 for cert in certs3 + certs4):
+                    fails.append(f"non-positive reduced certificate at nu={verify._fmt(nu)}")
+        return checks, fails
+    for aa in range(1, n):
+        for bb in range(1, n - aa + 1):
+            cc = n - aa - bb
+            sides = [
+                (two_rows(bb - 1), verify._g_rows(n - bb + 1, hook_partition(aa, cc + 1)),
+                 nearhook.index_set_plus, ("positive", "eta", "j")),
+            ]
+            if bb >= 2:
+                sides.append(
+                    (two_rows(aa), verify._g_rows(n - aa, hook_partition(bb - 1, cc + 1)),
+                     nearhook.index_set_minus, ("negative", "delta", "i"))
+                )
+            for nu in partitions_list(n):
+                for strips, g_rows, index_set, (side, sigma_name, k_name) in sides:
+                    members = index_set(nu, aa, bb, cc)
+                    for sigma, g_row in g_rows:
+                        for k, strip in enumerate(strips):
+                            coeff = lr_coefficient(nu, sigma, strip)
+                            for r, g in enumerate(g_row):
+                                checks += 1
+                                if ((sigma, k, r) in members) != (coeff * g > 0):
+                                    fails.append(
+                                        f"{side}-support membership broke at nu={verify._fmt(nu)} {sigma_name}={verify._fmt(sigma)} {k_name}={k} r={r}"
+                                    )
+    return checks, fails
+
+
+def test_triples_value_failures_match_the_per_d_loop(monkeypatch):
+    # each entry of the four oracle rows g((d, 6-d), (3,2,1), .) is perturbed
+    # in turn; the d-rows must then report exactly the checks and lines of
+    # the loop that called triple1 .. triple4 per (nu, d).  The triple sums
+    # read the closed form, never these rows, so only the oracle side moves.
+    unit = ("value", 6, 3, 2)
+    near_hook = Partition((3, 2, 1))
+    true_row = symfun._kronecker_row
+    reported = 0
+    for d in range(3, 7):
+        for k in range(len(partitions_list(6))):
+
+            def row(x, y, at=k, target=(Partition((d, 6 - d)), near_hook)):
+                values = list(true_row(x, y))
+                if (x, y) == target:
+                    values[at] += 1
+                return tuple(values)
+
+            monkeypatch.setattr(symfun, "_kronecker_row", row)
+            expected = _triples_per_point(unit)
+            assert verify.run_triples(unit) == expected, (d, k)
+            reported += len(expected[1]) == 2  # triple1-triple2 and triple3-triple4
+    assert reported == 4 * len(partitions_list(6))
+
+
+@pytest.mark.parametrize(
+    "name,edit,failures",
+    [
+        ("index_set_plus", {(Partition((3, 1)), 0, 1)}, 1),  # a member dropped
+        ("index_set_plus", {(Partition((4,)), 0, 0)}, 1),  # a grid point added
+        ("index_set_plus", {(Partition((4,)), 0, 3)}, 0),  # r past the grid: never probed
+        ("index_set_minus", {(Partition((2, 1)), 1, 1), (Partition((3,)), 1, 0), (Partition((1, 1, 1)), 0, 1)}, 3),
+        ("index_set_minus", {(Partition((3,)), 2, 0)}, 0),  # k past the grid
+    ],
+    ids=["plus-drop", "plus-add", "plus-outside", "minus-three", "minus-outside"],
+)
+def test_triples_membership_failures_match_the_probing_loop(monkeypatch, name, edit, failures):
+    # one index set at nu = (3,2), (a, b, c) = (2, 2, 1) gains or loses
+    # points; the set comparison must report what probing every grid point did
+    unit = ("membership", 5, 0, 0)
+    true_set = getattr(nearhook, name)
+
+    def index_set(nu, a, b, c):
+        members = true_set(nu, a, b, c)
+        return members ^ edit if (nu, a, b, c) == ((3, 2), 2, 2, 1) else members
+
+    monkeypatch.setattr(nearhook, name, index_set)
+    expected = _triples_per_point(unit)
+    assert verify.run_triples(unit) == expected
+    assert len(expected[1]) == failures
+
+
 # ---------------------------------------------------------------------------
 # criterion 5: determinism across worker counts
 
@@ -484,6 +598,54 @@ def test_walkers_leave_no_cyclic_garbage():
     finally:
         gc.enable()
     check("7 unreachable objects left by the walkers", unreachable, 0)
+
+
+def test_sweep_units_leave_no_cyclic_garbage():
+    """What a unit leaves alive holds no cycle, so run_suites may freeze it.
+
+    Each runner is called directly: through _run_unit, its gc.freeze() would
+    move any garbage out of the collector's sight.  Every suite runs at
+    min(default, 7) with the collector off.
+    """
+    gc.collect()
+    gc.disable()
+    unreachable = {}
+    try:
+        for name, (limit, make_units, runner) in verify.SUITES.items():
+            for unit in make_units(min(limit, 7)):
+                runner(unit)
+            unreachable[name] = gc.collect()
+    finally:
+        gc.enable()
+    check("7 unreachable objects left by each suite's units", unreachable, dict.fromkeys(verify.SUITES, 0))
+
+
+def test_run_suites_freezes_units_and_thaws_on_return(monkeypatch):
+    # the second unit sees what the first froze; nothing stays frozen after
+    # run_suites returns, or raises
+    limit, make_units, runner = verify.SUITES["partitions"]
+    frozen = []
+
+    def recording(unit):
+        frozen.append(gc.get_freeze_count())
+        return runner(unit)
+
+    monkeypatch.setitem(verify.SUITES, "partitions", (limit, make_units, recording))
+    assert verify.run_suites(["partitions"], 2)[0][1] == []
+    assert frozen[0] == 0 < frozen[1]
+    assert gc.get_freeze_count() == 0
+
+    def failing(unit):
+        if frozen:
+            raise RuntimeError("unit failed")
+        frozen.append(gc.get_freeze_count())
+        return runner(unit)
+
+    frozen.clear()
+    monkeypatch.setitem(verify.SUITES, "partitions", (limit, make_units, failing))
+    with pytest.raises(RuntimeError, match="unit failed"):
+        verify.run_suites(["partitions"], 2)
+    assert gc.get_freeze_count() == 0
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from kroncalc.nearhook import (
     triple2,
     triple3,
     triple4,
+    triple_row,
     WitnessSet,
     witnesses,
     witnesses_for,
@@ -370,6 +371,43 @@ def test_triple_sums_match_full_scan():
                         assert triple2(d, e, a, b, c, nu) == minus, (d, a, b, nu)
                         cases += 1
     assert cases == 1009
+
+
+def test_triple_row_is_the_four_sums_at_every_d():
+    # every (a, b, c, nu) of the triples-vs-oracle value units with n <= 9
+    cases = 0
+    for n in range(5, 10):
+        ds = range((n + 1) // 2, n + 1)
+        for b in range(2, n - 2):
+            for a in range(b, n - b):
+                c = n - a - b
+                for nu in partitions_list(n):
+                    row = triple_row(a, b, c, nu)
+                    assert len(row) == len(ds)
+                    for d, entry in zip(ds, row):
+                        e = n - d
+                        t3, certs3 = triple3(d, e, a, b, c, nu)
+                        t4, certs4 = triple4(d, e, a, b, c, nu)
+                        nonpositive = sum(cert.contribution <= 0 for cert in certs3 + certs4)
+                        assert entry == (triple1(d, e, a, b, c, nu), triple2(d, e, a, b, c, nu), t3, t4, nonpositive), (d, a, b, nu)
+                        cases += 1
+    assert cases == 2359
+
+
+@pytest.mark.parametrize(
+    "a,b,c,nu",
+    [(2, 3, 1, (4, 2)), (3, 1, 2, (4, 2)), (3, 2, 0, (5,)), (3, 2, 1, (3, 1)), (3, 2, 1, (4, 2, 1))],
+    ids=["a-below-b", "b-below-two", "c-zero", "nu-too-small", "nu-too-large"],
+)
+def test_triple_row_rejects_bad_arguments_as_the_triples_do(a, b, c, nu):
+    n = a + b + c
+    d = (n + 1) // 2
+    for single in (triple1, triple2, triple3, triple4):
+        with pytest.raises(ValueError) as single_error:
+            single(d, n - d, a, b, c, nu)
+        with pytest.raises(ValueError) as row_error:
+            triple_row(a, b, c, nu)
+        assert str(row_error.value) == str(single_error.value)
 
 
 def _support_reference(nu, size, p, arm, c) -> frozenset:

@@ -222,7 +222,7 @@ def _partitions_recursive(n):
 
 
 def test_partitions_of_matches_recursive_reference():
-    for n in range(21):
+    for n in range(31):  # verify partitions counts up to 30
         got = list(partitions_of(n))
         assert got == _partitions_recursive(n), n
         assert all(type(p) is Partition for p in got)
@@ -230,7 +230,7 @@ def test_partitions_of_matches_recursive_reference():
 
 def test_partitions_of_yields_validated_partitions_in_order():
     # the parts are wrapped without the constructor; each must still be one
-    for n in range(25):
+    for n in range(31):
         got = list(partitions_of(n))
         assert len(got) == partition_count(n)
         for p in got:
