@@ -21,11 +21,15 @@ What a unit leaves alive is memo entries, which hold no reference cycle
 (tests/test_acceptance.py runs every suite with the collector off to check
 it).  So after each unit, in process and in each pool worker, the survivors
 are frozen (``gc.freeze``) and later collections do not rescan the memo
-tables; ``run_suites`` unfreezes them before it returns.
+tables; ``run_suites`` unfreezes them before it returns.  At exit the
+interpreter collects once more; importing this module registers
+``gc.freeze`` as an exit hook, so those last collections skip the memo
+tables too.  Only ``kroncalc verify`` imports it.
 """
 
 from __future__ import annotations
 
+import atexit
 import gc
 from itertools import permutations, repeat
 from math import comb
@@ -44,6 +48,9 @@ from .partition import (
     partitions_of,
     two_rows,
 )
+
+
+atexit.register(gc.freeze)  # the exit collections skip what the sweep leaves (module docstring)
 
 
 def _fmt(p: Partition) -> str:

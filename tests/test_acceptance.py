@@ -8,6 +8,8 @@ import gc
 import hashlib
 import json
 import re
+import subprocess
+import sys
 from itertools import permutations
 from pathlib import Path
 
@@ -581,8 +583,9 @@ def test_verify_all_report_is_pinned(capsys):
 def test_walkers_leave_no_cyclic_garbage():
     """A walk leaves nothing for the garbage collector to find.
 
-    Memoized entry points are called through __wrapped__, so a warm memo
-    cannot skip the walk; each call is checked to have walked something.
+    Memoized entry points are called through __wrapped__, and the strip
+    memo is emptied before the count, so a warm memo cannot skip the walk;
+    each call is checked to have walked something.
     """
     gc.collect()
     gc.disable()
@@ -590,7 +593,9 @@ def test_walkers_leave_no_cyclic_garbage():
         assert len(lr_tableaux((4, 3, 1), (2, 1), (3, 2))) == 2
         assert lr_coefficient.__wrapped__((4, 2, 1, 1), (2, 1), (3, 1, 1)) == 2
         assert strip_chain_count((4, 3, 1), (2, 1), 2, 3) == 3
+        colored._strips.cache_clear()
         assert len(blasiak_counts((3, 2, 1))) == 34
+        assert colored._strips.cache_info().misses > 0
         assert len(enumerate_blasiak.__wrapped__((5, 2), 2, special_nu(2, 3, 2))) == 2
         assert len(list(giambelli_leibniz((3, 2, 1)))) == 2
         assert len(list(jacobi_trudi((3, 2, 1)))) == 4
@@ -646,6 +651,23 @@ def test_run_suites_freezes_units_and_thaws_on_return(monkeypatch):
     with pytest.raises(RuntimeError, match="unit failed"):
         verify.run_suites(["partitions"], 2)
     assert gc.get_freeze_count() == 0
+
+
+def test_verify_freezes_what_is_left_for_the_exit_collections():
+    # exit hooks run last in, first out: the one registered before verify is
+    # imported runs after verify's gc.freeze and sees the memo tables frozen
+    src = Path(verify.__file__).resolve().parents[1]
+    code = (
+        f"import atexit, gc, sys; sys.path.insert(0, {str(src)!r}); "
+        "atexit.register(lambda: print('frozen at exit:', gc.get_freeze_count() > 0)); "
+        "import kroncalc.verify; from kroncalc.cli import main; "
+        "print('exit code:', main(['verify', 'partitions', '--n', '2']))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-I", "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.endswith("exit code: 0\nfrozen at exit: True\n"), proc.stdout
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from kroncalc import colored
 from kroncalc.colored import (
     ColoredLetter,
     ColoredTableau,
@@ -485,7 +486,29 @@ def test_strips_respect_limit_and_bound():
 
     ways = _strips(lam, 4, limit, bound)
     assert ways and all(fits(*way) for way in ways)
-    assert ways == [way for way in _strips(lam, 4, None, None) if fits(*way)]
+    assert ways == tuple(way for way in _strips(lam, 4, None, None) if fits(*way))
+
+
+def test_strip_memo_holds_the_fresh_listings_as_tuples(monkeypatch):
+    # every graph reads the one memo, so a cached listing must be immutable
+    # and equal to what the lister would build again
+    calls = set()
+
+    def recording(*args):
+        calls.add(args)
+        return _strips(*args)
+
+    _strips.cache_clear()
+    monkeypatch.setattr(colored, "_strips", recording)
+    for n in range(1, 8):
+        for lam in partitions_list(n):
+            blasiak_counts(lam)
+    assert _strips.cache_info().currsize == len(calls) > 0
+    for args in calls:
+        ways = _strips(*args)
+        assert type(ways) is tuple, args
+        assert all(type(part) is tuple for way in ways for part in (way, *way)), args
+        assert ways == _strips.__wrapped__(*args), args
 
 
 def test_walk_explores_no_dead_branch():
