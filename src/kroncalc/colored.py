@@ -64,10 +64,11 @@ words as the reference this construction must match.
 from __future__ import annotations
 
 from bisect import bisect_left
-from functools import lru_cache, reduce
+from functools import reduce
 from itertools import accumulate, zip_longest
 from typing import Iterable, NamedTuple, Optional, Sequence
 
+from .memo import memo
 from .partition import Partition, _conjugate, format_partition
 from .tableau import is_yamanouchi, reading_word, value_counts
 
@@ -105,7 +106,7 @@ class ColoredLetter(_Letter):
         return f"{self.value}'" if self.barred else str(self.value)
 
 
-@lru_cache(maxsize=None)
+@memo
 def _dec(k: int) -> ColoredLetter:
     return ColoredLetter((k + 1) // 2, bool(k & 1))
 
@@ -330,7 +331,7 @@ def mixed_insertion_trace(word: Sequence[ColoredLetter]) -> list[ColoredTableau]
 # tableau enumeration behind the hook rule
 
 
-@lru_cache(maxsize=None)
+@memo
 def _strips(lines: tuple[int, ...], s: int, limit, bound) -> tuple:
     """Ways to add a horizontal strip of s cells to a shape's lines.
 
@@ -578,7 +579,7 @@ def _finalize(lam: Partition, d: int, encoded: Iterable[tuple]) -> tuple[Colored
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@memo
 def enumerate_blasiak(lam, d: int, nu) -> tuple[ColoredTableau, ...]:
     """The tableaux counted by g(lam, (n-d, 1^d), nu), canonically ordered."""
     lam, nu = Partition(lam), Partition(nu)

@@ -20,15 +20,17 @@ g((S-r, r), (arm, 1^(c+1)), sigma).  The positive side is
 side and runs its checks (hooks, then p >= 0, then |nu| = n), returning
 the tuple (nu, S, p, arm, c) that every helper below it reads.
 
-Every sum walks only its nonzero terms, and what depends on the side alone
-is built once per (nu, S, p, arm, c).  near_hook_expansion reads the cached
-nonzero-LR supports of ``tableau``.  The two-row gate holds exactly for d
-in an interval [lo, hi] (tableau.two_row_interval, the closed form that
-tableau.lr_two_row also reads).  Each side of triple1/triple2 keeps its
-nonzero terms as (lo, hi, term), so a d compares two ints per term.  The
-index sets and triple3/triple4 read one table per side (_side_table): the
-positive terms sorted by (r, sigma, k), each with its interval and its
-certificate, which is checked positive once, when the table is built.
+Every sum walks only its nonzero terms.  near_hook_expansion reads the
+cached nonzero-LR supports of ``tableau``.  The two-row gate holds exactly
+for d in an interval [lo, hi] (tableau.two_row_interval, the closed form
+that tableau.lr_two_row also reads).  Each side of triple1/triple2 lists its
+nonzero terms as (lo, hi, term), so a d compares two ints per term; the
+list is built on each call and kept nowhere, since triple_row reads each
+side once and kron reaches only triple3/triple4.  The index sets and
+triple3/triple4 read one table per side (_side_table), built once per
+(nu, S, p, arm, c): the positive terms sorted by (r, sigma, k), each with
+its interval and its certificate, which is checked positive once, when the
+table is built.
 index_set_plus/minus list its indices; j_plus/j_minus and triple3/triple4
 check d once per call and keep the rows whose interval holds d.  The table
 reads its (sigma, k) from _strip_factors, once per (nu, S, p) and so shared
@@ -72,12 +74,12 @@ certificate of triple3, which must hold exactly that certificate's term.
 
 from __future__ import annotations
 
-from functools import cache
 from itertools import accumulate, repeat
 from operator import add, mul, neg
 from typing import NamedTuple, Optional
 
 from .colored import ColoredTableau, enumerate_blasiak
+from .memo import memo
 from .partition import (
     Partition,
     as_partition,
@@ -251,7 +253,7 @@ def _side(nu, a: int, b: int, c: int, positive: bool) -> tuple:
     return _sized(nu, a + b + c), size, p, arm, c
 
 
-@cache
+@memo
 def _closed_form_row(size: int, arm: int, c: int, sigma: Partition) -> tuple[int, ...]:
     """g((size - r, r), (arm, 1^(c+1)), sigma) for r = 0 .. size // 2, read through rosas_kronecker.
 
@@ -261,7 +263,6 @@ def _closed_form_row(size: int, arm: int, c: int, sigma: Partition) -> tuple[int
     return tuple(rosas_kronecker(size, r, arm, c, sigma) for r in range(size // 2 + 1))
 
 
-@cache
 def _interval_terms(nu, size: int, p: int, arm: int, c: int) -> tuple:
     """(lo, hi, term) for every nonzero term of a side's sum; the two-row gate holds at d iff lo <= d <= hi.
 
@@ -282,7 +283,7 @@ def _interval_sum(side: tuple, d: int) -> int:
     return sum(term for lo, hi, term in _interval_terms(*side) if lo <= d <= hi)
 
 
-@cache
+@memo
 def _strip_factors(nu: Partition, size: int, p: int) -> tuple:
     """(sigma, k) for every double hook sigma of size with c^nu_{sigma,(p-k,k)} > 0, by strip-chain counts.
 
@@ -300,7 +301,7 @@ def _strip_factors(nu: Partition, size: int, p: int) -> tuple:
     return tuple(out)
 
 
-@cache
+@memo
 def _side_table(nu: Partition, size: int, p: int, arm: int, c: int) -> tuple:
     """(lo, hi, certificate) for every positive term of a side, sorted by (r, sigma, k).
 

@@ -12,9 +12,10 @@ so sweep output is reproducible byte for byte.
 
 from __future__ import annotations
 
-from functools import cache
 from operator import index
 from typing import Iterator, NamedTuple, Optional, Sequence
+
+from .memo import memo
 
 
 def _conjugate(lengths: Sequence[int]) -> tuple:
@@ -60,7 +61,7 @@ class Partition(tuple):
         """1-indexed part; 0 past the end."""
         return self[i - 1] if 1 <= i <= len(self) else 0
 
-    @cache
+    @memo
     def transpose(self) -> "Partition":
         """Column lengths of the Young diagram, built once per partition."""
         # a conjugate partition is valid by construction: no constructor checks
@@ -203,7 +204,7 @@ def hook_partition(arm: int, legs: int) -> Partition:
     return tuple.__new__(Partition, (index(arm),) + (1,) * legs)
 
 
-@cache
+@memo
 def two_rows(m: int) -> tuple[Partition, ...]:
     """The partitions (m - k, k) of m with at most two rows, in order of k."""
     return tuple(Partition((m - k, k)) for k in range(m // 2 + 1))
@@ -285,13 +286,13 @@ def partitions_inside(outer, size: int) -> Iterator[Partition]:
             return
 
 
-@cache
+@memo
 def partitions_list(n: int) -> tuple[Partition, ...]:
     """Cached tuple of partitions_of(n)."""
     return tuple(partitions_of(n))
 
 
-@cache
+@memo
 def partition_count(n: int) -> int:
     """p(n) by the pentagonal-number recurrence (independent of the enumerator)."""
     if n < 0:

@@ -71,13 +71,14 @@ from __future__ import annotations
 
 import sys
 from collections.abc import Iterator
-from functools import cache, reduce
+from functools import reduce
 from itertools import chain
 from math import factorial
 from operator import mul
 from types import MappingProxyType
 from typing import NamedTuple
 
+from .memo import memo
 from .partition import Partition, as_partition, hook_partition, partitions_list
 from .tableau import lr_weight_support, schur_expand_product
 
@@ -282,7 +283,7 @@ def jacobi_trudi(lam) -> Iterator[tuple[int, tuple[int, ...]]]:
     return ((sign, tuple(sorted(filter(None, mono), reverse=True))) for sign, mono in terms)
 
 
-@cache
+@memo
 def h_monomial_to_schur(mono: tuple[int, ...]) -> SchurVector:
     """Expand h_{m1} h_{m2} ... in the Schur basis (h_k = s_(k), iterated Pieri)."""
     return _schur_product_of((k,) for k in mono)
@@ -323,7 +324,7 @@ def _beads(lam) -> int:
     return sum(1 << (part + last - i) for i, part in enumerate(lam))
 
 
-@cache
+@memo
 def _strips(k: int) -> dict[int, tuple[tuple[int, int], ...]]:
     """The one strip table of size k: a dict from bead set to that shape's moves.
 
@@ -389,7 +390,7 @@ class _Suffix:
 _EMPTY = _Suffix()
 
 
-@cache
+@memo
 def _node(k: int, rest: _Suffix) -> _Suffix:
     """The one node of the suffix (k,) + rest."""
     return _Suffix(k, rest)
@@ -425,10 +426,12 @@ def _char(beads: int, node: _Suffix) -> int:
     else:
         moves = _moves(beads, node.k)
     rest = node.rest
-    memo = rest.memo
+    # not named memo: the module imports that name, and CPython then compiles
+    # memo.get(...) as an attribute load and a call, without the method fast path
+    chis = rest.memo
     total = 0
     for moved, odd in moves:
-        term = memo.get(moved)
+        term = chis.get(moved)
         if term is None:
             term = _char(moved, rest)
         total += -term if odd else term
@@ -436,7 +439,7 @@ def _char(beads: int, node: _Suffix) -> int:
     return total
 
 
-@cache
+@memo
 def _cycle_types(n: int) -> tuple[tuple[int, _Suffix, int], ...]:
     """(first part k, node of the rest, n!/z_rho) for every cycle type rho of n >= 1,
     in partitions_list order.
@@ -465,7 +468,7 @@ def _cycle_types(n: int) -> tuple[tuple[int, _Suffix, int], ...]:
     )
 
 
-@cache
+@memo
 def _rows(lam: Partition) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """chi^lam(rho) and |class(rho)| * chi^lam(rho) on every cycle type rho of |lam|,
     in partitions_list order.
@@ -482,10 +485,10 @@ def _rows(lam: Partition) -> tuple[tuple[int, ...], tuple[int, ...]]:
     for part, rest, class_size in _cycle_types(lam.size):
         if part != k:
             moves, k = _moves(beads, part), part
-        memo = rest.memo
+        chis = rest.memo  # not named memo, as in _char
         total = 0
         for moved, odd in moves:
-            term = memo.get(moved)
+            term = chis.get(moved)
             if term is None:
                 term = _char(moved, rest)
             total += -term if odd else term
@@ -494,7 +497,7 @@ def _rows(lam: Partition) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(row), tuple(weighted)
 
 
-@cache
+@memo
 def kronecker_coefficient(lam, mu, nu) -> int:
     """g(lam, mu, nu) by the class-sum character formula; exact, nonnegative."""
     lam, mu, nu = as_partition(lam), as_partition(mu), as_partition(nu)
@@ -521,7 +524,7 @@ def kronecker_row(lam, mu) -> tuple[int, ...]:
     return _kronecker_row(lam, mu)
 
 
-@cache
+@memo
 def _kronecker_row(lam: Partition, mu: Partition) -> tuple[int, ...]:
     """The row of ``kronecker_row``, from one weight vector |class(rho)| chi^lam chi^mu.
 

@@ -34,9 +34,9 @@ converts its arguments and reads one entry, with no memo of its own.
 
 from __future__ import annotations
 
-from functools import cache
 from typing import Iterable, NamedTuple, Sequence
 
+from .memo import memo
 from .partition import Partition, as_partition, contains, partitions_list
 
 
@@ -165,7 +165,7 @@ def _fill(k, cells, grid, counts, tally, found) -> None:
         counts[v] -= 1
 
 
-@cache
+@memo
 def _lr_table(outer: Partition, inner: Partition) -> dict[Partition, int]:
     """weight -> c^outer_{inner, weight} for every weight with a nonzero coefficient."""
     return {Partition(key[1:]): count for key, count in _lr_walk(outer, inner).items()}
@@ -182,14 +182,14 @@ def lr_tableaux(lam, mu, nu) -> list[SkewSSYT]:
     ]
 
 
-@cache
+@memo
 def lr_coefficient(lam, mu, nu) -> int:
     """c^lam_{mu nu}: LR tableaux of shape lam/mu, weight nu (0 on degenerate input)."""
     lam, mu, nu = as_partition(lam), as_partition(mu), as_partition(nu)
     return _lr_table(lam, mu).get(nu, 0)
 
 
-@cache
+@memo
 def lr_weight_support(lam, inner) -> tuple[tuple[Partition, int], ...]:
     """(weight, c^lam_{inner, weight}) for every weight with a nonzero coefficient."""
     lam, inner = Partition(lam), Partition(inner)
@@ -200,7 +200,7 @@ def lr_weight_support(lam, inner) -> tuple[tuple[Partition, int], ...]:
     )
 
 
-@cache
+@memo
 def lr_outer_support(inner, weight) -> tuple[tuple[Partition, int], ...]:
     """(lam, c^lam_{inner, weight}) for every lam with a nonzero coefficient."""
     inner, weight = Partition(inner), Partition(weight)
@@ -239,7 +239,7 @@ def strip_chain_count(nu, eta, size1: int, size2: int) -> int:
     return chains[size1] if size1 < len(chains) else 0
 
 
-@cache
+@memo
 def _strip_chains(nu: Partition, eta: Partition) -> tuple[int, ...]:
     """strip_chain_count(nu, eta, s, |nu/eta| - s) for s = 0, 1, ...; () when all are 0.
 

@@ -6,7 +6,9 @@ tolerance.  Run with -s to see the lines.
 
 import gc
 import hashlib
+import importlib
 import json
+import pkgutil
 import re
 import subprocess
 import sys
@@ -15,7 +17,8 @@ from pathlib import Path
 
 import pytest
 
-from kroncalc import colored, nearhook, symfun, tableau, verify
+import kroncalc
+from kroncalc import colored, memo, nearhook, symfun, tableau, verify
 from kroncalc.cli import main as cli_main
 from kroncalc.colored import (
     ColoredTableau,
@@ -583,8 +586,8 @@ def test_verify_all_report_is_pinned(capsys):
 def test_walkers_leave_no_cyclic_garbage():
     """A walk leaves nothing for the garbage collector to find.
 
-    Memoized entry points are called through __wrapped__, and the strip
-    memo is emptied before the count, so a warm memo cannot skip the walk;
+    Memoized entry points are called through __wrapped__, and every memo
+    is emptied before the count, so a warm memo cannot skip the walk;
     each call is checked to have walked something.
     """
     gc.collect()
@@ -593,7 +596,7 @@ def test_walkers_leave_no_cyclic_garbage():
         assert len(lr_tableaux((4, 3, 1), (2, 1), (3, 2))) == 2
         assert lr_coefficient.__wrapped__((4, 2, 1, 1), (2, 1), (3, 1, 1)) == 2
         assert strip_chain_count((4, 3, 1), (2, 1), 2, 3) == 3
-        colored._strips.cache_clear()
+        memo.clear()
         assert len(blasiak_counts((3, 2, 1))) == 34
         assert colored._strips.cache_info().misses > 0
         assert len(enumerate_blasiak.__wrapped__((5, 2), 2, special_nu(2, 3, 2))) == 2
@@ -682,3 +685,32 @@ def test_the_benchmark_tracer_finds_its_memos_and_its_suite_runner():
     for fn in (symfun.kronecker_coefficient, tableau.lr_coefficient, colored.enumerate_blasiak):
         assert callable(getattr(fn, "cache_info", None)), fn.__name__
     assert callable(verify.run_suite)
+
+
+# ---------------------------------------------------------------------------
+# the memo registry
+
+
+def test_every_memo_is_registered_and_cleared_by_one_call():
+    # A memo declared outside kroncalc.memo would survive memo.clear(), and a
+    # test that relies on a cold start would then pass in some orders only.
+    # kroncalc.__main__ is left out: importing it runs the command line.
+    modules = [kroncalc] + [
+        importlib.import_module(f"kroncalc.{info.name}")
+        for info in pkgutil.iter_modules(kroncalc.__path__)
+        if info.name != "__main__"
+    ]
+    found = set()
+    for module in modules:
+        for value in vars(module).values():
+            if isinstance(value, type) and value.__module__ == module.__name__:
+                found.update(v for v in vars(value).values() if hasattr(v, "cache_info"))
+            elif hasattr(value, "cache_info"):
+                found.add(value)
+    assert found == set(memo.MEMOS.values())
+    names = {f"{fn.__module__}.{fn.__qualname__}" for fn in found}
+    assert len(found) == len(names) == 22
+    assert names == set(memo.MEMOS)
+    kronecker_coefficient((4, 2), (3, 3), (2, 2, 1, 1))
+    memo.clear()
+    assert [name for name, fn in memo.MEMOS.items() if fn.cache_info().currsize] == []

@@ -13,7 +13,7 @@ import sys
 import pytest
 
 import kroncalc
-from kroncalc import cli
+from kroncalc import cli, memo
 from kroncalc.cli import ORACLE_MAX_N, _applicable_methods, main, parse_args
 from kroncalc.partition import Partition, format_partition
 
@@ -688,7 +688,7 @@ def test_internal_error_exits_4_without_traceback(capsys, monkeypatch):
     # the count (no --explain) and the enumeration (--explain) share the moves
     monkeypatch.setattr(colored._HookGraph, "moves", broken)
     for explain in ((), ("--explain",)):
-        colored.enumerate_blasiak.cache_clear()  # a cached answer would skip the search
+        memo.clear()  # a cached answer would skip the search
         code, out, err = run(
             capsys, "kron", "5,2,1", "4,1^4", "4,2,1,1", "--method", "blasiak", *explain
         )
@@ -834,12 +834,12 @@ def test_hook_rule_walk_that_differs_from_its_count_exits_4(capsys, monkeypatch)
         walk(state, chain, m, {s: moves[:1] for s, moves in live.items()}, found)
 
     monkeypatch.setattr(colored, "_walk", first_moves_only)
-    colored.enumerate_blasiak.cache_clear()
+    memo.clear()
     try:
         argv = ("kron", "5,2,1", "4,1^4", "4,2,1,1", "--method", "blasiak", "--explain")
         code, out, err = run(capsys, *argv)
     finally:
-        colored.enumerate_blasiak.cache_clear()
+        memo.clear()
     assert (code, out) == (4, "")
     assert err == (
         "internal error: ArithmeticError: hook-rule walk found {(4, (4, 2, 1, 1)): 1} tableaux,"

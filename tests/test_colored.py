@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from kroncalc import colored
+from kroncalc import colored, memo
 from kroncalc.colored import (
     ColoredLetter,
     ColoredTableau,
@@ -498,7 +498,7 @@ def test_strip_memo_holds_the_fresh_listings_as_tuples(monkeypatch):
         calls.add(args)
         return _strips(*args)
 
-    _strips.cache_clear()
+    memo.clear()
     monkeypatch.setattr(colored, "_strips", recording)
     for n in range(1, 8):
         for lam in partitions_list(n):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from kroncalc import cli, nearhook, rosas
+from kroncalc import cli, memo, nearhook, rosas
 from kroncalc.colored import ColoredTableau
 from kroncalc.nearhook import (
     TermCertificate,
@@ -302,17 +302,11 @@ def test_two_row_entries_reject_arguments_off_their_hypotheses(entry, message):
         entry()
 
 
-def _clear_closed_form_memos():
-    nearhook._closed_form_row.cache_clear()
-    nearhook._side_table.cache_clear()
-    nearhook._interval_terms.cache_clear()
-
-
 def test_negative_closed_form_stops_every_near_hook_route(monkeypatch, capsys):
     # unpatched, the index set and triple3 read a positive closed-form value
     assert tuples(index_set_plus((4, 2), 2, 2, 2)) == [((3, 2), 0, 2)]
     assert triple3(4, 2, 2, 2, 2, (4, 2))[0] == 1
-    _clear_closed_form_memos()
+    memo.clear()
     monkeypatch.setattr(rosas, "phi", lambda *args: -1)
     try:
         for route in (
@@ -324,7 +318,7 @@ def test_negative_closed_form_stops_every_near_hook_route(monkeypatch, capsys):
                 route()
         assert cli.main(["kron", "3,3", "2,2,1,1", "4,2", "--method", "nearhook"]) == 4
     finally:
-        _clear_closed_form_memos()  # no value computed from the patched phi outlives the test
+        memo.clear()  # no value computed from the patched phi outlives the test
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("internal error: ArithmeticError: negative branch value")
@@ -874,8 +868,8 @@ def test_hook_rule_block_larger_than_its_term_raises(monkeypatch):
 
 def test_certified_sum_rejects_a_non_positive_term(monkeypatch):
     # the support says every term is positive; a zero LR factor contradicts it.
-    # A side table built before the patch would hide it, so the test clears it
-    nearhook._side_table.cache_clear()
+    # A side table built before the patch would hide it, so the test clears the memos
+    memo.clear()
     monkeypatch.setattr(nearhook, "lr_coefficient", lambda *args: 0)
     with pytest.raises(ArithmeticError, match=r"^non-positive reduced term at \(Partition\(\(3, 2\)\), 0, 1\)$"):
         triple3(4, 2, 3, 2, 1, (4, 2))

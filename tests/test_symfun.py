@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from kroncalc import symfun
+from kroncalc import memo, symfun
 from kroncalc.colored import count_blasiak
 from kroncalc.partition import Partition, partitions_list
 from kroncalc.symfun import (
@@ -505,16 +505,11 @@ def _memo_states(sizes) -> int:
     return sum(len(node.memo) for node in _reached_nodes(sizes))
 
 
-def _clear_oracle_memos():
-    for memo in (_node, _strips, _cycle_types, _rows, kronecker_coefficient):
-        memo.cache_clear()
-
-
 def test_bead_kernel_keeps_one_state_per_shape():
     # a bead left at 0 would give one shape two keys, and the memo more states;
     # the rows store nothing on the cycle types themselves, and neither does
     # the reference row
-    _clear_oracle_memos()
+    memo.clear()
     _char_reference.cache_clear()
     try:
         for n in range(13):
@@ -527,7 +522,7 @@ def test_bead_kernel_keeps_one_state_per_shape():
 
 def test_cold_oracle_query_keeps_the_shared_memo_states():
     # a kernel that stopped sharing states between rows or suffixes would keep more
-    _clear_oracle_memos()
+    memo.clear()
     assert kronecker_coefficient((7, 5, 4, 2), (10, 3, 2, 2, 1), (7, 2, 2, 2, 2, 2, 1)) == 736
     assert _memo_states([18]) == 3209
 
@@ -537,7 +532,7 @@ def test_strip_tables_hold_the_border_strips_of_each_shape():
     # suffix node of size m with first part k, for every k <= min(m, 12 - m),
     # since a strip of any size fits on any shape; the moves are stored once,
     # for k >= 2 and m - k >= 2, where more than one node can read them
-    _clear_oracle_memos()
+    memo.clear()
     for n in range(13):
         for lam in partitions_list(n):
             _rows(lam)
@@ -554,7 +549,7 @@ def test_nodes_with_one_first_part_share_one_strip_object():
     # a partition of m with first part k lies below the cycle types of
     # n <= 14 exactly when m + k <= 14, so each group of nodes with one first
     # part and one size reached here is whole
-    _clear_oracle_memos()
+    memo.clear()
     nodes = [node for node in _reached_nodes(range(15)) if node.rest is not None]
     groups = Counter((node.k, node.size) for node in nodes)
     assert len(groups) == sum(min(m, 14 - m) for m in range(1, 14))
@@ -570,7 +565,7 @@ def test_nodes_with_one_first_part_share_one_strip_object():
 def test_cold_oracle_query_keeps_one_strip_entry_per_shape_and_first_part():
     # the strip tables hold exactly the (first part, shape) pairs of the memo
     # states on the nodes that share their moves
-    _clear_oracle_memos()
+    memo.clear()
     assert kronecker_coefficient((7, 5, 4, 2), (10, 3, 2, 2, 1), (7, 2, 2, 2, 2, 2, 1)) == 736
     nodes = [node for node in _reached_nodes([18]) if node.rest is not None]
     states = {(node.k, beads) for node in nodes if node.shares for beads in node.memo}
@@ -582,15 +577,15 @@ def test_cold_oracle_query_keeps_one_strip_entry_per_shape_and_first_part():
 
 
 def test_clearing_the_oracle_memos_clears_the_strip_tables():
-    _clear_oracle_memos()
+    memo.clear()
     kronecker_coefficient((5, 4, 2, 1), (6, 3, 3), (4, 3, 2, 2, 1))
     old = _strips(3)
     assert old
-    _clear_oracle_memos()
+    memo.clear()
     assert _strips.cache_info().currsize == 0
     assert all(not _strips(k) for k in range(1, 13))
     assert _strips(3) is not old
-    _clear_oracle_memos()
+    memo.clear()
 
 
 def test_cycle_type_table_matches_the_walk_of_each_cycle_type():
@@ -614,11 +609,11 @@ def test_cycle_type_table_matches_the_walk_of_each_cycle_type():
         assert sum(size for _, _, size in table) == nfact
     for node, suffix in reached.values():
         assert node.z == centralizer_order(suffix), suffix
-    _clear_oracle_memos()
+    memo.clear()
     for rho in partitions_list(26):
         _suffix(rho[1:])
     walked = _node.cache_info().currsize
-    _clear_oracle_memos()
+    memo.clear()
     _cycle_types(26)
     assert _node.cache_info().currsize == walked == 2435
 
