@@ -10,9 +10,9 @@ row.  Options go before, between or after positionals, as --opt value,
 
 Exit codes: 0 success, 1 verification failure or method disagreement,
 2 input error, 3 method hypotheses not met, 4 internal error (a failed
-consistency check), 141 stdout closed by its reader.  Partitions use the
-text syntax "6,2,1^6"; colored words use space-separated letters with a
-trailing apostrophe for bars ("2' 1 4' 4").
+consistency check or a fault inside an engine), 141 stdout closed by its
+reader.  Partitions use the text syntax "6,2,1^6"; colored words use
+space-separated letters with a trailing apostrophe for bars ("2' 1 4' 4").
 """
 
 from __future__ import annotations
@@ -300,7 +300,8 @@ def cmd_enumerate(args) -> int:
         if not word:
             raise InputError("usage: enumerate blasiak trace LETTERS")
         print(f"word: {colored.format_colored_word(word)}")
-        print(f"blft: {''.join(str(v) for v in colored.blft(word))}")
+        values = colored.blft(word)  # separated once a value has two digits, so the line reads back
+        print(f"blft: {(' ' if max(values) > 9 else '').join(map(str, values))}")
         for step, tab in enumerate(colored.mixed_insertion_trace(word), 1):
             print(f"step {step}:")
             print(tab.to_ascii())
@@ -508,8 +509,8 @@ def main(argv=None) -> int:
     except MemoryError:  # as with RecursionError, the input is at fault
         print("error: input too large: out of memory", file=sys.stderr)
         return 2
-    except (ArithmeticError, RuntimeError, AssertionError) as exc:
-        # a failed consistency check inside an engine, not a user error
+    except (ArithmeticError, RuntimeError, AssertionError, LookupError, TypeError) as exc:
+        # a failed consistency check or a fault inside an engine, not a user error
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4
 

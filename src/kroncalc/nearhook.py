@@ -11,6 +11,10 @@ hook closed form gives positively-supported index sets J+ / J- and the
 reduced sums triple3 - triple4.  Both routes read the closed form through
 the checked rosas_kronecker, so a negative value raises on either.
 
+The expansion has the hook determinant's two terms, s_(a,1^(c+1)) h_(b-1)
+- s_(b-1,1^(c+1)) h_a, which _terms lists as (sign, row size, hook); both
+of its readers, _expand and near_hook_row, walk that one table in one loop.
+
 The sums and index sets come in positive and negative sides, and both
 sides are one sum with parameters (S, p, arm): sigma runs over the
 partitions of S, the LR factor is c^nu_{sigma,(p-k,k)}, the two-row gate
@@ -47,17 +51,17 @@ appends a certificate per term only when handed a list: near_hook_expansion
 hands it one, near_hook_value does not and builds no certificate.
 
 near_hook_row reads the same signed sum for every nu of a fixed lam at once.
-The theta sums of both sides do not depend on nu, so it sums them once per
-row from oracle rows of the hook factors, where the single-triple walk reads
-every hook factor again for each nu.  The two readers split as
-kronecker_coefficient and kronecker_row do: a single query (kron) keeps the
-walk, which reads single coefficients and can certify each term, and a sweep
-over every nu (verify fundamental-vs-oracle) reads the row.  triple_row
-splits from triple1 .. triple4 the same way, along d: it checks its
-arguments once and sums each side's (lo, hi, value) terms over every d of
-the two-rows (d, n-d) in one pass (verify triples-vs-oracle), where the
-single-d entries, which kron and the witness families call, derive the
-side and scan its terms again for each d.
+The theta sums of both terms do not depend on nu, so it sums them once per
+row, keyed by row part, from oracle rows of the hook factors, where the
+single-triple walk reads every hook factor again for each nu.  The two
+readers split as kronecker_coefficient and kronecker_row do: a single query
+(kron) keeps the walk, which reads single coefficients and can certify
+each term, and a sweep over every nu (verify fundamental-vs-oracle) reads
+the row.  triple_row splits from triple1 .. triple4 the same way, along
+d: it checks its arguments once and sums each side's (lo, hi, value) terms
+over every d of the two-rows (d, n-d) in one pass (verify
+triples-vs-oracle), where the single-d entries, which kron and the witness
+families call, derive the side and scan its terms again for each d.
 
 When b = 2 and nu = (a+2, 2^(s-1), 1^(c+2-2s)), the negative side is a
 singleton (d inside an explicit interval) or empty (d outside), so the
@@ -75,7 +79,7 @@ certificate of triple3, which must hold exactly that certificate's term.
 from __future__ import annotations
 
 from itertools import accumulate, repeat
-from operator import add, mul, neg
+from operator import add, mul
 from typing import NamedTuple, Optional
 
 from .colored import ColoredTableau, enumerate_blasiak
@@ -156,29 +160,24 @@ def near_hook_row(lam, a: int, b: int, c: int) -> tuple[int, ...]:
 
     The terms of near_hook_value, grouped so that the theta sums, which do
     not depend on nu, run once per row instead of once per nu.  For each
-    delta of b-1, A_delta = sum_theta c^lam_{theta,delta} g(theta, (a, 1^(c+1)), .)
-    over the eta of n-b+1; for each eta of a, B_eta =
-    sum_theta c^lam_{theta,eta} g(theta, (b-1, 1^(c+1)), .) over the delta
-    of n-a; each is summed from oracle rows.  The entry at nu is
-    sum c^nu_{eta,delta} A_delta[eta] - sum c^nu_{eta,delta} B_eta[delta],
-    both over lr_weight_support(nu, delta), and a delta whose factors are
-    all zero is skipped.
+    term (sign, m, hook) of _terms and each row part rho of m,
+    A_rho = sign * sum_theta c^lam_{theta,rho} g(theta, hook, .) over the
+    partitions of n - m, summed from oracle rows.  The entry at nu is
+    sum c^nu_{kappa,rho} A_rho[kappa] over lr_weight_support(nu, rho) and
+    both terms, and a rho whose factors are all zero is skipped.  The
+    negative term's rho is the walk's eta of a, read as
+    lr_weight_support(nu, eta) since c^nu_{eta,delta} = c^nu_{delta,eta}.
     """
     lam = as_partition(lam)
-    first_hook, second_hook = _hooks(a, b, c, lam)
-    n = lam.size
-    terms = []  # (delta, {eta: signed theta sum}) of both sides
-    for delta in partitions_list(b - 1):
-        factors = _theta_sum(lam, delta, first_hook)
-        if any(factors):
-            terms.append((delta, dict(zip(partitions_list(n - b + 1), factors))))
-    columns = zip(*(_theta_sum(lam, eta, second_hook) for eta in partitions_list(a)))
-    for delta, factors in zip(partitions_list(n - a), columns):
-        if any(factors):
-            terms.append((delta, dict(zip(partitions_list(a), map(neg, factors)))))
+    terms = []  # (row part, {hook part: signed theta sum}) of both terms
+    for sign, row, hook in _terms(a, b, c, lam):
+        for part in partitions_list(row):
+            factors = _theta_sum(lam, part, hook)
+            if any(factors):
+                terms.append((part, dict(zip(partitions_list(hook.size), [sign * f for f in factors]))))
     return tuple(
-        sum(lr * factors[eta] for delta, factors in terms for eta, lr in lr_weight_support(nu, delta))
-        for nu in partitions_list(n)
+        sum(lr * factors[rest] for part, factors in terms for rest, lr in lr_weight_support(nu, part))
+        for nu in partitions_list(lam.size)
     )
 
 
@@ -190,38 +189,34 @@ def _theta_sum(lam: Partition, inner: Partition, hook: Partition) -> list[int]:
     return total
 
 
-def _hooks(a: int, b: int, c: int, *shapes: Partition) -> tuple[Partition, Partition]:
-    """The hooks (a, 1^(c+1)) and (b-1, 1^(c+1)), once a >= b >= 2, c >= 0 and every shape has size a + b + c."""
+def _terms(a: int, b: int, c: int, *shapes: Partition) -> tuple[tuple[int, int, Partition], ...]:
+    """(sign, row size, hook) of s_(a,1^(c+1)) h_(b-1) - s_(b-1,1^(c+1)) h_a, once a >= b >= 2, c >= 0 and every shape has size a + b + c."""
     if not (a >= b >= 2 and c >= 0):
         raise ValueError("near-hook parameters need a >= b >= 2 and c >= 0")
     n = a + b + c
     if any(shape.size != n for shape in shapes):
         raise ValueError(f"lam and nu must be partitions of {n}")
-    return hook_partition(a, c + 1), hook_partition(b - 1, c + 1)
+    return (1, b - 1, hook_partition(a, c + 1)), (-1, a, hook_partition(b - 1, c + 1))
 
 
 def _expand(lam, nu, a: int, b: int, c: int, certs=None) -> int:
-    """The signed expansion's total; each term's certificate is appended to certs when it is a list."""
+    """The signed expansion's total; each term's certificate is appended to certs when it is a list.
+
+    delta runs over the row parts of the positive term and the hook parts of
+    the negative one, so a certificate's index is (eta, delta, theta) on both.
+    """
     lam, nu = as_partition(lam), as_partition(nu)
-    first_hook, second_hook = _hooks(a, b, c, lam, nu)
-    n = lam.size
     total = 0
-    for delta in partitions_list(b - 1):
-        for eta, outer_lr in lr_weight_support(nu, delta):
-            for theta, inner_lr in lr_weight_support(lam, delta):
-                lr = outer_lr * inner_lr
-                g = kronecker_coefficient(theta, first_hook, eta)
-                total += lr * g
-                if certs is not None:
-                    certs.append(TermCertificate(1, (eta, delta, theta), lr, g))
-    for delta in partitions_list(n - a):
-        for eta, outer_lr in lr_weight_support(nu, delta):
-            for theta, inner_lr in lr_weight_support(lam, eta):
-                lr = outer_lr * inner_lr
-                g = kronecker_coefficient(theta, second_hook, delta)
-                total -= lr * g
-                if certs is not None:
-                    certs.append(TermCertificate(-1, (eta, delta, theta), lr, g))
+    for sign, row, hook in _terms(a, b, c, lam, nu):
+        for delta in partitions_list(row if sign > 0 else hook.size):
+            for eta, outer_lr in lr_weight_support(nu, delta):
+                part, rest = (delta, eta) if sign > 0 else (eta, delta)  # the row part and the hook part
+                for theta, inner_lr in lr_weight_support(lam, part):
+                    lr = outer_lr * inner_lr
+                    g = kronecker_coefficient(theta, hook, rest)
+                    total += sign * lr * g
+                    if certs is not None:
+                        certs.append(TermCertificate(sign, (eta, delta, theta), lr, g))
     return total
 
 

@@ -15,7 +15,8 @@ expansion's row ``nearhook.near_hook_row``, as blasiak-vs-oracle zips it with
 the hook rule's counts.  triples-vs-oracle reads the four triple sums of every
 d at once (``nearhook.triple_row``), and its membership units compare each
 index set with the set of positive grid points, built from the sigma whose
-g row is nonzero, reporting the points where they differ in grid order.
+g row is nonzero, reporting the points where they differ in grid order,
+then any index-set point off the grid, sorted.
 
 What a unit leaves alive is memo entries, which hold no reference cycle
 (tests/test_acceptance.py runs every suite with the collector off to check
@@ -537,14 +538,15 @@ def run_triples(unit) -> tuple[int, list[str]]:
                                 if coeff:
                                     positive.update((sigma, k, r) for r, g in enumerate(g_row) if coeff * g > 0)
                         broken = positive.symmetric_difference(index_set(nu, aa, bb, cc))
-                        if broken:  # reported in grid order, as a probe of every point would
+                        if broken:  # in grid order, as a probe of every point would, then the points off the grid, sorted
                             order = {sigma: i for i, (sigma, _) in enumerate(g_rows)}
-                            broken = [
-                                (order[sigma], k, r, sigma)
+                            on_grid = {
+                                (sigma, k, r)
                                 for sigma, k, r in broken
                                 if sigma in order and 0 <= k < len(strips) and 0 <= r < width
-                            ]
-                        for _, k, r, sigma in sorted(broken):
+                            }
+                            broken = sorted(on_grid, key=lambda p: (order[p[0]], p[1], p[2])) + sorted(broken - on_grid)
+                        for sigma, k, r in broken:
                             fails.append(
                                 f"{side}-support membership broke at nu={_fmt(nu)} {sigma_name}={_fmt(sigma)} {k_name}={k} r={r}"
                             )

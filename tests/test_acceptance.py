@@ -425,7 +425,11 @@ def test_fundamental_failures_match_the_per_triple_loop(monkeypatch):
 
 
 def _triples_per_point(unit) -> tuple[int, list[str]]:
-    """The triples-vs-oracle loops that called triple1 .. triple4 per (nu, d) and probed every membership point."""
+    """The triples-vs-oracle loops that called triple1 .. triple4 per (nu, d) and probed every membership point.
+
+    After the probes of one (nu, side), the index set's points that no probe
+    visited, which lie off the grid, are reported too, sorted.
+    """
     kind, n, a, b = unit
     checks, fails = 0, []
     if kind == "value":
@@ -474,15 +478,21 @@ def _triples_per_point(unit) -> tuple[int, list[str]]:
             for nu in partitions_list(n):
                 for strips, g_rows, index_set, (side, sigma_name, k_name) in sides:
                     members = index_set(nu, aa, bb, cc)
+                    probed = set()
                     for sigma, g_row in g_rows:
                         for k, strip in enumerate(strips):
                             coeff = lr_coefficient(nu, sigma, strip)
                             for r, g in enumerate(g_row):
                                 checks += 1
+                                probed.add((sigma, k, r))
                                 if ((sigma, k, r) in members) != (coeff * g > 0):
                                     fails.append(
                                         f"{side}-support membership broke at nu={verify._fmt(nu)} {sigma_name}={verify._fmt(sigma)} {k_name}={k} r={r}"
                                     )
+                    for sigma, k, r in sorted(members - probed):
+                        fails.append(
+                            f"{side}-support membership broke at nu={verify._fmt(nu)} {sigma_name}={verify._fmt(sigma)} {k_name}={k} r={r}"
+                        )
     return checks, fails
 
 
@@ -516,11 +526,12 @@ def test_triples_value_failures_match_the_per_d_loop(monkeypatch):
     [
         ("index_set_plus", {(Partition((3, 1)), 0, 1)}, 1),  # a member dropped
         ("index_set_plus", {(Partition((4,)), 0, 0)}, 1),  # a grid point added
-        ("index_set_plus", {(Partition((4,)), 0, 3)}, 0),  # r past the grid: never probed
+        ("index_set_plus", {(Partition((4,)), 0, 3)}, 1),  # r past the grid: never probed, still reported
         ("index_set_minus", {(Partition((2, 1)), 1, 1), (Partition((3,)), 1, 0), (Partition((1, 1, 1)), 0, 1)}, 3),
-        ("index_set_minus", {(Partition((3,)), 2, 0)}, 0),  # k past the grid
+        ("index_set_minus", {(Partition((3,)), 2, 0)}, 1),  # k past the grid
+        ("index_set_plus", {((1,), 0, 99)}, 1),  # sigma no partition of S, r past every row
     ],
-    ids=["plus-drop", "plus-add", "plus-outside", "minus-three", "minus-outside"],
+    ids=["plus-drop", "plus-add", "plus-outside", "minus-three", "minus-outside", "plus-off-grid"],
 )
 def test_triples_membership_failures_match_the_probing_loop(monkeypatch, name, edit, failures):
     # one index set at nu = (3,2), (a, b, c) = (2, 2, 1) gains or loses

@@ -228,6 +228,19 @@ def test_enumerate_blasiak_color_out_of_range_prints_the_content_as_typed(capsys
 
 
 @pytest.mark.parametrize(
+    "letters,line",
+    [(("1", "11"), "blft: 1 11"), (("11", "1"), "blft: 11 1")],
+    ids=["one-eleven", "eleven-one"],
+)
+def test_enumerate_trace_blft_line_reads_back(capsys, letters, line):
+    # joined with no separator, (1, 11) and (11, 1) would both print "111";
+    # test_enumerate_trace pins the README word's unseparated "blft: 24411433"
+    code, out, _ = run(capsys, "enumerate", "blasiak", "trace", *letters)
+    assert code == 0
+    assert out.splitlines()[1] == line
+
+
+@pytest.mark.parametrize(
     "letters,message",
     [
         (("x",), "bad colored word 'x': invalid literal for int() with base 10: 'x'"),
@@ -695,6 +708,30 @@ def test_internal_error_exits_4_without_traceback(capsys, monkeypatch):
         assert code == 4
         assert out == ""
         assert err == "internal error: RuntimeError: insertion produced a ragged shape\n"
+
+
+def test_engine_lookup_error_exits_4_without_traceback(capsys, monkeypatch):
+    # a KeyError is a LookupError, a fault inside the engine, not "methods disagree" (exit 1)
+    def broken(lam, d, nu):
+        raise KeyError((5, 2, 1))
+
+    monkeypatch.setattr(cli.colored, "count_blasiak", broken)
+    code, out, err = run(capsys, "kron", "5,2,1", "4,1^4", "4,2,1,1", "--method", "blasiak")
+    assert (code, out) == (4, "")
+    assert err == "internal error: KeyError: (5, 2, 1)\n"
+
+
+def test_verify_runner_index_error_exits_4_without_traceback(capsys, monkeypatch):
+    from kroncalc import verify
+
+    def broken(unit):
+        raise IndexError("list index out of range")
+
+    default, units, _ = verify.SUITES["partitions"]
+    monkeypatch.setitem(verify.SUITES, "partitions", (default, units, broken))
+    code, out, err = run(capsys, "verify", "partitions", "--n", "3", "--jobs", "1")
+    assert (code, out) == (4, "")
+    assert err == "internal error: IndexError: list index out of range\n"
 
 
 @pytest.mark.parametrize(

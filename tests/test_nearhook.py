@@ -42,7 +42,7 @@ from kroncalc.partition import (
 )
 from kroncalc.rosas import rosas_kronecker
 from kroncalc.symfun import kronecker_coefficient, kronecker_row
-from kroncalc.tableau import lr_coefficient, lr_two_row, lr_via_strip_difference
+from kroncalc.tableau import lr_coefficient, lr_two_row, lr_via_strip_difference, lr_weight_support
 
 
 def P(*parts) -> Partition:
@@ -135,6 +135,30 @@ def _expansion_by_scan(lam, nu, a, b, c):
     return certs
 
 
+def _expansion_by_two_loops(lam, nu, a, b, c):
+    """near_hook_expansion's certificates from one hand-written loop per term.
+
+    The positive term walks delta of b-1, the negative term delta of n-a,
+    each through the nonzero-LR supports; the reference for the one loop
+    over the term table, certificate order included.
+    """
+    n = a + b + c
+    first_hook = hook_partition(a, c + 1)
+    second_hook = hook_partition(b - 1, c + 1)
+    certs = []
+    for delta in partitions_list(b - 1):
+        for eta, outer_lr in lr_weight_support(nu, delta):
+            for theta, inner_lr in lr_weight_support(lam, delta):
+                g = kronecker_coefficient(theta, first_hook, eta)
+                certs.append(TermCertificate(1, (eta, delta, theta), outer_lr * inner_lr, g))
+    for delta in partitions_list(n - a):
+        for eta, outer_lr in lr_weight_support(nu, delta):
+            for theta, inner_lr in lr_weight_support(lam, eta):
+                g = kronecker_coefficient(theta, second_hook, delta)
+                certs.append(TermCertificate(-1, (eta, delta, theta), outer_lr * inner_lr, g))
+    return certs
+
+
 def test_expansion_matches_full_scan():
     cases = certificates = 0
     for n in range(4, 8):
@@ -146,6 +170,7 @@ def test_expansion_matches_full_scan():
                         want = _expansion_by_scan(lam, nu, a, b, c)
                         got, value = near_hook_expansion(lam, nu, a, b, c)
                         assert got == want, (lam, nu, a, b, c)
+                        assert got == _expansion_by_two_loops(lam, nu, a, b, c), (lam, nu, a, b, c)
                         assert [t.to_json() for t in got] == [t.to_json() for t in want]
                         assert value == sum(t.contribution for t in want)
                         cases += 1
