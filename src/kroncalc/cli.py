@@ -62,12 +62,22 @@ def _parse_partition_arg(text: str) -> Partition:
 # kron
 
 
-# Largest n measured for the oracle: a cold query at n = 26 took at most
-# 0.15 s CPU (median 0.09 s) and 17.2 MB peak RSS for the whole process (four
-# triples, 10 runs each: 8,7,5,3,2,1 10,6,4,3,2,1 7,6,5,4,2,1,1 and three
-# drawn by random.Random(26); a shared 2-core machine, Python 3.11.7).  Larger
-# n is unmeasured.
-ORACLE_MAX_N = 26
+# Largest n measured for the oracle: a cold `kron --method oracle` query at
+# n = 40 took at most 1.08 s CPU and 87.5 MB peak RSS for the whole process
+# (twelve triples, 3 runs each: ten drawn by random.Random(40) from all
+# partitions of 40, and 11,9,6,5,4,2,2,1 34,1^6 10,9,6,5,4,3,2,1 and
+# 9,8,7,6,5,4,1 21,1^19 9,8,7,6,5,3,2; a shared 2-core machine, Python
+# 3.11.7).  A single triple sums three character rows over the p(n) cycle
+# types, so the cost grows with p(n).
+ORACLE_MAX_N = 40
+
+# Largest oracle size n - b + 1 for the near-hook method's signed expansion,
+# which calls the oracle once per term and so does not inherit the bound
+# above.  Cold `kron --method nearhook` with c = 0 at n - b + 1 = 26 (lam and
+# nu with six to eight corners, one triple for each b = 2-7) took 0.13-8.5 s
+# CPU and at most 63 MB peak RSS, rising with b; at n - b + 1 = 37 the triple
+# 9,8,7,6,5,4,1 36,4 9,8,7,6,5,3,2 (b = 4) took 11.1 s and 292 MB.
+EXPANSION_MAX_N = 26
 
 
 def _oracle_applies(lam, mu):
@@ -115,8 +125,8 @@ def _nearhook_applies(lam, mu):
         return "mu is not a near-hook (a, b, 1^c) with a >= b >= 2"
     # the signed expansion, unlike the triple sums, calls the oracle at n - b + 1
     inner = lam.size - near_hook[1] + 1
-    if inner > ORACLE_MAX_N and not _triple_sums(lam, near_hook):
-        return f"the signed expansion calls the oracle at n - b + 1 = {inner}, above the bound {ORACLE_MAX_N}"
+    if inner > EXPANSION_MAX_N and not _triple_sums(lam, near_hook):
+        return f"the signed expansion calls the oracle at n - b + 1 = {inner}, above the bound {EXPANSION_MAX_N}"
     return None
 
 
@@ -270,27 +280,6 @@ def cmd_enumerate(args) -> int:
         raise InputError(
             "--output json applies only to enumerate blasiak CONTENT TOTAL_COLOR SHAPE"
         )
-    if kind == "lr":
-        if len(rest) != 3:
-            raise InputError("usage: enumerate lr OUTER INNER WEIGHT")
-        outer, inner, weight = (_parse_partition_arg(x) for x in rest)
-        if not contains(inner, outer):
-            raise InputError(
-                f"INNER {format_partition(inner)} is not contained in OUTER {format_partition(outer)}"
-            )
-        if outer.size != inner.size + weight.size:
-            raise InputError(
-                f"sizes do not balance: |OUTER|={outer.size}, |INNER|+|WEIGHT|={inner.size + weight.size}"
-            )
-        tableaux = lr_tableaux(outer, inner, weight)
-        print(f"count: {len(tableaux)}")
-        for i, tab in enumerate(tableaux, 1):
-            print(f"tableau {i}:")
-            print(tab.to_ascii())
-            if args.ytableau:
-                print(tab.to_ytableau())
-        return 0
-    # kind is "blasiak": the parser's choices admit no other
     if trace:
         text = " ".join(rest[1:])
         try:
@@ -307,21 +296,36 @@ def cmd_enumerate(args) -> int:
             print(tab.to_ascii())
         return 0
     if len(rest) != 3:
-        raise InputError("usage: enumerate blasiak CONTENT TOTAL_COLOR SHAPE")
-    lam = _parse_partition_arg(rest[0])
-    try:
-        d = int(rest[1])
-    except ValueError as exc:
-        raise InputError(f"bad total color {rest[1]!r}") from exc
-    nu = _parse_partition_arg(rest[2])
-    tableaux = colored.enumerate_blasiak(lam, d, nu)
-    if args.output == "json":
-        _print_json([t.to_json() for t in tableaux])
-        return 0
+        usage = "OUTER INNER WEIGHT" if kind == "lr" else "CONTENT TOTAL_COLOR SHAPE"
+        raise InputError(f"usage: enumerate {kind} {usage}")
+    if kind == "lr":
+        outer, inner, weight = (_parse_partition_arg(x) for x in rest)
+        if not contains(inner, outer):
+            raise InputError(
+                f"INNER {format_partition(inner)} is not contained in OUTER {format_partition(outer)}"
+            )
+        if outer.size != inner.size + weight.size:
+            raise InputError(
+                f"sizes do not balance: |OUTER|={outer.size}, |INNER|+|WEIGHT|={inner.size + weight.size}"
+            )
+        tableaux = lr_tableaux(outer, inner, weight)
+    else:  # kind is "blasiak": the parser's choices admit no other
+        lam = _parse_partition_arg(rest[0])
+        try:
+            d = int(rest[1])
+        except ValueError as exc:
+            raise InputError(f"bad total color {rest[1]!r}") from exc
+        nu = _parse_partition_arg(rest[2])
+        tableaux = colored.enumerate_blasiak(lam, d, nu)
+        if args.output == "json":
+            _print_json([t.to_json() for t in tableaux])
+            return 0
     print(f"count: {len(tableaux)}")
     for i, tab in enumerate(tableaux, 1):
         print(f"tableau {i}:")
         print(tab.to_ascii())
+        if args.ytableau:  # the option check admits it only for lr
+            print(tab.to_ytableau())
     return 0
 
 

@@ -5,6 +5,7 @@ import io
 import json
 import multiprocessing
 import os
+import random
 import re
 import shlex
 import subprocess
@@ -14,7 +15,7 @@ import pytest
 
 import kroncalc
 from kroncalc import cli, memo
-from kroncalc.cli import ORACLE_MAX_N, _applicable_methods, main, parse_args
+from kroncalc.cli import EXPANSION_MAX_N, ORACLE_MAX_N, _applicable_methods, main, parse_args
 from kroncalc.partition import Partition, format_partition
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -113,17 +114,17 @@ def test_nearhook_refuses_an_inner_oracle_size_above_the_bound(capsys, monkeypat
         raise AssertionError("the oracle ran")
 
     monkeypatch.setattr(symfun, "_char", entered)
-    # the signed expansion calls the oracle at n - b + 1; both queries have n = 30
+    # the signed expansion calls the oracle at n - b + 1, and its bound is its own
     code, out, err = run(capsys, "kron", "8,7,6,5,4", "3,2,1^25", "10,8,6,4,2", "--method", "nearhook")
     assert (code, out) == (3, "")
     assert err == (
         "hypothesis not met: method nearhook: the signed expansion calls the oracle"
-        f" at n - b + 1 = 29, above the bound {ORACLE_MAX_N}\n"
+        f" at n - b + 1 = 29, above the bound {EXPANSION_MAX_N}\n"
     )
-    code, out, err = run(capsys, "kron", "9,7,5,3,2,1,1,1,1", "4,3,1^23", "10,8,6,4,2")
+    code, out, err = run(capsys, "kron", "10,8,6,5,4,3,2,1,1,1", "4,3,1^34", "12,10,8,6,5")  # n = 41
     assert (code, out) == (3, "")
     assert err.endswith(
-        f"; nearhook: the signed expansion calls the oracle at n - b + 1 = 28, above the bound {ORACLE_MAX_N}\n"
+        f"; nearhook: the signed expansion calls the oracle at n - b + 1 = 39, above the bound {EXPANSION_MAX_N}\n"
     )
     # c = 0 takes the signed expansion even for a two-row lambda
     assert "n - b + 1 = 29" in _applicable_methods(Partition((20, 10)), Partition((28, 2)))["nearhook"]
@@ -167,6 +168,19 @@ def test_enumerate_blasiak(capsys):
     assert code == 0
     assert out.startswith("count: 5")
     assert "1' 1  1  1" in out
+
+
+def test_enumerate_blasiak_listing_bytes_are_pinned(capsys):
+    code, out, err = run(capsys, "enumerate", "blasiak", "5,2,1", "4", "4,2,1,1")
+    assert (code, err) == (0, "")
+    assert out == (
+        "count: 5\n"
+        "tableau 1:\n1' 1  1  1\n1' 3'\n2'\n2\n"
+        "tableau 2:\n1' 1  1  2'\n1' 2\n1'\n3\n"
+        "tableau 3:\n1' 1  1  2'\n1' 3'\n1\n2\n"
+        "tableau 4:\n1' 1  1  3'\n1' 2'\n1\n2\n"
+        "tableau 5:\n1' 1  1  3'\n1' 2\n1'\n2\n"
+    )
 
 
 def test_enumerate_lr(capsys):
@@ -1000,7 +1014,7 @@ def _dispatch_transcript(capsys) -> str:
 def test_dispatch_output_bytes_are_pinned(capsys):
     transcript = _dispatch_transcript(capsys)
     assert hashlib.sha256(transcript.encode()).hexdigest() == (
-        "7b50184aaec5daa5396761309549cbfcc7dc0c470e95ec34ead72f59ad327d46"
+        "e09ae0d29b5e99715647e24733e127ce122987369b3425e09a01d0f1c3c736d8"
     )
 
 
@@ -1017,3 +1031,34 @@ def test_kron_all_agrees_with_the_oracle_on_every_triple_up_to_n_6(capsys):
         code, out, err = run(capsys, "kron", *(",".join(map(str, p)) or "0" for p in triple))
         assert (code, err) == (0, ""), triple
         assert f") = {kronecker_coefficient(*triple)}   [" in out, (triple, out)
+
+
+def test_kron_all_agrees_with_the_oracle_past_n_26(capsys):
+    # up to the bound the oracle answers every triple, so each hook and each
+    # two-row x near-hook query at n = 27-34 has two methods that must agree
+    # (a disagreement exits 1).  lam and nu are drawn at n0 = 7-9 (n0 = 6-8
+    # for the near-hook) and padded in their first parts, and mu is a hook
+    # (n - d, 1^d) or a near-hook (n - b - c, b, 1^c).
+    from kroncalc.partition import partitions_list
+
+    rng = random.Random(2053)
+    queries = []  # (n0, n, lam at n0, mu, the methods that apply)
+    for _ in range(20):
+        n0, n, d = rng.randint(7, 9), rng.randint(27, 34), rng.randint(1, 4)
+        lam = rng.choice(partitions_list(n0))
+        methods = "oracle, blasiak, rosas" if len(lam) <= 2 else "oracle, blasiak"
+        queries.append((n0, n, lam, Partition((n - d,) + (1,) * d), methods))
+    for _ in range(20):
+        n0, n, b, c = rng.randint(6, 8), rng.randint(27, 32), rng.randint(2, 4), rng.randint(1, 4)
+        e = rng.randint(1, n0 // 2)
+        queries.append((n0, n, Partition((n0 - e, e)), Partition((n - b - c, b) + (1,) * c), "oracle, nearhook"))
+    nonzero = 0
+    for n0, n, lam, mu, methods in queries:
+        nu = rng.choice(partitions_list(n0))
+        m = n - n0
+        lam, nu = Partition((lam[0] + m,) + lam[1:]), Partition((nu[0] + m,) + nu[1:])
+        code, out, err = run(capsys, "kron", *map(format_partition, (lam, mu, nu)))
+        assert (code, err) == (0, ""), (lam, mu, nu, out)
+        assert out.endswith(f"   [{methods}]\n"), (lam, mu, nu, out)
+        nonzero += " = 0   [" not in out
+    assert nonzero  # the sample holds nonzero coefficients

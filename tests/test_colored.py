@@ -37,6 +37,7 @@ from kroncalc.partition import (
     partitions_list,
 )
 from kroncalc.symfun import kronecker_coefficient, kronecker_row
+from kroncalc.tableau import dimension
 
 # the 3x3 colored tableau used by the single-letter insertion examples
 BASE = ColoredTableau.from_text("1' 1 2' | 1' 2' 2 | 2' 2 3")
@@ -603,8 +604,8 @@ def test_blasiak_matches_oracle_sampled_past_exhaustive_range():
 def test_padded_first_parts_give_weakly_increasing_coefficients():
     # Murnaghan stability (weak increase: Brion, Manuscripta Math. 80, 1993):
     # g(lam + (m), mu + (m), nu + (m)) never decreases in m, and a padded hook
-    # stays a hook.  The oracle gives g up to its bound n = 26, the hook rule
-    # past it to n = 34; both run at n <= 14 and must agree there.
+    # stays a hook.  The oracle gives g at every n up to 34, and the hook
+    # rule at n <= 14 and at n = 27-34; the two must agree wherever both run.
     rng = random.Random(2026)
     rising = 0
     for _ in range(12):
@@ -615,10 +616,10 @@ def test_padded_first_parts_give_weakly_increasing_coefficients():
         for m in range(35 - n0):
             n = n0 + m
             lam_m, nu_m = Partition((lam[0] + m,) + lam[1:]), Partition((nu[0] + m,) + nu[1:])
-            g = kronecker_coefficient(lam_m, Partition((n - d,) + (1,) * d), nu_m) if n <= 26 else None
-            count = count_blasiak(lam_m, d, nu_m) if n <= 14 or n > 26 else None
-            assert None in (g, count) or g == count, (lam_m, d, nu_m)
-            values.append(count if g is None else g)
+            g = kronecker_coefficient(lam_m, Partition((n - d,) + (1,) * d), nu_m)
+            if n <= 14 or n > 26:
+                assert count_blasiak(lam_m, d, nu_m) == g, (lam_m, d, nu_m)
+            values.append(g)
         assert all(x <= y for x, y in zip(values, values[1:])), (lam, d, nu, values)
         rising += values[0] < values[-1]
     assert rising  # the sample holds sequences that are not constant
@@ -643,6 +644,21 @@ def test_hook_orientations_agree_past_the_oracle_bound():
         assert count > 0, (lam, d, nu)
         assert count_blasiak(lam.transpose(), n - 1 - d, nu) == count, (lam, d, nu)
         assert count_blasiak(lam, n - 1 - d, nu.transpose()) == count, (lam, d, nu)
+
+
+def test_hook_rule_rows_satisfy_the_character_identity_at_n_27_to_34():
+    # sum_nu g(lam, mu, nu) chi^nu(rho) = chi^lam(rho) chi^mu(rho) at rho = 1^n
+    # reads sum_nu g f^nu = f^lam f^mu, with each f from the hook length
+    # formula, so a whole hook-rule row at n = 27-34 is checked with no oracle
+    rng = random.Random(2054)
+    for _ in range(8):
+        n, d = rng.randint(27, 34), rng.randint(1, 3)
+        lam = rng.choice(partitions_list(n))
+        graph = _HookGraph(lam, d, None)
+        row = graph.counts(graph.root)
+        assert {bars for bars, _ in row} == {d}, (lam, d)
+        total = sum(count * dimension(shape) for (_, shape), count in row.items())
+        assert total == dimension(lam) * dimension((n - d,) + (1,) * d), (lam, d)
 
 
 def test_insertion_always_valid():

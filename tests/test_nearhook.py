@@ -606,7 +606,7 @@ def test_padded_first_parts_give_weakly_increasing_triple_sums():
     # n >= |x| + |y| + x_1 + y_1 for any two of the three shapes with their
     # first parts removed (Briand, Orellana and Rosas, J. Algebra 331, 2011).
     # Padding the first parts keeps lam two-row and mu a near-hook.  The
-    # triple sums give g at every n up to 34, past the oracle's bound 26; the
+    # triple sums give g at every n up to 34, past n = 26; the
     # oracle checks them at n <= 14.  nu is drawn from the support at the
     # start size, so no sequence is all zeros.
     rng = random.Random(2026)
