@@ -76,7 +76,12 @@ ORACLE_MAX_N = 40
 # above.  Cold `kron --method nearhook` with c = 0 at n - b + 1 = 26 (lam and
 # nu with six to eight corners, one triple for each b = 2-7) took 0.13-8.5 s
 # CPU and at most 63 MB peak RSS, rising with b; at n - b + 1 = 37 the triple
-# 9,8,7,6,5,4,1 36,4 9,8,7,6,5,3,2 (b = 4) took 11.1 s and 292 MB.
+# 9,8,7,6,5,4,1 36,4 9,8,7,6,5,3,2 (b = 4) took 11.1 s and 292 MB.  The bound
+# does not cap the number of terms, which grows with b: at n - b + 1 = 26,
+# 9,7,6,5,3,2,1 25,8 8,7,6,4,3,2,2,1 (b = 8), 9,8,6,5,3,2,1 25,9
+# 8,7,6,5,3,2,2,1 (b = 9) and 9,8,7,5,3,2,1 25,10 9,7,6,5,3,2,2,1 (b = 10)
+# took 17.5, 27.1 and 35.0 s CPU and 85, 97 and 111 MB peak RSS (one cold run
+# each, 2-core machine, Python 3.11.7; the oracle gave the same values).
 EXPANSION_MAX_N = 26
 
 

@@ -48,14 +48,18 @@ shapes.  Each walk is checked against the graph's count: if the tableaux
 it finds for some shape differ in number from that count, it raises
 ArithmeticError.  The conjugation comes from ``partition``
 (``_conjugate``).  The strip lister (``_strips``) keeps one process-wide
-memo over its arguments, as the LR and oracle tables do, because the graphs
-of different contents ask for the same strips: in ``verify all`` its 66
-untargeted graphs list 1,528 distinct strip sets over 9,633 calls.  Its
-values are tuples, so a listing shared by every graph cannot be changed by
-one of them.  The strip lister's walk (``_grow``) and the tableau walk
-(``_walk``) are module-level recursions that take their state as
-arguments, so a call leaves no reference cycle and its lists are freed by
-reference counting when it returns.
+memo over its arguments, as the LR and oracle tables do, because the
+untargeted graphs of different contents (``blasiak_counts``) ask for the
+same strips: in ``verify all`` its 66 untargeted graphs list 1,528 distinct
+strip sets over 9,633 calls.  Only those graphs read and fill it.  A graph
+with a target shape (``count_blasiak``, ``enumerate_blasiak``) has the
+target in every listing's key, so no other graph could reuse its listings:
+it lists them through a cache of its own, which is freed with the graph.
+The values are tuples, so a listing shared by many graphs cannot be
+changed by one of them.  The strip lister's walk (``_grow``) and the
+tableau walk (``_walk``) are module-level recursions that take their state
+as arguments, so a call leaves no reference cycle and its lists are freed
+by reference counting when it returns.
 
 The tests keep a search over mixed-insertion states of the admissible
 words as the reference this construction must match.
@@ -64,7 +68,7 @@ words as the reference this construction must match.
 from __future__ import annotations
 
 from bisect import bisect_left
-from functools import reduce
+from functools import cache, reduce
 from itertools import accumulate, zip_longest
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -343,8 +347,9 @@ def _strips(lines: tuple[int, ...], s: int, limit, bound) -> tuple:
     lines 0..i.  Each way is (grown line lengths, prefix sums), the prefix
     sums being accumulate(cells per line, initial=0); an empty strip is
     (tuple(lines), (0,)).  The ways are memoized on the (hashable)
-    arguments and returned as a tuple, so every graph shares them and
-    none can change them.
+    arguments and returned as a tuple, so every untargeted graph shares
+    them and none can change them; a targeted graph caches the same
+    listings itself (_HookGraph.strips).
     """
     if s == 0:
         return ((tuple(lines), (0,)),)
@@ -468,9 +473,11 @@ class _HookGraph:
     v - 1 in rows < r (unb_above[r]), and whether the bottom row starts
     barred.  bar_below and unb_above are the prefix sums _strips returns
     for the last v' and v strips, and None at v = 0; moves passes them,
-    and the barred bound, as tuples, because _strips is memoized on its
-    arguments across every graph.  With d None, left is
-    None and any number of bars may be placed, so one graph counts every d.
+    and the barred bound, as tuples, because the strip lister is memoized
+    on its arguments: the shared _strips for a graph without a target, a
+    cache the graph owns (strips) for one with a target.  With d None,
+    left is None and any number of bars may be placed, so one graph
+    counts every d.
     counts(state) maps (bars placed from state on, final shape) to the
     number of finished tableaux; it is memoized on the state, so tableaux
     that share a state are counted once, and none is built.  With walk set,
@@ -489,6 +496,8 @@ class _HookGraph:
         self.tgt = tuple(target) if target is not None else None
         self.tgt_cols = _conjugate(self.tgt) if target is not None else None
         self.root = (0, (), d, lam[0] if lam else 0, None, None, False)
+        # a targeted listing has the target in its key, so only this graph can reuse it
+        self.strips = _strips if target is None else cache(_strips.__wrapped__)
         self.memo: dict[tuple, dict] = {}
         self.live: Optional[dict[tuple, list]] = {} if walk else None
 
@@ -506,7 +515,7 @@ class _HookGraph:
         lo, hi = max(0, part - cu_prev), part
         if left is not None:
             lo, hi = max(lo, left - (sums[-1] - sums[v + 1])), min(hi, left)
-        cols = _conjugate(lengths)
+        cols, strips = _conjugate(lengths), self.strips
         for cb in range(hi, lo - 1, -1):
             cu = part - cb
             rest = None
@@ -516,10 +525,10 @@ class _HookGraph:
                 if rest < sums[end] - sums[v + 1] - cu * (end - v - 1):
                     continue
             bound = tuple(c + cu_prev - cu for c in bar_below) if v else None
-            for grown, below in _strips(cols, cb, self.tgt_cols, bound):
+            for grown, below in strips(cols, cb, self.tgt_cols, bound):
                 barred = _conjugate(grown)
                 starts_barred = bottom_barred or len(barred) > len(lengths)
-                for full, above in _strips(barred, cu, self.tgt, unb_above):
+                for full, above in strips(barred, cu, self.tgt, unb_above):
                     ends_barred = starts_barred and len(full) == len(barred)
                     yield cb, barred, (
                         v + 1, full, rest, cu, below, above, ends_barred

@@ -32,20 +32,21 @@ nonzero terms as (lo, hi, term), so a d compares two ints per term; the
 list is built on each call and kept nowhere, since triple_row reads each
 side once and kron reaches only triple3/triple4.  The index sets and
 triple3/triple4 read one table per side (_side_table), built once per
-(nu, S, p, arm, c): the positive terms sorted by (r, sigma, k), each with
-its interval and its certificate, which is checked positive once, when the
-table is built.
-index_set_plus/minus list its indices; j_plus/j_minus and triple3/triple4
-check d once per call and keep the rows whose interval holds d.  The table
-reads its (sigma, k) from _strip_factors, once per (nu, S, p) and so shared
-by every hook: it walks only the sigma inside nu (``partitions_inside``),
-since c^nu_{sigma,(p-k,k)} = 0 for any other, and tests them by the
-double-hook and strip-difference predicates, and reads each certificate's
-LR value from the table of nu/sigma.  The interval terms walk the table of
-nu/(p-k,k) instead (lr_weight_support), so the two routes to J+ / J- share
-no enumeration, predicate or LR table.  Both read the closed form
-g((S-r, r), (arm, 1^(c+1)), sigma) from one memoized row per
-(S, arm, c, sigma), which does not depend on nu; rosas keeps no memo of
+(nu, S, p, arm, c): the positive terms sorted by (r, sigma, k), each one
+plain row (lo, hi, sigma, k, r, lr, g) of its interval, index and factors,
+checked positive once, when the table is built.  The table holds no
+certificate: index_set_plus/minus read (sigma, k, r) from every row;
+j_plus/j_minus and triple3/triple4 check d once per call and keep the rows
+whose interval holds d, and only triple3/triple4 build a certificate, for
+those rows alone.  The table reads its (sigma, k) from _strip_factors,
+once per (nu, S, p) and so shared by every hook: it walks only the sigma
+inside nu (``partitions_inside``), since c^nu_{sigma,(p-k,k)} = 0 for any
+other, and tests them by the double-hook and strip-difference predicates,
+and reads each row's LR value from the table of nu/sigma.  The interval
+terms walk the table of nu/(p-k,k) instead (lr_weight_support), so the two
+routes to J+ / J- share no enumeration, predicate or LR table.  Both read
+the closed form g((S-r, r), (arm, 1^(c+1)), sigma) from one memoized row
+per (S, arm, c, sigma), which does not depend on nu; rosas keeps no memo of
 its own.  The expansion is one walk (_expand) that returns the total and
 appends a certificate per term only when handed a list: near_hook_expansion
 hands it one, near_hook_value does not and builds no certificate.
@@ -298,10 +299,12 @@ def _strip_factors(nu: Partition, size: int, p: int) -> tuple:
 
 @memo
 def _side_table(nu: Partition, size: int, p: int, arm: int, c: int) -> tuple:
-    """(lo, hi, certificate) for every positive term of a side, sorted by (r, sigma, k).
+    """(lo, hi, sigma, k, r, lr, g) for every positive term of a side, sorted by (r, sigma, k).
 
-    The two-row gate holds at d iff lo <= d <= hi.  Every certificate is
-    checked positive here, once, so no d can gate a term that was not.
+    The two-row gate holds at d iff lo <= d <= hi, and the term is lr * g.
+    Every term is checked positive here, once, so no d can gate a term that
+    was not.  The rows are plain tuples: a certificate is built only for a
+    row that a d admits (_gated).
     """
     terms = []
     for sigma, k in _strip_factors(nu, size, p):
@@ -311,28 +314,29 @@ def _side_table(nu: Partition, size: int, p: int, arm: int, c: int) -> tuple:
     out = []
     strips = two_rows(p)
     for r, sigma, k, g in sorted(terms):
-        cert = TermCertificate(1, (sigma, k, r), lr_coefficient(nu, sigma, strips[k]), g)
-        if cert.contribution <= 0:
-            raise ArithmeticError(f"non-positive reduced term at {cert.index}")
-        out.append((*two_row_interval(size - r, r, p - k, k), cert))
+        lr = lr_coefficient(nu, sigma, strips[k])
+        if lr * g <= 0:
+            raise ArithmeticError(f"non-positive reduced term at {(sigma, k, r)}")
+        out.append((*two_row_interval(size - r, r, p - k, k), sigma, k, r, lr, g))
     return tuple(out)
 
 
 def _support(nu: Partition, size: int, p: int, arm: int, c: int) -> frozenset:
-    return frozenset(cert.index for _, _, cert in _side_table(nu, size, p, arm, c))
+    return frozenset((sigma, k, r) for _, _, sigma, k, r, _, _ in _side_table(nu, size, p, arm, c))
 
 
-def _gated(side: tuple, d: int) -> list[TermCertificate]:
+def _gated(side: tuple, d: int) -> list[tuple]:
+    """The rows of the side's table whose two-row gate holds at d."""
     _, size, p, _, _ = side
     # the table's intervals assume the gate's other arguments, which are
     # two-row by construction and balance with e, so d is the one left to check
     if not d >= size + p - d >= 0:
         raise ValueError("two-row arguments must be weakly decreasing and nonnegative")
-    return [cert for lo, hi, cert in _side_table(*side) if lo <= d <= hi]
+    return [row for row in _side_table(*side) if row[0] <= d <= row[1]]
 
 
 def _certified_sum(side: tuple, d: int) -> tuple[int, list[TermCertificate]]:
-    certs = _gated(side, d)
+    certs = [TermCertificate(1, (sigma, k, r), lr, g) for _, _, sigma, k, r, lr, g in _gated(side, d)]
     return sum(cert.contribution for cert in certs), certs
 
 
@@ -358,12 +362,12 @@ def index_set_minus(nu, a: int, b: int, c: int) -> frozenset:
 
 def j_plus(d: int, nu, a: int, b: int, c: int) -> frozenset:
     """index_set_plus filtered by the two-row interval condition at d."""
-    return frozenset(cert.index for cert in _gated(_side(nu, a, b, c, True), d))
+    return frozenset((sigma, k, r) for _, _, sigma, k, r, _, _ in _gated(_side(nu, a, b, c, True), d))
 
 
 def j_minus(d: int, nu, a: int, b: int, c: int) -> frozenset:
     """index_set_minus filtered by the two-row interval condition at d."""
-    return frozenset(cert.index for cert in _gated(_side(nu, a, b, c, False), d))
+    return frozenset((sigma, k, r) for _, _, sigma, k, r, _, _ in _gated(_side(nu, a, b, c, False), d))
 
 
 def triple3(d, e, a, b, c, nu) -> tuple[int, list[TermCertificate]]:
@@ -403,7 +407,7 @@ def triple_row(a: int, b: int, c: int, nu) -> tuple[tuple[int, int, int, int, in
     sides = []  # per side: the interval sums, the certified sums, the non-positive certificates
     for positive in (True, False):
         side = _side(nu, a, b, c, positive)
-        table = [(lo, hi, cert.contribution) for lo, hi, cert in _side_table(*side)]
+        table = [(lo, hi, lr * g) for lo, hi, _, _, _, lr, g in _side_table(*side)]
         sides.append((
             _over_d(_interval_terms(*side), first, n),
             _over_d(table, first, n),

@@ -702,6 +702,30 @@ def test_the_benchmark_tracer_finds_its_memos_and_its_suite_runner():
 # the memo registry
 
 
+def test_only_untargeted_graphs_share_strip_listings_and_side_tables_hold_no_certificate():
+    # A graph with a target has the target in every listing's key, so it
+    # lists its strips through a cache of its own and leaves the shared memo
+    # to the untargeted graphs, which reuse each other's listings.
+    memo.clear()
+    assert colored.count_blasiak((4, 3, 2, 1), 3, (4, 3, 2, 1)) > 0
+    assert colored._strips.cache_info().currsize == 0
+    blasiak_counts((4, 3, 2, 1))
+    assert colored._strips.cache_info().currsize > 0
+    # the side tables hold plain rows; triple3/triple4 build certificates on read
+    sides = set()
+    for n in range(5, 9):
+        for b in range(2, n - 2):
+            for a in range(b, n - b):
+                c = n - a - b
+                for nu in partitions_list(n):
+                    for d in range((n + 1) // 2, n + 1):
+                        g_two_row_near_hook(d, n - d, a, b, c, nu)
+                    sides.update(nearhook._side(nu, a, b, c, positive) for positive in (True, False))
+    assert nearhook._side_table.cache_info().currsize == len(sides) > 0
+    rows = [row for side in sides for row in nearhook._side_table(*side)]
+    assert rows and not any(isinstance(x, nearhook.TermCertificate) for row in rows for x in row)
+
+
 def test_every_memo_is_registered_and_cleared_by_one_call():
     # A memo declared outside kroncalc.memo would survive memo.clear(), and a
     # test that relies on a cold start would then pass in some orders only.

@@ -625,11 +625,11 @@ def test_padded_first_parts_give_weakly_increasing_coefficients():
     assert rising  # the sample holds sequences that are not constant
 
 
-def test_hook_orientations_agree_past_the_oracle_bound():
+def test_hook_orientations_agree_with_the_oracle_at_n_27_to_34():
     # g(lam, (n-d, 1^d), nu) = g(lam', (d+1, 1^(n-1-d)), nu) = g(lam, (d+1, 1^(n-1-d)), nu'):
     # the hook rule is not manifestly symmetric, so each orientation counts
-    # through a different graph, and past n = 26 they check each other with
-    # no oracle.  nu is drawn from the support at the start size, so padding
+    # through a different graph, and at n = 27-34 they check each other and
+    # the oracle.  nu is drawn from the support at the start size, so padding
     # the first parts (which never lowers g) keeps every count positive.
     rng = random.Random(2028)
     for _ in range(10):
@@ -644,6 +644,7 @@ def test_hook_orientations_agree_past_the_oracle_bound():
         assert count > 0, (lam, d, nu)
         assert count_blasiak(lam.transpose(), n - 1 - d, nu) == count, (lam, d, nu)
         assert count_blasiak(lam, n - 1 - d, nu.transpose()) == count, (lam, d, nu)
+        assert kronecker_coefficient(lam, Partition((n - d,) + (1,) * d), nu) == count, (lam, d, nu)
 
 
 def test_hook_rule_rows_satisfy_the_character_identity_at_n_27_to_34():

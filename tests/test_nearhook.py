@@ -637,10 +637,11 @@ def test_padded_first_parts_give_weakly_increasing_triple_sums():
     assert rising  # the sample holds sequences that are not constant
 
 
-def test_interval_and_support_routes_agree_past_the_oracle_bound():
+def test_interval_and_support_routes_agree_with_the_oracle_at_n_27_to_34():
     # triple1/triple2 read each LR factor from the table of nu/(p-k,k), the
-    # reduced sums triple3/triple4 from the table of nu/sigma, so past n = 26,
-    # where no oracle runs, the two routes still check each other's LR walks.
+    # reduced sums triple3/triple4 from the table of nu/sigma, so at
+    # n = 27-34 the two routes check each other's LR walks, and their
+    # difference g((d,e), (a,b,1^c), nu) checks the oracle.
     # Labels above 5 fill cells only in shapes with many rows: c >= 3 and nu
     # of at least 6 rows, drawn from the support at the start size.
     triples = []
@@ -660,6 +661,8 @@ def test_interval_and_support_routes_agree_past_the_oracle_bound():
             args = (d + m, e, a + m, b, c, Partition((nu[0] + m,) + nu[1:]))
             assert triple1(*args) == triple3(*args)[0], args
             assert triple2(*args) == triple4(*args)[0], args
+            near_hook = Partition((a + m, b) + (1,) * c)
+            assert kronecker_coefficient(args[:2], near_hook, args[-1]) == triple1(*args) - triple2(*args), args
 
 
 def test_special_shapes():
