@@ -1,12 +1,12 @@
 """Command line front end: `parse_args` reads the `COMMANDS` table.
 
 Subcommands: kron (coefficient queries by any method), enumerate (LR and
-hook-rule tableaux, insertion traces), rosas (two-row x hook closed form
-with branch report), expand (hook determinant / Jacobi-Trudi / coproduct
-printing), verify (exhaustive sweep suites).  kron reads the `METHODS` table:
-one row per method, its hypotheses and its evaluator, so a new method is one
-row.  Options go before, between or after positionals, as --opt value,
---opt=value or a unique prefix of --opt; "--" ends them, and -h prints help.
+hook-rule tableaux, insertion traces), expand (hook determinant /
+Jacobi-Trudi / coproduct printing), verify (exhaustive sweep suites).  kron
+reads the `METHODS` table: one row per method, its hypotheses and its
+evaluator, so a new method is one row.  Options go before, between or after
+positionals, as --opt value, --opt=value or a unique prefix of --opt; "--"
+ends them, and -h prints help.
 
 Exit codes: 0 success, 1 verification failure or method disagreement,
 2 input error, 3 method hypotheses not met, 4 internal error (a failed
@@ -335,25 +335,6 @@ def cmd_enumerate(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# rosas
-
-
-def cmd_rosas(args) -> int:
-    lam, mu, nu = _parse_triple(args.two_row, args.hook, args.nu)
-    applies, evaluate = METHODS["rosas"]
-    why = applies(lam, mu)
-    if why is not None:
-        raise HypothesisError(why)
-    value, lines, payload = evaluate(lam, mu, nu, explain=True)
-    if args.output == "json":
-        _print_json(dict(payload, value=value))
-    else:
-        print(f"value: {value}")
-        print(*lines, sep="\n")
-    return 0
-
-
-# ---------------------------------------------------------------------------
 # expand
 
 
@@ -415,8 +396,6 @@ COMMANDS = {
     }),
     "enumerate": (cmd_enumerate, "enumerate tableaux or trace insertion", {"kind": ("lr", "blasiak"), "params": "PARAMS"},
                   {"--output": (("text", "json"), "text", ""), "--ytableau": (bool, False, "")}),
-    "rosas": (cmd_rosas, "two-row x hook closed form with branch report", {"two_row": "TWO_ROW", "hook": "HOOK", "nu": "NU"},
-              {"--output": (("text", "json"), "text", "")}),
     "expand": (cmd_expand, "print structural expansions",
                {"what": ("giambelli", "jacobi-trudi", "coproduct"), "partition": "PARTITION"}, {}),
     "verify": (cmd_verify, "run verification sweeps", {"suite": "SUITE"},

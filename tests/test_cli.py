@@ -2,6 +2,7 @@ import argparse
 import csv
 import hashlib
 import io
+import itertools
 import json
 import multiprocessing
 import os
@@ -74,6 +75,10 @@ def test_kron_size_mismatch_exits_2(capsys):
     code, _, err = run(capsys, "kron", "3,1", "2,1", "3,1")
     assert code == 2
     assert "sizes differ" in err
+    # mu = (2,1^3) fits no rosas hypothesis, but the sizes are checked first
+    code, _, err = run(capsys, "kron", "3,2,1", "2,1^3", "3,2,1", "--method", "rosas")
+    assert code == 2
+    assert "sizes differ: |lambda|=6 |mu|=5 |nu|=6" in err
 
 
 def test_kron_bad_partition_exits_2(capsys):
@@ -317,30 +322,6 @@ def test_enumerate_malformed_arguments_exit_2(capsys, argv, message):
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
-def test_rosas_readme_example_bytes(capsys):
-    argv = ("rosas", "6,2", "2,1^6", "3,2,1,1,1")
-    code, out, _ = run(capsys, *argv)
-    assert code == 0
-    assert out == "value: 1\nbranch: double-hook(2, 3, 3, 0, 6, 2) -> 1\n"
-    code, out, _ = run(capsys, *argv, "--output", "json")
-    assert code == 0
-    assert out == '{"arguments": [2, 3, 3, 0, 6, 2], "branch": "double-hook", "value": 1}\n'
-
-
-def test_rosas_subcommand(capsys):
-    code, out, _ = run(capsys, "rosas", "6,2", "2,1^6", "3,2,1,1,1")
-    assert code == 0
-    assert "value: 1" in out
-    assert "branch: double-hook" in out
-    code, _, err = run(capsys, "rosas", "3,2,1", "2,1^4", "3,2,1")
-    assert code == 3
-    assert "hypothesis not met" in err
-    # sizes 6, 5, 6: the size check comes before the hypotheses, as in kron
-    code, _, err = run(capsys, "rosas", "3,2,1", "2,1^3", "3,2,1")
-    assert code == 2
-    assert "sizes differ: |lambda|=6 |mu|=5 |nu|=6" in err
-
-
 def test_expand_outputs(capsys):
     code, out, _ = run(capsys, "expand", "giambelli", "4,3,1,1")
     assert code == 0
@@ -527,13 +508,6 @@ def build_parser() -> argparse.ArgumentParser:
     enum.add_argument("--ytableau", action="store_true")
     enum.set_defaults(func=cli.cmd_enumerate)
 
-    ros = sub.add_parser("rosas", help="two-row x hook closed form with branch report")
-    ros.add_argument("two_row", metavar="TWO_ROW")
-    ros.add_argument("hook", metavar="HOOK")
-    ros.add_argument("nu", metavar="NU")
-    ros.add_argument("--output", choices=["text", "json"], default="text")
-    ros.set_defaults(func=cli.cmd_rosas)
-
     exp = sub.add_parser("expand", help="print structural expansions")
     exp.add_argument("what", choices=["giambelli", "jacobi-trudi", "coproduct"])
     exp.add_argument("partition", metavar="PARTITION")
@@ -557,7 +531,7 @@ def _readme_argvs():
 
 def test_readme_command_lines_exit_0(capsys):
     argvs = _readme_argvs()
-    assert len(argvs) == 12
+    assert len(argvs) == 11
     for argv in argvs:
         code, _, err = run(capsys, *argv)
         assert (code, err) == (0, ""), argv
@@ -602,7 +576,7 @@ PARSER_CASES = [
     "enumerate blasiak '' 0 ''",
     "enumerate lr -- -5 --x",
     "enumerate blasiak",
-    "rosas 6,2 2,1^6 3,2,1,1,1 --output json",
+    "kron 6,2 2,1^6 3,2,1,1,1 --method rosas --explain --output json",
     "expand coproduct -- 2,1",
     "verify lr --n -3",
     "verify lr --jobs=2 --n=4",
@@ -611,6 +585,7 @@ PARSER_CASES = [
     # malformed
     "",
     "bogus 1 2",
+    "rosas 6,2 2,1^6 3,2,1,1,1",
     "--bogus kron 1 2 3",
     "--method all kron 1 2 3",
     "-- kron 1 2 3",
@@ -631,7 +606,6 @@ PARSER_CASES = [
     "expand bogus 4",
     "expand giambelli",
     "expand coproduct 2,1 extra",
-    "rosas 6,2 2,1^6",
     "verify",
     "verify lr --jobs x",
     "verify lr --n 1.5",
@@ -644,7 +618,7 @@ PARSER_CASES = [
     "kron 1 --help",
     "kron 1 2 3 --bogus --h",
     "enumerate -h",
-    "rosas 1 2 3 -h",
+    "kron 1 2 3 -h",
     "expand --help",
     "verify lr -h",
 ]
@@ -984,7 +958,7 @@ def test_explain_output_bytes_are_pinned(capsys):
 
 def _dispatch_transcript(capsys) -> str:
     """(argv, exit code, stdout, stderr) of every `kron` form on the benchmark
-    triples, the csv rows without their runtime, both help texts, and `rosas`."""
+    triples, the csv rows without their runtime, and both help texts."""
     records = []
 
     def record(*argv):
@@ -1004,8 +978,6 @@ def _dispatch_transcript(capsys) -> str:
             for form in ((), ("--output", "json"), ("--explain",), ("--explain", "--output", "json"),
                          ("--output", "csv")):
                 record(*query, *form)
-        for form in ((), ("--output", "json")):
-            record("rosas", *triple, *form)
     record("-h")
     record("kron", "-h")
     return json.dumps(records)
@@ -1014,7 +986,7 @@ def _dispatch_transcript(capsys) -> str:
 def test_dispatch_output_bytes_are_pinned(capsys):
     transcript = _dispatch_transcript(capsys)
     assert hashlib.sha256(transcript.encode()).hexdigest() == (
-        "e09ae0d29b5e99715647e24733e127ce122987369b3425e09a01d0f1c3c736d8"
+        "1a950d3c75a2c23636aa092531d14c8b5112830ed179830d6f3da76e2dae000d"
     )
 
 
@@ -1062,3 +1034,44 @@ def test_kron_all_agrees_with_the_oracle_past_n_26(capsys):
         assert out.endswith(f"   [{methods}]\n"), (lam, mu, nu, out)
         nonzero += " = 0   [" not in out
     assert nonzero  # the sample holds nonzero coefficients
+
+
+def _add(*shapes):
+    """Shapes added row by row."""
+    return Partition(tuple(map(sum, itertools.zip_longest(*shapes, fillvalue=0))))
+
+
+def test_kron_padded_positive_triples_stay_positive_at_n_27_to_34(capsys):
+    # semigroup property (Christandl, Harrow and Mitchison, 2007): g(alpha, (m),
+    # alpha) = 1, so g(lam1, mu1, nu1) > 0 gives g(lam1 + alpha, mu1 + (m),
+    # nu1 + alpha) > 0 whatever any method says.  mu1 is a hook, or a near-hook
+    # with a two-row lam1 and alpha, so mu stays one and a second method applies
+    from kroncalc.partition import partitions_list
+    from kroncalc.symfun import kronecker_coefficient
+
+    rng = random.Random(2055)
+    seeds = []  # (lam1, mu1, nu1, alpha) with g(lam1, mu1, nu1) > 0
+    while len(seeds) < 20:
+        hook = len(seeds) < 10
+        if hook:
+            n0, d = rng.randint(7, 9), rng.randint(1, 4)
+            lam1, mu1 = rng.choice(partitions_list(n0)), Partition((n0 - d,) + (1,) * d)
+        else:
+            n0, b, c = rng.randint(6, 8), rng.randint(2, 3), rng.randint(1, 3)
+            e, a = rng.randint(1, n0 // 2), n0 - b - c
+            if a < b:
+                continue
+            lam1, mu1 = Partition((n0 - e, e)), Partition((a, b) + (1,) * c)
+        nu1 = rng.choice(partitions_list(n0))
+        if not kronecker_coefficient(lam1, mu1, nu1):
+            continue
+        m = rng.randint(27, 34) - n0
+        f = rng.randint(0, m // 2)
+        alpha = rng.choice(partitions_list(m)) if hook else Partition((m - f, f) if f else (m,))
+        seeds.append((lam1, mu1, nu1, alpha))
+    for lam1, mu1, nu1, alpha in seeds:
+        triple = _add(lam1, alpha), _add(mu1, (alpha.size,)), _add(nu1, alpha)
+        code, out, err = run(capsys, "kron", *map(format_partition, triple))
+        assert (code, err) == (0, ""), (triple, out, err)
+        value, methods = re.fullmatch(r"g\(.*\) = (\d+)   \[(.*)\]\n", out).groups()
+        assert int(value) > 0 and len(methods.split(", ")) >= 2, (triple, out)

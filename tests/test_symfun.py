@@ -4,7 +4,7 @@ import random
 import sys
 from collections import Counter
 from functools import cache
-from itertools import permutations
+from itertools import combinations_with_replacement, permutations
 from operator import mul
 
 import pytest
@@ -650,6 +650,48 @@ def test_character_degree_and_norm_past_n12():
             # sum over rho of chi^lam(rho)^2 / z_rho = 1, times n!
             norm = sum(character(lam, rho) ** 2 * (nfact // centralizer_order(rho)) for rho in parts)
             assert norm == nfact
+
+
+def test_character_table_rows_at_n_35_and_40():
+    # the oracle's own check up to its bound, where no other test reads a value:
+    # the trivial and sign rows, chi^lam(1^n) = f^lam, and row orthogonality.
+    # Orthogonality alone cannot see a sign that depends only on the cycle type
+    # (every chi^lam(rho) times the same +-1), so the trivial and sign rows are
+    # pinned as well
+    from math import factorial
+
+    from kroncalc.tableau import dimension
+
+    rng = random.Random(3540)
+    for n in (35, 40):
+        nfact = factorial(n)
+        parts = partitions_list(n)
+        assert _rows(Partition((n,)))[0] == (1,) * len(parts)
+        assert _rows(Partition((1,) * n))[0] == tuple(-1 if (n - len(rho)) & 1 else 1 for rho in parts)
+        classes = [nfact // centralizer_order(rho) for rho in parts]
+        shapes = [Partition((n,)), Partition((1,) * n), *rng.sample(parts, 2)]
+        rows = [_rows(lam)[0] for lam in shapes]
+        for lam, row in zip(shapes, rows):
+            assert row[-1] == dimension(lam), lam  # the last cycle type is (1^n)
+        for i, j in combinations_with_replacement(range(len(shapes)), 2):
+            total = sum(map(mul, classes, map(mul, rows[i], rows[j])))
+            assert total == nfact * (i == j), (shapes[i], shapes[j])
+
+
+def test_dvir_bounds_on_the_first_row_and_the_length_up_to_n_9():
+    # the largest nu_1 and l(nu) with g(lam, mu, nu) > 0 are |lam & mu| and
+    # |lam & mu'|, the sizes of the intersections of the diagrams (Dvir,
+    # J. Algebra 154, 1993): no nu passes them, and some nu reaches each
+    triples = 0
+    for n in range(1, 10):
+        parts = partitions_list(n)
+        for lam in parts:
+            for mu in parts:
+                support = [nu for nu, g in zip(parts, kronecker_row(lam, mu)) if g]
+                assert max(nu[0] for nu in support) == sum(map(min, lam, mu)), (lam, mu)
+                assert max(map(len, support)) == sum(map(min, lam, mu.transpose())), (lam, mu)
+                triples += len(parts)
+    assert triples == 42858
 
 
 # sha256 over "g," for every triple (lam, mu, nu) with n <= 8, each index

@@ -159,10 +159,11 @@ def _random_skew(rng, n: int, cells: int) -> tuple[Partition, Partition]:
     return outer, Partition(rows)
 
 
-def test_lr_symmetries_past_the_oracle_bound():
-    # every answer past n = 26 but the hook rule's reads the LR walk, and no
-    # oracle checks it there; c^nu_{lam mu} = c^nu_{mu lam} reads the table
-    # of a second skew shape, c^nu_{lam mu} = c^nu'_{lam' mu'} a conjugate walk
+def test_lr_symmetries_at_n_27_to_40():
+    # the oracle computes no LR coefficient, so at these sizes identities such
+    # as these are the LR walk's only check; c^nu_{lam mu} = c^nu_{mu lam} reads
+    # the table of a second skew shape, c^nu_{lam mu} = c^nu'_{lam' mu'} a
+    # conjugate walk
     rng = random.Random(2026)
     entries = 0
     for _ in range(30):
@@ -189,7 +190,7 @@ def _skew_standard_count(outer: tuple, inner: tuple) -> int:
     return total
 
 
-def test_lr_skew_dimension_identity_past_the_oracle_bound():
+def test_lr_skew_dimension_identity_at_n_27_to_40():
     # sum_mu c^nu_{lam mu} f^mu = f^{nu/lam}: the left side reads the LR walk,
     # the right side counts standard fillings of nu/lam with no LR code
     rng = random.Random(47)
