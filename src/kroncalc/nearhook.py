@@ -32,7 +32,9 @@ nonzero terms as (lo, hi, term), so a d compares two ints per term; the
 list is built on each call and kept nowhere, since triple_row reads each
 side once and kron reaches only triple3/triple4.  The index sets and
 triple3/triple4 read one table per side (_side_table), built once per
-(nu, S, p, arm, c): the positive terms sorted by (r, sigma, k), each one
+(nu, S, p, arm, c) that a triple sum reads (c >= 1 and 1 <= p != arm); an
+index set on any other side builds its table and keeps nothing (_support).
+A table holds the positive terms sorted by (r, sigma, k), each one
 plain row (lo, hi, sigma, k, r, lr, g) of its interval, index and factors,
 checked positive once, when the table is built.  The table holds no
 certificate: index_set_plus/minus read (sigma, k, r) from every row;
@@ -322,7 +324,15 @@ def _side_table(nu: Partition, size: int, p: int, arm: int, c: int) -> tuple:
 
 
 def _support(nu: Partition, size: int, p: int, arm: int, c: int) -> frozenset:
-    return frozenset((sigma, k, r) for _, _, sigma, k, r, _, _ in _side_table(nu, size, p, arm, c))
+    """The (sigma, k, r) of a side's table, kept in _side_table only when a triple sum can read the side.
+
+    A triple sum's side has c >= 1 and 1 <= p != arm (a >= b >= 2 on either
+    side); the key decides, not the caller's (a, b, c), since an index set
+    with a < b - 1 reaches the other sign's side of a triple.  Any other
+    side is built and dropped.
+    """
+    table = _side_table if c >= 1 and 1 <= p != arm else _side_table.__wrapped__
+    return frozenset((sigma, k, r) for _, _, sigma, k, r, _, _ in table(nu, size, p, arm, c))
 
 
 def _gated(side: tuple, d: int) -> list[tuple]:

@@ -11,7 +11,10 @@ order, so the Yamanouchi prefix counts and the semistandard constraints are
 checked incrementally; it needs no weight budget, since the rightmost cell
 of row r (counted from 0) takes labels up to r + 1 and the Yamanouchi test
 prunes the rest.  ``_lr_table`` tallies the fillings by weight, once per
-(outer, inner), and ``lr_coefficient`` reads one entry of that table; only
+(outer, inner), and ``lr_coefficient`` reads one entry of that table.  An
+inner shape that does not fit in outer has no filling, so
+``lr_coefficient`` and ``lr_weight_support`` answer it from the arguments
+(``_fits``) and no table is kept for it; only
 ``lr_tableaux`` asks the walk to record the label rows of its weight as
 well, in the same order.  The walk (``_fill``) is a module-level recursion
 that takes its state as arguments, so a call leaves no reference cycle
@@ -28,12 +31,14 @@ keys of the shape's table and reads each value through ``lr_coefficient``.
 Strip-chain counts need no search: kappa/eta and nu/kappa are horizontal
 strips exactly when every row lies in its own interval, so the counts by
 |kappa/eta| are the coefficients of a product of one interval per row.
-``_strip_chains`` holds them once per (nu, eta); ``strip_chain_count``
-converts its arguments and reads one entry, with no memo of its own.
+``_strip_chains`` holds them once per (nu, eta) with eta inside nu;
+``strip_chain_count`` converts its arguments, answers 0 for an eta that
+does not fit, and otherwise reads one entry, with no memo of its own.
 """
 
 from __future__ import annotations
 
+from operator import gt
 from typing import Iterable, NamedTuple, Sequence
 
 from .memo import memo
@@ -182,17 +187,24 @@ def lr_tableaux(lam, mu, nu) -> list[SkewSSYT]:
     ]
 
 
+def _fits(inner: Partition, outer: Partition) -> bool:
+    """contains(inner, outer) on two Partitions, without converting them again."""
+    return len(inner) <= len(outer) and not any(map(gt, inner, outer))
+
+
 @memo
 def lr_coefficient(lam, mu, nu) -> int:
     """c^lam_{mu nu}: LR tableaux of shape lam/mu, weight nu (0 on degenerate input)."""
     lam, mu, nu = as_partition(lam), as_partition(mu), as_partition(nu)
-    return _lr_table(lam, mu).get(nu, 0)
+    return _lr_table(lam, mu).get(nu, 0) if _fits(mu, lam) else 0
 
 
 @memo
 def lr_weight_support(lam, inner) -> tuple[tuple[Partition, int], ...]:
     """(weight, c^lam_{inner, weight}) for every weight with a nonzero coefficient."""
     lam, inner = Partition(lam), Partition(inner)
+    if not _fits(inner, lam):
+        return ()
     # reverse lexicographic order is partitions_list order
     return tuple(
         (weight, lr_coefficient(lam, inner, weight))
@@ -233,7 +245,7 @@ def strip_chain_count(nu, eta, size1: int, size2: int) -> int:
     size2 cells.  Negative sizes count as zero by convention.
     """
     nu, eta = as_partition(nu), as_partition(eta)
-    if size1 < 0 or size2 < 0 or eta.size + size1 + size2 != nu.size:
+    if size1 < 0 or size2 < 0 or eta.size + size1 + size2 != nu.size or not _fits(eta, nu):
         return 0
     chains = _strip_chains(nu, eta)
     return chains[size1] if size1 < len(chains) else 0

@@ -41,7 +41,7 @@ from kroncalc.nearhook import (
     triple4,
     witnesses,
 )
-from kroncalc.partition import Partition, hook_partition, partitions_list, two_rows
+from kroncalc.partition import Partition, contains, hook_partition, partitions_list, two_rows
 from kroncalc.rosas import phi, xi
 from kroncalc.symfun import giambelli_leibniz, jacobi_trudi, kronecker_coefficient
 from kroncalc.tableau import lr_coefficient, lr_tableaux, strip_chain_count
@@ -724,6 +724,65 @@ def test_only_untargeted_graphs_share_strip_listings_and_side_tables_hold_no_cer
     assert nearhook._side_table.cache_info().currsize == len(sides) > 0
     rows = [row for side in sides for row in nearhook._side_table(*side)]
     assert rows and not any(isinstance(x, nearhook.TermCertificate) for row in rows for x in row)
+
+
+def test_short_cuts_agree_with_the_memoized_routes_and_leave_their_memos_untouched():
+    # An inner shape that does not fit answers 0 (or an empty support) from
+    # the arguments alone, and a side that no triple sum reads is built and
+    # dropped; each answer must still equal the memoized route's, and the
+    # memo must grow exactly by the keys that route is kept for.
+    memo.clear()
+    lr_table, chains, side_table = tableau._lr_table, tableau._strip_chains, nearhook._side_table
+    shapes = [lam for n in range(8) for lam in partitions_list(n)]
+    for lam in shapes:
+        for mu in shapes:
+            if mu.size > lam.size:
+                continue
+            table = lr_table.__wrapped__(lam, mu)
+            before = lr_table.cache_info().currsize
+            for nu in partitions_list(lam.size - mu.size):
+                assert lr_coefficient(lam, mu, nu) == table.get(nu, 0), (lam, mu, nu)
+            assert tableau.lr_weight_support(lam, mu) == tuple(sorted(table.items(), reverse=True)), (lam, mu)
+            fits = contains(mu, lam)
+            assert fits or not table, (lam, mu)
+            assert lr_table.cache_info().currsize == before + fits, (lam, mu)
+    for nu in (lam for n in range(9) for lam in partitions_list(n)):
+        for eta in (eta for m in range(nu.size + 1) for eta in partitions_list(m)):
+            counts = chains.__wrapped__(nu, eta)
+            before = chains.cache_info().currsize
+            rest = nu.size - eta.size
+            for size1 in range(rest + 1):
+                expected = counts[size1] if size1 < len(counts) else 0
+                assert strip_chain_count(nu, eta, size1, rest - size1) == expected, (nu, eta, size1)
+            fits = contains(eta, nu)
+            assert fits or not counts, (nu, eta)
+            assert chains.cache_info().currsize == before + fits, (nu, eta)
+    # every side a triple sum reads (a >= b >= 2, c >= 1), then every side an
+    # index set reads, as the triples-vs-oracle sweep probes them
+    for n in range(3, 8):
+        grid = [(a, b, n - a - b) for a in range(1, n) for b in range(1, n - a + 1)]
+        for nu in partitions_list(n):
+            read = {
+                nearhook._side(nu, a, b, c, positive)
+                for a, b, c in grid
+                if a >= b >= 2 and c >= 1
+                for positive in (True, False)
+            }
+            kept = set()
+            for a, b, c in grid:
+                for positive, index_set in ((True, nearhook.index_set_plus), (False, nearhook.index_set_minus)):
+                    if not positive and b < 2:
+                        continue
+                    side = nearhook._side(nu, a, b, c, positive)
+                    rows = side_table.__wrapped__(*side)
+                    before = side_table.cache_info().currsize
+                    assert index_set(nu, a, b, c) == {(sigma, k, r) for _, _, sigma, k, r, _, _ in rows}, side
+                    grown = side in read and side not in kept
+                    assert side_table.cache_info().currsize == before + grown, side
+                    if grown:
+                        kept.add(side)
+            assert kept == read, nu
+    assert side_table.cache_info().currsize > 0
 
 
 def test_every_memo_is_registered_and_cleared_by_one_call():
