@@ -4,7 +4,8 @@ Every memoized function in kroncalc is declared with ``@memo``, which
 returns ``functools.cache(fn)`` unchanged, so a call costs what it did,
 and records it in ``MEMOS`` under ``module.qualname``.  ``clear()``
 empties every memo at once, so a caller that needs a cold run, or its
-memory back, makes one call and cannot miss a table.
+memory back, makes one call and cannot miss a table; ``clear(modules)``
+empties only the memos declared in the named kroncalc modules.
 """
 
 from functools import cache
@@ -18,7 +19,12 @@ def memo(fn):
     return cached
 
 
-def clear() -> None:
-    """Empty every memo in ``MEMOS``."""
+def clear(modules=None) -> None:
+    """Empty every memo in ``MEMOS``, or, given module names such as
+    ``("tableau", "nearhook")``, only the memos those kroncalc modules declare.
+
+    Emptying a memo also resets its ``cache_info()`` counts.
+    """
     for cached in MEMOS.values():
-        cached.cache_clear()
+        if modules is None or cached.__module__.rpartition(".")[2] in modules:
+            cached.cache_clear()

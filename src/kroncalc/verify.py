@@ -3,14 +3,26 @@
 Each suite is a list of independent work units plus a pure runner mapping a
 unit to (number of checks, failure messages).  The units of every selected
 suite run in order on one pool of worker processes; reports are assembled in
-unit order, so output is byte identical regardless of worker count.  A suite
-that reads g(lam, mu, nu) for every nu of a fixed pair reads the oracle's row
-``symfun.kronecker_row(lam, mu)`` beside ``partitions_list(n)``; kron-basics
-scans those rows entry by entry for conjugation and the trivial/sign rules,
-and compares whole tables for S3 symmetry.  littlewood compares both sides
-of its identity as dense integer lists over ``partitions_list(n)``, summed
-from those rows and from LR supports, so no sum builds a dictionary of
-partitions.  fundamental-vs-oracle zips each oracle row with the near-hook
+unit order, so output is byte identical regardless of worker count.
+
+The selected suites run in the declaration order of ``SUITES``, whatever
+order the caller names them in; results come back in the caller's order.
+That order puts together the suites that share memos: first the LR and
+near-hook readers, then those that read only the oracle and the hook rule.
+``READS`` names the kroncalc modules whose memos each suite reads.  When a
+process (in process, or a pool worker) starts on a unit of another suite, it
+empties the memos of every module that an earlier suite of the run read and
+no remaining suite reads, so the LR tables and near-hook side tables are
+gone before the oracle-only suites build their rows.  Partition memos are
+never emptied, and no memo entry is built twice.
+
+A suite that reads g(lam, mu, nu) for every nu of a fixed pair reads the
+oracle's row ``symfun.kronecker_row(lam, mu)`` beside ``partitions_list(n)``;
+kron-basics scans those rows entry by entry for conjugation and the
+trivial/sign rules, and compares whole tables for S3 symmetry.  littlewood
+compares both sides of its identity as dense integer lists over
+``partitions_list(n)``, summed from those rows and from LR supports, so no
+sum builds a dictionary of partitions.  fundamental-vs-oracle zips each oracle row with the near-hook
 expansion's row ``nearhook.near_hook_row``, as blasiak-vs-oracle zips it with
 the hook rule's counts.  triples-vs-oracle reads the four triple sums of every
 d at once (``nearhook.triple_row``), and its membership units compare each
@@ -36,7 +48,7 @@ from itertools import permutations, repeat
 from math import comb
 from operator import add, mul
 
-from . import colored, nearhook, rosas, symfun, tableau
+from . import colored, memo, nearhook, rosas, symfun, tableau
 from .partition import (
     Partition,
     contains,
@@ -609,9 +621,12 @@ def run_mainresults(unit) -> tuple[int, list[str]]:
 # registry
 
 
+# In run order: the suites that read LR tables and near-hook side tables come
+# before those that read only the oracle and the hook rule (module docstring).
 SUITES = {
     "partitions": (12, units_partitions, run_partitions),
-    "lr": (8, units_lr, run_lr),
+    "triples-vs-oracle": (9, units_triples, run_triples),
+    "mainresults": (10, units_mainresults, run_mainresults),
     # each expansion is looked up on every call, so a wrapper bound in place
     # of the symfun function sees the call
     "giambelli": (
@@ -620,17 +635,39 @@ SUITES = {
     "jacobi-trudi": (
         8, units_jacobi_trudi, lambda n: run_expansion(symfun.jacobi_trudi_to_schur, "jacobi-trudi", n)
     ),
+    "lr": (8, units_lr, run_lr),
     "littlewood": (7, units_littlewood, run_littlewood),
+    "fundamental-vs-oracle": (8, units_fundamental, run_fundamental),
     "kron-basics": (10, units_kron_basics, run_kron_basics),
     "rosas-vs-oracle": (10, units_rosas, run_rosas),
     "blasiak-vs-oracle": (8, units_blasiak, run_blasiak),
-    "fundamental-vs-oracle": (8, units_fundamental, run_fundamental),
-    "triples-vs-oracle": (9, units_triples, run_triples),
-    "mainresults": (10, units_mainresults, run_mainresults),
+}
+
+# suite -> the kroncalc modules whose memos its units read; partition memos,
+# which every suite reads, are never emptied
+READS = {
+    "partitions": (),
+    "triples-vs-oracle": ("nearhook", "symfun", "tableau"),
+    "mainresults": ("colored", "nearhook", "symfun", "tableau"),
+    "giambelli": ("tableau",),
+    "jacobi-trudi": ("symfun", "tableau"),
+    "lr": ("tableau",),
+    "littlewood": ("symfun", "tableau"),
+    "fundamental-vs-oracle": ("symfun", "tableau"),
+    "kron-basics": ("symfun",),
+    "rosas-vs-oracle": ("symfun",),
+    "blasiak-vs-oracle": ("colored", "symfun"),
 }
 
 
-def _run_unit(suite, unit):
+_suite_here = None  # the suite of the last unit this process ran
+
+
+def _run_unit(suite, unit, spent):
+    global _suite_here
+    if suite != _suite_here:  # a suite boundary in this process
+        memo.clear(spent)  # no remaining suite of the run reads these modules' memos
+        _suite_here = suite
     _, _, runner = SUITES[suite]
     result = runner(unit)
     gc.freeze()  # the survivors are memo entries, which hold no cycles (module docstring)
@@ -638,11 +675,20 @@ def _run_unit(suite, unit):
 
 
 def run_suites(names, limit: int | None = None, jobs: int = 1) -> list[tuple[int, list[str]]]:
-    """One (checks, failures) per name, in order; a suite without units gets (0, [])."""
-    tasks = []
-    for name in names:
+    """One (checks, failures) per name, in the caller's order; a suite without units gets (0, []).
+
+    The suites run in the order of ``SUITES``; each unit carries the modules
+    whose memos an earlier suite of the run read and no remaining suite reads.
+    """
+    global _suite_here
+    run = sorted(names, key=list(SUITES).index)
+    tasks, read = [], set()
+    for i, name in enumerate(run):
         default_limit, unit_maker, _ = SUITES[name]
-        tasks += [(name, unit) for unit in unit_maker(default_limit if limit is None else limit)]
+        spent = read - {module for later in run[i:] for module in READS[later]}
+        read.update(READS[name])
+        tasks += [(name, unit, spent) for unit in unit_maker(default_limit if limit is None else limit)]
+    _suite_here = None  # pool workers fork with this too
     results = (_run_unit(*task) for task in tasks)  # in process, unless a pool maps them below
     if jobs > 1 and len(tasks) > 1:
         from multiprocessing import get_context
@@ -651,7 +697,7 @@ def run_suites(names, limit: int | None = None, jobs: int = 1) -> list[tuple[int
             results = pool.starmap(_run_unit, tasks, chunksize=1)
     totals = {name: (0, []) for name in names}
     try:
-        for (name, _), (checks, failures) in zip(tasks, results):
+        for (name, _, _), (checks, failures) in zip(tasks, results):
             totals[name] = (totals[name][0] + checks, totals[name][1] + failures)
     finally:
         gc.unfreeze()  # an in-process caller gets its normal collections back

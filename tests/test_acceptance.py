@@ -808,3 +808,53 @@ def test_every_memo_is_registered_and_cleared_by_one_call():
     kronecker_coefficient((4, 2), (3, 3), (2, 2, 1, 1))
     memo.clear()
     assert [name for name, fn in memo.MEMOS.items() if fn.cache_info().currsize] == []
+
+
+def test_suites_empty_the_memos_no_remaining_suite_reads_and_build_no_entry_twice(monkeypatch):
+    # Each suite, run cold at its default limit, touches the memos of exactly
+    # the modules READS names for it, partition aside.  A run of every suite
+    # empties a module's memos after the last suite that reads them and
+    # rebuilds no entry: its misses, summed over each release, equal those of
+    # the same run with the release patched out.
+    def counts():
+        return {name: fn.cache_info()[:2] for name, fn in memo.MEMOS.items()}
+
+    touched = {}
+    for suite in verify.SUITES:
+        memo.clear()
+        before = counts()
+        verify.run_suites([suite])
+        touched[suite] = {
+            name.split(".")[1] for name, count in counts().items() if count != before[name]
+        } - {"partition"}
+    check("memo modules each suite reads", touched, {s: set(m) for s, m in verify.READS.items()})
+
+    clear = memo.clear
+
+    def run(release: bool):
+        misses = dict.fromkeys(memo.MEMOS, 0)
+
+        def counted(modules=None):  # adds what each release resets
+            before = {name: fn.cache_info().misses for name, fn in memo.MEMOS.items()}
+            if release:
+                clear(modules)
+            for name, fn in memo.MEMOS.items():
+                misses[name] += before[name] - fn.cache_info().misses
+
+        clear()
+        monkeypatch.setattr(memo, "clear", counted)
+        results = verify.run_suites(sorted(verify.SUITES))
+        monkeypatch.setattr(memo, "clear", clear)
+        for name, fn in memo.MEMOS.items():
+            misses[name] += fn.cache_info().misses
+        return results, misses
+
+    kept, kept_misses = run(release=False)
+    released, released_misses = run(release=True)
+    assert released == kept
+    check("memo misses with and without release", released_misses, kept_misses)
+    check("tableau and nearhook memo entries left after the run", {
+        name: fn.cache_info().currsize
+        for name, fn in memo.MEMOS.items()
+        if fn.__module__ in ("kroncalc.tableau", "kroncalc.nearhook") and fn.cache_info().currsize
+    }, {})
