@@ -8,11 +8,16 @@ The text syntax shared with the command line accepts exponent tokens:
 ``"6,2,1^6"`` parses to ``(6, 2, 1, 1, 1, 1, 1, 1)``.  Enumeration of all
 partitions of n (Knuth's Algorithm P) is reverse-lexicographic and stable,
 so sweep output is reproducible byte for byte.
+
+``canonical`` keeps one shared object per partition value for the places
+that hold many equal shapes for long: the weights of the LR tables and the
+shapes ``partitions_inside`` yields.  The constructor does not intern, since
+that would keep every transient partition alive as well.
 """
 
 from __future__ import annotations
 
-from operator import index
+from operator import gt, index
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .memo import memo
@@ -128,9 +133,7 @@ def from_frobenius(coords: FrobeniusCoords) -> Partition:
 def contains(inner, outer) -> bool:
     """True iff inner_i <= outer_i for all i (missing parts read as 0)."""
     inner, outer = as_partition(inner), as_partition(outer)
-    if len(inner) > len(outer):
-        return False
-    return all(a <= b for a, b in zip(inner, outer))
+    return len(inner) <= len(outer) and not any(map(gt, inner, outer))
 
 
 def is_horizontal_strip(inner, outer) -> bool:
@@ -205,6 +208,17 @@ def hook_partition(arm: int, legs: int) -> Partition:
 
 
 @memo
+def canonical(parts) -> Partition:
+    """The one Partition equal to parts, which must already be a valid partition.
+
+    Nothing is checked.  The first call with a value keeps its argument, so
+    a Partition passed in is itself the object every later call returns;
+    a table that holds many equal shapes holds one object for them.
+    """
+    return parts if type(parts) is Partition else tuple.__new__(Partition, parts)
+
+
+@memo
 def two_rows(m: int) -> tuple[Partition, ...]:
     """The partitions (m - k, k) of m with at most two rows, in order of k."""
     return tuple(Partition((m - k, k)) for k in range(m // 2 + 1))
@@ -272,7 +286,7 @@ def partitions_inside(outer, size: int) -> Iterator[Partition]:
             parts.append(cap)
             left -= cap
             row += 1
-        yield tuple.__new__(Partition, parts)
+        yield canonical(tuple.__new__(Partition, parts))
         while parts:
             part = parts.pop()
             left += part

@@ -11,14 +11,17 @@ order, so the Yamanouchi prefix counts and the semistandard constraints are
 checked incrementally; it needs no weight budget, since the rightmost cell
 of row r (counted from 0) takes labels up to r + 1 and the Yamanouchi test
 prunes the rest.  ``_lr_table`` tallies the fillings by weight, once per
-(outer, inner), and ``lr_coefficient`` reads one entry of that table.  An
-inner shape that does not fit in outer has no filling, so
-``lr_coefficient`` and ``lr_weight_support`` answer it from the arguments
-(``_fits``) and no table is kept for it; only
-``lr_tableaux`` asks the walk to record the label rows of its weight as
-well, in the same order.  The walk (``_fill``) is a module-level recursion
-that takes its state as arguments, so a call leaves no reference cycle
-behind and its lists are freed by reference counting as soon as it returns.
+(outer, inner), and ``lr_coefficient`` reads one entry of that table.  The
+table's weights are the ``partition.canonical`` objects of their values, so
+every table holds one object per shape.  An inner shape that does not fit
+in outer has no filling, so ``lr_coefficient`` and ``lr_weight_support``
+answer it from the arguments (``_fits``) and no table is kept for it.
+``lr_tableaux`` asks the walk for the label grids of one weight and caps
+each label v at weight_v, so the walk completes only the fillings of that
+weight, in the order the full walk finishes them.  The walk (``_fill``) is
+a module-level recursion that takes its state as arguments, so a call
+leaves no reference cycle behind and its lists are freed by reference
+counting as soon as it returns.
 
 Sums weighted by LR coefficients walk the cached supports instead of
 probing every partition: ``lr_weight_support`` fixes (outer, inner) and
@@ -27,6 +30,12 @@ its nonzero coefficient, in partitions_list order.  By the symmetry
 c^lam_{inner, weight} = c^lam_{weight, inner}, ``lr_weight_support`` also
 lists the inner shapes for a fixed weight.  It takes its weights from the
 keys of the shape's table and reads each value through ``lr_coefficient``.
+``lr_outer_support`` asks ``lr_coefficient`` only for the lam that contain
+both inner and weight; any other lam has coefficient 0 and would only add
+a memo entry that holds it.  A caller that reads each coefficient about
+once, such as the one-pass identity checks of ``kroncalc verify lr``,
+calls ``lr_coefficient.__wrapped__``: the same value, read from the same
+memoized table, with no entry of its own.
 
 Strip-chain counts need no search: kappa/eta and nu/kappa are horizontal
 strips exactly when every row lies in its own interval, so the counts by
@@ -42,7 +51,7 @@ from operator import gt
 from typing import Iterable, NamedTuple, Sequence
 
 from .memo import memo
-from .partition import Partition, as_partition, contains, partitions_list
+from .partition import Partition, as_partition, canonical, contains, partitions_list
 
 
 def reading_word(rows: Sequence[Sequence]) -> tuple:
@@ -124,19 +133,26 @@ def is_yamanouchi(word: Sequence[int]) -> bool:
     return True
 
 
-def _lr_walk(outer: Partition, inner: Partition, found=None) -> dict[tuple, int]:
+def _lr_walk(outer: Partition, inner: Partition, weight=None, grids=None) -> dict[tuple, int]:
     """Tally the LR fillings of outer/inner by their label counts.
 
-    The keys are (0, m_1, m_2, ..., m_len(outer)), m_v the number of labels
-    v.  When ``found`` is a pair (key, list), the label grid of each filling
-    with that key is appended to the list, in the order the walk finishes
-    them.  Cells are filled in reading order; a label v is admissible when
-    it keeps the row weakly increasing (right neighbour bound, or r + 1 in
-    the rightmost cell of row r, counted from 0), the column strictly
-    increasing (cell above), and the Yamanouchi prefix inequality
-    counts[v] < counts[v-1].  Both bounds come from cells filled earlier in
-    reading order, so a cell is never cleared on the way back.  An inner
+    The keys are (s, m_1, m_2, ..., m_len(outer)), m_v the number of labels
+    v and s a sentinel.  Cells are filled in reading order; a label v is
+    admissible when it keeps the row weakly increasing (right neighbour
+    bound, or r + 1 in the rightmost cell of row r, counted from 0), the
+    column strictly increasing (cell above), the Yamanouchi prefix
+    inequality counts[v] < counts[v-1], and counts[v] < caps[v].  The
+    sentinel counts[0] exceeds the number of cells, so label 1 always
+    passes the Yamanouchi test.  Both bounds come from cells filled earlier
+    in reading order, so a cell is never cleared on the way back.  An inner
     shape not contained in outer has no filling.
+
+    When ``grids`` is a list, the label grid of each filling is appended to
+    it instead, in the order the walk finishes them.  A ``weight`` caps each
+    label v at weight_v; for a weight of the skew shape's size, the walk
+    then completes exactly the fillings of that weight, in the order the
+    uncapped walk finishes them.  Without one every cap is the sentinel,
+    which never binds.
     """
     tally: dict[tuple, int] = {}
     if not contains(inner, outer):
@@ -147,43 +163,59 @@ def _lr_walk(outer: Partition, inner: Partition, found=None) -> dict[tuple, int]
         for c in range(part - 1, inner.part(r + 1) - 1, -1):
             above = grid[r - 1] if r and c < outer[r - 1] else None
             cells.append((grid[r], c, r + 1 if c + 1 == part else 0, above))
-    _fill(0, cells, grid, [0] * (len(outer) + 1), tally, found)
+    sentinel = len(cells) + 1
+    if weight is None:
+        caps = [sentinel] * (len(outer) + 1)
+    else:  # labels run up to len(outer)
+        caps = [sentinel, *weight[: len(outer)]] + [0] * (len(outer) - len(weight))
+    _fill(0, cells, grid, [sentinel] + [0] * len(outer), caps, tally, grids)
     return tally
 
 
-def _fill(k, cells, grid, counts, tally, found) -> None:
-    """Tally the fillings that complete grid from cell k on, counts[v] labels v placed."""
+def _fill(k, cells, grid, counts, caps, tally, grids) -> None:
+    """Complete grid from cell k on, counts[v] labels v placed, at most caps[v] of each.
+
+    Each completed filling is tallied by its counts, or, when ``grids`` is
+    a list, appended to it as a label grid.
+    """
     if k == len(cells):
-        key = tuple(counts)
-        tally[key] = tally.get(key, 0) + 1
-        if found is not None and key == found[0]:
-            found[1].append(tuple(map(tuple, grid)))
+        if grids is None:
+            key = tuple(counts)
+            tally[key] = tally.get(key, 0) + 1
+        else:
+            grids.append(tuple(map(tuple, grid)))
         return
     row, c, top, above = cells[k]
     hi = top or row[c + 1]
     for v in range(above[c] + 1 if above is not None else 1, hi + 1):
-        if v > 1 and counts[v] >= counts[v - 1]:
+        if counts[v] >= counts[v - 1] or counts[v] == caps[v]:
             continue
         row[c] = v
         counts[v] += 1
-        _fill(k + 1, cells, grid, counts, tally, found)
+        _fill(k + 1, cells, grid, counts, caps, tally, grids)
         counts[v] -= 1
 
 
 @memo
 def _lr_table(outer: Partition, inner: Partition) -> dict[Partition, int]:
-    """weight -> c^outer_{inner, weight} for every weight with a nonzero coefficient."""
-    return {Partition(key[1:]): count for key, count in _lr_walk(outer, inner).items()}
+    """weight -> c^outer_{inner, weight} for every weight with a nonzero coefficient.
+
+    Each weight is the ``canonical`` object of its value, so the tables
+    share one object per shape.
+    """
+    return {canonical(Partition(key[1:])): count for key, count in _lr_walk(outer, inner).items()}
 
 
 def lr_tableaux(lam, mu, nu) -> list[SkewSSYT]:
     """All LR tableaux of shape lam/mu and weight nu."""
     lam, mu, nu = Partition(lam), Partition(mu), Partition(nu)
-    found: tuple[tuple, list] = ((0, *nu) + (0,) * (len(lam) - len(nu)), [])
-    _lr_walk(lam, mu, found)
+    if mu.size + nu.size != lam.size:
+        return []
+    grids: list = []
+    _lr_walk(lam, mu, nu, grids)
     return [
         SkewSSYT(lam, mu, [row[mu.part(r + 1) :] for r, row in enumerate(grid)])
-        for grid in found[1]
+        for grid in grids
     ]
 
 
@@ -216,10 +248,11 @@ def lr_weight_support(lam, inner) -> tuple[tuple[Partition, int], ...]:
 def lr_outer_support(inner, weight) -> tuple[tuple[Partition, int], ...]:
     """(lam, c^lam_{inner, weight}) for every lam with a nonzero coefficient."""
     inner, weight = Partition(inner), Partition(weight)
+    # a lam that does not contain both has coefficient 0, so it is not asked
     return tuple(
         (lam, c)
         for lam in partitions_list(inner.size + weight.size)
-        if (c := lr_coefficient(lam, inner, weight))
+        if _fits(inner, lam) and _fits(weight, lam) and (c := lr_coefficient(lam, inner, weight))
     )
 
 

@@ -41,7 +41,15 @@ from kroncalc.nearhook import (
     triple4,
     witnesses,
 )
-from kroncalc.partition import Partition, contains, hook_partition, partitions_list, two_rows
+from kroncalc.partition import (
+    Partition,
+    canonical,
+    contains,
+    hook_partition,
+    partitions_inside,
+    partitions_list,
+    two_rows,
+)
 from kroncalc.rosas import phi, xi
 from kroncalc.symfun import giambelli_leibniz, jacobi_trudi, kronecker_coefficient
 from kroncalc.tableau import lr_coefficient, lr_tableaux, strip_chain_count
@@ -785,6 +793,75 @@ def test_short_cuts_agree_with_the_memoized_routes_and_leave_their_memos_untouch
     assert side_table.cache_info().currsize > 0
 
 
+def test_lr_reads_keep_no_entry_that_containment_decides_or_one_pass_reads_once(monkeypatch):
+    # lr_outer_support asks lr_coefficient only for a lam that contains both
+    # inner and weight; a membership unit reads c^nu_{sigma, strip} only for
+    # sigma inside nu; the lr suite's one-pass checks read the coefficient
+    # through __wrapped__; LR table weights and partitions_inside shapes are
+    # the canonical objects of their values.
+    shapes = [lam for n in range(9) for lam in partitions_list(n)]
+    for inner in shapes:
+        for weight in shapes:
+            n = inner.size + weight.size
+            if n > 8:
+                continue
+            lr_coefficient.cache_clear()
+            support = tableau.lr_outer_support.__wrapped__(inner, weight)
+            expected = tuple(
+                (lam, c)
+                for lam in partitions_list(n)
+                if (c := lr_coefficient.__wrapped__(lam, inner, weight))
+            )
+            assert support == expected, (inner, weight)
+            asked = sum(contains(inner, lam) and contains(weight, lam) for lam in partitions_list(n))
+            assert lr_coefficient.cache_info().currsize == asked, (inner, weight)
+
+    # the one-pass units keep no coefficient; product-dim reads its products
+    # through lr_outer_support, whose entries are the suite's only ones
+    limit, make_units, runner = verify.SUITES["lr"]
+    product_dim = [unit for unit in make_units(limit) if unit[0] == "product-dim"]
+    memo.clear()
+    for unit in make_units(limit):
+        if unit[0] != "product-dim":
+            runner(unit)
+    check("lr one-pass units: lr_coefficient entries", lr_coefficient.cache_info().currsize, 0)
+    memo.clear()
+    for unit in product_dim:
+        runner(unit)
+    kept = lr_coefficient.cache_info().currsize
+    memo.clear()
+    check("lr suite cold", verify.run_suites(["lr"]), [(15991, [])])
+    check("lr suite: lr_coefficient entries", lr_coefficient.cache_info().currsize, kept)
+
+    read = []
+
+    def recording(lam, mu, nu):
+        read.append((lam, mu, nu))
+        return real(lam, mu, nu)
+
+    real = tableau.lr_coefficient
+    monkeypatch.setattr(tableau, "lr_coefficient", recording)
+    memo.clear()
+    for n in range(3, 9):
+        assert verify.run_triples(("membership", n, 0, 0))[1] == []
+    monkeypatch.undo()
+    assert read and all(contains(sigma, nu) for nu, sigma, _ in read)
+    assert lr_coefficient.cache_info().currsize == len(set(read))
+
+    for outer in (lam for lam in shapes if lam.size <= 7):
+        for inner in (mu for m in range(outer.size + 1) for mu in partitions_list(m)):
+            table = tableau._lr_table(outer, inner)
+            walk = tableau._lr_walk(outer, inner)
+            assert list(table.items()) == [(Partition(key[1:]), count) for key, count in walk.items()]
+            assert all(weight is canonical(weight) for weight in table), (outer, inner)
+        for size in range(outer.size + 1):
+            inside = list(partitions_inside(outer, size))
+            assert inside == [p for p in partitions_list(size) if contains(p, outer)], (outer, size)
+            assert all(p is canonical(p) for p in inside), (outer, size)
+    assert canonical((3, 1)) is canonical(Partition((3, 1))) is canonical(tuple([3, 1]))
+    assert type(canonical((3, 1))) is Partition
+
+
 def test_every_memo_is_registered_and_cleared_by_one_call():
     # A memo declared outside kroncalc.memo would survive memo.clear(), and a
     # test that relies on a cold start would then pass in some orders only.
@@ -803,7 +880,7 @@ def test_every_memo_is_registered_and_cleared_by_one_call():
                 found.add(value)
     assert found == set(memo.MEMOS.values())
     names = {f"{fn.__module__}.{fn.__qualname__}" for fn in found}
-    assert len(found) == len(names) == 22
+    assert len(found) == len(names) == 23
     assert names == set(memo.MEMOS)
     kronecker_coefficient((4, 2), (3, 3), (2, 2, 1, 1))
     memo.clear()

@@ -8,6 +8,7 @@ from kroncalc.partition import Partition, contains, is_horizontal_strip, partiti
 from kroncalc.tableau import (
     SkewSSYT,
     _lr_table,
+    _lr_walk,
     dimension,
     is_yamanouchi,
     lr_coefficient,
@@ -19,6 +20,7 @@ from kroncalc.tableau import (
     schur_expand_product,
     strip_chain_count,
     two_row_interval,
+    value_counts,
 )
 
 # the two fillings of shape 5421/42 and weight 411
@@ -411,3 +413,24 @@ def test_lr_tableaux_agree_with_the_count_in_pinned_order():
                         assert len(tableaux) == lr_coefficient(lam, mu, nu), (lam, mu, nu)
                         h.update(repr([t.rows for t in tableaux]).encode())
     assert h.hexdigest() == LR_TABLEAUX_DIGEST_N7
+
+
+def test_lr_tableaux_walk_only_their_weight_and_list_the_full_walks_grids_in_order():
+    # lr_tableaux caps each label v at weight_v; the uncapped walk, asked for
+    # every grid, must list the same grids of that weight in the same order
+    for n in range(9):
+        for lam in partitions_list(n):
+            for k in range(n + 1):
+                for mu in partitions_list(k):
+                    grids: list = []
+                    _lr_walk(lam, mu, None, grids)
+                    for nu in partitions_list(n - k):
+                        expected = [
+                            tuple(row[mu.part(r + 1) :] for r, row in enumerate(grid))
+                            for grid in grids
+                            if value_counts(x for row in grid for x in row if x) == nu
+                        ]
+                        assert [t.rows for t in lr_tableaux(lam, mu, nu)] == expected, (lam, mu, nu)
+    # a deep skew shape whose 60 fillings of this weight are few among all of its fillings
+    assert len(lr_tableaux((9, 8, 7, 6, 5, 4, 3, 2, 1), (5, 4, 3, 2, 1), (9, 8, 6, 4, 2, 1))) == 60
+    assert lr_tableaux((3, 1), (1,), (2, 2)) == [] and lr_tableaux((3, 1), (1,), (2,)) == []
