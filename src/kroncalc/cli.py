@@ -20,7 +20,6 @@ from __future__ import annotations
 import os
 import re
 import sys
-import time
 from types import SimpleNamespace
 
 from . import colored, nearhook, rosas, symfun
@@ -221,8 +220,6 @@ def _parse_triple(*texts: str) -> tuple[Partition, Partition, Partition]:
 
 
 def cmd_kron(args) -> int:
-    if args.explain and args.output == "csv":
-        raise InputError("--explain has no csv form; use --output text or json")
     lam, mu, nu = _parse_triple(args.lam, args.mu, args.nu)
     applicable = _applicable_methods(lam, mu)
     methods = [m for m, why in applicable.items() if why is None and args.method in (m, "all")]
@@ -230,15 +227,11 @@ def cmd_kron(args) -> int:
         raise HypothesisError(f"method {args.method}: {applicable[args.method]}")
     if not methods:
         raise HypothesisError("no method applies: " + "; ".join(f"{m}: {why}" for m, why in applicable.items()))
-    results = {}  # method -> (value, explain lines, explain json payload, runtime in ms)
-    for method in methods:
-        start = time.perf_counter()
-        value, lines, payload = METHODS[method][1](lam, mu, nu, args.explain)
-        results[method] = value, lines, payload, (time.perf_counter() - start) * 1000.0
+    # method -> (value, explain lines, explain json payload)
+    results = {method: METHODS[method][1](lam, mu, nu, args.explain) for method in methods}
     distinct = {result[0] for result in results.values()}
     value = distinct.pop() if len(distinct) == 1 else None  # None: the methods disagree
-    texts = [format_partition(p) for p in (lam, mu, nu)]
-    query = " ; ".join(texts)
+    query = " ; ".join(format_partition(p) for p in (lam, mu, nu))
     if args.output == "json":
         payload = {
             "lambda": list(lam),
@@ -251,13 +244,6 @@ def cmd_kron(args) -> int:
         if args.explain:
             payload["explain"] = {m: result[2] for m, result in results.items()}
         _print_json(payload)
-    elif args.output == "csv":
-        import csv
-
-        writer = csv.writer(sys.stdout)
-        writer.writerow(["lambda", "mu", "nu", "method", "value", "runtime_ms"])
-        for method, (method_value, _, _, runtime) in results.items():
-            writer.writerow([*texts, method, method_value, f"{runtime:.3f}"])
     elif value is None:
         print(f"disagreement on g({query}):")
         for method, result in results.items():
@@ -265,7 +251,7 @@ def cmd_kron(args) -> int:
     else:
         print(f"g({query}) = {value}   [{', '.join(methods)}]")
         if args.explain:
-            for method, (_, lines, _, _) in results.items():
+            for method, (_, lines, _) in results.items():
                 if lines:
                     print(f"-- {method} --", *lines, sep="\n")
     return 1 if value is None else 0
@@ -391,7 +377,7 @@ COMMANDS = {
     "kron": (cmd_kron, "compute one Kronecker coefficient", {"lam": "LAMBDA", "mu": "MU", "nu": "NU"}, {
         "--method": ((*METHODS, "all"), "all",
                      f"the oracle takes n up to {ORACLE_MAX_N}; all runs every method that applies"),
-        "--output": (("text", "json", "csv"), "text", ""), "--explain": (bool, False, ""),
+        "--output": (("text", "json"), "text", ""), "--explain": (bool, False, ""),
         "--cache-file": (str, None, "accepted and ignored; characters are memoized per process"),
     }),
     "enumerate": (cmd_enumerate, "enumerate tableaux or trace insertion", {"kind": ("lr", "blasiak"), "params": "PARAMS"},

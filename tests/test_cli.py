@@ -1,7 +1,5 @@
 import argparse
-import csv
 import hashlib
-import io
 import itertools
 import json
 import multiprocessing
@@ -160,12 +158,17 @@ def test_kron_json_round_trip(capsys):
     assert code2 == 0 and out2 == out
 
 
-def test_kron_csv_schema(capsys):
-    code, out, _ = run(capsys, "kron", "4,2", "4,2", "4,2", "--output", "csv")
-    assert code == 0
-    header = out.splitlines()[0]
-    assert header == "lambda,mu,nu,method,value,runtime_ms"
-    assert len(out.splitlines()) >= 2
+def test_kron_csv_output_exits_2(capsys):
+    # json is the one machine-readable form; csv is an unknown choice like any other
+    usage = ("usage: kroncalc kron [-h] [--method {oracle,blasiak,rosas,nearhook,all}] "
+             "[--output {text,json}] [--explain] [--cache-file CACHE_FILE] LAMBDA MU NU")
+    error = "kroncalc kron: error: argument --output: invalid choice: 'csv' (choose from text, json)"
+    for form in (("--output", "csv"), ("--output=csv",), ("--out", "csv"), ("--explain", "--output", "csv")):
+        with pytest.raises(SystemExit) as exc:
+            main(["kron", "4,2", "4,2", "4,2", *form])
+        captured = capsys.readouterr()
+        assert (exc.value.code, captured.out) == (2, ""), form
+        assert captured.err.splitlines() == [usage, error], form
 
 
 def test_enumerate_blasiak(capsys):
@@ -296,9 +299,8 @@ def test_enumerate_lr_unfillable_input_exits_2(capsys, argv, message):
         ("enumerate", "blasiak", "trace", "2'", "1", "--output", "json"),
         ("enumerate", "blasiak", "5,2,1", "4", "4,2,1,1", "--ytableau"),
         ("enumerate", "blasiak", "trace", "2'", "1", "--ytableau"),
-        ("kron", "4,2", "4,2", "4,2", "--explain", "--output", "csv"),
     ],
-    ids=["lr-json", "trace-json", "blasiak-ytableau", "trace-ytableau", "kron-explain-csv"],
+    ids=["lr-json", "trace-json", "blasiak-ytableau", "trace-ytableau"],
 )
 def test_option_that_would_be_ignored_exits_2(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -442,7 +444,7 @@ def test_disagreement_reports_and_exits_1(capsys, monkeypatch):
     assert "oracle: 5" in out and "blasiak: 6" in out
 
 
-def test_disagreement_keeps_json_and_csv_machine_readable(capsys, monkeypatch):
+def test_disagreement_keeps_json_machine_readable(capsys, monkeypatch):
     _blasiak_off_by_one(monkeypatch)
     query = ("kron", "5,2,1", "4,1^4", "4,2,1,1", "--method", "all")
     code, out, err = run(capsys, *query, "--output", "json")
@@ -454,11 +456,6 @@ def test_disagreement_keeps_json_and_csv_machine_readable(capsys, monkeypatch):
     assert code == 1 and err == ""
     payload = json.loads(out)
     assert payload["value"] is None and set(payload["explain"]) == {"oracle", "blasiak"}
-    code, out, err = run(capsys, *query, "--output", "csv")
-    assert code == 1 and err == ""
-    rows = list(csv.reader(io.StringIO(out)))
-    assert rows[0] == ["lambda", "mu", "nu", "method", "value", "runtime_ms"]
-    assert [row[3:5] for row in rows[1:]] == [["oracle", "5"], ["blasiak", "6"]]
 
 
 def test_cache_file_round_trip(tmp_path, capsys):
@@ -496,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
     kron.add_argument(
         "--method", choices=["oracle", "blasiak", "rosas", "nearhook", "all"], default="all"
     )
-    kron.add_argument("--output", choices=["text", "json", "csv"], default="text")
+    kron.add_argument("--output", choices=["text", "json"], default="text")
     kron.add_argument("--explain", action="store_true")
     kron.add_argument("--cache-file")
     kron.set_defaults(func=cli.cmd_kron)
@@ -531,7 +528,7 @@ def _readme_argvs():
 
 def test_readme_command_lines_exit_0(capsys):
     argvs = _readme_argvs()
-    assert len(argvs) == 11
+    assert len(argvs) == 12
     for argv in argvs:
         code, _, err = run(capsys, *argv)
         assert (code, err) == (0, ""), argv
@@ -562,7 +559,6 @@ def test_kron_answers_the_benchmark_queries_with_their_stored_values(capsys):
 PARSER_CASES = [
     "kron 5,2,1 4,1^4 4,2,1,1 --method=all",
     "kron --method all --output json 5,2,1 4,1^4 4,2,1,1",
-    "kron 5,2,1 --explain 4,1^4 --output=csv 4,2,1,1",
     "kron 5,2,1 4,1^4 4,2,1,1 --meth oracle --out json --exp --cache P",
     "kron 5,2,1 4,1^4 4,2,1,1 --meth=oracle",
     "kron -- 5,2,1 4,1^4 4,2,1,1",
@@ -600,6 +596,8 @@ PARSER_CASES = [
     "kron 5,2,1 4,1^4 4,2,1,1 --method --explain",
     "kron 5,2,1 4,1^4 4,2,1,1 --cache-file",
     "kron 5,2,1 4,1^4 4,2,1,1 --explain=yes",
+    "kron 4,2 4,2 4,2 --explain --output csv",
+    "kron 5,2,1 --explain 4,1^4 --output=csv 4,2,1,1",
     "kron 1 2 3 --=x",
     "enumerate",
     "enumerate bogus 1",
@@ -675,7 +673,7 @@ def test_help_lists_each_option_with_its_choices(capsys):
     assert exc.value.code == 0
     out = capsys.readouterr().out
     assert out.startswith("usage: kroncalc kron [-h] ")
-    for shown in ("--method {oracle,blasiak,rosas,nearhook,all}", "--output {text,json,csv}",
+    for shown in ("--method {oracle,blasiak,rosas,nearhook,all}", "--output {text,json}",
                   "--explain", "--cache-file CACHE_FILE"):
         assert "\n  " + shown in out
 
@@ -958,7 +956,7 @@ def test_explain_output_bytes_are_pinned(capsys):
 
 def _dispatch_transcript(capsys) -> str:
     """(argv, exit code, stdout, stderr) of every `kron` form on the benchmark
-    triples, the csv rows without their runtime, and both help texts."""
+    triples and both help texts."""
     records = []
 
     def record(*argv):
@@ -967,16 +965,13 @@ def _dispatch_transcript(capsys) -> str:
         except SystemExit as exc:  # -h
             code = exc.code
         out, err = capsys.readouterr()
-        if "csv" in argv:
-            out = "".join(line.rsplit(",", 1)[0] + "\n" for line in out.splitlines())
         records.append([argv, code, out, err])
 
     triples = [tuple(argv[1:4]) for argv in _queries_argvs()]
     for triple in triples:
         for method in ("all", "oracle", "blasiak", "rosas", "nearhook"):
             query = ("kron", *triple, "--method", method)
-            for form in ((), ("--output", "json"), ("--explain",), ("--explain", "--output", "json"),
-                         ("--output", "csv")):
+            for form in ((), ("--output", "json"), ("--explain",), ("--explain", "--output", "json")):
                 record(*query, *form)
     record("-h")
     record("kron", "-h")
@@ -986,7 +981,7 @@ def _dispatch_transcript(capsys) -> str:
 def test_dispatch_output_bytes_are_pinned(capsys):
     transcript = _dispatch_transcript(capsys)
     assert hashlib.sha256(transcript.encode()).hexdigest() == (
-        "1a950d3c75a2c23636aa092531d14c8b5112830ed179830d6f3da76e2dae000d"
+        "ba4b0b0e9b1696c9a0fa002de49923381b3d5ad9c361bf239406b946a8d039d5"
     )
 
 
@@ -1075,3 +1070,34 @@ def test_kron_padded_positive_triples_stay_positive_at_n_27_to_34(capsys):
         assert (code, err) == (0, ""), (triple, out, err)
         value, methods = re.fullmatch(r"g\(.*\) = (\d+)   \[(.*)\]\n", out).groups()
         assert int(value) > 0 and len(methods.split(", ")) >= 2, (triple, out)
+
+
+def test_kron_orientations_agree_with_the_oracle_at_n_10_to_16(capsys):
+    # g(lam, mu, nu) is symmetric in its arguments and equals g(lam', mu', nu),
+    # so each orientation that keeps a hook or near-hook in mu's place must give
+    # the oracle's value; mu' of a hook is a hook, of (a, 2, 1^c) a b = 2 near-hook
+    from kroncalc.partition import partitions_list
+    from kroncalc.symfun import kronecker_row
+
+    rng = random.Random(2060)
+    pairs = []  # (lam, mu) with mu a hook or a near-hook
+    for _ in range(12):
+        n, d = rng.randint(10, 16), rng.randint(1, 4)
+        pairs.append((rng.choice(partitions_list(n)), Partition((n - d,) + (1,) * d)))
+    for _ in range(8):
+        n, c = rng.randint(10, 16), rng.randint(1, 4)
+        e = rng.randint(1, n // 2)
+        pairs.append((Partition((n - e, e)), Partition((n - 2 - c, 2) + (1,) * c)))
+    brackets = set()
+    for lam, mu in pairs:
+        row = kronecker_row(lam, mu)
+        g, nu = rng.choice([(g, nu) for g, nu in zip(row, partitions_list(lam.size)) if g])
+        lt, mt, nt = lam.transpose(), mu.transpose(), nu.transpose()
+        for triple in ((lam, mu, nu), (nu, mu, lam), (lt, mu, nt), (nt, mu, lt),
+                       (lt, mt, nu), (lam, mt, nt), (nu, mt, lt), (nt, mt, lam)):
+            code, out, err = run(capsys, "kron", *map(format_partition, triple))
+            assert (code, err) == (0, ""), (lam, mu, nu, triple, out)
+            value, methods = re.fullmatch(r"g\(.*\) = (\d+)   \[(.*)\]\n", out).groups()
+            assert int(value) == g and len(methods.split(", ")) >= 2, (lam, mu, nu, triple, out)
+            brackets.add(methods)
+    assert {"oracle, blasiak", "oracle, blasiak, rosas", "oracle, nearhook"} <= brackets
