@@ -1,10 +1,10 @@
 """Command line front end: `parse_args` reads the `COMMANDS` table.
 
-Subcommands: kron (coefficient queries by any method), enumerate (LR and
-hook-rule tableaux, insertion traces), expand (hook determinant /
-Jacobi-Trudi / coproduct printing), verify (exhaustive sweep suites).  kron
-reads the `METHODS` table: one row per method, its hypotheses and its
-evaluator, so a new method is one row.  Options go before, between or after
+Subcommands: kron (coefficient queries by any method), enumerate (LR
+tableaux, insertion traces), expand (hook determinant / Jacobi-Trudi /
+coproduct printing), verify (exhaustive sweep suites).  kron reads the
+`METHODS` table: one row per method, its hypotheses and its evaluator, so a
+new method is one row.  Options go before, between or after
 positionals, as --opt value, --opt=value or a unique prefix of --opt; "--"
 ends them, and -h prints help.
 
@@ -41,13 +41,6 @@ class InputError(ValueError):
 
 class HypothesisError(Exception):
     pass
-
-
-def _print_json(obj) -> None:
-    # json is imported here, not at module level: most queries print text
-    import json
-
-    print(json.dumps(obj, sort_keys=True))
 
 
 def _parse_partition_arg(text: str) -> Partition:
@@ -243,7 +236,8 @@ def cmd_kron(args) -> int:
         }
         if args.explain:
             payload["explain"] = {m: result[2] for m, result in results.items()}
-        _print_json(payload)
+        import json  # only json output reads it, and most queries print text
+        print(json.dumps(payload, sort_keys=True))
     elif value is None:
         print(f"disagreement on g({query}):")
         for method, result in results.items():
@@ -262,19 +256,13 @@ def cmd_kron(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    kind = args.kind
     rest = args.params
-    trace = kind == "blasiak" and rest[:1] == ["trace"]
-    if args.ytableau and kind != "lr":
+    if args.ytableau and args.kind != "lr":
         raise InputError("--ytableau applies only to enumerate lr")
-    if args.output == "json" and (kind == "lr" or trace):
-        raise InputError(
-            "--output json applies only to enumerate blasiak CONTENT TOTAL_COLOR SHAPE"
-        )
-    if trace:
+    if args.kind == "blasiak":  # the parser's choices admit no other kind
         text = " ".join(rest[1:])
         try:
-            word = colored.parse_colored_word(text)
+            word = colored.parse_colored_word(text) if rest[:1] == ["trace"] else ()
         except ValueError as exc:
             raise InputError(f"bad colored word {text!r}: {exc}") from exc
         if not word:
@@ -287,35 +275,22 @@ def cmd_enumerate(args) -> int:
             print(tab.to_ascii())
         return 0
     if len(rest) != 3:
-        usage = "OUTER INNER WEIGHT" if kind == "lr" else "CONTENT TOTAL_COLOR SHAPE"
-        raise InputError(f"usage: enumerate {kind} {usage}")
-    if kind == "lr":
-        outer, inner, weight = (_parse_partition_arg(x) for x in rest)
-        if not contains(inner, outer):
-            raise InputError(
-                f"INNER {format_partition(inner)} is not contained in OUTER {format_partition(outer)}"
-            )
-        if outer.size != inner.size + weight.size:
-            raise InputError(
-                f"sizes do not balance: |OUTER|={outer.size}, |INNER|+|WEIGHT|={inner.size + weight.size}"
-            )
-        tableaux = lr_tableaux(outer, inner, weight)
-    else:  # kind is "blasiak": the parser's choices admit no other
-        lam = _parse_partition_arg(rest[0])
-        try:
-            d = int(rest[1])
-        except ValueError as exc:
-            raise InputError(f"bad total color {rest[1]!r}") from exc
-        nu = _parse_partition_arg(rest[2])
-        tableaux = colored.enumerate_blasiak(lam, d, nu)
-        if args.output == "json":
-            _print_json([t.to_json() for t in tableaux])
-            return 0
+        raise InputError("usage: enumerate lr OUTER INNER WEIGHT")
+    outer, inner, weight = (_parse_partition_arg(x) for x in rest)
+    if not contains(inner, outer):
+        raise InputError(
+            f"INNER {format_partition(inner)} is not contained in OUTER {format_partition(outer)}"
+        )
+    if outer.size != inner.size + weight.size:
+        raise InputError(
+            f"sizes do not balance: |OUTER|={outer.size}, |INNER|+|WEIGHT|={inner.size + weight.size}"
+        )
+    tableaux = lr_tableaux(outer, inner, weight)
     print(f"count: {len(tableaux)}")
     for i, tab in enumerate(tableaux, 1):
         print(f"tableau {i}:")
         print(tab.to_ascii())
-        if args.ytableau:  # the option check admits it only for lr
+        if args.ytableau:
             print(tab.to_ytableau())
     return 0
 
@@ -381,7 +356,7 @@ COMMANDS = {
         "--cache-file": (str, None, "accepted and ignored; characters are memoized per process"),
     }),
     "enumerate": (cmd_enumerate, "enumerate tableaux or trace insertion", {"kind": ("lr", "blasiak"), "params": "PARAMS"},
-                  {"--output": (("text", "json"), "text", ""), "--ytableau": (bool, False, "")}),
+                  {"--ytableau": (bool, False, "")}),
     "expand": (cmd_expand, "print structural expansions",
                {"what": ("giambelli", "jacobi-trudi", "coproduct"), "partition": "PARTITION"}, {}),
     "verify": (cmd_verify, "run verification sweeps", {"suite": "SUITE"},

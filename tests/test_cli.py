@@ -171,24 +171,53 @@ def test_kron_csv_output_exits_2(capsys):
         assert captured.err.splitlines() == [usage, error], form
 
 
-def test_enumerate_blasiak(capsys):
-    code, out, _ = run(capsys, "enumerate", "blasiak", "5,2,1", "4", "4,2,1,1")
-    assert code == 0
-    assert out.startswith("count: 5")
-    assert "1' 1  1  1" in out
+def test_enumerate_blasiak_listing_is_retired(capsys):
+    # kron LAMBDA (n-d,1^d) NU --method blasiak --explain lists the tableaux
+    code, out, err = run(capsys, "enumerate", "blasiak", "5,2,1", "4", "4,2,1,1")
+    assert (code, out, err) == (2, "", "error: usage: enumerate blasiak trace LETTERS\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["enumerate", "blasiak", "5,2,1", "4", "4,2,1,1", "--output", "json"])
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out) == (2, "")
+    assert captured.err.splitlines()[1].startswith("kroncalc enumerate: error: unrecognized arguments: --output")
 
 
 def test_enumerate_blasiak_listing_bytes_are_pinned(capsys):
-    code, out, err = run(capsys, "enumerate", "blasiak", "5,2,1", "4", "4,2,1,1")
+    code, out, err = run(capsys, "kron", "5,2,1", "4,1^4", "4,2,1,1", "--method", "blasiak", "--explain")
     assert (code, err) == (0, "")
     assert out == (
-        "count: 5\n"
-        "tableau 1:\n1' 1  1  1\n1' 3'\n2'\n2\n"
-        "tableau 2:\n1' 1  1  2'\n1' 2\n1'\n3\n"
-        "tableau 3:\n1' 1  1  2'\n1' 3'\n1\n2\n"
-        "tableau 4:\n1' 1  1  3'\n1' 2'\n1\n2\n"
-        "tableau 5:\n1' 1  1  3'\n1' 2\n1'\n2\n"
+        "g(5,2,1 ; 4,1,1,1,1 ; 4,2,1,1) = 5   [blasiak]\n-- blasiak --\n"
+        "tableau 1:\n  1' 1  1  1\n  1' 3'\n  2'\n  2\n"
+        "tableau 2:\n  1' 1  1  2'\n  1' 2\n  1'\n  3\n"
+        "tableau 3:\n  1' 1  1  2'\n  1' 3'\n  1\n  2\n"
+        "tableau 4:\n  1' 1  1  3'\n  1' 2'\n  1\n  2\n"
+        "tableau 5:\n  1' 1  1  3'\n  1' 2\n  1'\n  2\n"
     )
+
+
+def test_kron_blasiak_explain_lists_every_hook_rule_tableau_up_to_n_6(capsys):
+    # the listing the retired `enumerate blasiak CONTENT TOTAL_COLOR SHAPE`
+    # printed: every tableau of colored.enumerate_blasiak, in its order
+    from kroncalc.colored import enumerate_blasiak
+    from kroncalc.partition import partitions_list
+
+    checked = listed = 0
+    for n in range(1, 7):
+        for lam, d, nu in itertools.product(partitions_list(n), range(n), partitions_list(n)):
+            tableaux = enumerate_blasiak(lam, d, nu)
+            argv = ("kron", format_partition(lam), format_partition((n - d,) + (1,) * d),
+                    format_partition(nu), "--method", "blasiak", "--explain")
+            code, out, err = run(capsys, *argv)
+            assert (code, err) == (0, ""), argv
+            lines = [f"tableau {i}:\n" + "".join(f"  {row}\n" for row in tab.to_ascii().splitlines())
+                     for i, tab in enumerate(tableaux, 1)]
+            assert out.split("\n", 1)[1] == "".join(["-- blasiak --\n"] * bool(lines) + lines), argv
+            code, out, err = run(capsys, *argv, "--output", "json")
+            payload = json.loads(out)
+            assert (code, err, payload["value"]) == (0, "", len(tableaux)), argv
+            assert payload["explain"]["blasiak"]["tableaux"] == [tab.to_json() for tab in tableaux], argv
+            checked, listed = checked + 1, listed + bool(tableaux)
+    assert (checked, listed) == (1107, 373)
 
 
 def test_enumerate_lr(capsys):
@@ -225,28 +254,6 @@ def test_enumerate_trace(capsys):
 def test_enumerate_bad_shape_exits_2(capsys):
     code, _, err = run(capsys, "enumerate", "lr", "5,4", "oops", "4,1,1")
     assert code == 2
-
-
-def test_enumerate_blasiak_size_mismatch_exits_2(capsys):
-    code, out, err = run(capsys, "enumerate", "blasiak", "5,2,1", "4", "4,2,1")
-    assert code == 2
-    assert out == ""
-    assert err == "error: shape size 7 differs from content size 8\n"
-
-
-def test_enumerate_blasiak_empty_content_exits_2(capsys):
-    # (n - d, 1^d) is a hook only for n >= 1, as kron's check of mu says
-    code, out, err = run(capsys, "enumerate", "blasiak", "", "0", "")
-    assert code == 2
-    assert out == ""
-    assert err == "error: content must be nonempty: the hook (n-d, 1^d) needs n >= 1\n"
-
-
-def test_enumerate_blasiak_color_out_of_range_prints_the_content_as_typed(capsys):
-    code, out, err = run(capsys, "enumerate", "blasiak", "2,1", "5", "3")
-    assert code == 2
-    assert out == ""
-    assert err == "error: total color 5 out of range for content 2,1\n"
 
 
 @pytest.mark.parametrize(
@@ -295,12 +302,10 @@ def test_enumerate_lr_unfillable_input_exits_2(capsys, argv, message):
 @pytest.mark.parametrize(
     "argv",
     [
-        ("enumerate", "lr", "5,4,2,1", "4,2", "4,1,1", "--output", "json"),
-        ("enumerate", "blasiak", "trace", "2'", "1", "--output", "json"),
         ("enumerate", "blasiak", "5,2,1", "4", "4,2,1,1", "--ytableau"),
         ("enumerate", "blasiak", "trace", "2'", "1", "--ytableau"),
     ],
-    ids=["lr-json", "trace-json", "blasiak-ytableau", "trace-ytableau"],
+    ids=["blasiak-ytableau", "trace-ytableau"],
 )
 def test_option_that_would_be_ignored_exits_2(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -314,8 +319,8 @@ def test_option_that_would_be_ignored_exits_2(capsys, argv):
     [
         (("lr", "5,4"), "usage: enumerate lr OUTER INNER WEIGHT"),
         (("blasiak", "trace"), "usage: enumerate blasiak trace LETTERS"),
-        (("blasiak", "2,1", "1"), "usage: enumerate blasiak CONTENT TOTAL_COLOR SHAPE"),
-        (("blasiak", "2,1", "x", "2,1"), "bad total color 'x'"),
+        (("blasiak", "2,1", "1"), "usage: enumerate blasiak trace LETTERS"),
+        (("blasiak", "2,1", "x", "2,1"), "usage: enumerate blasiak trace LETTERS"),
     ],
     ids=["lr-arity", "trace-empty", "blasiak-arity", "blasiak-bad-color"],
 )
@@ -501,7 +506,6 @@ def build_parser() -> argparse.ArgumentParser:
     enum = sub.add_parser("enumerate", help="enumerate tableaux or trace insertion")
     enum.add_argument("kind", choices=["lr", "blasiak"])
     enum.add_argument("params", nargs="*")
-    enum.add_argument("--output", choices=["text", "json"], default="text")
     enum.add_argument("--ytableau", action="store_true")
     enum.set_defaults(func=cli.cmd_enumerate)
 
@@ -567,7 +571,6 @@ PARSER_CASES = [
     "kron -1 -2 -3",
     "kron '-a b' 2 3",
     "enumerate blasiak 2,1 -1 2,1",
-    "enumerate --output json blasiak 5,2,1 4 4,2,1,1",
     "enumerate lr 5,4,2,1 4,2 4,1,1 --yt",
     "enumerate blasiak '' 0 ''",
     "enumerate lr -- -5 --x",
@@ -599,6 +602,8 @@ PARSER_CASES = [
     "kron 4,2 4,2 4,2 --explain --output csv",
     "kron 5,2,1 --explain 4,1^4 --output=csv 4,2,1,1",
     "kron 1 2 3 --=x",
+    "enumerate lr 5,4,2,1 4,2 4,1,1 --output json",
+    "enumerate blasiak trace \"2'\" 1 --output json",
     "enumerate",
     "enumerate bogus 1",
     "expand bogus 4",
@@ -654,8 +659,7 @@ def test_parser_matches_argparse_reference(capsys):
     "line,reordered",
     [
         ("enumerate lr --ytableau 5,4,2,1 4,2 4,1,1", "enumerate --ytableau lr 5,4,2,1 4,2 4,1,1"),
-        ("enumerate blasiak 5,2,1 --output json 4 4,2,1,1",
-         "enumerate --output json blasiak 5,2,1 4 4,2,1,1"),
+        ("enumerate lr 5,4,2,1 --ytableau 4,2 4,1,1", "enumerate --ytableau lr 5,4,2,1 4,2 4,1,1"),
     ],
     ids=["flag-before-params", "option-between-params"],
 )
@@ -892,8 +896,8 @@ def test_kron_negative_exponent_exits_2(capsys):
 
 
 # sha256 of stdout for the --explain queries of the benchmark, in text and
-# json, with the hook-rule tableaux, the signed expansion and one tableau
-# listing; any change to an explain line, its order or its json shows here
+# json, with the hook-rule tableaux and the signed expansion; any change to an
+# explain line, its order or its json shows here
 EXPLAIN_DIGESTS = [
     (("kron", "4,3", "3,2,1,1", "3,2,1,1", "--method", "nearhook", "--explain", "--output", "text"),
      "eb4b4dedb2abf5bf90787e0cb017439f8deca6e8ad6c4fb2975046f7735bcc24"),
@@ -939,8 +943,6 @@ EXPLAIN_DIGESTS = [
      "4c482549d2caae29e87fc526ff6204603caabb614e8501da9b09af4501386c11"),
     (("kron", "3,2,1", "2,2,1,1", "4,1,1", "--method", "all", "--explain", "--output", "json"),
      "254ce3d8733e70d337d21a6c8b7938bbe2b7d214fe555f13c5f67f439d6be830"),
-    (("enumerate", "blasiak", "5,2,1", "4", "4,2,1,1", "--output", "json"),
-     "b356aadae1d2fa64f483685937a8a66cfff0df4a6187a742ce4c093c939b150c"),
 ]
 
 

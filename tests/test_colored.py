@@ -253,6 +253,14 @@ def test_shape_and_content_sizes_must_match():
         enumerate_blasiak((), 0, ())
 
 
+def test_total_color_out_of_range_prints_the_content_as_typed():
+    # the partition syntax of the command line, not Partition's repr
+    for call in (enumerate_blasiak, count_blasiak):
+        with pytest.raises(ValueError) as exc:
+            call((2, 1), 5, (3,))
+        assert str(exc.value) == "total color 5 out of range for content 2,1", call
+
+
 def _by_shape(lam, d: int) -> dict:
     """Map shape -> canonically ordered tableaux, one untargeted search for all shapes."""
     lam = Partition(lam)
