@@ -55,12 +55,12 @@ def _parse_partition_arg(text: str) -> Partition:
 
 
 # Largest n measured for the oracle: a cold `kron --method oracle` query at
-# n = 40 took at most 1.08 s CPU and 87.5 MB peak RSS for the whole process
+# n = 40 took at most 1.18 s CPU and 76.2 MB peak RSS for the whole process
 # (twelve triples, 3 runs each: ten drawn by random.Random(40) from all
-# partitions of 40, and 11,9,6,5,4,2,2,1 34,1^6 10,9,6,5,4,3,2,1 and
-# 9,8,7,6,5,4,1 21,1^19 9,8,7,6,5,3,2; a shared 2-core machine, Python
-# 3.11.7).  A single triple sums three character rows over the p(n) cycle
-# types, so the cost grows with p(n).
+# partitions of 40, three choice() calls per triple, and 11,9,6,5,4,2,2,1
+# 34,1^6 10,9,6,5,4,3,2,1 and 9,8,7,6,5,4,1 21,1^19 9,8,7,6,5,3,2, the last
+# 0.50-0.79 s and 55.9 MB; a shared 2-core machine, Python 3.11.7).  A
+# single triple walks the p(n) cycle types once, so the cost grows with p(n).
 ORACLE_MAX_N = 40
 
 # Largest oracle size n - b + 1 for the near-hook method's signed expansion,
@@ -375,14 +375,23 @@ def _exit(code: int, usage: str, *lines: str):
 
 def parse_args(argv: list[str]) -> SimpleNamespace:
     """The handler's arguments, with `func` and `command`, for a command line
-    without the program name; raises SystemExit(2) if malformed, (0) after -h."""
-    command = argv[0] if argv else ""
+    without the program name; raises SystemExit(2) if malformed, (0) after -h.
+
+    Unrecognized tokens are reported in command-line order, as argparse
+    reports them: options before the command, unknown options, and the
+    values left over.  An unknown option ends PARAMS once the required
+    positionals are filled, so the values after it are left over too."""
+    lead = 0  # the options before the command
+    while lead < len(argv) and argv[lead] != "--" and not _VALUE.fullmatch(argv[lead]):
+        lead += 1
+    command = argv[lead] if lead < len(argv) else ""
+    usage = "kroncalc [-h] {" + ",".join(COMMANDS) + "} ..."
+    if any(t == "-h" or len(t) > 2 and "--help".startswith(t) for t in argv[:lead]):
+        _exit(0, usage, "", "Exact Kronecker coefficients by independent methods.", "",
+              *(f"  {name:26} {spec[1]}" for name, spec in COMMANDS.items()))
     if command not in COMMANDS:
-        usage = "kroncalc [-h] {" + ",".join(COMMANDS) + "} ..."
-        if command == "-h" or len(command) > 2 and "--help".startswith(command):
-            _exit(0, usage, "", "Exact Kronecker coefficients by independent methods.", "",
-                  *(f"  {name:26} {spec[1]}" for name, spec in COMMANDS.items()))
-        _exit(2, usage, f"kroncalc: error: {f'invalid command {command!r}' if argv else 'a command is required'}")
+        problem = f"invalid command {command!r}" if lead < len(argv) else "a command is required"
+        _exit(2, usage, f"kroncalc: error: {problem}")
     func, about, positionals, options = COMMANDS[command]
     shown = {o: o if k is bool else f"{o} {{{','.join(k)}}}" if isinstance(k, tuple)
              else f"{o} {o[2:].upper().replace('-', '_')}" for o, (k, _, _) in options.items()}
@@ -394,14 +403,17 @@ def parse_args(argv: list[str]) -> SimpleNamespace:
         _exit(2, usage, f"kroncalc {command}: error: {message}")
 
     args = SimpleNamespace(command=command, func=func, **{o[2:].replace("-", "_"): s[1] for o, s in options.items()})
-    values, extras = [], []
-    rest = iter(argv[1:])
-    for token in rest:
+    required = [p for p in positionals if p != "params"]
+    # (position in argv, token) pairs, so that the unrecognized ones are reported in order
+    values, extras = [], list(enumerate(argv[:lead]))
+    taken = None  # how many values the positionals take, once an unknown option ends PARAMS
+    rest = enumerate(argv[lead + 1:], lead + 1)
+    for at, token in rest:
         if token == "--":
             values += rest
             continue
         if _VALUE.fullmatch(token):
-            values.append(token)
+            values.append((at, token))
             continue
         name, eq, value = token.partition("=")
         hits = [o for o in ("-h", "--help", *options)
@@ -411,13 +423,15 @@ def parse_args(argv: list[str]) -> SimpleNamespace:
             _exit(0, usage, "", about, "", *(f"  {shown[o]:26} {text} {f'(default: {d})' if d else ''}".rstrip()
                                              for o, (_, d, text) in options.items()))
         if option is None:
-            extras.append(token)
+            extras.append((at, token))
+            if taken is None and len(values) >= len(required):
+                taken = len(values)
             continue
         kind = options[option][0]
         if kind is bool:
             value = not eq or fail(f"argument {option}: ignored explicit argument {value!r}")
         elif not eq:
-            value = next(rest, "--")
+            value = next(rest, (None, "--"))[1]
             if not _VALUE.fullmatch(value):
                 fail(f"argument {option}: expected one argument")
         if kind is int:
@@ -428,17 +442,20 @@ def parse_args(argv: list[str]) -> SimpleNamespace:
         elif isinstance(kind, tuple) and value not in kind:
             fail(f"argument {option}: invalid choice: {value!r} (choose from {', '.join(kind)})")
         setattr(args, option[2:].replace("-", "_"), value)
-    required = [p for p in positionals if p != "params"]
-    for name, token in zip(required, values):
+    for name, (_, token) in zip(required, values):
         if isinstance(positionals[name], tuple) and token not in positionals[name]:
             fail(f"argument {name}: invalid choice: {token!r} (choose from {', '.join(positionals[name])})")
         setattr(args, name, token)
-    if "params" in positionals:
-        args.params, values = values[len(required):], values[:len(required)]
-    extras += values[len(required):]
-    if len(values) < len(required) or extras:
-        fail(f"the following arguments are required: {', '.join(required[len(values):])}"
-             if len(values) < len(required) else f"unrecognized arguments: {' '.join(extras)}")
+    if "params" not in positionals:
+        taken = len(required)
+    else:
+        taken = len(values) if taken is None else taken
+        args.params = [token for _, token in values[len(required):taken]]
+    if len(values) < len(required):
+        fail(f"the following arguments are required: {', '.join(required[len(values):])}")
+    extras = sorted(extras + values[taken:])
+    if extras:
+        fail(f"unrecognized arguments: {' '.join(token for _, token in extras)}")
     return args
 
 

@@ -9,12 +9,10 @@ Kronecker coefficient is the class-sum character formula
 
 evaluated in integer arithmetic (the class-sum form is mathematically
 identical to averaging over all n! permutations but exponentially cheaper).
-The sum runs over one cached table of per-partition rows in
-partitions_list order, built once per partition: ``_rows(lam)`` holds the
-character row chi^lam on every cycle type of n together with the weighted
-row |class(rho)| * chi^lam(rho).  A coefficient multiplies the first
-argument's weighted row term by term with the other two arguments'
-character rows.
+The rows of g, ``kronecker_row``, run over one cached table of
+per-partition rows in partitions_list order, built once per partition:
+``_rows(lam)`` holds the character row chi^lam on every cycle type of n
+together with the weighted row |class(rho)| * chi^lam(rho).
 ``character`` validates its arguments; the recursion below it runs on
 James' abacus.  A shape is one int, its bead set, whose set bits are the
 beta numbers lam_i + (L - 1 - i) of its L rows.  Removing a border strip
@@ -48,8 +46,12 @@ vector |class(rho)| chi^lam chi^mu, built once per row, times chi^nu, so
 it takes one product per cycle type and no call per triple.  Every entry
 passes the divisibility and sign check of ``kronecker_coefficient``
 (``_coefficient``, one helper for both).  ``kronecker_coefficient`` keeps
-its own memo per triple: a single query builds three character rows,
-where a row of g needs every row of n.  ``kronecker_product`` reads the
+its own memo per triple and no row: one walk over ``_cycle_types(n)``
+computes each shape's moves once per first part, skips a first part where
+a shape has none, and evaluates chi^mu only where chi^lam is nonzero and
+chi^nu only where both are, reading each value from the rest node's dict.
+A row of g needs every row of n, but a single triple needs none.
+``kronecker_product`` reads the
 oracle row of each ordered pair (lam, mu) and skips its zero entries, so
 no zero term is generated and every triple still passes its checks.
 The h-basis appears only as formal monomial lists inside the Jacobi-Trudi
@@ -499,12 +501,42 @@ def _rows(lam: Partition) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 @memo
 def kronecker_coefficient(lam, mu, nu) -> int:
-    """g(lam, mu, nu) by the class-sum character formula; exact, nonnegative."""
+    """g(lam, mu, nu) by the class-sum character formula; exact, nonnegative.
+
+    One walk over the cycle types that keeps no character row: each first
+    part k's moves are computed once per shape, and a k-group where a shape
+    has none is skipped whole; chi^mu is evaluated only where chi^lam is
+    nonzero, and chi^nu only where both are.
+    """
     lam, mu, nu = as_partition(lam), as_partition(mu), as_partition(nu)
     n = lam.size
     if mu.size != n or nu.size != n:
         raise ValueError("all three partitions must have the same size")
-    total = sum(map(mul, _rows(lam)[1], map(mul, _rows(mu)[0], _rows(nu)[0])))
+    if not n:
+        return 1  # the empty cycle type has no first part
+    shapes = [_beads(lam), _beads(mu), _beads(nu)]
+    total = 0
+    k = 0
+    for part, rest, class_size in _cycle_types(n):
+        if part != k:
+            group, k = [_moves(beads, part) for beads in shapes], part
+            live = all(group)  # a shape with no strip of size k has chi = 0 on the group
+        if not live:
+            continue
+        chis = rest.memo  # not named memo, as in _char
+        weight = class_size
+        for moves in group:
+            chi = 0
+            for moved, odd in moves:
+                term = chis.get(moved)
+                if term is None:
+                    term = _char(moved, rest)
+                chi += -term if odd else term
+            if not chi:
+                break
+            weight *= chi
+        else:
+            total += weight
     return _coefficient(total, factorial(n))
 
 

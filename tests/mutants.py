@@ -95,6 +95,13 @@ MUTANTS = [
         "tests/test_acceptance.py::test_suites_empty_the_memos_no_remaining_suite_reads_and_build_no_entry_twice",
         "a release one suite too early (`run[i + 1:]` for `run[i:]` in the remaining set)",
     ),
+    Mutant(
+        "symfun",
+        "            total += weight\n    return _coefficient(total, factorial(n))",
+        "            total += weight << (n == 7)\n    return _coefficient(total, factorial(n))",
+        "tests/test_symfun.py::test_kronecker_row_matches_the_single_triple_sums",
+        "the single-triple oracle doubling its character sum when n = 7",
+    ),
 ]
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))

@@ -5,6 +5,7 @@ import sys
 from collections import Counter
 from functools import cache
 from itertools import combinations_with_replacement, permutations
+from math import factorial
 from operator import mul
 
 import pytest
@@ -321,20 +322,35 @@ def test_kronecker_oracle_values():
         kronecker_coefficient((2,), (1, 1), (1,))
 
 
-def test_kronecker_coefficient_rejects_a_character_sum_off_the_multiples_of_n_factorial(monkeypatch):
-    # three class sums of 1 over 3! = 6 leave a remainder; __wrapped__ skips the memo
-    monkeypatch.setattr(symfun, "_rows", lambda lam: ((1, 1, 1), (1, 1, 1)))
-    with pytest.raises(ArithmeticError, match=r"^character sum is not a Kronecker coefficient: 3/6$"):
+def test_kronecker_coefficient_rejects_a_character_sum_off_the_multiples_of_n_factorial(monkeypatch, capsys):
+    # class sizes one too large: g((2,1), (2,1), (2,1)) sums 3 * (-1) + 2 * 8 = 13 over 3! = 6;
+    # __wrapped__ skips the memo
+    from kroncalc.cli import main
+
+    table = _cycle_types.__wrapped__
+    monkeypatch.setattr(symfun, "_cycle_types", lambda n: [(k, rest, size + 1) for k, rest, size in table(n)])
+    with pytest.raises(ArithmeticError, match=r"^character sum is not a Kronecker coefficient: 13/6$"):
         kronecker_coefficient.__wrapped__((2, 1), (2, 1), (2, 1))
+    memo.clear()
+    assert main(["kron", "2,1", "2,1", "2,1", "--method", "oracle"]) == 4
+    assert capsys.readouterr() == (
+        "", "internal error: ArithmeticError: character sum is not a Kronecker coefficient: 13/6\n"
+    )
+    memo.clear()
 
 
 def test_kronecker_row_matches_the_single_triple_sums():
+    # the single triple skips a first part's cycle types when a shape has no
+    # strip of that size, and chi^mu, chi^nu where the product is already 0
     for n in range(9):
         parts = partitions_list(n)
         for lam in parts:
             for mu in parts:
                 expected = tuple(kronecker_coefficient.__wrapped__(lam, mu, nu) for nu in parts)
                 assert kronecker_row(lam, mu) == expected, (lam, mu)
+    assert kronecker_coefficient.__wrapped__((), (), ()) == 1
+    with pytest.raises(ValueError, match="^all three partitions must have the same size$"):
+        kronecker_coefficient.__wrapped__((2,), (1, 1), (1,))
     with pytest.raises(ValueError):
         kronecker_row((2,), (1, 1, 1))
 
@@ -344,6 +360,33 @@ def test_kronecker_row_rejects_a_character_sum_off_the_multiples_of_n_factorial(
     monkeypatch.setattr(symfun, "_rows", lambda lam: ((1, 1, 1), (1, 1, 1)))
     with pytest.raises(ArithmeticError, match=r"^character sum is not a Kronecker coefficient: 3/6$"):
         symfun._kronecker_row.__wrapped__(Partition((2, 1)), Partition((2, 1)))
+
+
+def test_single_triple_matches_the_sum_of_its_character_rows_at_n_30_to_33():
+    for triple, expected in [
+        (((9, 7, 4, 4, 2, 2, 1, 1), (21,) + (1,) * 9, (8, 6, 5, 4, 3, 2, 1, 1)), 60808),
+        (((12, 11, 10), (14, 10, 9), (13, 12, 8)), 1174),
+        (((20, 10, 3), (30, 3), (15, 10, 8)), 0),
+    ]:
+        memo.clear()
+        assert kronecker_coefficient(*triple) == expected, triple
+        lam, mu, nu = map(Partition, triple)
+        total = sum(map(mul, _rows(lam)[1], map(mul, _rows(mu)[0], _rows(nu)[0])))
+        assert total == expected * factorial(lam.size), triple
+    memo.clear()
+
+
+def test_cold_kron_oracle_query_keeps_no_character_row(capsys):
+    # kron answers its one triple without the memoized rows of kronecker_row
+    from kroncalc.cli import main
+
+    memo.clear()
+    assert main(["kron", "7,5,4,2", "10,3,2,2,1", "7,2,2,2,2,2,1", "--method", "oracle"]) == 0
+    assert capsys.readouterr().out.endswith(") = 736   [oracle]\n")
+    assert _rows.cache_info().currsize == 0
+    assert kronecker_coefficient.cache_info().currsize == 1
+    assert symfun._kronecker_row.cache_info().currsize == 0
+    assert _cycle_types.cache_info().currsize == 1
 
 
 def test_kronecker_trivial_and_sign():
@@ -521,9 +564,16 @@ def test_bead_kernel_keeps_one_state_per_shape():
 
 
 def test_cold_oracle_query_keeps_the_shared_memo_states():
-    # a kernel that stopped sharing states between rows or suffixes would keep more
+    # a kernel that stopped sharing states between rows or suffixes would keep
+    # more; the single triple evaluates chi^mu and chi^nu only where the
+    # product is still nonzero, so it reaches fewer states than the three rows
+    triple = (7, 5, 4, 2), (10, 3, 2, 2, 1), (7, 2, 2, 2, 2, 2, 1)
     memo.clear()
-    assert kronecker_coefficient((7, 5, 4, 2), (10, 3, 2, 2, 1), (7, 2, 2, 2, 2, 2, 1)) == 736
+    assert kronecker_coefficient(*triple) == 736
+    assert _memo_states([18]) == 2701
+    memo.clear()
+    for lam in triple:
+        _rows(Partition(lam))
     assert _memo_states([18]) == 3209
 
 
@@ -564,16 +614,20 @@ def test_nodes_with_one_first_part_share_one_strip_object():
 
 def test_cold_oracle_query_keeps_one_strip_entry_per_shape_and_first_part():
     # the strip tables hold exactly the (first part, shape) pairs of the memo
-    # states on the nodes that share their moves
-    memo.clear()
-    assert kronecker_coefficient((7, 5, 4, 2), (10, 3, 2, 2, 1), (7, 2, 2, 2, 2, 2, 1)) == 736
-    nodes = [node for node in _reached_nodes([18]) if node.rest is not None]
-    states = {(node.k, beads) for node in nodes if node.shares for beads in node.memo}
-    tables = {node.k: node.strips for node in nodes}
-    assert _strips.cache_info().currsize == len(tables)
-    entries = {(k, beads) for k, table in tables.items() for beads in table}
-    assert entries == states
-    assert sum(map(len, tables.values())) == len(states) == 400
+    # states on the nodes that share their moves, for the single triple and
+    # for the three character rows alike
+    triple = (7, 5, 4, 2), (10, 3, 2, 2, 1), (7, 2, 2, 2, 2, 2, 1)
+    for build, count in [(lambda: kronecker_coefficient(*triple), 375),
+                         (lambda: [_rows(Partition(lam)) for lam in triple], 400)]:
+        memo.clear()
+        build()
+        nodes = [node for node in _reached_nodes([18]) if node.rest is not None]
+        states = {(node.k, beads) for node in nodes if node.shares for beads in node.memo}
+        tables = {node.k: node.strips for node in nodes}
+        assert _strips.cache_info().currsize == len(tables)
+        entries = {(k, beads) for k, table in tables.items() for beads in table}
+        assert entries == states
+        assert sum(map(len, tables.values())) == len(states) == count
 
 
 def test_clearing_the_oracle_memos_clears_the_strip_tables():
